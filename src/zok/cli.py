@@ -9,7 +9,6 @@ All output is deterministic: canonical JSON with sorted keys, no timestamps.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -116,22 +115,12 @@ def _cmd_validate(args) -> int:
     # bypass load_model so an invalid model prints its report instead of erroring
     path = _resolve_model_path(args.model)
     try:
-        zio.model_from_dict(_read_json(path))
+        zio.model_from_dict(zio.read_model_json(path))
         problems: list[str] = []
     except ModelValidationError as exc:
         problems = exc.problems
     _emit(zio.dumps_canonical({"valid": not problems, "problems": problems}))
     return 0 if not problems else 2
-
-
-def _read_json(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise UsageError(f"cannot read model file {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"model file {path!r} is not valid JSON: {exc}") from exc
 
 
 def _cmd_zariski(args) -> int:
@@ -371,7 +360,7 @@ def _dump_repro(argv, exc: Exception) -> None:
             model_arg = argv[i + 1]
     if model_arg:
         try:
-            payload["model"] = _read_json(_resolve_model_path(model_arg))
+            payload["model"] = zio.read_model_json(_resolve_model_path(model_arg))
         except ZokError:
             payload["model"] = None
     with open(REPRO_FILE, "w", encoding="utf-8") as fh:

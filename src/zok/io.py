@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import decimal
 import json
+import math
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -52,6 +53,8 @@ def dumps_canonical(payload) -> str:
 
 def model_from_dict(data: Mapping) -> SurfaceModel:
     try:
+        if not isinstance(data, Mapping):
+            raise TypeError(f"top level must be an object, not {type(data).__name__}")
         name = str(data.get("name", "unnamed"))
         rank = int(data["rank"])
         gram = data["gram"]
@@ -81,15 +84,19 @@ def model_to_dict(model: SurfaceModel) -> dict:
     }
 
 
-def load_model(path: str) -> SurfaceModel:
+def read_model_json(path: str):
+    """Parsed JSON of a model file; an unreadable or malformed file is a UsageError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read model file {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"model file {path!r} is not valid JSON: {exc}") from exc
-    return model_from_dict(data)
+
+
+def load_model(path: str) -> SurfaceModel:
+    return model_from_dict(read_model_json(path))
 
 
 # ---------------------------------------------------------------------------
@@ -213,12 +220,12 @@ def _svg_xy(x: ExtRat, y: ExtRat, y_flip_about: tuple) -> tuple[str, str]:
 def _floor_ext(x: ExtRat) -> int:
     if isinstance(x, Fraction):
         return x.numerator // x.denominator
-    n = int(float(x))  # near miss only; corrected exactly below
-    while x < n:
-        n -= 1
-    while not x < n + 1:
-        n += 1
-    return n
+    # |q|*sqrt(d) is irrational and lies in (r, r + 1), so x lies in
+    # (n, n + 2) for the n below
+    square = x.q * x.q * x.d
+    r = math.isqrt(square.numerator // square.denominator)
+    n = math.floor(x.p + r if x.q > 0 else x.p - r - 1)
+    return n if x < n + 1 else n + 1
 
 
 def _ceil_ext(x: ExtRat) -> int:

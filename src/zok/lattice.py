@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .exact import parse_rat
+from .exact import EpsPoly, parse_rat
 
 Vec = tuple[Fraction, ...]
 Mat = tuple[tuple[Fraction, ...], ...]
@@ -36,8 +36,13 @@ def vec_sub(u: Vec, v: Vec) -> Vec:
     return tuple(a - b for a, b in zip(u, v))
 
 
+def _exact(x):
+    """x itself when already an exact scalar, else x as a Fraction."""
+    return x if isinstance(x, (Fraction, EpsPoly)) else Fraction(x)
+
+
 def vec_scale(c, u: Vec) -> Vec:
-    c = Fraction(c)
+    c = _exact(c)
     return tuple(c * a for a in u)
 
 
@@ -135,7 +140,7 @@ def solve_linear(matrix: Mat, rhs: Sequence) -> Vec:
     n = len(matrix)
     if any(len(row) != n for row in matrix) or len(rhs) != n:
         raise ValueError("need a square system")
-    a = [list(row) + [Fraction(r)] for row, r in zip(matrix, rhs)]
+    a = [list(row) + [_exact(r)] for row, r in zip(matrix, rhs)]
     for col in range(n):
         pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
         if pivot is None:

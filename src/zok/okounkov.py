@@ -4,9 +4,13 @@ bodies on the volume-zero boundary.
 
 The walk is exact: within a chamber the negative-part support is constant,
 so the orthogonality system makes the coefficients and the positive part
-affine in t.  Breakpoints are roots of affine functions (hence rational);
-only the terminal endpoint, where the positive part's square vanishes, can
-be a quadratic irrational, represented exactly in Q(sqrt(d)).
+affine in t.  Each chamber is read off one decomposition at t0 + eps, just
+past its start t0, with eps a formal positive infinitesimal (symbolic
+perturbation): that decomposition has the chamber's support, and its
+entries are the affine formulas.  Breakpoints are roots of affine functions
+(hence rational); only the terminal endpoint, where the positive part's
+square vanishes, can be a quadratic irrational, represented exactly in
+Q(sqrt(d)).
 """
 
 from __future__ import annotations
@@ -24,9 +28,9 @@ from .errors import (
     NotPseudoEffective,
     UnknownCurve,
 )
-from .exact import ExtRat, smallest_quadratic_root_above
-from .lattice import SurfaceModel, Vec, solve_linear, vec_add, vec_scale, vec_sub
-from .polygon import Point, cross, shoelace_area
+from .exact import EpsPoly, ExtRat, smallest_quadratic_root_above
+from .lattice import SurfaceModel, Vec, vec_add, vec_scale
+from .polygon import Point, convex_hull, shoelace_area
 from .zariski import (
     Kind,
     ZariskiDecomp,
@@ -34,8 +38,6 @@ from .zariski import (
     non_kahler_curves,
     zariski_decompose,
 )
-
-_PROBE_BISECTION_LIMIT = 256
 
 
 @dataclass(frozen=True)
@@ -163,81 +165,12 @@ class BoundaryBody:
 # ---------------------------------------------------------------------------
 
 
-def _affine_system(model: SurfaceModel, alpha: Vec, direction: Vec, support):
-    """Solve the orthogonality system symbolically along alpha + t*direction
-    for a fixed support; returns (coeff0, coeff1, z0, z1)."""
-    support = tuple(support)
-    if not support:
-        return (), (), tuple(alpha), tuple(direction)
-    sub = model.gram_submatrix(support)
-    p = solve_linear(sub, [model.intersect(alpha, model.curve_class(i)) for i in support])
-    q = solve_linear(
-        sub, [model.intersect(direction, model.curve_class(i)) for i in support]
-    )
-    z0, z1 = alpha, direction
-    for i, pi, qi in zip(support, p, q):
-        z0 = vec_sub(z0, vec_scale(pi, model.curve_class(i)))
-        z1 = vec_sub(z1, vec_scale(qi, model.curve_class(i)))
-    return tuple(p), tuple(q), z0, z1
-
-
-def _valid_just_after(model, support, coeff0, coeff1, z0, z1, t0) -> bool:
-    """Do the affine formulas satisfy the decomposition constraints on an
-    interval (t0, t0 + eps)?  Decided from value and slope at t0."""
-    for p, q in zip(coeff0, coeff1):
-        v = p + t0 * q
-        if v < 0 or (v == 0 and q <= 0):
-            return False
-    in_support = set(support)
-    for i, c in enumerate(model.curves):
-        if i in in_support:
-            continue
-        h0 = model.intersect(z0, c.cls)
-        h1 = model.intersect(z1, c.cls)
-        v = h0 + t0 * h1
-        if v < 0 or (v == 0 and h1 < 0):
-            return False
-    # square and omega-pairing of Z(t); both positive on any genuine chamber
-    sq0 = model.intersect(z0, z0)
-    sq1 = 2 * model.intersect(z0, z1)
-    sq2 = model.intersect(z1, z1)
-    v = sq0 + t0 * (sq1 + t0 * sq2)
-    if v < 0 or (v == 0 and sq1 + 2 * t0 * sq2 <= 0):
-        return False
-    w0 = model.intersect(z0, model.kahler)
-    w1 = model.intersect(z1, model.kahler)
-    v = w0 + t0 * w1
-    if v < 0 or (v == 0 and w1 < 0):
-        return False
-    return True
-
-
-def _find_chamber(model: SurfaceModel, alpha: Vec, direction: Vec, t0, hi):
-    """Support and affine formulas valid just after t0 along alpha + t*direction.
-
-    Probes the open interval (t0, hi) by bisection: each probe decomposes the
-    class at an exact rational parameter; a probe inside the sought chamber
-    yields formulas that pass the just-after-t0 validity test, any other
-    probe (beyond the next breakpoint, at a breakpoint, or outside the big
-    range) tightens the upper bound.  Correctness rests on uniqueness of the
-    decomposition, not on which probe succeeded.
-    """
-    for _ in range(_PROBE_BISECTION_LIMIT):
-        mid = (t0 + hi) / 2
-        probe = vec_add(alpha, vec_scale(mid, direction))
-        try:
-            dec = zariski_decompose(model, probe)
-        except NotPseudoEffective:
-            hi = mid
-            continue
-        if dec.volume(model) == 0:
-            hi = mid
-            continue
-        coeff0, coeff1, z0, z1 = _affine_system(model, alpha, direction, dec.support)
-        if _valid_just_after(model, dec.support, coeff0, coeff1, z0, z1, t0):
-            return dec.support, coeff0, coeff1, z0, z1
-        hi = mid
-    raise InvariantError("chamber probe bisection did not converge")
+def _affine_parts(values, t0) -> tuple[tuple, tuple]:
+    """(p, q) with values[k] = p[k] + (t0 + eps)*q[k]; entries must be affine in eps."""
+    parts = [x.coeffs if isinstance(x, EpsPoly) else (x, Fraction(0)) for x in values]
+    if any(len(c) != 2 for c in parts):
+        raise InvariantError("chamber formula is not affine in the parameter")
+    return tuple(v - t0 * q for v, q in parts), tuple(q for _, q in parts)
 
 
 def _chamber_events(model, support, coeff0, coeff1, z0, z1, t0):
@@ -262,6 +195,32 @@ def _chamber_events(model, support, coeff0, coeff1, z0, z1, t0):
     c2 = model.intersect(z1, z1)
     terminal = smallest_quadratic_root_above(c0, c1, c2, t0)
     return (min(affine) if affine else None), terminal
+
+
+def _chamber_after(model, alpha, direction, t0, fallback_end=None):
+    """The chamber just after t0 along alpha + t*direction, and whether it
+    ends at the terminal root of Z(t)^2.
+
+    One decomposition of alpha + (t0 + eps)*direction, eps a formal positive
+    infinitesimal, has the chamber's support; the eps-parts of its entries
+    are the slopes of the affine formulas.  The chamber ends at the first
+    event after t0, or at fallback_end when none lies ahead.
+    """
+    just_after = vec_add(alpha, vec_scale(EpsPoly.new((t0, 1)), direction))
+    try:
+        dec = zariski_decompose(model, just_after)
+    except NotPseudoEffective as exc:
+        raise InvariantError(f"class just after t = {t0} is not pseudo-effective") from exc
+    if not dec.volume(model) > 0:
+        raise InvariantError(f"class just after t = {t0} is not big")
+    coeff0, coeff1 = _affine_parts(dec.coeffs, t0)
+    z0, z1 = _affine_parts(dec.positive, t0)
+    affine_next, terminal = _chamber_events(model, dec.support, coeff0, coeff1, z0, z1, t0)
+    last = terminal is not None and (affine_next is None or not affine_next < terminal)
+    t1 = terminal if last else (fallback_end if affine_next is None else affine_next)
+    if t1 is None:
+        raise InvariantError("chamber walk found no event ahead")
+    return SegmentChamber(t0, t1, dec.support, z0, z1, coeff0, coeff1), last
 
 
 def _assert_continuity(model, prev: SegmentChamber, nxt: SegmentChamber):
@@ -297,61 +256,36 @@ def _resolve_curve(model: SurfaceModel, curve) -> int:
 def segment_chambers(model: SurfaceModel, alpha: Vec, curve) -> list[SegmentChamber]:
     """Exact chamber list covering [0, s] along alpha - t*C for big alpha.
 
-    Each chamber is found by probing its interior (see _find_chamber); its
-    end is the smallest of the coefficient zeros, the off-support
-    orthogonality crossings, and the terminal root of Z(t)^2.  The terminal
-    root ends the walk and may be a quadratic irrational.
+    Each chamber costs one decomposition, of the class just after its start
+    (see _chamber_after); its end is the smallest of the coefficient zeros,
+    the off-support orthogonality crossings, and the terminal root of
+    Z(t)^2, which ends the walk and may be a quadratic irrational.  Adjacent
+    chambers must agree at their breakpoint, and no curve but C may leave
+    the support, since N(D + E) <= N(D) + E for effective E.
     """
     index = _resolve_curve(model, curve)
     _require_big(model, alpha)
-    c_cls = model.curve_class(index)
-    direction = vec_scale(-1, c_cls)
-    # s is bounded by the time alpha - t*C stops pairing non-negatively with omega
-    t_cap = model.intersect(alpha, model.kahler) / model.intersect(c_cls, model.kahler)
+    direction = vec_scale(-1, model.curve_class(index))
     chambers: list[SegmentChamber] = []
     t0 = Fraction(0)
     while True:
-        support, coeff0, coeff1, z0, z1 = _find_chamber(
-            model, alpha, direction, t0, t_cap
-        )
-        affine_next, terminal = _chamber_events(
-            model, support, coeff0, coeff1, z0, z1, t0
-        )
-        if terminal is not None and (affine_next is None or not affine_next < terminal):
-            t1, last = terminal, True
-        elif affine_next is not None:
-            t1, last = affine_next, False
-        else:
-            raise InvariantError("chamber walk found no event ahead")
-        chamber = SegmentChamber(
-            t_lo=t0, t_hi=t1, support=support,
-            z0=z0, z1=z1, coeff0=coeff0, coeff1=coeff1,
-        )
+        chamber, last = _chamber_after(model, alpha, direction, t0)
         if chambers:
             _assert_continuity(model, chambers[-1], chamber)
+            if not set(chambers[-1].support) - {index} <= set(chamber.support):
+                raise InvariantError("a curve other than C left the negative part")
         chambers.append(chamber)
         if last:
             return chambers
-        t0 = t1
+        t0 = chamber.t_hi
 
 
 def first_chamber_along(model: SurfaceModel, alpha: Vec, direction: Vec) -> SegmentChamber:
     """Affine decomposition formulas valid on (0, eps) along alpha + t*direction
-    for big alpha; t_hi is the first event (terminal or not), or the probe cap
-    when no event lies ahead."""
+    for big alpha, from one decomposition just after t = 0.  t_hi is the
+    first event (terminal or not), or 1 when no event lies ahead."""
     _require_big(model, alpha)
-    support, coeff0, coeff1, z0, z1 = _find_chamber(
-        model, alpha, direction, Fraction(0), Fraction(1)
-    )
-    affine_next, terminal = _chamber_events(
-        model, support, coeff0, coeff1, z0, z1, Fraction(0)
-    )
-    candidates = [t for t in (affine_next, terminal) if t is not None]
-    t1 = min(candidates) if candidates else Fraction(1)
-    return SegmentChamber(
-        t_lo=Fraction(0), t_hi=t1, support=support,
-        z0=z0, z1=z1, coeff0=coeff0, coeff1=coeff1,
-    )
+    return _chamber_after(model, alpha, direction, Fraction(0), Fraction(1))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -438,34 +372,19 @@ def envelopes(
     return f, g
 
 
-def _merge_collinear(vertices: list[Point]) -> list[Point]:
-    """Drop repeated and collinear boundary points, cyclically."""
-    out = [v for k, v in enumerate(vertices) if v != vertices[(k + 1) % len(vertices)]]
-    changed = True
-    while changed and len(out) > 2:
-        changed = False
-        for k in range(len(out)):
-            o, a, b = out[k - 1], out[k], out[(k + 1) % len(out)]
-            if cross(o, a, b) == 0:
-                del out[k]
-                changed = True
-                break
-    return out
-
-
 def okounkov_polygon(model: SurfaceModel, alpha: Vec, flag: FlagSpec) -> OkounkovPolygon:
     """The region between f and g over [a, s], as an exact convex polygon.
 
-    Vertices run counter-clockwise from (a, f(a)); twice the shoelace area
-    must reproduce the volume of the class, and the vertex count is bounded
-    by 2*rank + 2.  Both facts are verified on every call.
+    The vertices are the convex hull of the envelope breakpoints, counter-
+    clockwise from the lowest-leftmost point (a, f(a)).  Twice the shoelace
+    area must reproduce the volume of the class, and the vertex count is
+    bounded by 2*rank + 2.  Both facts are verified on every call.
     """
     f, g = envelopes(model, alpha, flag)
     a, s = f.breakpoints[0], f.breakpoints[-1]
     bottom = list(zip(f.breakpoints, f.values))
     top = list(zip(g.breakpoints, g.values))
-    ring = bottom + top[::-1]
-    vertices = _merge_collinear(ring)
+    vertices = convex_hull(bottom + top[::-1])
     if len(vertices) < 3:
         raise InvariantError("degenerate polygon for a big class")
     area = shoelace_area(vertices)
@@ -481,10 +400,15 @@ def okounkov_polygon(model: SurfaceModel, alpha: Vec, flag: FlagSpec) -> Okounko
         raise InvariantError("lower envelope is not convex")
     if any(s0 < s1 for s0, s1 in zip(gs, gs[1:])):
         raise InvariantError("upper envelope is not concave")
-    start = vertices.index((a, f.values[0]))
-    vertices = vertices[start:] + vertices[:start]
-    return OkounkovPolygon(
-        a=a, s=s, f=f, g=g, vertices=tuple(vertices), area=area
+    return OkounkovPolygon(a=a, s=s, f=f, g=g, vertices=vertices, area=area)
+
+
+def _flag_base(dec: ZariskiDecomp, flag: FlagSpec) -> Fraction:
+    """Multiplicity-weighted negative part of a decomposition at the flag point."""
+    mults = flag.mult_map()
+    return sum(
+        (mults.get(i, Fraction(0)) * a for i, a in zip(dec.support, dec.coeffs)),
+        Fraction(0),
     )
 
 
@@ -500,11 +424,7 @@ def restricted_body(
         raise FlagInNonKahlerLocus(
             f"curve {model.curve_name(flag.curve)!r} lies in the non-Kahler locus"
         )
-    mults = flag.mult_map()
-    base = sum(
-        (mults.get(i, Fraction(0)) * a for i, a in zip(dec.support, dec.coeffs)),
-        Fraction(0),
-    )
+    base = _flag_base(dec, flag)
     width = model.intersect(dec.positive, model.curve_class(flag.curve))
     return base, base + width
 
@@ -518,11 +438,7 @@ def boundary_body(model: SurfaceModel, alpha: Vec, flag: FlagSpec) -> BoundaryBo
     if cls.kind is not Kind.BOUNDARY:
         raise NotOnBoundary(f"class is {cls.kind.value}, not on the boundary")
     dec = zariski_decompose(model, alpha)
-    mults = flag.mult_map()
-    base = sum(
-        (mults.get(i, Fraction(0)) * a for i, a in zip(dec.support, dec.coeffs)),
-        Fraction(0),
-    )
+    base = _flag_base(dec, flag)
     if cls.numdim == 0:
         if flag.curve in dec.support:
             raise HypothesisViolated(

@@ -67,6 +67,18 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     assert any("(0,1)" in p for p in json.loads(out)["problems"])
 
 
+def test_non_object_model_json_is_a_usage_error(capsys, tmp_path):
+    for text in ("[]", "3", '"p2"', "null"):
+        bad = tmp_path / "top.json"
+        bad.write_text(text, encoding="utf-8")
+        for argv in (("validate",), ("volume", "-c", "1")):
+            code, out = run_cli(capsys, argv[0], "-m", str(bad), *argv[1:])
+            assert code == 2
+            payload = json.loads(out)
+            assert payload["error"] == "UsageError"
+            assert "top level must be an object" in payload["detail"]
+
+
 def test_validate_reports(capsys, tmp_path):
     code, out = run_cli(capsys, "validate", "-m", "hirzebruch2")
     assert code == 0

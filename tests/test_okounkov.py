@@ -374,3 +374,63 @@ def test_chamber_flag_coefficient_vanishes_beyond_a(blowup1, blowup2):
                     if not ch.t_lo < a and curve in ch.support:
                         p, q = ch.coeff_pair(curve)
                         assert (p, q) == (0, 0)
+
+
+# -- one decomposition per chamber ------------------------------------------------
+
+
+def _big_classes_near_kahler(model, count):
+    """Big classes 2*omega + v for small integer v, in a fixed order."""
+    out = []
+    for v in int_grid(model.rank, 1):
+        alpha = tuple(2 * w + x for w, x in zip(model.kahler, v))
+        try:
+            if volume(model, alpha) > 0:
+                out.append(alpha)
+        except NotPseudoEffective:
+            continue
+        if len(out) == count:
+            break
+    return out
+
+
+def test_walk_decomposes_once_per_chamber(monkeypatch, blowup2, hirzebruch2, golden_model):
+    import zok.okounkov as okounkov_module
+    from zok.zariski import zariski_decompose
+
+    calls = []
+
+    def counting(model, alpha):
+        calls.append(alpha)
+        return zariski_decompose(model, alpha)
+
+    monkeypatch.setattr(okounkov_module, "zariski_decompose", counting)
+    cases = [(blowup2, F(3, -1, -1)), (hirzebruch2, F(3, 2)), (golden_model, F(1, 0))]
+    for model, alpha in cases:
+        for curve in range(len(model.curves)):
+            calls.clear()
+            chambers = segment_chambers(model, alpha, curve)
+            # one per chamber, plus the bigness check in _require_big
+            assert len(calls) == len(chambers) + 1
+
+
+def test_chamber_formulas_match_direct_decompositions():
+    from zok.oracle import ModelGenSpec, random_model
+    from zok.zariski import zariski_decompose
+
+    for seed in (3, 11):
+        model = random_model(ModelGenSpec(seed=seed, rank=4, num_curves=7))
+        for alpha in _big_classes_near_kahler(model, 3):
+            for curve in range(len(model.curves)):
+                c_cls = model.curve_class(curve)
+                for ch in segment_chambers(model, alpha, curve):
+                    # a rational parameter strictly inside the chamber
+                    t = ch.t_lo + 1
+                    while not t < ch.t_hi:
+                        t = (ch.t_lo + t) / 2
+                    dec = zariski_decompose(
+                        model, tuple(a - t * c for a, c in zip(alpha, c_cls))
+                    )
+                    assert dec.support == ch.support
+                    assert dec.positive == ch.z_at(t)
+                    assert dec.coeffs == ch.coeff_at(t)
