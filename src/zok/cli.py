@@ -27,10 +27,10 @@ from .lattice import SurfaceModel
 from .okounkov import (
     FlagSpec,
     boundary_body,
+    chamber_slopes,
     okounkov_polygon,
     restricted_body,
     segment_chambers,
-    slopes,
 )
 from .oracle import DEFAULT_SUBSET_CAP, run_model_verification
 from .zariski import (
@@ -217,7 +217,7 @@ def _cmd_chambers(args) -> int:
     except KeyError:
         raise UnknownCurve(f"no curve named {args.curve!r}") from None
     chambers = segment_chambers(model, alpha, curve)
-    a, s = slopes(model, alpha, curve)
+    a, s = chamber_slopes(model, chambers, curve)
     if args.format == "csv":
         lines = ["t_lo,t_hi,support,Z0,Z1"]
         for ch in chambers:

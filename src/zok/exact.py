@@ -94,6 +94,11 @@ class QuadExt:
             return p + q * k
         return QuadExt(p, q * k, m)
 
+    @staticmethod
+    def _of(p: Fraction, q: Fraction, d: int):
+        """p + q*sqrt(d) for a radicand d already in canonical form."""
+        return p if q == 0 else QuadExt(p, q, d)
+
     # -- field operations -------------------------------------------------
 
     def _coerce(self, other):
@@ -109,7 +114,7 @@ class QuadExt:
         co = self._coerce(other)
         if co is None:
             return NotImplemented
-        return QuadExt.new(self.p + co[0], self.q + co[1], self.d)
+        return QuadExt._of(self.p + co[0], self.q + co[1], self.d)
 
     __radd__ = __add__
 
@@ -120,7 +125,7 @@ class QuadExt:
         co = self._coerce(other)
         if co is None:
             return NotImplemented
-        return QuadExt.new(self.p - co[0], self.q - co[1], self.d)
+        return QuadExt._of(self.p - co[0], self.q - co[1], self.d)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -130,14 +135,14 @@ class QuadExt:
         if co is None:
             return NotImplemented
         op, oq = co
-        return QuadExt.new(self.p * op + self.q * oq * self.d, self.p * oq + self.q * op, self.d)
+        return QuadExt._of(self.p * op + self.q * oq * self.d, self.p * oq + self.q * op, self.d)
 
     __rmul__ = __mul__
 
     def _inverse(self):
         norm = self.p * self.p - self.q * self.q * self.d
         # norm == 0 would force sqrt(d) rational; impossible in canonical form
-        return QuadExt.new(self.p / norm, -self.q / norm, self.d)
+        return QuadExt._of(self.p / norm, -self.q / norm, self.d)
 
     def __truediv__(self, other):
         co = self._coerce(other)
@@ -145,7 +150,7 @@ class QuadExt:
             return NotImplemented
         op, oq = co
         if oq == 0:
-            return QuadExt.new(self.p / op, self.q / op, self.d)
+            return QuadExt._of(self.p / op, self.q / op, self.d)
         return self * QuadExt(op, oq, self.d)._inverse()
 
     def __rtruediv__(self, other):
@@ -301,7 +306,7 @@ def sqrt_rat(x: Fraction) -> ExtRat:
     root = Fraction(k, x.denominator)
     if m == 1:
         return root
-    return QuadExt.new(0, root, m)
+    return QuadExt._of(Fraction(0), root, m)
 
 
 def smallest_quadratic_root_above(c0: Fraction, c1: Fraction, c2: Fraction, t0: Fraction):

@@ -34,8 +34,8 @@ from .polygon import Point, convex_hull, shoelace_area
 from .zariski import (
     Kind,
     ZariskiDecomp,
+    _non_kahler_of,
     classify,
-    non_kahler_curves,
     zariski_decompose,
 )
 
@@ -61,7 +61,6 @@ class FlagSpec:
 def validate_flag(model: SurfaceModel, flag: FlagSpec) -> None:
     if not 0 <= flag.curve < len(model.curves):
         raise UnknownCurve(f"no curve with index {flag.curve}")
-    c_cls = model.curve_class(flag.curve)
     for i, m in flag.mults:
         if i == flag.curve:
             raise ValueError("flag multiplicities exclude the flag curve itself")
@@ -69,7 +68,7 @@ def validate_flag(model: SurfaceModel, flag: FlagSpec) -> None:
             raise UnknownCurve(f"no curve with index {i}")
         if m < 0:
             raise ValueError("flag multiplicities must be non-negative")
-        cap = model.intersect(model.curve_class(i), c_cls)
+        cap = model.curve_gram[i][flag.curve]
         if m > cap:
             raise ValueError(
                 f"multiplicity {m} for curve {model.curve_name(i)!r} exceeds its "
@@ -182,12 +181,9 @@ def _chamber_events(model, support, coeff0, coeff1, z0, z1, t0):
             if r > t0:
                 affine.append(r)
     in_support = set(support)
-    for i, c in enumerate(model.curves):
-        if i in in_support:
-            continue
-        h1 = model.intersect(z1, c.cls)
-        if h1 < 0:
-            r = -model.intersect(z0, c.cls) / h1
+    for i, (h0, h1) in enumerate(zip(model.pairings(z0), model.pairings(z1))):
+        if h1 < 0 and i not in in_support:
+            r = -h0 / h1
             if r > t0:
                 affine.append(r)
     c0 = model.intersect(z0, z0)
@@ -253,7 +249,9 @@ def _resolve_curve(model: SurfaceModel, curve) -> int:
     return index
 
 
-def segment_chambers(model: SurfaceModel, alpha: Vec, curve) -> list[SegmentChamber]:
+def segment_chambers(
+    model: SurfaceModel, alpha: Vec, curve, big: Optional[ZariskiDecomp] = None
+) -> list[SegmentChamber]:
     """Exact chamber list covering [0, s] along alpha - t*C for big alpha.
 
     Each chamber costs one decomposition, of the class just after its start
@@ -261,10 +259,12 @@ def segment_chambers(model: SurfaceModel, alpha: Vec, curve) -> list[SegmentCham
     the off-support orthogonality crossings, and the terminal root of
     Z(t)^2, which ends the walk and may be a quadratic irrational.  Adjacent
     chambers must agree at their breakpoint, and no curve but C may leave
-    the support, since N(D + E) <= N(D) + E for effective E.
+    the support, since N(D + E) <= N(D) + E for effective E.  ``big`` is
+    the caller's decomposition of alpha from _require_big, if it has one.
     """
     index = _resolve_curve(model, curve)
-    _require_big(model, alpha)
+    if big is None:
+        _require_big(model, alpha)
     direction = vec_scale(-1, model.curve_class(index))
     chambers: list[SegmentChamber] = []
     t0 = Fraction(0)
@@ -293,11 +293,11 @@ def first_chamber_along(model: SurfaceModel, alpha: Vec, direction: Vec) -> Segm
 # ---------------------------------------------------------------------------
 
 
-def _slope_a_from_chambers(model, chambers: Sequence[SegmentChamber], c_cls: Vec):
+def _slope_a_from_chambers(model, chambers: Sequence[SegmentChamber], index: int):
     """First parameter from which Z(t).C stays positive; rational."""
     for ch in chambers:
-        h0 = model.intersect(ch.z0, c_cls)
-        h1 = model.intersect(ch.z1, c_cls)
+        h0 = model.pairing(ch.z0, index)
+        h1 = model.pairing(ch.z1, index)
         v_lo = h0 + ch.t_lo * h1
         if v_lo > 0:
             if ch.t_lo != 0:
@@ -316,25 +316,30 @@ def slopes(model: SurfaceModel, alpha: Vec, curve) -> tuple[ExtRat, ExtRat]:
     """(a, s): where the flag curve leaves the non-Kahler locus of alpha - t*C,
     and where the volume of alpha - t*C hits zero."""
     index = _resolve_curve(model, curve)
-    chambers = segment_chambers(model, alpha, index)
-    a = _slope_a_from_chambers(model, chambers, model.curve_class(index))
-    return a, chambers[-1].t_hi
+    return chamber_slopes(model, segment_chambers(model, alpha, index), index)
+
+
+def chamber_slopes(
+    model: SurfaceModel, chambers: Sequence[SegmentChamber], index: int
+) -> tuple[ExtRat, ExtRat]:
+    """slopes read off the chamber list of the walk along curve ``index``."""
+    return _slope_a_from_chambers(model, chambers, index), chambers[-1].t_hi
 
 
 def envelopes(
-    model: SurfaceModel, alpha: Vec, flag: FlagSpec
+    model: SurfaceModel, alpha: Vec, flag: FlagSpec, big: Optional[ZariskiDecomp] = None
 ) -> tuple[PiecewiseLinear, PiecewiseLinear]:
     """Lower and upper piecewise-linear envelopes f <= g on [a, s].
 
     f is the multiplicity-weighted negative-part contribution at the flag
     point, g adds Z(t).C.  The flag curve itself never carries a coefficient
-    on (a, s); the walk data is asserted to agree.
+    on (a, s); the walk data is asserted to agree.  ``big`` is passed on to
+    segment_chambers.
     """
     validate_flag(model, flag)
     index = flag.curve
-    c_cls = model.curve_class(index)
-    chambers = segment_chambers(model, alpha, index)
-    a = _slope_a_from_chambers(model, chambers, c_cls)
+    chambers = segment_chambers(model, alpha, index, big)
+    a = _slope_a_from_chambers(model, chambers, index)
     sub = [ch for ch in chambers if not ch.t_lo < a]
     if not sub or sub[0].t_lo != a:
         raise InvariantError("parameter a is not a chamber boundary")
@@ -354,8 +359,7 @@ def envelopes(
         return total
 
     def g_at(ch: SegmentChamber, t):
-        z = ch.z_at(t)
-        return f_at(ch, t) + model.intersect(z, c_cls)
+        return f_at(ch, t) + model.pairing(ch.z_at(t), index)
 
     breakpoints: list[ExtRat] = [a]
     f_vals: list[ExtRat] = [f_at(sub[0], a)]
@@ -378,9 +382,13 @@ def okounkov_polygon(model: SurfaceModel, alpha: Vec, flag: FlagSpec) -> Okounko
     The vertices are the convex hull of the envelope breakpoints, counter-
     clockwise from the lowest-leftmost point (a, f(a)).  Twice the shoelace
     area must reproduce the volume of the class, and the vertex count is
-    bounded by 2*rank + 2.  Both facts are verified on every call.
+    bounded by 2*rank + 2.  Both facts are verified on every call; the
+    volume is that of the one direct decomposition of alpha, which also
+    tells the walk that alpha is big.
     """
-    f, g = envelopes(model, alpha, flag)
+    validate_flag(model, flag)
+    dec = _require_big(model, alpha)
+    f, g = envelopes(model, alpha, flag, dec)
     a, s = f.breakpoints[0], f.breakpoints[-1]
     bottom = list(zip(f.breakpoints, f.values))
     top = list(zip(g.breakpoints, g.values))
@@ -388,7 +396,7 @@ def okounkov_polygon(model: SurfaceModel, alpha: Vec, flag: FlagSpec) -> Okounko
     if len(vertices) < 3:
         raise InvariantError("degenerate polygon for a big class")
     area = shoelace_area(vertices)
-    vol = zariski_decompose(model, alpha).volume(model)
+    vol = dec.volume(model)
     if 2 * area != vol:
         raise InvariantError(
             f"polygon area identity failed: 2*{area} != volume {vol}"
@@ -420,12 +428,12 @@ def restricted_body(
     locus of the class."""
     validate_flag(model, flag)
     dec = _require_big(model, alpha)
-    if flag.curve in non_kahler_curves(model, alpha):
+    if flag.curve in _non_kahler_of(model, dec):
         raise FlagInNonKahlerLocus(
             f"curve {model.curve_name(flag.curve)!r} lies in the non-Kahler locus"
         )
     base = _flag_base(dec, flag)
-    width = model.intersect(dec.positive, model.curve_class(flag.curve))
+    width = model.pairing(dec.positive, flag.curve)
     return base, base + width
 
 
@@ -445,7 +453,7 @@ def boundary_body(model: SurfaceModel, alpha: Vec, flag: FlagSpec) -> BoundaryBo
                 "flag curve lies in the support of the negative part"
             )
         return BoundaryBody(kind="Point", base_y=base, top=None)
-    width = model.intersect(dec.positive, model.curve_class(flag.curve))
+    width = model.pairing(dec.positive, flag.curve)
     if width == 0:
         raise HypothesisViolated(
             "numerical dimension 1 requires Z.C > 0 for the flag curve"

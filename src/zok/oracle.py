@@ -17,9 +17,9 @@ from .exact import ExtRat
 from .lattice import (
     SurfaceModel,
     Vec,
-    is_negative_definite,
     make_model,
-    solve_linear,
+    negative_definite_subsets,
+    negative_ldl,
     validate_model,
     vec_scale,
     vec_sub,
@@ -57,7 +57,8 @@ def brute_force_zariski(
 ) -> Optional[ZariskiDecomp]:
     """Decomposition by exhaustive subset search; None when no subset works.
 
-    For every negative-definite curve subset (the empty one included) the
+    For every negative-definite curve subset (the empty one included, found
+    by the hereditary search of lattice.negative_definite_subsets) the
     orthogonality system is solved; a candidate needs strictly positive
     coefficients and a nef-in-model residual.  Uniqueness of the orthogonal
     decomposition makes more than one candidate a model bug.
@@ -69,40 +70,24 @@ def brute_force_zariski(
             "(override via ZOK_MAX_SUBSET_CURVES)"
         )
     alpha = tuple(alpha)
+    pairs = model.pairings(alpha)
     candidates: list[ZariskiDecomp] = []
-    for size in range(n + 1):
-        for subset in itertools.combinations(range(n), size):
-            sub = model.gram_submatrix(subset)
-            if not is_negative_definite(sub):
-                continue
-            if subset:
-                coeffs = solve_linear(
-                    sub,
-                    [model.intersect(alpha, model.curve_class(i)) for i in subset],
-                )
-                if any(a <= 0 for a in coeffs):
-                    continue
-            else:
-                coeffs = ()
-            residual = alpha
-            for i, a in zip(subset, coeffs):
-                residual = vec_sub(residual, vec_scale(a, model.curve_class(i)))
-            if any(
-                model.intersect(residual, c.cls) < 0 for c in model.curves
-            ):
-                continue
-            if model.intersect(residual, residual) < 0:
-                continue
-            if model.intersect(residual, model.kahler) < 0:
-                continue
-            candidates.append(
-                ZariskiDecomp(
-                    alpha=alpha,
-                    positive=residual,
-                    support=tuple(subset),
-                    coeffs=tuple(coeffs),
-                )
-            )
+    for subset in negative_definite_subsets(model.curve_gram):
+        coeffs = negative_ldl(model.gram_submatrix(subset)).solve([pairs[i] for i in subset])
+        if any(a <= 0 for a in coeffs):
+            continue
+        if any(v < 0 for v in model.residual_pairings(pairs, subset, coeffs)):
+            continue
+        residual = alpha
+        for i, a in zip(subset, coeffs):
+            residual = vec_sub(residual, vec_scale(a, model.curve_class(i)))
+        if model.intersect(residual, residual) < 0:
+            continue
+        if model.intersect(residual, model.kahler) < 0:
+            continue
+        candidates.append(
+            ZariskiDecomp(alpha=alpha, positive=residual, support=subset, coeffs=coeffs)
+        )
     if len(candidates) > 1:
         raise MultipleCandidates(
             f"{len(candidates)} orthogonal decompositions found for {alpha}"

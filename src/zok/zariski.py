@@ -28,8 +28,8 @@ from .errors import (
 from .lattice import (
     SurfaceModel,
     Vec,
-    is_negative_definite,
-    solve_linear,
+    negative_definite_subsets,
+    negative_ldl,
     vec_add,
     vec_is_zero,
     vec_scale,
@@ -91,7 +91,7 @@ class MorseCertificate:
 def is_nef_in_model(model: SurfaceModel, alpha: Vec) -> bool:
     """Non-negative against every listed curve, with alpha^2 >= 0 and
     alpha.omega >= 0 to pin the positive-cone component."""
-    if any(model.intersect(alpha, c.cls) < 0 for c in model.curves):
+    if any(v < 0 for v in model.pairings(alpha)):
         return False
     if model.intersect(alpha, alpha) < 0:
         return False
@@ -104,47 +104,40 @@ def zariski_decompose(model: SurfaceModel, alpha: Vec) -> ZariskiDecomp:
     Iterative support growth: seed the support with the curves alpha meets
     negatively, solve the orthogonality system Gram(S) * a = (alpha . N_i),
     and absorb every curve the residual still meets negatively, until stable.
+    One factorization (lattice.negative_ldl) both tests the support Gram and
+    solves the system; the residual's pairings come from the curve table.
     Raises NotPseudoEffective when the support Gram loses negative
     definiteness, a solved coefficient turns negative, or the stabilized
     residual fails the remaining nef-in-model conditions.
     """
     if len(alpha) != model.rank:
         raise ValueError(f"class vector must have length {model.rank}")
-    support = sorted(
-        i for i, c in enumerate(model.curves) if model.intersect(alpha, c.cls) < 0
-    )
-    coeffs: list[Fraction] = []
-    residual = alpha
+    pairs = model.pairings(alpha)
+    support: list[int] = []
+    coeffs: tuple = ()
+    left = pairs  # residual . C_j
     while True:
-        if support:
-            sub = model.gram_submatrix(support)
-            if not is_negative_definite(sub):
-                raise NotPseudoEffective(
-                    "support Gram matrix is not negative definite"
-                )
-            rhs = [model.intersect(alpha, model.curve_class(i)) for i in support]
-            coeffs = list(solve_linear(sub, rhs))
-            for a in coeffs:
-                if a < 0:
-                    raise NotPseudoEffective("negative coefficient in support solve")
-                if a == 0:
-                    raise InvariantError(
-                        "zero coefficient in support solve; model violates "
-                        "the strict-positivity hypotheses"
-                    )
-            residual = alpha
-            for i, a in zip(support, coeffs):
-                residual = vec_sub(residual, vec_scale(a, model.curve_class(i)))
-        else:
-            residual = alpha
-        entering = [
-            i
-            for i, c in enumerate(model.curves)
-            if i not in support and model.intersect(residual, c.cls) < 0
-        ]
+        in_support = set(support)
+        entering = [j for j, v in enumerate(left) if v < 0 and j not in in_support]
         if not entering:
             break
         support = sorted(support + entering)
+        factor = negative_ldl(model.gram_submatrix(support))
+        if factor is None:
+            raise NotPseudoEffective("support Gram matrix is not negative definite")
+        coeffs = factor.solve([pairs[i] for i in support])
+        for a in coeffs:
+            if a < 0:
+                raise NotPseudoEffective("negative coefficient in support solve")
+            if a == 0:
+                raise InvariantError(
+                    "zero coefficient in support solve; model violates "
+                    "the strict-positivity hypotheses"
+                )
+        left = model.residual_pairings(pairs, support, coeffs)
+    residual = alpha
+    for i, a in zip(support, coeffs):
+        residual = vec_sub(residual, vec_scale(a, model.curve_class(i)))
     if model.intersect(residual, model.kahler) < 0:
         raise NotPseudoEffective("positive part meets the Kahler class negatively")
     if model.intersect(residual, residual) < 0:
@@ -153,7 +146,7 @@ def zariski_decompose(model: SurfaceModel, alpha: Vec) -> ZariskiDecomp:
         alpha=tuple(alpha),
         positive=residual,
         support=tuple(support),
-        coeffs=tuple(coeffs[: len(support)]),
+        coeffs=coeffs,
     )
     _check_decomposition(model, dec)
     return dec
@@ -164,12 +157,11 @@ def _check_decomposition(model: SurfaceModel, dec: ZariskiDecomp) -> None:
     recon = vec_add(dec.positive, dec.negative_part(model))
     if recon != tuple(dec.alpha):
         raise InvariantError("decomposition does not reconstruct the class")
-    for i in dec.support:
-        if model.intersect(dec.positive, model.curve_class(i)) != 0:
-            raise InvariantError("positive part not orthogonal to support")
+    if any(model.pairing(dec.positive, i) != 0 for i in dec.support):
+        raise InvariantError("positive part not orthogonal to support")
     if any(a <= 0 for a in dec.coeffs):
         raise InvariantError("non-positive negative-part coefficient")
-    if not is_negative_definite(model.gram_submatrix(dec.support)):
+    if negative_ldl(model.gram_submatrix(dec.support)) is None:
         raise InvariantError("support Gram matrix not negative definite")
     if not is_nef_in_model(model, dec.positive):
         raise InvariantError("positive part not nef in model")
@@ -242,9 +234,7 @@ def null_curves(model: SurfaceModel, z: Vec) -> tuple[int, ...]:
         raise NotNef("null locus needs a nef-in-model class")
     if model.intersect(z, z) <= 0:
         raise NotBig("null locus needs positive self-intersection")
-    return tuple(
-        i for i, c in enumerate(model.curves) if model.intersect(z, c.cls) == 0
-    )
+    return tuple(i for i, v in enumerate(model.pairings(z)) if v == 0)
 
 
 def non_kahler_curves(model: SurfaceModel, alpha: Vec) -> tuple[int, ...]:
@@ -253,8 +243,13 @@ def non_kahler_curves(model: SurfaceModel, alpha: Vec) -> tuple[int, ...]:
     dec = zariski_decompose(model, alpha)
     if dec.volume(model) <= 0:
         raise NotBig("non-Kahler locus computed for big classes only")
+    return _non_kahler_of(model, dec)
+
+
+def _non_kahler_of(model: SurfaceModel, dec: ZariskiDecomp) -> tuple[int, ...]:
+    """non_kahler_curves read off a decomposition of a big class."""
     combined = sorted(set(dec.support) | set(null_curves(model, dec.positive)))
-    if not is_negative_definite(model.gram_submatrix(combined)):
+    if negative_ldl(model.gram_submatrix(combined)) is None:
         raise InvariantError("non-Kahler curves do not form an exceptional family")
     return tuple(combined)
 
@@ -265,7 +260,8 @@ def enumerate_exceptional_families(
     """All curve subsets with negative-definite Gram, lexicographic by index.
 
     Negative definiteness is hereditary, so the search prunes every superset
-    of a failing subset; DFS preorder gives the lexicographic output order.
+    of a failing subset; DFS preorder gives the lexicographic output order
+    (see lattice.negative_definite_subsets).
     Models above FAMILY_ENUMERATION_CAP curves are refused unless
     allow_large is set.
     """
@@ -275,17 +271,7 @@ def enumerate_exceptional_families(
             f"{n} curves exceeds the enumeration cap {FAMILY_ENUMERATION_CAP}; "
             "pass allow_large to override"
         )
-    out: list[tuple[int, ...]] = []
-
-    def extend(prefix: tuple[int, ...], start: int) -> None:
-        out.append(prefix)
-        for i in range(start, n):
-            cand = prefix + (i,)
-            if is_negative_definite(model.gram_submatrix(cand)):
-                extend(cand, i + 1)
-
-    extend((), 0)
-    return out
+    return list(negative_definite_subsets(model.curve_gram))
 
 
 def orthogonal_nef_lift(
@@ -302,22 +288,22 @@ def orthogonal_nef_lift(
         raise ValueError("family must be nonempty")
     if omega is None:
         omega = model.kahler
-    sub = model.gram_submatrix(family)
-    if not is_negative_definite(sub):
+    factor = negative_ldl(model.gram_submatrix(family))
+    if factor is None:
         raise ValueError("family Gram matrix is not negative definite")
-    pairings = [model.intersect(omega, model.curve_class(i)) for i in family]
+    on_curves = model.pairings(omega)
+    pairings = [on_curves[i] for i in family]
     if any(p <= 0 for p in pairings):
         raise ValueError("omega must meet every family curve positively")
-    sol = solve_linear(sub, pairings)
+    sol = factor.solve(pairings)
     b = tuple(-x for x in sol)
     if any(x <= 0 for x in b):
         raise InvariantError("lift coefficients must be positive")
     lifted = omega
     for i, bi in zip(family, b):
         lifted = vec_add(lifted, vec_scale(bi, model.curve_class(i)))
-    for i in family:
-        if model.intersect(lifted, model.curve_class(i)) != 0:
-            raise InvariantError("lift not orthogonal to family")
+    if any(model.pairing(lifted, i) != 0 for i in family):
+        raise InvariantError("lift not orthogonal to family")
     if not is_nef_in_model(model, lifted) or model.intersect(lifted, lifted) <= 0:
         raise InvariantError("lifted class not big and nef in model")
     return lifted, b
@@ -340,7 +326,7 @@ def perturbed_decomposition(
     if len(omega) != model.rank:
         raise ValueError(f"omega must have length {model.rank}")
     if model.intersect(omega, omega) <= 0 or any(
-        model.intersect(omega, c.cls) <= 0 for c in model.curves
+        v <= 0 for v in model.pairings(omega)
     ):
         raise ValueError("omega must be Kahler-like: positive square and "
                          "positive against every listed curve")

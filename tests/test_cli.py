@@ -241,3 +241,24 @@ def test_byte_identical_repeated_runs(capsys):
         first = run_cli(capsys, *argv)
         second = run_cli(capsys, *argv)
         assert first == second
+
+
+def test_chambers_walks_once(capsys, monkeypatch):
+    import zok.cli as cli_module
+    import zok.okounkov as okounkov_module
+
+    walks = []
+    walk = okounkov_module.segment_chambers
+
+    def counting(*args, **kwargs):
+        walks.append(args[1])
+        return walk(*args, **kwargs)
+
+    monkeypatch.setattr(okounkov_module, "segment_chambers", counting)
+    monkeypatch.setattr(cli_module, "segment_chambers", counting)
+    code, out = run_cli(
+        capsys, "chambers", "-m", "blowup2", "-c", "3,-1,-1", "--curve", "L12"
+    )
+    assert code == 0
+    assert len(walks) == 1
+    assert len(json.loads(out)["chambers"]) == 2

@@ -184,3 +184,21 @@ def test_epspoly_mixed_arithmetic():
         _ = 1 / t
     with pytest.raises(TypeError):
         _ = t + QuadExt.new(0, 1, 2)
+
+
+def test_quadext_arithmetic_keeps_its_canonical_radicand(monkeypatch):
+    import zok.exact as exact_module
+
+    root5 = sqrt_rat(Fraction(5))
+    calls = []
+    split = exact_module.squarefree_split
+    monkeypatch.setattr(exact_module, "squarefree_split", lambda n: calls.append(n) or split(n))
+    total = root5 + 1
+    product = root5 * root5
+    assert total == QuadExt(Fraction(1), Fraction(1), 5)
+    assert product == 5
+    assert root5 < 3
+    assert calls == []
+    # a radicand from outside is still made canonical
+    assert QuadExt.new(0, 1, 20) == QuadExt(Fraction(0), Fraction(2), 5)
+    assert calls == [20]

@@ -394,8 +394,9 @@ def _big_classes_near_kahler(model, count):
     return out
 
 
-def test_walk_decomposes_once_per_chamber(monkeypatch, blowup2, hirzebruch2, golden_model):
+def _count_decompositions(monkeypatch):
     import zok.okounkov as okounkov_module
+    import zok.zariski as zariski_module
     from zok.zariski import zariski_decompose
 
     calls = []
@@ -405,6 +406,12 @@ def test_walk_decomposes_once_per_chamber(monkeypatch, blowup2, hirzebruch2, gol
         return zariski_decompose(model, alpha)
 
     monkeypatch.setattr(okounkov_module, "zariski_decompose", counting)
+    monkeypatch.setattr(zariski_module, "zariski_decompose", counting)
+    return calls
+
+
+def test_walk_decomposes_once_per_chamber(monkeypatch, blowup2, hirzebruch2, golden_model):
+    calls = _count_decompositions(monkeypatch)
     cases = [(blowup2, F(3, -1, -1)), (hirzebruch2, F(3, 2)), (golden_model, F(1, 0))]
     for model, alpha in cases:
         for curve in range(len(model.curves)):
@@ -434,3 +441,20 @@ def test_chamber_formulas_match_direct_decompositions():
                     assert dec.support == ch.support
                     assert dec.positive == ch.z_at(t)
                     assert dec.coeffs == ch.coeff_at(t)
+
+
+def test_polygon_decomposes_alpha_once(monkeypatch, blowup2):
+    alpha = F(3, -1, -1)
+    assert len(segment_chambers(blowup2, alpha, "L12")) == 2
+    calls = _count_decompositions(monkeypatch)
+    poly = okounkov_polygon(blowup2, alpha, FlagSpec.make(blowup2.curve_index("L12")))
+    # the bigness check, whose volume the area identity uses, and one per chamber
+    assert len(calls) == 3
+    assert 2 * poly.area == volume(blowup2, alpha)
+
+
+def test_restricted_body_decomposes_alpha_once(monkeypatch, blowup1):
+    calls = _count_decompositions(monkeypatch)
+    flag = FlagSpec.make(blowup1.curve_index("H-E"), {0: Fraction(1)})
+    assert restricted_body(blowup1, F(2, 1), flag) == (1, 3)
+    assert len(calls) == 1
