@@ -13,9 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .exact import EpsPoly, parse_rat
+from .exact import EpsPoly, QuadExt, parse_rat
 
 Vec = tuple[Fraction, ...]
 Mat = tuple[tuple[Fraction, ...], ...]
@@ -244,11 +246,84 @@ class CurveRecord:
 
 def _shared(rows) -> Mat:
     """rows as a table in which equal entries are one object.  The curve
-    tables repeat a few small values; sharing them made the tables of the
-    twelve rank 6-10 models of the decompose benchmark four times smaller
-    (200 KB to 50 KB)."""
+    Gram table repeats a few small Fractions; one object per distinct value
+    keeps it small."""
     seen: dict = {}
     return tuple(tuple(seen.setdefault(x, x) for x in row) for row in rows)
+
+
+def _over_lcm(u: Sequence) -> tuple[int, list[int]]:
+    """(den, nums) with u[k] == nums[k] / den, den the lcm of the denominators
+    of the rational vector u."""
+    den = lcm(*[x.denominator for x in u])
+    return den, [x.numerator * (den // x.denominator) for x in u]
+
+
+def _int_rows(rows) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(den, ints) with rows[i][k] == ints[i][k] / den: rational rows over one
+    common denominator."""
+    den = lcm(*[x.denominator for row in rows for x in row])
+    return den, tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in rows)
+
+
+def _split(u: Sequence) -> tuple:
+    """u by linearity as (field, parts): u[k] == sum(parts[m][k] * e**m), each
+    part a rational vector.  field is None for a rational u (one part, e = 1),
+    "eps" for EpsPoly entries (e = eps) and the radicand d for QuadExt entries
+    (e = sqrt(d), parts p and q)."""
+    kinds = {type(x) for x in u} - {Fraction, int}
+    if not kinds:
+        return None, (u,)
+    if kinds == {EpsPoly}:
+        coeffs = [x.coeffs if type(x) is EpsPoly else (x,) for x in u]
+        width = max(map(len, coeffs))
+        zero = Fraction(0)
+        return "eps", [[c[m] if m < len(c) else zero for c in coeffs] for m in range(width)]
+    if kinds == {QuadExt}:
+        radicands = sorted({x.d for x in u if type(x) is QuadExt})
+        if len(radicands) > 1:
+            raise ValueError(f"mixed radicands sqrt({radicands[0]}) and sqrt({radicands[1]})")
+        zero = Fraction(0)
+        return radicands[0], (
+            [x.p if type(x) is QuadExt else x for x in u],
+            [x.q if type(x) is QuadExt else zero for x in u],
+        )
+    raise TypeError(f"unsupported scalars in a class vector: {sorted(k.__name__ for k in kinds)}")
+
+
+def _join(field, coeffs: Sequence[Fraction]):
+    """sum(coeffs[m] * e**m) for the e of a field from _split."""
+    if field is None:
+        return coeffs[0]
+    if field == "eps":
+        return EpsPoly.new(coeffs)
+    p = coeffs[0] + field * coeffs[2] if len(coeffs) > 2 else coeffs[0]
+    return QuadExt._of(p, coeffs[1], field)
+
+
+def _common_field(a, b):
+    """The field holding the products of entries from fields a and b."""
+    if a is None or a == b:
+        return b
+    if b is None:
+        return a
+    if isinstance(a, int) and isinstance(b, int):
+        raise ValueError(f"mixed radicands sqrt({a}) and sqrt({b})")
+    raise TypeError("cannot multiply eps-polynomials by quadratic irrationals")
+
+
+def _dots(u: Sequence, den: int, rows) -> list:
+    """u . row / den for every integer row, u over any exact scalars: one
+    integer dot product per row and part of u (see _split), divided once."""
+    field, parts = _split(u)
+    cols = []
+    for part in parts:
+        lu, nums = _over_lcm(part)
+        d = lu * den
+        cols.append([Fraction(sum(map(mul, nums, row)), d) for row in rows])
+    if field is None:
+        return cols[0]
+    return [_join(field, coeffs) for coeffs in zip(*cols)]
 
 
 @dataclass(frozen=True)
@@ -256,7 +331,13 @@ class SurfaceModel:
     """Finite rational intersection lattice with named curves and a Kahler class.
 
     The curve table (``duals`` and ``curve_gram``) is built once per model,
-    on first use, from a model whose shapes are valid.
+    on first use, from a model whose shapes are valid.  Every pairing runs
+    over integers: a class is scaled to integer numerators over the lcm of
+    its denominators, each pairing is one integer sum of products against an
+    integer table (the form, the duals or the curve Gram table, each over
+    one common denominator), and the sum is divided once.  Classes over an
+    extension (EpsPoly or QuadExt entries) are paired part by part (see
+    _split).  ``gram_product`` is the independent reference.
     """
 
     name: str
@@ -265,39 +346,72 @@ class SurfaceModel:
     curves: tuple[CurveRecord, ...]
     kahler: Vec
 
-    def intersect(self, u: Sequence, v: Sequence) -> Fraction:
-        return gram_product(self.gram, u, v)
+    @cached_property
+    def _gram_ints(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        return _int_rows(self.gram)
+
+    def _rational_intersect(self, u: Sequence, v: Sequence) -> Fraction:
+        den, gram = self._gram_ints
+        lu, nu = _over_lcm(u)
+        lv, nv = _over_lcm(v)
+        num = sum(a * sum(map(mul, row, nv)) for a, row in zip(nu, gram) if a)
+        return Fraction(num, lu * lv * den)
+
+    def intersect(self, u: Sequence, v: Sequence):
+        """u^T * gram * v, exact; bilinear over the parts of _split."""
+        n = len(self.gram)
+        if len(u) != n or len(v) != n:
+            raise ValueError(f"vector length must be {n}")
+        fu, us = _split(u)
+        fv, vs = _split(v)
+        if fu is None and fv is None:
+            return self._rational_intersect(u, v)
+        field = _common_field(fu, fv)
+        out = [Fraction(0)] * (len(us) + len(vs) - 1)
+        for a, ua in enumerate(us):
+            for b, vb in enumerate(vs):
+                out[a + b] += self._rational_intersect(ua, vb)
+        return _join(field, out)
 
     @cached_property
-    def duals(self) -> tuple[Vec, ...]:
-        """gram * c_i for every curve, so that u . C_i is one dot product."""
+    def duals(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """gram * c_i for every curve, as integer rows over one common
+        denominator, so that u . C_i is one integer dot product."""
         if any(len(c.cls) != self.rank for c in self.curves):
             raise ValueError(f"vector length must be {self.rank}")
-        return _shared([[_dot(row, c.cls) for row in self.gram] for c in self.curves])
+        return _int_rows([_dots(c.cls, *self._gram_ints) for c in self.curves])
 
     @cached_property
     def curve_gram(self) -> Mat:
         """The curve Gram table: entry (i, j) is C_i . C_j."""
-        return _shared([[_dot(d, c.cls) for c in self.curves] for d in self.duals])
+        by_column = [_dots(c.cls, *self.duals) for c in self.curves]
+        return _shared(zip(*by_column))
 
-    def pairing(self, u: Sequence, index: int) -> Fraction:
+    @cached_property
+    def _curve_gram_ints(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        return _int_rows(self.curve_gram)
+
+    def pairing(self, u: Sequence, index: int):
         """u . C_index."""
-        return _dot(u, self.duals[index])
+        if len(u) != self.rank:
+            raise ValueError(f"vector length must be {self.rank}")
+        den, rows = self.duals
+        return _dots(u, den, (rows[index],))[0]
 
     def pairings(self, u: Sequence) -> tuple:
         """u . C_i for every listed curve, in curve order."""
         if len(u) != self.rank:
             raise ValueError(f"vector length must be {self.rank}")
-        return tuple(_dot(u, d) for d in self.duals)
+        return tuple(_dots(u, *self.duals))
 
     def residual_pairings(self, pairs: Sequence, support: Sequence[int], coeffs: Sequence) -> tuple:
         """(u - sum coeffs[k] * C_support[k]) . C_j for every curve j, from
-        pairs = u . C_j and the curve table."""
-        rows = [self.curve_gram[i] for i in support]
-        return tuple(
-            v - sum((a * row[j] for a, row in zip(coeffs, rows)), Fraction(0))
-            for j, v in enumerate(pairs)
-        )
+        pairs = u . C_j and the columns of the integer curve table."""
+        if not support:
+            return tuple(pairs)
+        den, table = self._curve_gram_ints
+        columns = list(zip(*[table[i] for i in support]))
+        return tuple(v - w for v, w in zip(pairs, _dots(coeffs, den, columns)))
 
     def curve_class(self, index: int) -> Vec:
         return self.curves[index].cls

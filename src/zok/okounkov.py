@@ -34,8 +34,9 @@ from .polygon import Point, convex_hull, shoelace_area
 from .zariski import (
     Kind,
     ZariskiDecomp,
+    _classification_of,
+    _decompose_or_none,
     _non_kahler_of,
-    classify,
     zariski_decompose,
 )
 
@@ -442,10 +443,10 @@ def boundary_body(model: SurfaceModel, alpha: Vec, flag: FlagSpec) -> BoundaryBo
     the numerical dimension is 0, a vertical segment of length Z.C when it
     is 1 (requiring Z.C > 0)."""
     validate_flag(model, flag)
-    cls = classify(model, alpha)
+    dec = _decompose_or_none(model, alpha)
+    cls = _classification_of(model, dec)
     if cls.kind is not Kind.BOUNDARY:
         raise NotOnBoundary(f"class is {cls.kind.value}, not on the boundary")
-    dec = zariski_decompose(model, alpha)
     base = _flag_base(dec, flag)
     if cls.numdim == 0:
         if flag.curve in dec.support:

@@ -203,7 +203,7 @@ def run_model_verification(
 
     mismatch = None
     checked = 0
-    big_classes: list[Vec] = []
+    big_classes: list[tuple[Vec, Fraction]] = []  # with their volumes
     for coords in _class_grid(model.rank, bound):
         alpha = tuple(Fraction(c) for c in coords)
         checked += 1
@@ -217,8 +217,8 @@ def run_model_verification(
                 f"class {_fmt_class(coords)}: iterative {fast} vs subset {oracle}"
             )
             break
-        if fast is not None and fast.volume(model) > 0:
-            big_classes.append(alpha)
+        if fast is not None and (vol := fast.volume(model)) > 0:
+            big_classes.append((alpha, vol))
     reports.append(
         OracleReport(
             subject=f"zariski-vs-subset-search[grid {bound}, {checked} classes]",
@@ -230,7 +230,7 @@ def run_model_verification(
     directions = [model.kahler] + [c.cls for c in model.curves]
     mismatch = None
     pairs = 0
-    for alpha in big_classes[:64]:
+    for alpha, _ in big_classes[:64]:
         for beta in directions:
             pairs += 1
             lhs = derivative_vol(model, alpha, beta)
@@ -253,14 +253,13 @@ def run_model_verification(
 
     mismatch = None
     built = 0
-    for alpha in big_classes[:32]:
+    for alpha, vol in big_classes[:32]:
         for index in range(len(model.curves)):
             flag = FlagSpec.make(index)
             built += 1
             poly = okounkov_polygon(model, alpha, flag)
             f, g = poly.f, poly.g
             integral = area_by_integration(f, g)
-            vol = zariski_decompose(model, alpha).volume(model)
             if integral != poly.area or 2 * poly.area != vol:
                 mismatch = (
                     f"alpha {_fmt_class(alpha)}, flag {model.curve_name(index)}: "

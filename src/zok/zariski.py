@@ -172,15 +172,26 @@ def volume(model: SurfaceModel, alpha: Vec) -> Fraction:
     return zariski_decompose(model, alpha).volume(model)
 
 
-def classify(model: SurfaceModel, alpha: Vec) -> Classification:
-    """Kind and numerical dimension; decomposition failure maps to
-    (NotPsefInModel, None) instead of raising."""
+def _decompose_or_none(model: SurfaceModel, alpha: Vec) -> Optional[ZariskiDecomp]:
+    """The decomposition of alpha, or None when it is not pseudo-effective."""
     try:
-        dec = zariski_decompose(model, alpha)
+        return zariski_decompose(model, alpha)
     except NotPseudoEffective:
+        return None
+
+
+def _classification_of(model: SurfaceModel, dec: Optional[ZariskiDecomp]) -> Classification:
+    """classify read off a result of _decompose_or_none."""
+    if dec is None:
         return Classification(Kind.NOT_PSEF, None)
     n = dec.numdim(model)
     return Classification(Kind.BIG if n == 2 else Kind.BOUNDARY, n)
+
+
+def classify(model: SurfaceModel, alpha: Vec) -> Classification:
+    """Kind and numerical dimension; decomposition failure maps to
+    (NotPsefInModel, None) instead of raising."""
+    return _classification_of(model, _decompose_or_none(model, alpha))
 
 
 def _direction_kind(model: SurfaceModel, beta: Vec) -> str:
@@ -216,10 +227,9 @@ def morse_gap(model: SurfaceModel, alpha: Vec, beta: Vec) -> MorseCertificate:
     if not is_nef_in_model(model, beta):
         raise NotNef("second class is not nef in model")
     lhs = model.intersect(alpha, alpha) - 2 * model.intersect(alpha, beta)
-    diff = vec_sub(alpha, beta)
-    cls = classify(model, diff)
-    big = cls.kind is Kind.BIG
-    vol = volume(model, diff) if cls.kind is not Kind.NOT_PSEF else None
+    dec = _decompose_or_none(model, vec_sub(alpha, beta))
+    vol = None if dec is None else dec.volume(model)
+    big = vol is not None and vol > 0  # a zero positive part has volume 0
     if lhs > 0:
         if not big:
             raise InvariantError("Morse hypothesis holds but difference is not big")

@@ -42,6 +42,26 @@ def golden_model():
     )
 
 
+@pytest.fixture
+def decompositions(monkeypatch):
+    """The classes passed to zariski_decompose while the test runs, from every
+    module that calls it by name."""
+    import zok.okounkov
+    import zok.oracle
+    import zok.zariski
+
+    decompose = zok.zariski.zariski_decompose
+    calls = []
+
+    def counting(model, alpha):
+        calls.append(alpha)
+        return decompose(model, alpha)
+
+    for module in (zok.okounkov, zok.oracle, zok.zariski):
+        monkeypatch.setattr(module, "zariski_decompose", counting)
+    return calls
+
+
 def int_grid(rank: int, bound: int):
     """All integer class vectors with coordinates in [-bound, bound]."""
     return [

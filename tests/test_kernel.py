@@ -1,5 +1,6 @@
-"""The exact elimination kernel: the curve table, the in-order negative-definite
-factorization and the hereditary search over negative-definite curve sets."""
+"""The exact kernels: the integer pairing kernel over the curve table, the
+in-order negative-definite factorization and the hereditary search over
+negative-definite curve sets."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from zok.exact import EpsPoly, QuadExt
 from zok.lattice import gram_product, make_model, negative_ldl, signature
 from zok.oracle import ModelGenSpec, random_model
 from zok.zariski import enumerate_exceptional_families
@@ -148,3 +150,101 @@ def test_brute_force_still_detects_multiple_candidates():
                        [("E", [0, 1]), ("E'", [0, 1]), ("H-E", [1, -1])], [2, -1])
     with pytest.raises(MultipleCandidates):
         brute_force_zariski(model, F(0, 1))
+
+
+# --- the integer pairing kernel against gram_product -------------------------
+
+rationals = st.builds(Fraction, st.integers(-7, 7), st.integers(1, 12))
+
+
+@st.composite
+def rational_models(draw):
+    """Symmetric rational forms of rank 1-5 with 0-5 rational curve classes;
+    the kernel needs no model invariant, so none is imposed."""
+    n = draw(st.integers(1, 5))
+    gram = _symmetric(n, draw(st.lists(rationals, min_size=n * (n + 1) // 2,
+                                       max_size=n * (n + 1) // 2)))
+    curves = [(f"C{k}", draw(st.lists(rationals, min_size=n, max_size=n)))
+              for k in range(draw(st.integers(0, 5)))]
+    return make_model("rational", n, gram, curves, [1] * n)
+
+
+def eps_entries(max_degree=2):
+    coeffs = st.lists(rationals, min_size=2, max_size=max_degree + 1)
+    return st.one_of(rationals, st.builds(EpsPoly.new, coeffs))
+
+
+def quad_entries(d):
+    return st.one_of(rationals, st.builds(QuadExt._of, rationals, rationals, st.just(d)))
+
+
+def _assert_kernel_matches_reference(model, u, v):
+    classes = [c.cls for c in model.curves]
+    assert model.pairings(u) == tuple(gram_product(model.gram, u, c) for c in classes)
+    for i, c in enumerate(classes):
+        assert model.pairing(u, i) == gram_product(model.gram, u, c)
+    assert model.intersect(u, v) == gram_product(model.gram, u, v)
+    assert model.intersect(v, u) == gram_product(model.gram, v, u)
+    for i, a in enumerate(classes):
+        for j, b in enumerate(classes):
+            assert model.curve_gram[i][j] == gram_product(model.gram, a, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_kernel_on_rational_models_and_classes(data):
+    model = data.draw(rational_models())
+    vectors = st.lists(rationals, min_size=model.rank, max_size=model.rank)
+    _assert_kernel_matches_reference(model, tuple(data.draw(vectors)), tuple(data.draw(vectors)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_kernel_on_eps_classes(data):
+    model = data.draw(rational_models())
+    vectors = st.lists(eps_entries(), min_size=model.rank, max_size=model.rank)
+    u, v = tuple(data.draw(vectors)), tuple(data.draw(vectors))
+    _assert_kernel_matches_reference(model, u, v)
+    rational = tuple(data.draw(st.lists(rationals, min_size=model.rank, max_size=model.rank)))
+    assert model.intersect(u, rational) == gram_product(model.gram, u, rational)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_kernel_on_quadratic_classes(data):
+    model = data.draw(rational_models())
+    d = data.draw(st.sampled_from([2, 3, 5, 6, 7]))
+    vectors = st.lists(quad_entries(d), min_size=model.rank, max_size=model.rank)
+    u, v = tuple(data.draw(vectors)), tuple(data.draw(vectors))
+    _assert_kernel_matches_reference(model, u, v)
+    rational = tuple(data.draw(st.lists(rationals, min_size=model.rank, max_size=model.rank)))
+    assert model.intersect(rational, v) == gram_product(model.gram, rational, v)
+
+
+def test_kernel_on_a_model_with_halves():
+    model = make_model("halves", 2, [["1/2", 0], [0, "-1/2"]],
+                       [("A", ["1/2", "1/2"]), ("B", [1, "-3/2"])], [2, 0])
+    assert model.duals == (4, ((1, -1), (2, 3)))
+    assert model.curve_gram == ((0, Fraction(5, 8)), (Fraction(5, 8), Fraction(-5, 8)))
+    u = (Fraction(2, 3), Fraction(-1, 5))
+    _assert_kernel_matches_reference(model, u, (Fraction(1), Fraction(7, 2)))
+
+
+def test_kernel_errors(blowup2):
+    root2, root3 = QuadExt._of(Fraction(0), Fraction(1), 2), QuadExt._of(Fraction(1), Fraction(1), 3)
+    mixed = (root2, root3, Fraction(0))
+    with pytest.raises(ValueError, match="mixed radicands"):
+        blowup2.pairings(mixed)
+    with pytest.raises(ValueError, match="mixed radicands"):
+        blowup2.pairing(mixed, 0)
+    with pytest.raises(ValueError, match="mixed radicands"):
+        blowup2.intersect(mixed, blowup2.kahler)
+    with pytest.raises(ValueError, match="mixed radicands"):
+        blowup2.intersect((root2,) * 3, (root3,) * 3)
+    short = (Fraction(1), Fraction(0))
+    for call in (lambda: blowup2.pairings(short), lambda: blowup2.pairing(short, 0),
+                 lambda: blowup2.intersect(short, blowup2.kahler),
+                 lambda: blowup2.intersect(blowup2.kahler, short)):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == "vector length must be 3"

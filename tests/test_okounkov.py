@@ -15,6 +15,7 @@ from zok.errors import (
 from zok.exact import QuadExt
 from zok.lattice import vec_scale
 from zok.okounkov import (
+    BoundaryBody,
     FlagSpec,
     boundary_body,
     envelopes,
@@ -394,24 +395,8 @@ def _big_classes_near_kahler(model, count):
     return out
 
 
-def _count_decompositions(monkeypatch):
-    import zok.okounkov as okounkov_module
-    import zok.zariski as zariski_module
-    from zok.zariski import zariski_decompose
-
-    calls = []
-
-    def counting(model, alpha):
-        calls.append(alpha)
-        return zariski_decompose(model, alpha)
-
-    monkeypatch.setattr(okounkov_module, "zariski_decompose", counting)
-    monkeypatch.setattr(zariski_module, "zariski_decompose", counting)
-    return calls
-
-
-def test_walk_decomposes_once_per_chamber(monkeypatch, blowup2, hirzebruch2, golden_model):
-    calls = _count_decompositions(monkeypatch)
+def test_walk_decomposes_once_per_chamber(decompositions, blowup2, hirzebruch2, golden_model):
+    calls = decompositions
     cases = [(blowup2, F(3, -1, -1)), (hirzebruch2, F(3, 2)), (golden_model, F(1, 0))]
     for model, alpha in cases:
         for curve in range(len(model.curves)):
@@ -443,18 +428,32 @@ def test_chamber_formulas_match_direct_decompositions():
                     assert dec.coeffs == ch.coeff_at(t)
 
 
-def test_polygon_decomposes_alpha_once(monkeypatch, blowup2):
+def test_polygon_decomposes_alpha_once(decompositions, blowup2):
     alpha = F(3, -1, -1)
     assert len(segment_chambers(blowup2, alpha, "L12")) == 2
-    calls = _count_decompositions(monkeypatch)
+    calls = decompositions
+    calls.clear()
     poly = okounkov_polygon(blowup2, alpha, FlagSpec.make(blowup2.curve_index("L12")))
     # the bigness check, whose volume the area identity uses, and one per chamber
     assert len(calls) == 3
     assert 2 * poly.area == volume(blowup2, alpha)
 
 
-def test_restricted_body_decomposes_alpha_once(monkeypatch, blowup1):
-    calls = _count_decompositions(monkeypatch)
+def test_restricted_body_decomposes_alpha_once(decompositions, blowup1):
+    calls = decompositions
     flag = FlagSpec.make(blowup1.curve_index("H-E"), {0: Fraction(1)})
     assert restricted_body(blowup1, F(2, 1), flag) == (1, 3)
     assert len(calls) == 1
+
+
+def test_boundary_body_decomposes_alpha_once(decompositions, blowup1):
+    flag = FlagSpec.make(blowup1.curve_index("H-E"), {0: Fraction(1)})
+    body = boundary_body(blowup1, F(0, 1), flag)
+    assert body == BoundaryBody(kind="Point", base_y=Fraction(1), top=None)
+    assert len(decompositions) == 1
+    for alpha, kind in ((F(2, 1), "Big"), (F(-1, 0), "NotPsefInModel")):
+        decompositions.clear()
+        with pytest.raises(NotOnBoundary) as err:
+            boundary_body(blowup1, alpha, flag)
+        assert str(err.value) == f"class is {kind}, not on the boundary"
+        assert len(decompositions) == 1

@@ -150,3 +150,18 @@ def test_run_model_verification_reports(blowup1):
         "polygon-area-vs-integration",
     ]
     assert all(r.agrees and r.witness is None for r in reports)
+
+
+def test_verification_reuses_the_sweep_volumes(decompositions, blowup1):
+    reports = run_model_verification(blowup1)
+    assert [r.subject for r in reports] == [
+        "zariski-vs-subset-search[grid 2, 25 classes]",
+        "derivative-vs-chamber-walk[28 pairs]",
+        "polygon-area-vs-integration[21 polygons]",
+    ]
+    assert all(r.agrees for r in reports)
+    # 25 in the sweep, 3 per derivative pair (the closed form, then the
+    # bigness check and the one chamber of the walk), and 47 for the 21
+    # polygons (the bigness check plus one per chamber); no polygon
+    # re-decomposes alpha for its volume, which made 177 in all
+    assert len(decompositions) == 156

@@ -388,3 +388,9 @@ def test_perturbed_matches_direct_on_grid(blowup1, blowup2):
                 )
             with pytest.raises(EpsilonTooLarge):
                 perturbed_decomposition(model, alpha, omega, threshold)
+
+
+def test_morse_gap_decomposes_the_difference_once(decompositions, blowup1):
+    cert = morse_gap(blowup1, F(3, -1), F(1, 0))
+    assert (cert.lhs, cert.conclusion_big, cert.vol) == (2, True, 3)
+    assert decompositions == [F(2, -1)]
