@@ -271,11 +271,12 @@ class EpsPoly:
     def __eq__(self, other):
         return isinstance(other, EpsPoly) and self.coeffs == other.coeffs
 
+    # against 0, the sign of self itself: no difference is built
     def __lt__(self, other):
-        return ext_sign(self - other) < 0
+        return ext_sign(self if other == 0 else self - other) < 0
 
     def __gt__(self, other):
-        return ext_sign(self - other) > 0
+        return ext_sign(self if other == 0 else self - other) > 0
 
     def __hash__(self):
         return hash(self.coeffs)

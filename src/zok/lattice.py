@@ -350,27 +350,27 @@ class SurfaceModel:
     def _gram_ints(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
         return _int_rows(self.gram)
 
-    def _rational_intersect(self, u: Sequence, v: Sequence) -> Fraction:
-        den, gram = self._gram_ints
-        lu, nu = _over_lcm(u)
-        lv, nv = _over_lcm(v)
-        num = sum(a * sum(map(mul, row, nv)) for a, row in zip(nu, gram) if a)
-        return Fraction(num, lu * lv * den)
-
     def intersect(self, u: Sequence, v: Sequence):
-        """u^T * gram * v, exact; bilinear over the parts of _split."""
+        """u^T * gram * v, exact; bilinear over the parts of _split.  Each
+        part is scaled to integers once and each part of v meets the form
+        once; u . u reuses both."""
         n = len(self.gram)
         if len(u) != n or len(v) != n:
             raise ValueError(f"vector length must be {n}")
         fu, us = _split(u)
-        fv, vs = _split(v)
-        if fu is None and fv is None:
-            return self._rational_intersect(u, v)
+        scaled_u = [_over_lcm(part) for part in us]
+        if u is v:
+            fv, scaled_v = fu, scaled_u
+        else:
+            fv, vs = _split(v)
+            scaled_v = [_over_lcm(part) for part in vs]
         field = _common_field(fu, fv)
-        out = [Fraction(0)] * (len(us) + len(vs) - 1)
-        for a, ua in enumerate(us):
-            for b, vb in enumerate(vs):
-                out[a + b] += self._rational_intersect(ua, vb)
+        den, gram = self._gram_ints
+        met = [(lv * den, [sum(map(mul, row, nv)) for row in gram]) for lv, nv in scaled_v]
+        out = [Fraction(0)] * (len(scaled_u) + len(met) - 1)
+        for a, (lu, nu) in enumerate(scaled_u):
+            for b, (dv, gv) in enumerate(met):
+                out[a + b] += Fraction(sum(map(mul, nu, gv)), lu * dv)
         return _join(field, out)
 
     @cached_property

@@ -30,7 +30,7 @@ from .errors import (
 )
 from .exact import EpsPoly, ExtRat, smallest_quadratic_root_above
 from .lattice import SurfaceModel, Vec, vec_add, vec_scale
-from .polygon import Point, convex_hull, shoelace_area
+from .polygon import ConvexPolygon, Point, shoelace_area
 from .zariski import (
     Kind,
     ZariskiDecomp,
@@ -173,8 +173,22 @@ def _affine_parts(values, t0) -> tuple[tuple, tuple]:
     return tuple(v - t0 * q for v, q in parts), tuple(q for _, q in parts)
 
 
-def _chamber_events(model, support, coeff0, coeff1, z0, z1, t0):
-    """(next affine event strictly after t0 or None, terminal root or None)."""
+def _quadratic_parts(value, t0) -> tuple:
+    """(c0, c1, c2) with value = c0 + c1*t + c2*t**2 at t = t0 + eps, for a
+    value of degree at most 2 in eps."""
+    e = value.coeffs if isinstance(value, EpsPoly) else (value,)
+    e0, e1, e2 = tuple(e) + (Fraction(0),) * (3 - len(e))
+    c1 = e1 - 2 * t0 * e2
+    return e0 - t0 * (c1 + t0 * e2), c1, e2
+
+
+def _chamber_events(support, coeff0, coeff1, h0, h1, quadratic, t0):
+    """(next affine event strictly after t0 or None, terminal root or None).
+
+    The coefficients are coeff0[k] + t*coeff1[k], the pairings Z(t).C_j are
+    h0[j] + t*h1[j], and Z(t)^2 = c0 + c1*t + c2*t**2 for quadratic =
+    (c0, c1, c2).
+    """
     affine: list[Fraction] = []
     for p, q in zip(coeff0, coeff1):
         if q < 0:
@@ -182,15 +196,12 @@ def _chamber_events(model, support, coeff0, coeff1, z0, z1, t0):
             if r > t0:
                 affine.append(r)
     in_support = set(support)
-    for i, (h0, h1) in enumerate(zip(model.pairings(z0), model.pairings(z1))):
-        if h1 < 0 and i not in in_support:
-            r = -h0 / h1
+    for i, (p, q) in enumerate(zip(h0, h1)):
+        if q < 0 and i not in in_support:
+            r = -p / q
             if r > t0:
                 affine.append(r)
-    c0 = model.intersect(z0, z0)
-    c1 = 2 * model.intersect(z0, z1)
-    c2 = model.intersect(z1, z1)
-    terminal = smallest_quadratic_root_above(c0, c1, c2, t0)
+    terminal = smallest_quadratic_root_above(*quadratic, t0)
     return (min(affine) if affine else None), terminal
 
 
@@ -200,19 +211,25 @@ def _chamber_after(model, alpha, direction, t0, fallback_end=None):
 
     One decomposition of alpha + (t0 + eps)*direction, eps a formal positive
     infinitesimal, has the chamber's support; the eps-parts of its entries
-    are the slopes of the affine formulas.  The chamber ends at the first
-    event after t0, or at fallback_end when none lies ahead.
+    are the slopes of the affine formulas.  The numbers its check kept
+    (Z.C_j and Z^2, see ZariskiDecomp) give the bigness test, the
+    off-support crossings and the terminal quadratic.  The chamber ends at
+    the first event after t0, or at fallback_end when none lies ahead.
     """
     just_after = vec_add(alpha, vec_scale(EpsPoly.new((t0, 1)), direction))
     try:
         dec = zariski_decompose(model, just_after)
     except NotPseudoEffective as exc:
         raise InvariantError(f"class just after t = {t0} is not pseudo-effective") from exc
-    if not dec.volume(model) > 0:
+    square = dec.volume(model)
+    if not square > 0:
         raise InvariantError(f"class just after t = {t0} is not big")
     coeff0, coeff1 = _affine_parts(dec.coeffs, t0)
     z0, z1 = _affine_parts(dec.positive, t0)
-    affine_next, terminal = _chamber_events(model, dec.support, coeff0, coeff1, z0, z1, t0)
+    h0, h1 = _affine_parts(dec.positive_pairings, t0)
+    affine_next, terminal = _chamber_events(
+        dec.support, coeff0, coeff1, h0, h1, _quadratic_parts(square, t0), t0
+    )
     last = terminal is not None and (affine_next is None or not affine_next < terminal)
     t1 = terminal if last else (fallback_end if affine_next is None else affine_next)
     if t1 is None:
@@ -377,23 +394,46 @@ def envelopes(
     return f, g
 
 
+def _envelope_vertices(f: PiecewiseLinear, fs, g: PiecewiseLinear, gs) -> ConvexPolygon:
+    """The region between a convex f and a concave g >= f on their common
+    breakpoints, with slopes fs and gs, as a canonical polygon: f's chain from
+    (a, f(a)) to (s, f(s)), then g's chain back to a, keeping a breakpoint
+    only where the slope changes and g's end points only where g leaves f."""
+    a, s = f.breakpoints[0], f.breakpoints[-1]
+
+    def kinks(pl: PiecewiseLinear, slopes):
+        inner = zip(pl.breakpoints[1:-1], pl.values[1:-1], slopes, slopes[1:])
+        return [(t, v) for t, v, s0, s1 in inner if s0 != s1]
+
+    bottom = [(a, f.values[0])] + kinks(f, fs) + [(s, f.values[-1])]
+    top = kinks(g, gs)
+    if g.values[0] != f.values[0]:
+        top.insert(0, (a, g.values[0]))
+    if g.values[-1] != f.values[-1]:
+        top.append((s, g.values[-1]))
+    return ConvexPolygon(bottom + top[::-1])
+
+
 def okounkov_polygon(model: SurfaceModel, alpha: Vec, flag: FlagSpec) -> OkounkovPolygon:
     """The region between f and g over [a, s], as an exact convex polygon.
 
-    The vertices are the convex hull of the envelope breakpoints, counter-
-    clockwise from the lowest-leftmost point (a, f(a)).  Twice the shoelace
-    area must reproduce the volume of the class, and the vertex count is
-    bounded by 2*rank + 2.  Both facts are verified on every call; the
-    volume is that of the one direct decomposition of alpha, which also
-    tells the walk that alpha is big.
+    The vertices are those of the two envelope chains, checked convex and
+    concave first, counter-clockwise from the leftmost-lowest vertex
+    (a, f(a)); they equal the convex hull of the envelope breakpoints.
+    Twice the shoelace area must reproduce the volume of the class, and the
+    vertex count is bounded by 2*rank + 2.  Both facts are verified on every
+    call; the volume is that of the one direct decomposition of alpha, which
+    also tells the walk that alpha is big.
     """
     validate_flag(model, flag)
     dec = _require_big(model, alpha)
     f, g = envelopes(model, alpha, flag, dec)
-    a, s = f.breakpoints[0], f.breakpoints[-1]
-    bottom = list(zip(f.breakpoints, f.values))
-    top = list(zip(g.breakpoints, g.values))
-    vertices = convex_hull(bottom + top[::-1])
+    fs, gs = f.slopes(), g.slopes()
+    if any(s1 < s0 for s0, s1 in zip(fs, fs[1:])):
+        raise InvariantError("lower envelope is not convex")
+    if any(s0 < s1 for s0, s1 in zip(gs, gs[1:])):
+        raise InvariantError("upper envelope is not concave")
+    vertices = _envelope_vertices(f, fs, g, gs)
     if len(vertices) < 3:
         raise InvariantError("degenerate polygon for a big class")
     area = shoelace_area(vertices)
@@ -404,11 +444,7 @@ def okounkov_polygon(model: SurfaceModel, alpha: Vec, flag: FlagSpec) -> Okounko
         )
     if len(vertices) > 2 * model.rank + 2:
         raise InvariantError("vertex count exceeds 2*rank + 2")
-    fs, gs = f.slopes(), g.slopes()
-    if any(s1 < s0 for s0, s1 in zip(fs, fs[1:])):
-        raise InvariantError("lower envelope is not convex")
-    if any(s0 < s1 for s0, s1 in zip(gs, gs[1:])):
-        raise InvariantError("upper envelope is not concave")
+    a, s = f.breakpoints[0], f.breakpoints[-1]
     return OkounkovPolygon(a=a, s=s, f=f, g=g, vertices=vertices, area=area)
 
 

@@ -71,7 +71,7 @@ def brute_force_zariski(
         )
     alpha = tuple(alpha)
     pairs = model.pairings(alpha)
-    candidates: list[ZariskiDecomp] = []
+    candidates = []  # (decomposition, P^2, P.omega)
     for subset in negative_definite_subsets(model.curve_gram):
         coeffs = negative_ldl(model.gram_submatrix(subset)).solve([pairs[i] for i in subset])
         if any(a <= 0 for a in coeffs):
@@ -81,21 +81,21 @@ def brute_force_zariski(
         residual = alpha
         for i, a in zip(subset, coeffs):
             residual = vec_sub(residual, vec_scale(a, model.curve_class(i)))
-        if model.intersect(residual, residual) < 0:
+        square = model.intersect(residual, residual)
+        if square < 0:
             continue
-        if model.intersect(residual, model.kahler) < 0:
+        kahler = model.intersect(residual, model.kahler)
+        if kahler < 0:
             continue
-        candidates.append(
-            ZariskiDecomp(alpha=alpha, positive=residual, support=subset, coeffs=coeffs)
-        )
+        dec = ZariskiDecomp(alpha=alpha, positive=residual, support=subset, coeffs=coeffs)
+        candidates.append((dec, square, kahler))
     if len(candidates) > 1:
         raise MultipleCandidates(
             f"{len(candidates)} orthogonal decompositions found for {alpha}"
         )
     if not candidates:
         return None
-    _check_decomposition(model, candidates[0])
-    return candidates[0]
+    return _check_decomposition(model, *candidates[0])
 
 
 def derivative_by_chambers(model: SurfaceModel, alpha: Vec, beta: Vec) -> Fraction:

@@ -3,7 +3,9 @@ by edge-angle merging, and half-plane containment.
 
 Vertices are pairs of exact scalars (Fraction or QuadExt); all predicates are
 sign computations, so everything stays exact.  Degenerate polygons (a single
-point, a segment) are legal inputs.
+point, a segment) are legal inputs.  A polygon in canonical form is a
+:class:`ConvexPolygon`; every function here takes one as it is, and
+normalizes and validates any other vertex sequence.
 """
 
 from __future__ import annotations
@@ -24,11 +26,21 @@ def _dir_cross(u: Point, v: Point):
     return u[0] * v[1] - u[1] * v[0]
 
 
-def convex_hull(points: Sequence[Point]) -> tuple[Point, ...]:
+class ConvexPolygon(tuple):
+    """Vertices of a convex polygon in canonical form: distinct, counter-
+    clockwise, no three consecutive ones collinear, starting at the leftmost-
+    lowest vertex.  It equals, hashes and prints as the plain tuple; only code
+    that has established that form builds one (convex_hull, and
+    okounkov_polygon from its checked envelopes)."""
+
+    __slots__ = ()
+
+
+def convex_hull(points: Sequence[Point]) -> ConvexPolygon:
     """Monotone-chain hull, counter-clockwise, collinear points dropped."""
     pts = sorted(set((p[0], p[1]) for p in points))
     if len(pts) <= 1:
-        return tuple(pts)
+        return ConvexPolygon(pts)
     lower: list[Point] = []
     for p in pts:
         while len(lower) >= 2 and ext_sign(cross(lower[-2], lower[-1], p)) <= 0:
@@ -41,8 +53,8 @@ def convex_hull(points: Sequence[Point]) -> tuple[Point, ...]:
         upper.append(p)
     hull = lower[:-1] + upper[:-1]
     if len(hull) == 2 and hull[0] == hull[1]:
-        return (hull[0],)
-    return tuple(hull)
+        return ConvexPolygon(hull[:1])
+    return ConvexPolygon(hull)
 
 
 def _on_segment(p: Point, a: Point, b: Point) -> bool:
@@ -53,14 +65,17 @@ def _on_segment(p: Point, a: Point, b: Point) -> bool:
     return ext_sign(t) >= 0 and t <= d[0] * d[0] + d[1] * d[1]
 
 
-def normalize_convex(points: Sequence[Point]) -> tuple[Point, ...]:
+def normalize_convex(points: Sequence[Point]) -> ConvexPolygon:
     """Canonical CCW form of a convex polygon; raises on non-convex input.
 
-    Input is accepted when every given vertex lies on the hull boundary
-    (collinear edge subdivisions are fine, strictly interior points are not).
+    A ConvexPolygon is returned as it is.  Other input is accepted when every
+    given vertex lies on the hull boundary (collinear edge subdivisions are
+    fine, strictly interior points are not).
     """
     if not points:
         raise ValueError("polygon needs at least one vertex")
+    if type(points) is ConvexPolygon:
+        return points
     hull = convex_hull(points)
     for p in points:
         p = (p[0], p[1])
@@ -120,7 +135,7 @@ def _angle_less(u: Point, v: Point) -> bool:
     return ext_sign(_dir_cross(u, v)) > 0
 
 
-def minkowski_sum(p: Sequence[Point], q: Sequence[Point]) -> tuple[Point, ...]:
+def minkowski_sum(p: Sequence[Point], q: Sequence[Point]) -> ConvexPolygon:
     """Exact Minkowski sum of two convex polygons.
 
     Both edge cycles are rotated to start at the bottommost vertex, where the

@@ -12,7 +12,7 @@ missing a relevant negative curve.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -43,12 +43,21 @@ FAMILY_ENUMERATION_CAP = 20
 @dataclass(frozen=True)
 class ZariskiDecomp:
     """alpha = positive + sum(coeffs[i] * curve[i]) with positive nef-in-model,
-    orthogonal to every support curve, and negative-definite support Gram."""
+    orthogonal to every support curve, and negative-definite support Gram.
+
+    A checked decomposition (see _check_decomposition) also keeps the
+    positive part's numbers that its check computed: P.C_i for every curve,
+    P^2 and P.omega.  They take no part in equality or repr; one built by
+    hand has none, and volume then computes P^2.
+    """
 
     alpha: Vec
     positive: Vec
     support: tuple[int, ...]
     coeffs: tuple[Fraction, ...]
+    positive_pairings: Optional[tuple] = field(default=None, compare=False, repr=False)
+    positive_square: Optional[Fraction] = field(default=None, compare=False, repr=False)
+    positive_kahler: Optional[Fraction] = field(default=None, compare=False, repr=False)
 
     def coeff_map(self) -> dict[int, Fraction]:
         return dict(zip(self.support, self.coeffs))
@@ -60,6 +69,8 @@ class ZariskiDecomp:
         return total
 
     def volume(self, model: SurfaceModel) -> Fraction:
+        if self.positive_square is not None:
+            return self.positive_square
         return model.intersect(self.positive, self.positive)
 
     def numdim(self, model: SurfaceModel) -> int:
@@ -138,9 +149,11 @@ def zariski_decompose(model: SurfaceModel, alpha: Vec) -> ZariskiDecomp:
     residual = alpha
     for i, a in zip(support, coeffs):
         residual = vec_sub(residual, vec_scale(a, model.curve_class(i)))
-    if model.intersect(residual, model.kahler) < 0:
+    kahler = model.intersect(residual, model.kahler)
+    if kahler < 0:
         raise NotPseudoEffective("positive part meets the Kahler class negatively")
-    if model.intersect(residual, residual) < 0:
+    square = model.intersect(residual, residual)
+    if square < 0:
         raise NotPseudoEffective("positive part has negative self-intersection")
     dec = ZariskiDecomp(
         alpha=tuple(alpha),
@@ -148,23 +161,37 @@ def zariski_decompose(model: SurfaceModel, alpha: Vec) -> ZariskiDecomp:
         support=tuple(support),
         coeffs=coeffs,
     )
-    _check_decomposition(model, dec)
-    return dec
+    return _check_decomposition(model, dec, square, kahler)
 
 
-def _check_decomposition(model: SurfaceModel, dec: ZariskiDecomp) -> None:
-    """Defensive re-verification of every decomposition invariant."""
-    recon = vec_add(dec.positive, dec.negative_part(model))
+def _check_decomposition(
+    model: SurfaceModel, dec: ZariskiDecomp, square=None, kahler=None
+) -> ZariskiDecomp:
+    """Defensive re-verification of every decomposition invariant; returns
+    dec keeping the numbers of its positive part P that the check computed.
+
+    One pairing of P itself gives P.C_i for both the orthogonality and the
+    nef test.  ``square`` and ``kahler`` are P^2 and P.omega when the caller
+    has computed them on this same P; otherwise they are computed here.
+    """
+    p = dec.positive
+    recon = vec_add(p, dec.negative_part(model))
     if recon != tuple(dec.alpha):
         raise InvariantError("decomposition does not reconstruct the class")
-    if any(model.pairing(dec.positive, i) != 0 for i in dec.support):
+    pairs = model.pairings(p)
+    if any(pairs[i] != 0 for i in dec.support):
         raise InvariantError("positive part not orthogonal to support")
     if any(a <= 0 for a in dec.coeffs):
         raise InvariantError("non-positive negative-part coefficient")
     if negative_ldl(model.gram_submatrix(dec.support)) is None:
         raise InvariantError("support Gram matrix not negative definite")
-    if not is_nef_in_model(model, dec.positive):
+    if square is None:
+        square = model.intersect(p, p)
+    if kahler is None:
+        kahler = model.intersect(p, model.kahler)
+    if any(v < 0 for v in pairs) or square < 0 or kahler < 0:
         raise InvariantError("positive part not nef in model")
+    return ZariskiDecomp(dec.alpha, p, dec.support, dec.coeffs, pairs, square, kahler)
 
 
 def volume(model: SurfaceModel, alpha: Vec) -> Fraction:
@@ -354,7 +381,7 @@ def perturbed_decomposition(
         support=dec.support,
         coeffs=tuple(a - eps * bi for a, bi in zip(dec.coeffs, b)),
     )
-    _check_decomposition(model, closed)
+    closed = _check_decomposition(model, closed)
     direct = zariski_decompose(model, shifted)
     if closed != direct:
         raise InvariantError("perturbation formula disagrees with direct decomposition")

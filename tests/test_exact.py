@@ -149,6 +149,8 @@ def test_epspoly_order_is_by_first_nonzero_coefficient():
     assert 1 - eps < 1 < 1 + eps
     assert eps * eps < eps  # eps**2 is infinitesimal relative to eps
     assert EpsPoly.new((0, 0, -1)) < 0 < EpsPoly.new((0, 0, 1))
+    assert EpsPoly.new((-1, 5)) < Fraction(0) and not EpsPoly.new((-1, 5)) >= 0
+    assert EpsPoly.new((1, -5)) > 0 and EpsPoly.new((0, 0, 1)) >= Fraction(0)
     assert EpsPoly.new((2, -5)) > EpsPoly.new((2, -6))
     assert EpsPoly.new((1, 1)) >= 1 and not EpsPoly.new((1, 1)) <= 1
     assert sorted([1 + eps, Fraction(1), 1 - eps]) == [1 - eps, Fraction(1), 1 + eps]

@@ -407,11 +407,18 @@ def test_walk_decomposes_once_per_chamber(decompositions, blowup2, hirzebruch2, 
 
 
 def test_chamber_formulas_match_direct_decompositions():
+    """Each chamber's formulas agree with a direct decomposition inside it;
+    its crossings and terminal quadratic, read off the numbers kept by the
+    decomposition just after its start, equal those recomputed with
+    intersect, and so do its events."""
+    from zok.exact import EpsPoly
+    from zok.okounkov import _affine_parts, _chamber_events, _quadratic_parts
     from zok.oracle import ModelGenSpec, random_model
     from zok.zariski import zariski_decompose
 
     for seed in (3, 11):
         model = random_model(ModelGenSpec(seed=seed, rank=4, num_curves=7))
+        curves = [model.curve_class(j) for j in range(len(model.curves))]
         for alpha in _big_classes_near_kahler(model, 3):
             for curve in range(len(model.curves)):
                 c_cls = model.curve_class(curve)
@@ -426,6 +433,24 @@ def test_chamber_formulas_match_direct_decompositions():
                     assert dec.support == ch.support
                     assert dec.positive == ch.z_at(t)
                     assert dec.coeffs == ch.coeff_at(t)
+                    t0, z0, z1 = ch.t_lo, ch.z0, ch.z1
+                    after = EpsPoly.new((t0, 1))
+                    dec = zariski_decompose(
+                        model, tuple(a - after * c for a, c in zip(alpha, c_cls))
+                    )
+                    kept_h = _affine_parts(dec.positive_pairings, t0)
+                    kept_c = _quadratic_parts(dec.positive_square, t0)
+                    h = tuple(tuple(model.intersect(z, c) for c in curves) for z in (z0, z1))
+                    c = (
+                        model.intersect(z0, z0),
+                        2 * model.intersect(z0, z1),
+                        model.intersect(z1, z1),
+                    )
+                    assert kept_h == h and kept_c == c
+                    events = _chamber_events(ch.support, ch.coeff0, ch.coeff1, *h, c, t0)
+                    kept = _chamber_events(ch.support, ch.coeff0, ch.coeff1, *kept_h, kept_c, t0)
+                    assert kept == events
+                    assert ch.t_hi == min(e for e in events if e is not None)
 
 
 def test_polygon_decomposes_alpha_once(decompositions, blowup2):
@@ -457,3 +482,40 @@ def test_boundary_body_decomposes_alpha_once(decompositions, blowup1):
             boundary_body(blowup1, alpha, flag)
         assert str(err.value) == f"class is {kind}, not on the boundary"
         assert len(decompositions) == 1
+
+
+# -- polygons from the envelope chains ---------------------------------------------
+
+
+def _flags_of(model):
+    """Every curve as the flag curve, at a generic point and, where another
+    curve meets it, at a point on that curve."""
+    flags = []
+    for c in range(len(model.curves)):
+        flags.append(FlagSpec.make(c))
+        meeting = [i for i in range(len(model.curves)) if i != c and model.curve_gram[i][c] >= 1]
+        if meeting:
+            flags.append(FlagSpec.make(c, {meeting[-1]: Fraction(1)}))
+    return flags
+
+
+def test_polygon_vertices_are_the_hull_of_the_envelopes(all_fixture_models, golden_model):
+    from zok.oracle import ModelGenSpec, random_model
+    from zok.polygon import ConvexPolygon, convex_hull
+
+    models = list(all_fixture_models) + [golden_model]
+    for seed in range(8):
+        rank = 3 + seed % 4
+        models.append(random_model(ModelGenSpec(seed=seed, rank=rank, num_curves=rank + 2)))
+    polygons = irrational = 0
+    for model in models:
+        for alpha in [model.kahler] + _big_classes_near_kahler(model, 2):
+            for flag in _flags_of(model):
+                poly = okounkov_polygon(model, alpha, flag)
+                f, g = poly.f, poly.g
+                points = list(zip(f.breakpoints, f.values)) + list(zip(g.breakpoints, g.values))
+                assert type(poly.vertices) is ConvexPolygon
+                assert poly.vertices == convex_hull(points)
+                polygons += 1
+                irrational += isinstance(poly.s, QuadExt)
+    assert polygons > 300 and irrational > 0

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from zok.polygon import (
+    ConvexPolygon,
     convex_hull,
     minkowski_sum,
     normalize_convex,
@@ -119,3 +120,55 @@ def test_minkowski_p2_body_sum_equals_doubled_body(p2):
     summed = minkowski_sum(body_l, body_l)
     assert polygon_contains(body_2l, summed)
     assert set(summed) == set(normalize_convex(body_2l))  # containment with equality
+
+
+# -- canonical polygons pass through ----------------------------------------------
+
+
+def test_canonical_polygons_are_not_renormalized(monkeypatch, blowup2):
+    import zok.polygon
+    from zok.okounkov import FlagSpec, okounkov_polygon
+    from conftest import F
+
+    flag = FlagSpec.make(blowup2.curve_index("L12"))
+    a, b = F(3, -1, -1), F(2, 0, -1)
+    pa, pb, pab = (okounkov_polygon(blowup2, x, flag).vertices for x in (a, b, F(5, -1, -2)))
+    assert all(type(p) is ConvexPolygon for p in (pa, pb, pab))
+    hull = zok.polygon.convex_hull
+    calls = []
+
+    def counting(points):
+        calls.append(points)
+        return hull(points)
+
+    monkeypatch.setattr(zok.polygon, "convex_hull", counting)
+    assert polygon_contains(pab, minkowski_sum(pa, pb))
+    # the merged boundary of the sum is put in canonical form once
+    assert len(calls) == 1
+    assert normalize_convex(pa) is pa
+
+
+def test_non_canonical_inputs_are_normalized_as_before():
+    canonical = convex_hull(SQUARE)
+    assert type(canonical) is ConvexPolygon and canonical == SQUARE
+    rotated = SQUARE[2:] + SQUARE[:2]
+    subdivided = SQUARE[:1] + ((Fraction(1, 2), Fraction(0)),) + SQUARE[1:]
+    duplicated = SQUARE + SQUARE[:2]
+    for points in (rotated, subdivided, duplicated, list(rotated)):
+        got = normalize_convex(points)
+        assert type(got) is ConvexPolygon and got == canonical
+        assert minkowski_sum(points, TRI) == minkowski_sum(canonical, TRI)
+        assert polygon_contains(points, TRI) and not polygon_contains(TRI, points)
+    interior = SQUARE + ((Fraction(1, 2), Fraction(1, 2)),)
+    for call in (
+        lambda: normalize_convex(interior),
+        lambda: minkowski_sum(interior, TRI),
+        lambda: polygon_contains(TRI, interior),
+    ):
+        with pytest.raises(ValueError, match="^non-convex polygon input$"):
+            call()
+    for empty in ((), [], ConvexPolygon()):
+        with pytest.raises(ValueError, match="^polygon needs at least one vertex$"):
+            normalize_convex(empty)
+        with pytest.raises(ValueError, match="^polygon needs at least one vertex$"):
+            minkowski_sum(empty, TRI)

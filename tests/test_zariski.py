@@ -16,6 +16,7 @@ from zok.errors import (
 from zok.lattice import make_model, vec_add, vec_scale
 from zok.zariski import (
     Kind,
+    ZariskiDecomp,
     classify,
     derivative_vol,
     enumerate_exceptional_families,
@@ -394,3 +395,83 @@ def test_morse_gap_decomposes_the_difference_once(decompositions, blowup1):
     cert = morse_gap(blowup1, F(3, -1), F(1, 0))
     assert (cert.lhs, cert.conclusion_big, cert.vol) == (2, True, 3)
     assert decompositions == [F(2, -1)]
+
+
+# -- the numbers a checked decomposition keeps -----------------------------------
+
+
+def _assert_kept_numbers_match(model, dec):
+    """P.C_i, P^2 and P.omega kept on dec equal the gram_product reference."""
+    from zok.lattice import gram_product
+
+    p = dec.positive
+    assert dec.positive_pairings == tuple(
+        gram_product(model.gram, p, model.curve_class(i)) for i in range(len(model.curves))
+    )
+    assert dec.positive_square == gram_product(model.gram, p, p)
+    assert dec.positive_kahler == gram_product(model.gram, p, model.kahler)
+    # a decomposition built by hand keeps nothing, and reads the same
+    bare = ZariskiDecomp(dec.alpha, p, dec.support, dec.coeffs)
+    assert bare.positive_square is None and bare == dec and repr(bare) == repr(dec)
+    assert bare.volume(model) == dec.volume(model)
+
+
+def test_kept_numbers_on_every_route(blowup1, blowup2, hirzebruch2):
+    from zok.exact import EpsPoly
+    from zok.oracle import ModelGenSpec, brute_force_zariski, random_model
+
+    eps = EpsPoly.new((0, 1))
+    models = [blowup1, blowup2, hirzebruch2, random_model(ModelGenSpec(seed=7, rank=4, num_curves=6))]
+    routes = 0
+    for model in models:
+        omega = model.kahler
+        for alpha in int_grid(model.rank, 1):
+            try:
+                dec = zariski_decompose(model, alpha)
+            except NotPseudoEffective:
+                assert brute_force_zariski(model, alpha) is None
+                continue
+            _assert_kept_numbers_match(model, dec)
+            _assert_kept_numbers_match(model, brute_force_zariski(model, alpha))
+            # an eps-class: alpha moved infinitesimally towards omega, and back
+            for sign in (1, -1):
+                try:
+                    moved = zariski_decompose(model, vec_add(alpha, vec_scale(sign * eps, omega)))
+                except NotPseudoEffective:
+                    continue
+                _assert_kept_numbers_match(model, moved)
+            if dec.support:
+                _, b = orthogonal_nef_lift(model, dec.support, omega)
+                eps_ok = min(a / bi for a, bi in zip(dec.coeffs, b)) / 2
+                _assert_kept_numbers_match(
+                    model, perturbed_decomposition(model, alpha, omega, eps_ok)
+                )
+            routes += 1
+    assert routes > 40
+
+
+def test_positive_part_numbers_are_computed_once(monkeypatch, blowup2):
+    """The check pairs P with the curves once, and P^2 and P.omega come from
+    the NotPseudoEffective tests of the route, on zariski_decompose and on
+    brute_force_zariski."""
+    from zok.lattice import SurfaceModel
+    from zok.oracle import brute_force_zariski
+
+    alpha = F(3, 1, -1)
+    dec = zariski_decompose(blowup2, alpha)
+    positive = dec.positive
+    assert dec.support == (0,)
+    calls = []
+    for name in ("intersect", "pairings", "pairing"):
+        method = getattr(SurfaceModel, name)
+
+        def counting(self, u, *rest, _name=name, _method=method):
+            if tuple(u) == positive:
+                calls.append(_name)
+            return _method(self, u, *rest)
+
+        monkeypatch.setattr(SurfaceModel, name, counting)
+    for route in (zariski_decompose, brute_force_zariski):
+        calls.clear()
+        assert route(blowup2, alpha).positive == positive
+        assert sorted(calls) == ["intersect", "intersect", "pairings"]
