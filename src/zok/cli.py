@@ -217,7 +217,7 @@ def _cmd_chambers(args) -> int:
     except KeyError:
         raise UnknownCurve(f"no curve named {args.curve!r}") from None
     chambers = segment_chambers(model, alpha, curve)
-    a, s = chamber_slopes(model, chambers, curve)
+    a, s = chamber_slopes(chambers, curve)
     if args.format == "csv":
         lines = ["t_lo,t_hi,support,Z0,Z1"]
         for ch in chambers:

@@ -17,7 +17,7 @@ from math import lcm
 from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .exact import EpsPoly, QuadExt, parse_rat
+from .exact import EpsPoly, parse_rat
 
 Vec = tuple[Fraction, ...]
 Mat = tuple[tuple[Fraction, ...], ...]
@@ -268,9 +268,8 @@ def _int_rows(rows) -> tuple[int, tuple[tuple[int, ...], ...]]:
 
 def _split(u: Sequence) -> tuple:
     """u by linearity as (field, parts): u[k] == sum(parts[m][k] * e**m), each
-    part a rational vector.  field is None for a rational u (one part, e = 1),
-    "eps" for EpsPoly entries (e = eps) and the radicand d for QuadExt entries
-    (e = sqrt(d), parts p and q)."""
+    part a rational vector.  field is None for a rational u (one part, e = 1)
+    and "eps" for EpsPoly entries (e = eps); any other scalar is refused."""
     kinds = {type(x) for x in u} - {Fraction, int}
     if not kinds:
         return None, (u,)
@@ -279,37 +278,12 @@ def _split(u: Sequence) -> tuple:
         width = max(map(len, coeffs))
         zero = Fraction(0)
         return "eps", [[c[m] if m < len(c) else zero for c in coeffs] for m in range(width)]
-    if kinds == {QuadExt}:
-        radicands = sorted({x.d for x in u if type(x) is QuadExt})
-        if len(radicands) > 1:
-            raise ValueError(f"mixed radicands sqrt({radicands[0]}) and sqrt({radicands[1]})")
-        zero = Fraction(0)
-        return radicands[0], (
-            [x.p if type(x) is QuadExt else x for x in u],
-            [x.q if type(x) is QuadExt else zero for x in u],
-        )
     raise TypeError(f"unsupported scalars in a class vector: {sorted(k.__name__ for k in kinds)}")
 
 
 def _join(field, coeffs: Sequence[Fraction]):
     """sum(coeffs[m] * e**m) for the e of a field from _split."""
-    if field is None:
-        return coeffs[0]
-    if field == "eps":
-        return EpsPoly.new(coeffs)
-    p = coeffs[0] + field * coeffs[2] if len(coeffs) > 2 else coeffs[0]
-    return QuadExt._of(p, coeffs[1], field)
-
-
-def _common_field(a, b):
-    """The field holding the products of entries from fields a and b."""
-    if a is None or a == b:
-        return b
-    if b is None:
-        return a
-    if isinstance(a, int) and isinstance(b, int):
-        raise ValueError(f"mixed radicands sqrt({a}) and sqrt({b})")
-    raise TypeError("cannot multiply eps-polynomials by quadratic irrationals")
+    return coeffs[0] if field is None else EpsPoly.new(coeffs)
 
 
 def _dots(u: Sequence, den: int, rows) -> list:
@@ -335,8 +309,8 @@ class SurfaceModel:
     over integers: a class is scaled to integer numerators over the lcm of
     its denominators, each pairing is one integer sum of products against an
     integer table (the form, the duals or the curve Gram table, each over
-    one common denominator), and the sum is divided once.  Classes over an
-    extension (EpsPoly or QuadExt entries) are paired part by part (see
+    one common denominator), and the sum is divided once.  Classes are
+    rational or have EpsPoly entries, which are paired part by part (see
     _split).  ``gram_product`` is the independent reference.
     """
 
@@ -364,7 +338,7 @@ class SurfaceModel:
         else:
             fv, vs = _split(v)
             scaled_v = [_over_lcm(part) for part in vs]
-        field = _common_field(fu, fv)
+        field = fu or fv
         den, gram = self._gram_ints
         met = [(lv * den, [sum(map(mul, row, nv)) for row in gram]) for lv, nv in scaled_v]
         out = [Fraction(0)] * (len(scaled_u) + len(met) - 1)

@@ -81,9 +81,10 @@ def validate_flag(model: SurfaceModel, flag: FlagSpec) -> None:
 class SegmentChamber:
     """One maximal parameter interval with constant negative-part support.
 
-    On [t_lo, t_hi]: Z(t) = z0 + t*z1 and the coefficient of support curve
-    support[k] is coeff0[k] + t*coeff1[k]; all decomposition invariants hold
-    on the open interval and extend continuously to the endpoints.
+    On [t_lo, t_hi]: Z(t) = z0 + t*z1, the coefficient of support curve
+    support[k] is coeff0[k] + t*coeff1[k], and Z(t).C_j = h0[j] + t*h1[j]
+    for every listed curve j; all decomposition invariants hold on the open
+    interval and extend continuously to the endpoints.
     """
 
     t_lo: ExtRat
@@ -93,6 +94,8 @@ class SegmentChamber:
     z1: Vec
     coeff0: tuple[Fraction, ...]
     coeff1: tuple[Fraction, ...]
+    h0: tuple[Fraction, ...]
+    h1: tuple[Fraction, ...]
 
     def z_at(self, t) -> tuple:
         return tuple(a + t * b for a, b in zip(self.z0, self.z1))
@@ -213,8 +216,9 @@ def _chamber_after(model, alpha, direction, t0, fallback_end=None):
     infinitesimal, has the chamber's support; the eps-parts of its entries
     are the slopes of the affine formulas.  The numbers its check kept
     (Z.C_j and Z^2, see ZariskiDecomp) give the bigness test, the
-    off-support crossings and the terminal quadratic.  The chamber ends at
-    the first event after t0, or at fallback_end when none lies ahead.
+    off-support crossings and the terminal quadratic, and the chamber keeps
+    the pairings Z(t).C_j.  The chamber ends at the first event after t0, or
+    at fallback_end when none lies ahead.
     """
     just_after = vec_add(alpha, vec_scale(EpsPoly.new((t0, 1)), direction))
     try:
@@ -234,10 +238,10 @@ def _chamber_after(model, alpha, direction, t0, fallback_end=None):
     t1 = terminal if last else (fallback_end if affine_next is None else affine_next)
     if t1 is None:
         raise InvariantError("chamber walk found no event ahead")
-    return SegmentChamber(t0, t1, dec.support, z0, z1, coeff0, coeff1), last
+    return SegmentChamber(t0, t1, dec.support, z0, z1, coeff0, coeff1, h0, h1), last
 
 
-def _assert_continuity(model, prev: SegmentChamber, nxt: SegmentChamber):
+def _assert_continuity(prev: SegmentChamber, nxt: SegmentChamber):
     t = prev.t_hi
     if prev.z_at(t) != nxt.z_at(t):
         raise InvariantError("adjacent chamber formulas disagree at the breakpoint")
@@ -289,7 +293,7 @@ def segment_chambers(
     while True:
         chamber, last = _chamber_after(model, alpha, direction, t0)
         if chambers:
-            _assert_continuity(model, chambers[-1], chamber)
+            _assert_continuity(chambers[-1], chamber)
             if not set(chambers[-1].support) - {index} <= set(chamber.support):
                 raise InvariantError("a curve other than C left the negative part")
         chambers.append(chamber)
@@ -311,11 +315,10 @@ def first_chamber_along(model: SurfaceModel, alpha: Vec, direction: Vec) -> Segm
 # ---------------------------------------------------------------------------
 
 
-def _slope_a_from_chambers(model, chambers: Sequence[SegmentChamber], index: int):
+def _slope_a_from_chambers(chambers: Sequence[SegmentChamber], index: int):
     """First parameter from which Z(t).C stays positive; rational."""
     for ch in chambers:
-        h0 = model.pairing(ch.z0, index)
-        h1 = model.pairing(ch.z1, index)
+        h0, h1 = ch.h0[index], ch.h1[index]
         v_lo = h0 + ch.t_lo * h1
         if v_lo > 0:
             if ch.t_lo != 0:
@@ -334,14 +337,12 @@ def slopes(model: SurfaceModel, alpha: Vec, curve) -> tuple[ExtRat, ExtRat]:
     """(a, s): where the flag curve leaves the non-Kahler locus of alpha - t*C,
     and where the volume of alpha - t*C hits zero."""
     index = _resolve_curve(model, curve)
-    return chamber_slopes(model, segment_chambers(model, alpha, index), index)
+    return chamber_slopes(segment_chambers(model, alpha, index), index)
 
 
-def chamber_slopes(
-    model: SurfaceModel, chambers: Sequence[SegmentChamber], index: int
-) -> tuple[ExtRat, ExtRat]:
+def chamber_slopes(chambers: Sequence[SegmentChamber], index: int) -> tuple[ExtRat, ExtRat]:
     """slopes read off the chamber list of the walk along curve ``index``."""
-    return _slope_a_from_chambers(model, chambers, index), chambers[-1].t_hi
+    return _slope_a_from_chambers(chambers, index), chambers[-1].t_hi
 
 
 def envelopes(
@@ -350,14 +351,14 @@ def envelopes(
     """Lower and upper piecewise-linear envelopes f <= g on [a, s].
 
     f is the multiplicity-weighted negative-part contribution at the flag
-    point, g adds Z(t).C.  The flag curve itself never carries a coefficient
-    on (a, s); the walk data is asserted to agree.  ``big`` is passed on to
-    segment_chambers.
+    point, g adds Z(t).C, read off each chamber's kept pairings.  The flag
+    curve itself never carries a coefficient on (a, s); the walk data is
+    asserted to agree.  ``big`` is passed on to segment_chambers.
     """
     validate_flag(model, flag)
     index = flag.curve
     chambers = segment_chambers(model, alpha, index, big)
-    a = _slope_a_from_chambers(model, chambers, index)
+    a = _slope_a_from_chambers(chambers, index)
     sub = [ch for ch in chambers if not ch.t_lo < a]
     if not sub or sub[0].t_lo != a:
         raise InvariantError("parameter a is not a chamber boundary")
@@ -377,7 +378,7 @@ def envelopes(
         return total
 
     def g_at(ch: SegmentChamber, t):
-        return f_at(ch, t) + model.pairing(ch.z_at(t), index)
+        return f_at(ch, t) + ch.h0[index] + t * ch.h1[index]
 
     breakpoints: list[ExtRat] = [a]
     f_vals: list[ExtRat] = [f_at(sub[0], a)]
@@ -470,7 +471,7 @@ def restricted_body(
             f"curve {model.curve_name(flag.curve)!r} lies in the non-Kahler locus"
         )
     base = _flag_base(dec, flag)
-    width = model.pairing(dec.positive, flag.curve)
+    width = dec.positive_pairings[flag.curve]
     return base, base + width
 
 
@@ -490,7 +491,7 @@ def boundary_body(model: SurfaceModel, alpha: Vec, flag: FlagSpec) -> BoundaryBo
                 "flag curve lies in the support of the negative part"
             )
         return BoundaryBody(kind="Point", base_y=base, top=None)
-    width = model.pairing(dec.positive, flag.curve)
+    width = dec.positive_pairings[flag.curve]
     if width == 0:
         raise HypothesisViolated(
             "numerical dimension 1 requires Z.C > 0 for the flag curve"

@@ -194,8 +194,10 @@ def run_model_verification(
     (including not-psef verdicts), the derivative formula against the chamber
     route, and the polygon area against trapezoid integration and the volume
     identity.  The grid bound shrinks automatically on high-rank models to
-    keep the sweep desk-scale.
+    keep the sweep desk-scale.  A negative grid bound is a usage error.
     """
+    if grid_bound < 0:
+        raise UsageError(f"grid bound must be >= 0, got {grid_bound}")
     bound = grid_bound
     while bound > 1 and (2 * bound + 1) ** model.rank > 4096:
         bound -= 1

@@ -284,8 +284,13 @@ def non_kahler_curves(model: SurfaceModel, alpha: Vec) -> tuple[int, ...]:
 
 
 def _non_kahler_of(model: SurfaceModel, dec: ZariskiDecomp) -> tuple[int, ...]:
-    """non_kahler_curves read off a decomposition of a big class."""
-    combined = sorted(set(dec.support) | set(null_curves(model, dec.positive)))
+    """non_kahler_curves read off a checked decomposition of a big class.
+
+    Its check proved P nef and the caller proved P^2 > 0, so the null curves
+    of P are the zeros of its kept pairings; orthogonality puts the support
+    among them.
+    """
+    combined = [i for i, v in enumerate(dec.positive_pairings) if v == 0]
     if negative_ldl(model.gram_submatrix(combined)) is None:
         raise InvariantError("non-Kahler curves do not form an exceptional family")
     return tuple(combined)

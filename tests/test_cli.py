@@ -196,6 +196,17 @@ def test_verify_jsonl(capsys):
         assert json.loads(line)["agrees"] is True
 
 
+def test_verify_negative_grid_bound_is_a_usage_error(capsys):
+    code, out = run_cli(capsys, "verify", "-m", "p2", "--grid-bound", "-3")
+    assert code == 2
+    assert json.loads(out) == {
+        "detail": "grid bound must be >= 0, got -3", "error": "UsageError"
+    }
+    code, out = run_cli(capsys, "verify", "-m", "p2", "--grid-bound", "0")
+    assert code == 0
+    assert "grid 0, 1 classes" in out
+
+
 def test_verify_env_cap(capsys, monkeypatch):
     monkeypatch.setenv("ZOK_MAX_SUBSET_CURVES", "2")
     code, out = run_cli(capsys, "verify", "-m", "blowup2", "--grid-bound", "1")

@@ -447,6 +447,7 @@ def test_chamber_formulas_match_direct_decompositions():
                         model.intersect(z1, z1),
                     )
                     assert kept_h == h and kept_c == c
+                    assert (ch.h0, ch.h1) == h
                     events = _chamber_events(ch.support, ch.coeff0, ch.coeff1, *h, c, t0)
                     kept = _chamber_events(ch.support, ch.coeff0, ch.coeff1, *kept_h, kept_c, t0)
                     assert kept == events
@@ -462,6 +463,35 @@ def test_polygon_decomposes_alpha_once(decompositions, blowup2):
     # the bigness check, whose volume the area identity uses, and one per chamber
     assert len(calls) == 3
     assert 2 * poly.area == volume(blowup2, alpha)
+
+
+def test_bodies_read_the_kept_pairings(monkeypatch, blowup1, blowup2):
+    """Slopes, envelopes and restricted bodies read Z.C off the chambers and
+    the checked decomposition instead of pairing Z with the curves again."""
+    from collections import Counter
+
+    from zok.lattice import SurfaceModel
+
+    calls = Counter()
+    for name in ("pairing", "pairings", "intersect"):
+        method = getattr(SurfaceModel, name)
+
+        def counting(self, *args, _name=name, _method=method):
+            calls[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(SurfaceModel, name, counting)
+    alpha = F(3, -1, -1)
+    okounkov_polygon(blowup2, alpha, FlagSpec.make(blowup2.curve_index("L12")))
+    assert calls["pairing"] == 0
+    calls.clear()
+    slopes(blowup2, alpha, "L12")
+    assert calls["pairing"] == 0
+    calls.clear()
+    flag = FlagSpec.make(blowup1.curve_index("H-E"), {0: Fraction(1)})
+    assert restricted_body(blowup1, F(2, 1), flag) == (1, 3)
+    # the decomposition's own pairings and its NotPseudoEffective tests
+    assert calls == {"pairings": 2, "intersect": 2}
 
 
 def test_restricted_body_decomposes_alpha_once(decompositions, blowup1):
