@@ -300,6 +300,57 @@ def _dots(u: Sequence, den: int, rows) -> list:
     return [_join(field, coeffs) for coeffs in zip(*cols)]
 
 
+def _family_atlas(table: Mat) -> tuple[tuple, ...]:
+    """The family atlas: (S, den, coeff_rows, outside, residual_rows) for
+    every family S of negative_definite_subsets(table), in its order.
+
+    These are the linear forms of the orthogonal decomposition over S, as
+    integer rows over one denominator den.  For a class u with
+    v = (u.C_i for i in S), the solution of G_S * a = v is
+    a[k] = coeff_rows[k] . v / den, and for j = outside[k], the k-th curve
+    not in S, the residual pairing (u - sum_k a[k] C_S[k]) . C_j is
+    u.C_j - residual_rows[k] . v / den.
+
+    The rows come from rank-one updates along the search.  With W = G_S^-1
+    and r_j = W (C_S . C_j), a child S + (m,) has the Schur pivot
+    s = C_m.C_m - (C_m.C_S) . r_m, and with t_j = (C_m.C_j - (C_m.C_S) . r_j) / s
+    its inverse is [[W + r_m r_m^T / s, -r_m / s], [-r_m^T / s, 1 / s]] and
+    its r_j is (r_j - t_j r_m, t_j).  The search is in preorder, so a
+    family's parent tops the stack of its ancestors.
+    """
+    atlas = []
+    seen: dict = {}  # equal rows recur across families; keep one object each
+    stack: list[tuple] = []  # (W, {j: r_j for every curve j outside S})
+    for family in negative_definite_subsets(table):
+        del stack[len(family):]
+        if not family:
+            inverse, outside = (), {j: () for j in range(len(table))}
+        else:
+            inverse, parent_outside = stack[-1]
+            *parent, m = family
+            row = table[m]
+            cross = [row[i] for i in parent]
+            u = parent_outside[m]
+            s = row[m] - _dot(cross, u)
+            w = [x / s for x in u]
+            inverse = tuple(
+                tuple(a + uk * wl for a, wl in zip(w_row, w)) + (-wk,)
+                for w_row, uk, wk in zip(inverse, u, w)
+            ) + (tuple(-wl for wl in w) + (1 / s,),)
+            outside = {}
+            for j, r in parent_outside.items():
+                if j != m:
+                    t = (row[j] - _dot(cross, r)) / s
+                    outside[j] = tuple(x - t * y for x, y in zip(r, u)) + (t,)
+        stack.append((inverse, outside))
+        den, rows = _int_rows(inverse + tuple(outside.values()))
+        rows = [seen.setdefault(r, r) for r in rows]
+        size = len(family)
+        parts = (tuple(rows[:size]), tuple(outside), tuple(rows[size:]))
+        atlas.append((family, den, *(seen.setdefault(p, p) for p in parts)))
+    return tuple(atlas)
+
+
 @dataclass(frozen=True)
 class SurfaceModel:
     """Finite rational intersection lattice with named curves and a Kahler class.
@@ -311,7 +362,9 @@ class SurfaceModel:
     integer table (the form, the duals or the curve Gram table, each over
     one common denominator), and the sum is divided once.  Classes are
     rational or have EpsPoly entries, which are paired part by part (see
-    _split).  ``gram_product`` is the independent reference.
+    _split).  ``gram_product`` is the independent reference.  The family
+    atlas (``family_atlas``) is likewise built once, on first use, by subset
+    search.
     """
 
     name: str
@@ -386,6 +439,38 @@ class SurfaceModel:
         den, table = self._curve_gram_ints
         columns = list(zip(*[table[i] for i in support]))
         return tuple(v - w for v, w in zip(pairs, _dots(coeffs, den, columns)))
+
+    @cached_property
+    def family_atlas(self) -> tuple[tuple, ...]:
+        """The linear forms of the orthogonal decomposition over every
+        negative-definite curve family, the empty one included (see
+        _family_atlas)."""
+        return _family_atlas(self.curve_gram)
+
+    def orthogonal_candidates(self, pairs: Sequence) -> Iterator[tuple[tuple[int, ...], Vec]]:
+        """(S, a) for every family S of the atlas over which a rational class
+        with curve pairings ``pairs`` has strictly positive orthogonality
+        coefficients a and a residual that meets no curve negatively.
+
+        The class is scaled to integers once, so both tests are integer sign
+        tests; only a family that passes them divides.
+        """
+        field, parts = _split(pairs)
+        if field is not None:
+            raise TypeError("subset search takes rational classes only")
+        d, nums = _over_lcm(parts[0])
+        for support, den, coeff_rows, outside, residual_rows in self.family_atlas:
+            v = [nums[i] for i in support]
+            scaled = []
+            for row in coeff_rows:
+                a = sum(map(mul, row, v))
+                if a <= 0:
+                    break
+                scaled.append(a)
+            else:
+                if all(den * nums[j] >= sum(map(mul, row, v))
+                       for j, row in zip(outside, residual_rows)):
+                    yield support, tuple(Fraction(a, den * d) for a in scaled)
 
     def curve_class(self, index: int) -> Vec:
         return self.curves[index].cls

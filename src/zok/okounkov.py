@@ -220,11 +220,20 @@ def _chamber_after(model, alpha, direction, t0, fallback_end=None):
     the pairings Z(t).C_j.  The chamber ends at the first event after t0, or
     at fallback_end when none lies ahead.
     """
-    just_after = vec_add(alpha, vec_scale(EpsPoly.new((t0, 1)), direction))
     try:
-        dec = zariski_decompose(model, just_after)
+        dec = zariski_decompose(model, _just_after(alpha, direction, t0))
     except NotPseudoEffective as exc:
         raise InvariantError(f"class just after t = {t0} is not pseudo-effective") from exc
+    return _chamber_of(model, dec, t0, fallback_end)
+
+
+def _just_after(alpha, direction, t0) -> tuple:
+    """alpha + (t0 + eps)*direction, eps a formal positive infinitesimal."""
+    return vec_add(alpha, vec_scale(EpsPoly.new((t0, 1)), direction))
+
+
+def _chamber_of(model, dec, t0, fallback_end):
+    """_chamber_after read off dec, the decomposition of _just_after(t0)."""
     square = dec.volume(model)
     if not square > 0:
         raise InvariantError(f"class just after t = {t0} is not big")
@@ -305,9 +314,19 @@ def segment_chambers(
 def first_chamber_along(model: SurfaceModel, alpha: Vec, direction: Vec) -> SegmentChamber:
     """Affine decomposition formulas valid on (0, eps) along alpha + t*direction
     for big alpha, from one decomposition just after t = 0.  t_hi is the
-    first event (terminal or not), or 1 when no event lies ahead."""
-    _require_big(model, alpha)
-    return _chamber_after(model, alpha, direction, Fraction(0), Fraction(1))[0]
+    first event (terminal or not), or 1 when no event lies ahead.
+
+    That decomposition also tests alpha: the constant term of Z(eps)^2 is
+    vol(alpha).  When alpha + eps*direction is not pseudo-effective or that
+    term is not positive, _require_big(alpha) raises the verdict; alpha
+    passing it there is an invariant breach.
+    """
+    t0 = Fraction(0)
+    dec = _decompose_or_none(model, _just_after(alpha, direction, t0))
+    if dec is None or not _quadratic_parts(dec.volume(model), t0)[0] > 0:
+        _require_big(model, alpha)
+        raise InvariantError("big class is not big just after t = 0")
+    return _chamber_of(model, dec, t0, Fraction(1))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,6 @@ from .lattice import (
     SurfaceModel,
     Vec,
     make_model,
-    negative_definite_subsets,
-    negative_ldl,
     validate_model,
     vec_scale,
     vec_sub,
@@ -57,11 +55,13 @@ def brute_force_zariski(
 ) -> Optional[ZariskiDecomp]:
     """Decomposition by exhaustive subset search; None when no subset works.
 
-    For every negative-definite curve subset (the empty one included, found
-    by the hereditary search of lattice.negative_definite_subsets) the
-    orthogonality system is solved; a candidate needs strictly positive
-    coefficients and a nef-in-model residual.  Uniqueness of the orthogonal
-    decomposition makes more than one candidate a model bug.
+    Every negative-definite curve subset (the empty one included) is a
+    candidate support.  The model's family atlas tests its coefficients
+    (strictly positive) and its residual's curve pairings (non-negative) as
+    integer sign tests (SurfaceModel.orthogonal_candidates); a subset that
+    passes both must also leave a residual P with P^2 >= 0 and
+    P.omega >= 0.  Uniqueness of the orthogonal decomposition makes more
+    than one candidate a model bug.
     """
     n = len(model.curves)
     if n > max_curves:
@@ -70,14 +70,8 @@ def brute_force_zariski(
             "(override via ZOK_MAX_SUBSET_CURVES)"
         )
     alpha = tuple(alpha)
-    pairs = model.pairings(alpha)
     candidates = []  # (decomposition, P^2, P.omega)
-    for subset in negative_definite_subsets(model.curve_gram):
-        coeffs = negative_ldl(model.gram_submatrix(subset)).solve([pairs[i] for i in subset])
-        if any(a <= 0 for a in coeffs):
-            continue
-        if any(v < 0 for v in model.residual_pairings(pairs, subset, coeffs)):
-            continue
+    for subset, coeffs in model.orthogonal_candidates(model.pairings(alpha)):
         residual = alpha
         for i, a in zip(subset, coeffs):
             residual = vec_sub(residual, vec_scale(a, model.curve_class(i)))

@@ -11,7 +11,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zok.exact import EpsPoly, QuadExt
-from zok.lattice import gram_product, make_model, negative_ldl, signature
+from zok.lattice import (
+    gram_product,
+    make_model,
+    negative_definite_subsets,
+    negative_ldl,
+    signature,
+    solve_linear,
+    vec_scale,
+)
 from zok.oracle import ModelGenSpec, random_model
 from zok.zariski import enumerate_exceptional_families
 
@@ -139,6 +147,30 @@ def test_del_pezzo_family_counts():
         assert len(model.curves) == (3, 6, 10, 16, 27)[r - 2]
         assert all(model.curve_gram[i][i] == -1 for i in range(len(model.curves)))
         assert len(enumerate_exceptional_families(model, allow_large=True)) == count
+
+
+def test_family_atlas_holds_the_inverse_forms():
+    """Each family's rows are G_S^-1 and G_S^-1 (C_S . C_j) for the curves j
+    outside S, over one positive denominator."""
+    scaled = random_model(ModelGenSpec(seed=7, rank=5, num_curves=9))
+    scaled = make_model("scaled", 5, [vec_scale(Fraction(2, 3), row) for row in scaled.gram],
+                        [(c.name, vec_scale(Fraction(k + 1, 4), c.cls))
+                         for k, c in enumerate(scaled.curves)], scaled.kahler)
+    for model in (del_pezzo(4), scaled):
+        table = model.curve_gram
+        atlas = model.family_atlas
+        assert [forms[0] for forms in atlas] == list(negative_definite_subsets(table))
+        for support, den, coeff_rows, outside, residual_rows in atlas:
+            assert den > 0
+            g = model.gram_submatrix(support)
+            inverse = [[Fraction(x, den) for x in row] for row in coeff_rows]
+            assert [[sum(a * b for a, b in zip(row, col)) for col in zip(*inverse)]
+                    for row in g] == [[int(i == j) for j in support] for i in support]
+            assert list(outside) == [j for j in range(len(table)) if j not in support]
+            for j, row in zip(outside, residual_rows, strict=True):
+                assert tuple(Fraction(x, den) for x in row) == solve_linear(
+                    g, [table[i][j] for i in support]
+                )
 
 
 def test_brute_force_still_detects_multiple_candidates():

@@ -107,6 +107,33 @@ def test_first_chamber_along_nef_direction(blowup1):
     assert blowup1.intersect(ch.z0, ch.z1) == 2
 
 
+def test_first_chamber_along_raises_the_bigness_verdict(all_fixture_models):
+    """Off the big cone the one eps-decomposition falls back on the bigness
+    check of alpha, so the exception is the one that check raises."""
+    from zok.okounkov import _require_big
+
+    verdicts = set()
+    for model in all_fixture_models:
+        directions = [model.kahler, vec_scale(-1, model.kahler), (Fraction(0),) * model.rank]
+        directions += [c.cls for c in model.curves]
+        for alpha in int_grid(model.rank, 2):
+            try:
+                _require_big(model, alpha)
+            except (NotBig, NotPseudoEffective) as exc:
+                expected = exc
+            else:
+                for beta in directions:
+                    assert first_chamber_along(model, alpha, beta).t_lo == 0
+                continue
+            verdicts.add(type(expected))
+            for beta in directions:
+                with pytest.raises(type(expected)) as err:
+                    first_chamber_along(model, alpha, beta)
+                assert type(err.value) is type(expected)
+                assert str(err.value) == str(expected)
+    assert verdicts == {NotBig, NotPseudoEffective}
+
+
 # -- slopes ----------------------------------------------------------------------
 
 

@@ -3,9 +3,19 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from zok.errors import NotPseudoEffective, UsageError
-from zok.lattice import validate_model
+from zok.errors import MultipleCandidates, NotPseudoEffective, UsageError
+from zok.exact import EpsPoly
+from zok.lattice import (
+    make_model,
+    negative_definite_subsets,
+    negative_ldl,
+    validate_model,
+    vec_add,
+    vec_scale,
+    vec_sub,
+)
 from zok.okounkov import PiecewiseLinear
 from zok.oracle import (
     ModelGenSpec,
@@ -15,9 +25,16 @@ from zok.oracle import (
     random_model,
     run_model_verification,
 )
-from zok.zariski import derivative_vol, zariski_decompose
+from zok.zariski import (
+    ZariskiDecomp,
+    _check_decomposition,
+    derivative_vol,
+    enumerate_exceptional_families,
+    zariski_decompose,
+)
 
 from conftest import F, int_grid
+from test_kernel import rational_models, rationals
 
 
 def test_brute_force_examples(blowup1):
@@ -29,6 +46,9 @@ def test_brute_force_examples(blowup1):
     assert nef.support == ()
 
     assert brute_force_zariski(blowup1, F(-1, 0)) is None
+
+    with pytest.raises(TypeError, match="rational classes only"):
+        brute_force_zariski(blowup1, (Fraction(2) + EpsPoly.new((0, 1)), Fraction(1)))
 
 
 def test_brute_force_cap():
@@ -55,10 +75,158 @@ def test_brute_force_agrees_with_iterative_everywhere(all_fixture_models):
             assert fast == oracle
 
 
+def reference_subset_search(model, alpha):
+    """brute_force_zariski as a plain loop over the families: each is
+    factored and solved, and its residual is paired with every curve."""
+    alpha = tuple(alpha)
+    pairs = model.pairings(alpha)
+    candidates = []
+    for subset in negative_definite_subsets(model.curve_gram):
+        coeffs = negative_ldl(model.gram_submatrix(subset)).solve([pairs[i] for i in subset])
+        if any(a <= 0 for a in coeffs):
+            continue
+        if any(v < 0 for v in model.residual_pairings(pairs, subset, coeffs)):
+            continue
+        residual = alpha
+        for i, a in zip(subset, coeffs):
+            residual = vec_sub(residual, vec_scale(a, model.curve_class(i)))
+        square = model.intersect(residual, residual)
+        if square < 0:
+            continue
+        kahler = model.intersect(residual, model.kahler)
+        if kahler < 0:
+            continue
+        dec = ZariskiDecomp(alpha=alpha, positive=residual, support=subset, coeffs=coeffs)
+        candidates.append((dec, square, kahler))
+    if len(candidates) > 1:
+        raise MultipleCandidates(
+            f"{len(candidates)} orthogonal decompositions found for {alpha}"
+        )
+    if not candidates:
+        return None
+    return _check_decomposition(model, *candidates[0])
+
+
+def _outcome(search, model, alpha):
+    """A subset search's answer with its kept numbers, None, or the text of
+    MultipleCandidates."""
+    try:
+        dec = search(model, alpha)
+    except MultipleCandidates as exc:
+        return "MultipleCandidates", str(exc)
+    if dec is None:
+        return None
+    return dec, dec.positive_pairings, dec.positive_square, dec.positive_kahler
+
+
+positive_rationals = st.builds(Fraction, st.integers(1, 7), st.integers(1, 12))
+
+
+@st.composite
+def scaled_random_models(draw):
+    """Seeded random models with each curve class and the form scaled by
+    positive rationals: valid models with non-integral forms and curves."""
+    rank = draw(st.integers(2, 4))
+    spec = ModelGenSpec(seed=draw(st.integers(0, 40)), rank=rank,
+                        num_curves=draw(st.integers(rank, rank + 3)))
+    m = random_model(spec)
+    form = draw(positive_rationals)
+    curves = [(c.name, vec_scale(draw(positive_rationals), c.cls)) for c in m.curves]
+    return make_model(m.name, rank, [vec_scale(form, row) for row in m.gram], curves, m.kahler)
+
+
+@st.composite
+def subset_search_cases(draw):
+    """(model, class): big classes (omega plus effective curves), boundary
+    ones (one curve), non-psef ones (-omega plus curves) and random ones."""
+    model = draw(st.one_of(scaled_random_models(), rational_models()))
+    rank, classes = model.rank, [c.cls for c in model.curves]
+    kind = draw(st.sampled_from(["big", "boundary", "not-psef", "random"]))
+    if kind == "random" or not classes:
+        return model, tuple(draw(st.lists(rationals, min_size=rank, max_size=rank)))
+    if kind == "boundary":
+        return model, vec_scale(draw(positive_rationals), draw(st.sampled_from(classes)))
+    alpha = model.kahler if kind == "big" else vec_scale(-1, model.kahler)
+    for cls in classes:
+        alpha = tuple(a + draw(st.sampled_from([0, 0, Fraction(1, 2), 1, 3])) * c
+                      for a, c in zip(alpha, cls))
+    return model, alpha
+
+
+@settings(max_examples=300, deadline=None)
+@given(subset_search_cases())
+def test_brute_force_matches_the_reference_subset_search(case):
+    model, alpha = case
+    assert _outcome(brute_force_zariski, model, alpha) == _outcome(
+        reference_subset_search, model, alpha
+    )
+
+
+def test_brute_force_matches_the_reference_on_the_fixtures(all_fixture_models):
+    twice = make_model("twice", 2, [[1, 0], [0, -1]],
+                       [("E", [0, 1]), ("2E", [0, 2]), ("H-E", [1, -1])], [2, -1])
+    outcomes = set()
+    for model in all_fixture_models + [twice]:
+        for alpha in int_grid(model.rank, 2):
+            answer = _outcome(brute_force_zariski, model, alpha)
+            assert answer == _outcome(reference_subset_search, model, alpha)
+            outcomes.add(answer if answer is None else type(answer[0]))
+    assert outcomes == {None, str, ZariskiDecomp}
+
+
+def test_a_second_subset_search_factors_no_family(monkeypatch):
+    """The family atlas is built on the first call; after it, only the
+    check of the winning decomposition factors a support Gram matrix."""
+    import zok.lattice
+    import zok.zariski
+
+    model = random_model(ModelGenSpec(seed=5, rank=5, num_curves=8))
+    alpha = vec_add(model.kahler, vec_scale(3, model.curve_class(0)))
+    calls = []
+    factor = zok.lattice.negative_ldl
+    submatrix = zok.lattice.SurfaceModel.gram_submatrix
+
+    def counting_ldl(matrix):
+        calls.append("negative_ldl")
+        return factor(matrix)
+
+    def counting_submatrix(self, indices):
+        calls.append("gram_submatrix")
+        return submatrix(self, indices)
+
+    for module in (zok.lattice, zok.zariski):
+        monkeypatch.setattr(module, "negative_ldl", counting_ldl)
+    monkeypatch.setattr(zok.lattice.SurfaceModel, "gram_submatrix", counting_submatrix)
+    first = brute_force_zariski(model, alpha)
+    assert first.support and len(model.family_atlas) > 1
+    calls.clear()
+    assert brute_force_zariski(model, alpha) == first
+    assert sorted(calls) == ["gram_submatrix", "negative_ldl"]
+
+
+def test_enumeration_and_the_cap_leave_the_atlas_unbuilt():
+    model = random_model(ModelGenSpec(seed=2, rank=5, num_curves=8))
+    assert enumerate_exceptional_families(model)
+    with pytest.raises(UsageError) as err:
+        brute_force_zariski(model, model.kahler, max_curves=7)
+    assert str(err.value) == (
+        "8 curves exceeds the subset-search cap 7 (override via ZOK_MAX_SUBSET_CURVES)"
+    )
+    assert "family_atlas" not in vars(model)
+    brute_force_zariski(model, model.kahler)
+    assert "family_atlas" in vars(model)
+
+
 def test_derivative_by_chambers_examples(blowup1):
     assert derivative_by_chambers(blowup1, F(2, 1), F(1, -1)) == 4
     assert derivative_by_chambers(blowup1, F(1, 0), F(0, 1)) == 0
     assert derivative_by_chambers(blowup1, F(2, 0), F(0, 0)) == 0
+
+
+def test_derivative_by_chambers_decomposes_once(decompositions, blowup1):
+    # the walk's one decomposition, of alpha + eps*omega, also tests bigness
+    assert derivative_by_chambers(blowup1, F(2, 1), blowup1.kahler) == 8
+    assert len(decompositions) == 1
 
 
 def test_derivative_routes_agree(blowup1, blowup2):
@@ -160,8 +328,8 @@ def test_verification_reuses_the_sweep_volumes(decompositions, blowup1):
         "polygon-area-vs-integration[21 polygons]",
     ]
     assert all(r.agrees for r in reports)
-    # 25 in the sweep, 3 per derivative pair (the closed form, then the
-    # bigness check and the one chamber of the walk), and 47 for the 21
+    # 25 in the sweep, 2 per derivative pair (the closed form, then the one
+    # chamber of the walk, which also tests bigness), and 47 for the 21
     # polygons (the bigness check plus one per chamber); no polygon
-    # re-decomposes alpha for its volume, which made 177 in all
-    assert len(decompositions) == 156
+    # re-decomposes alpha for its volume
+    assert len(decompositions) == 128
