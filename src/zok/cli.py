@@ -182,8 +182,11 @@ def _cmd_okounkov(args) -> int:
     poly = okounkov_polygon(model, alpha, flag)
     svg = zio.polygon_to_svg(poly)
     if args.svg:
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(svg)
+        try:
+            with open(args.svg, "w", encoding="utf-8") as fh:
+                fh.write(svg)
+        except OSError as exc:
+            raise UsageError(f"cannot write SVG file {args.svg!r}: {exc}") from exc
     if args.format == "svg":
         _emit(svg)
     else:

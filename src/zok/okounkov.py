@@ -25,7 +25,6 @@ from .errors import (
     InvariantError,
     NotBig,
     NotOnBoundary,
-    NotPseudoEffective,
     UnknownCurve,
 )
 from .exact import EpsPoly, ExtRat, smallest_quadratic_root_above
@@ -82,9 +81,10 @@ class SegmentChamber:
     """One maximal parameter interval with constant negative-part support.
 
     On [t_lo, t_hi]: Z(t) = z0 + t*z1, the coefficient of support curve
-    support[k] is coeff0[k] + t*coeff1[k], and Z(t).C_j = h0[j] + t*h1[j]
-    for every listed curve j; all decomposition invariants hold on the open
-    interval and extend continuously to the endpoints.
+    support[k] is coeff0[k] + t*coeff1[k], Z(t).C_j = h0[j] + t*h1[j] for
+    every listed curve j, and Z(t)^2 = c0 + c1*t + c2*t**2 for square =
+    (c0, c1, c2); all decomposition invariants hold on the open interval and
+    extend continuously to the endpoints.
     """
 
     t_lo: ExtRat
@@ -96,6 +96,7 @@ class SegmentChamber:
     coeff1: tuple[Fraction, ...]
     h0: tuple[Fraction, ...]
     h1: tuple[Fraction, ...]
+    square: tuple[Fraction, Fraction, Fraction]
 
     def z_at(self, t) -> tuple:
         return tuple(a + t * b for a, b in zip(self.z0, self.z1))
@@ -208,46 +209,38 @@ def _chamber_events(support, coeff0, coeff1, h0, h1, quadratic, t0):
     return (min(affine) if affine else None), terminal
 
 
-def _chamber_after(model, alpha, direction, t0, fallback_end=None):
-    """The chamber just after t0 along alpha + t*direction, and whether it
-    ends at the terminal root of Z(t)^2.
+def _chamber_at(model, alpha, direction, t0, fallback_end=None):
+    """The chamber starting at t0 along alpha + t*direction, and whether it
+    ends at the terminal root of Z(t)^2; the one start of every walk.
 
     One decomposition of alpha + (t0 + eps)*direction, eps a formal positive
     infinitesimal, has the chamber's support; the eps-parts of its entries
     are the slopes of the affine formulas.  The numbers its check kept
-    (Z.C_j and Z^2, see ZariskiDecomp) give the bigness test, the
-    off-support crossings and the terminal quadratic, and the chamber keeps
-    the pairings Z(t).C_j.  The chamber ends at the first event after t0, or
-    at fallback_end when none lies ahead.
+    (Z.C_j and Z^2, see ZariskiDecomp) give the off-support crossings and
+    Z(t)^2, whose value at t0 must be positive.  At t0 = 0 that value is
+    vol(alpha), so this is the bigness test of alpha: a class failing it, or
+    of the wrong length, gets _require_big's verdict, and one passing
+    _require_big there is an invariant breach, as is any failure past 0.
+    The chamber ends at the first event after t0, or at fallback_end when
+    none lies ahead.
     """
-    try:
-        dec = zariski_decompose(model, _just_after(alpha, direction, t0))
-    except NotPseudoEffective as exc:
-        raise InvariantError(f"class just after t = {t0} is not pseudo-effective") from exc
-    return _chamber_of(model, dec, t0, fallback_end)
-
-
-def _just_after(alpha, direction, t0) -> tuple:
-    """alpha + (t0 + eps)*direction, eps a formal positive infinitesimal."""
-    return vec_add(alpha, vec_scale(EpsPoly.new((t0, 1)), direction))
-
-
-def _chamber_of(model, dec, t0, fallback_end):
-    """_chamber_after read off dec, the decomposition of _just_after(t0)."""
-    square = dec.volume(model)
-    if not square > 0:
+    after = vec_add(alpha, vec_scale(EpsPoly.new((t0, 1)), direction))
+    dec = _decompose_or_none(model, after) if len(alpha) == model.rank else None
+    square = (0, 0, 0) if dec is None else _quadratic_parts(dec.volume(model), t0)
+    if not square[0] + t0 * (square[1] + t0 * square[2]) > 0:
+        if t0 == 0:
+            _require_big(model, alpha)
         raise InvariantError(f"class just after t = {t0} is not big")
     coeff0, coeff1 = _affine_parts(dec.coeffs, t0)
     z0, z1 = _affine_parts(dec.positive, t0)
     h0, h1 = _affine_parts(dec.positive_pairings, t0)
-    affine_next, terminal = _chamber_events(
-        dec.support, coeff0, coeff1, h0, h1, _quadratic_parts(square, t0), t0
-    )
+    affine_next, terminal = _chamber_events(dec.support, coeff0, coeff1, h0, h1, square, t0)
     last = terminal is not None and (affine_next is None or not affine_next < terminal)
     t1 = terminal if last else (fallback_end if affine_next is None else affine_next)
     if t1 is None:
         raise InvariantError("chamber walk found no event ahead")
-    return SegmentChamber(t0, t1, dec.support, z0, z1, coeff0, coeff1, h0, h1), last
+    chamber = SegmentChamber(t0, t1, dec.support, z0, z1, coeff0, coeff1, h0, h1, square)
+    return chamber, last
 
 
 def _assert_continuity(prev: SegmentChamber, nxt: SegmentChamber):
@@ -280,27 +273,23 @@ def _resolve_curve(model: SurfaceModel, curve) -> int:
     return index
 
 
-def segment_chambers(
-    model: SurfaceModel, alpha: Vec, curve, big: Optional[ZariskiDecomp] = None
-) -> list[SegmentChamber]:
+def segment_chambers(model: SurfaceModel, alpha: Vec, curve) -> list[SegmentChamber]:
     """Exact chamber list covering [0, s] along alpha - t*C for big alpha.
 
     Each chamber costs one decomposition, of the class just after its start
-    (see _chamber_after); its end is the smallest of the coefficient zeros,
-    the off-support orthogonality crossings, and the terminal root of
-    Z(t)^2, which ends the walk and may be a quadratic irrational.  Adjacent
-    chambers must agree at their breakpoint, and no curve but C may leave
-    the support, since N(D + E) <= N(D) + E for effective E.  ``big`` is
-    the caller's decomposition of alpha from _require_big, if it has one.
+    (see _chamber_at), and the first one also tests that alpha is big; its
+    end is the smallest of the coefficient zeros, the off-support
+    orthogonality crossings, and the terminal root of Z(t)^2, which ends the
+    walk and may be a quadratic irrational.  Adjacent chambers must agree at
+    their breakpoint, and no curve but C may leave the support, since
+    N(D + E) <= N(D) + E for effective E.
     """
     index = _resolve_curve(model, curve)
-    if big is None:
-        _require_big(model, alpha)
     direction = vec_scale(-1, model.curve_class(index))
     chambers: list[SegmentChamber] = []
     t0 = Fraction(0)
     while True:
-        chamber, last = _chamber_after(model, alpha, direction, t0)
+        chamber, last = _chamber_at(model, alpha, direction, t0)
         if chambers:
             _assert_continuity(chambers[-1], chamber)
             if not set(chambers[-1].support) - {index} <= set(chamber.support):
@@ -313,20 +302,10 @@ def segment_chambers(
 
 def first_chamber_along(model: SurfaceModel, alpha: Vec, direction: Vec) -> SegmentChamber:
     """Affine decomposition formulas valid on (0, eps) along alpha + t*direction
-    for big alpha, from one decomposition just after t = 0.  t_hi is the
-    first event (terminal or not), or 1 when no event lies ahead.
-
-    That decomposition also tests alpha: the constant term of Z(eps)^2 is
-    vol(alpha).  When alpha + eps*direction is not pseudo-effective or that
-    term is not positive, _require_big(alpha) raises the verdict; alpha
-    passing it there is an invariant breach.
-    """
-    t0 = Fraction(0)
-    dec = _decompose_or_none(model, _just_after(alpha, direction, t0))
-    if dec is None or not _quadratic_parts(dec.volume(model), t0)[0] > 0:
-        _require_big(model, alpha)
-        raise InvariantError("big class is not big just after t = 0")
-    return _chamber_of(model, dec, t0, Fraction(1))[0]
+    for big alpha: the first chamber of that walk (see _chamber_at), which
+    also tests that alpha is big.  t_hi is the first event (terminal or
+    not), or 1 when no event lies ahead."""
+    return _chamber_at(model, alpha, direction, Fraction(0), Fraction(1))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -365,18 +344,24 @@ def chamber_slopes(chambers: Sequence[SegmentChamber], index: int) -> tuple[ExtR
 
 
 def envelopes(
-    model: SurfaceModel, alpha: Vec, flag: FlagSpec, big: Optional[ZariskiDecomp] = None
+    model: SurfaceModel, alpha: Vec, flag: FlagSpec
 ) -> tuple[PiecewiseLinear, PiecewiseLinear]:
     """Lower and upper piecewise-linear envelopes f <= g on [a, s].
 
     f is the multiplicity-weighted negative-part contribution at the flag
     point, g adds Z(t).C, read off each chamber's kept pairings.  The flag
     curve itself never carries a coefficient on (a, s); the walk data is
-    asserted to agree.  ``big`` is passed on to segment_chambers.
+    asserted to agree.
     """
     validate_flag(model, flag)
+    return _envelopes_of(segment_chambers(model, alpha, flag.curve), flag)
+
+
+def _envelopes_of(
+    chambers: Sequence[SegmentChamber], flag: FlagSpec
+) -> tuple[PiecewiseLinear, PiecewiseLinear]:
+    """envelopes read off the chamber list of the walk along the flag curve."""
     index = flag.curve
-    chambers = segment_chambers(model, alpha, index, big)
     a = _slope_a_from_chambers(chambers, index)
     sub = [ch for ch in chambers if not ch.t_lo < a]
     if not sub or sub[0].t_lo != a:
@@ -442,12 +427,12 @@ def okounkov_polygon(model: SurfaceModel, alpha: Vec, flag: FlagSpec) -> Okounko
     (a, f(a)); they equal the convex hull of the envelope breakpoints.
     Twice the shoelace area must reproduce the volume of the class, and the
     vertex count is bounded by 2*rank + 2.  Both facts are verified on every
-    call; the volume is that of the one direct decomposition of alpha, which
-    also tells the walk that alpha is big.
+    call; the volume is Z(0)^2, the constant term the first chamber of the
+    walk keeps, so alpha is decomposed only by the walk.
     """
     validate_flag(model, flag)
-    dec = _require_big(model, alpha)
-    f, g = envelopes(model, alpha, flag, dec)
+    chambers = segment_chambers(model, alpha, flag.curve)
+    f, g = _envelopes_of(chambers, flag)
     fs, gs = f.slopes(), g.slopes()
     if any(s1 < s0 for s0, s1 in zip(fs, fs[1:])):
         raise InvariantError("lower envelope is not convex")
@@ -457,7 +442,7 @@ def okounkov_polygon(model: SurfaceModel, alpha: Vec, flag: FlagSpec) -> Okounko
     if len(vertices) < 3:
         raise InvariantError("degenerate polygon for a big class")
     area = shoelace_area(vertices)
-    vol = dec.volume(model)
+    vol = chambers[0].square[0]
     if 2 * area != vol:
         raise InvariantError(
             f"polygon area identity failed: 2*{area} != volume {vol}"

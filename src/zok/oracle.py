@@ -192,7 +192,7 @@ def run_model_verification(
     """
     if grid_bound < 0:
         raise UsageError(f"grid bound must be >= 0, got {grid_bound}")
-    bound = grid_bound
+    bound = min(grid_bound, 2048)  # (2*2048 + 1)**rank > 4096 for every rank
     while bound > 1 and (2 * bound + 1) ** model.rank > 4096:
         bound -= 1
     reports: list[OracleReport] = []

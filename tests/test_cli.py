@@ -187,6 +187,19 @@ def test_okounkov_svg_file(capsys, tmp_path):
     assert out == target.read_text(encoding="utf-8")
 
 
+def test_okounkov_unwritable_svg_is_a_usage_error(capsys, tmp_path):
+    # a directory, and a file in a directory that does not exist
+    for target in (tmp_path, tmp_path / "missing" / "poly.svg"):
+        code, out = run_cli(
+            capsys, "okounkov", "-m", "blowup1", "-c", "2,0", "--flag", "H-E",
+            "--svg", str(target),
+        )
+        assert code == 2
+        payload = json.loads(out)  # one document: the error, no polygon
+        assert payload["error"] == "UsageError"
+        assert payload["detail"].startswith(f"cannot write SVG file {str(target)!r}: ")
+
+
 def test_verify_jsonl(capsys):
     code, out = run_cli(capsys, "verify", "-m", "blowup1", "--grid-bound", "2")
     assert code == 0

@@ -97,6 +97,12 @@ def test_chambers_require_big(blowup1):
         segment_chambers(blowup1, F(-1, 0), 0)
     with pytest.raises(UnknownCurve):
         segment_chambers(blowup1, F(2, 0), "nope")
+    # a class of the wrong length gets the decomposition's error, not a
+    # walk of its first coordinates
+    for alpha in (F(2), F(2, 0, 0)):
+        for walk, arg in ((segment_chambers, 0), (first_chamber_along, F(1, -1))):
+            with pytest.raises(ValueError, match="^class vector must have length 2$"):
+                walk(blowup1, alpha, arg)
 
 
 def test_first_chamber_along_nef_direction(blowup1):
@@ -108,8 +114,10 @@ def test_first_chamber_along_nef_direction(blowup1):
 
 
 def test_first_chamber_along_raises_the_bigness_verdict(all_fixture_models):
-    """Off the big cone the one eps-decomposition falls back on the bigness
-    check of alpha, so the exception is the one that check raises."""
+    """Off the big cone the walk's first eps-decomposition falls back on the
+    bigness check of alpha, so every walk raises the exception that check
+    raises: first_chamber_along in every direction, and the chambers, slopes,
+    envelopes and polygon along every curve."""
     from zok.okounkov import _require_big
 
     verdicts = set()
@@ -126,9 +134,13 @@ def test_first_chamber_along_raises_the_bigness_verdict(all_fixture_models):
                     assert first_chamber_along(model, alpha, beta).t_lo == 0
                 continue
             verdicts.add(type(expected))
-            for beta in directions:
+            walks = [(first_chamber_along, beta) for beta in directions]
+            for curve in range(len(model.curves)):
+                walks += [(segment_chambers, curve), (slopes, curve)]
+                walks += [(envelopes, FlagSpec.make(curve)), (okounkov_polygon, FlagSpec.make(curve))]
+            for walk, arg in walks:
                 with pytest.raises(type(expected)) as err:
-                    first_chamber_along(model, alpha, beta)
+                    walk(model, alpha, arg)
                 assert type(err.value) is type(expected)
                 assert str(err.value) == str(expected)
     assert verdicts == {NotBig, NotPseudoEffective}
@@ -429,8 +441,8 @@ def test_walk_decomposes_once_per_chamber(decompositions, blowup2, hirzebruch2, 
         for curve in range(len(model.curves)):
             calls.clear()
             chambers = segment_chambers(model, alpha, curve)
-            # one per chamber, plus the bigness check in _require_big
-            assert len(calls) == len(chambers) + 1
+            # one per chamber; the first one also tests that alpha is big
+            assert len(calls) == len(chambers)
 
 
 def test_chamber_formulas_match_direct_decompositions():
@@ -475,6 +487,7 @@ def test_chamber_formulas_match_direct_decompositions():
                     )
                     assert kept_h == h and kept_c == c
                     assert (ch.h0, ch.h1) == h
+                    assert ch.square == kept_c
                     events = _chamber_events(ch.support, ch.coeff0, ch.coeff1, *h, c, t0)
                     kept = _chamber_events(ch.support, ch.coeff0, ch.coeff1, *kept_h, kept_c, t0)
                     assert kept == events
@@ -487,8 +500,8 @@ def test_polygon_decomposes_alpha_once(decompositions, blowup2):
     calls = decompositions
     calls.clear()
     poly = okounkov_polygon(blowup2, alpha, FlagSpec.make(blowup2.curve_index("L12")))
-    # the bigness check, whose volume the area identity uses, and one per chamber
-    assert len(calls) == 3
+    # one per chamber; the area identity uses the volume the first one keeps
+    assert len(calls) == 2
     assert 2 * poly.area == volume(blowup2, alpha)
 
 

@@ -320,6 +320,14 @@ def test_run_model_verification_reports(blowup1):
     assert all(r.agrees and r.witness is None for r in reports)
 
 
+def test_verification_grid_bound_is_capped_before_it_shrinks(p2):
+    """Past 2048 every rank's grid exceeds 4096 classes, so a huge bound
+    shrinks from there, to the same reports, without a step per unit."""
+    reports = run_model_verification(p2, grid_bound=10**12)
+    assert reports == run_model_verification(p2, grid_bound=2047)
+    assert reports[0].subject == "zariski-vs-subset-search[grid 2047, 4095 classes]"
+
+
 def test_verification_reuses_the_sweep_volumes(decompositions, blowup1):
     reports = run_model_verification(blowup1)
     assert [r.subject for r in reports] == [
@@ -329,7 +337,7 @@ def test_verification_reuses_the_sweep_volumes(decompositions, blowup1):
     ]
     assert all(r.agrees for r in reports)
     # 25 in the sweep, 2 per derivative pair (the closed form, then the one
-    # chamber of the walk, which also tests bigness), and 47 for the 21
-    # polygons (the bigness check plus one per chamber); no polygon
-    # re-decomposes alpha for its volume
-    assert len(decompositions) == 128
+    # chamber of the walk, which also tests bigness), and 26 for the 21
+    # polygons (one per chamber, the first of which also tests bigness and
+    # keeps the volume the area identity uses)
+    assert len(decompositions) == 107
