@@ -13,15 +13,17 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import total_ordering
 from itertools import zip_longest
-from math import isqrt
+from math import floor, isqrt
 from typing import Union
 
 Rat = Fraction
 
-# Trial-division bound for extracting square factors.  Discriminants here come
-# from desk-scale quadratics, so a remainder with a prime-square factor above
-# the bound does not occur in practice; arithmetic stays correct regardless as
-# long as a single walk keeps one consistent d.
+# Trial-division bound for extracting square factors.  Primes up to the bound
+# are divided out completely, so what is left is 1, a prime, or a number with
+# no prime factor up to the bound; below the bound cubed (10**15) it is then a
+# square or squarefree, and the split is exact.  Above that, a square of a
+# prime past the bound times another such prime is missed; arithmetic stays
+# correct regardless as long as a single walk keeps one consistent d.
 _SQUAREFREE_TRIAL_BOUND = 100_000
 
 
@@ -50,20 +52,23 @@ def squarefree_split(n: int) -> tuple[int, int]:
     """Write n > 0 as k*k*m with m squarefree; returns (k, m)."""
     if n <= 0:
         raise ValueError("need a positive integer")
-    k, m = 1, n
-    r = isqrt(m)
-    if r * r == m:
+    r = isqrt(n)
+    if r * r == n:
         return r, 1
+    k, m = 1, 1
     p = 2
-    while p <= _SQUAREFREE_TRIAL_BOUND and p * p <= m:
-        while m % (p * p) == 0:
-            m //= p * p
-            k *= p
+    while p <= _SQUAREFREE_TRIAL_BOUND and p * p <= n:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        k *= p ** (e // 2)
+        m *= p ** (e % 2)
         p += 1 if p == 2 else 2
-    r = isqrt(m)
-    if r * r == m:
-        return k * r, 1
-    return k, m
+    r = isqrt(n)
+    if r * r == n:
+        return k * r, m
+    return k, m * n
 
 
 @total_ordering
@@ -209,6 +214,17 @@ class QuadExt:
 
     def __float__(self):
         return float(self.p) + float(self.q) * float(self.d) ** 0.5
+
+    def __floor__(self) -> int:
+        # |q|*sqrt(d) is irrational and lies in (r, r + 1), so the value lies
+        # in (n, n + 2) for the n below
+        square = self.q * self.q * self.d
+        r = isqrt(square.numerator // square.denominator)
+        n = floor(self.p + r if self.q > 0 else self.p - r - 1)
+        return n if self < n + 1 else n + 1
+
+    def __ceil__(self) -> int:
+        return -floor(-self)
 
 
 @total_ordering

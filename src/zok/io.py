@@ -217,27 +217,12 @@ def _svg_xy(x: ExtRat, y: ExtRat, y_flip_about: tuple) -> tuple[str, str]:
     )
 
 
-def _floor_ext(x: ExtRat) -> int:
-    if isinstance(x, Fraction):
-        return x.numerator // x.denominator
-    # |q|*sqrt(d) is irrational and lies in (r, r + 1), so x lies in
-    # (n, n + 2) for the n below
-    square = x.q * x.q * x.d
-    r = math.isqrt(square.numerator // square.denominator)
-    n = math.floor(x.p + r if x.q > 0 else x.p - r - 1)
-    return n if x < n + 1 else n + 1
-
-
-def _ceil_ext(x: ExtRat) -> int:
-    return -_floor_ext(-x)
-
-
 def polygon_to_svg(poly: OkounkovPolygon) -> str:
     """Deterministic standalone SVG of the polygon with breakpoint ticks."""
     xs = [v[0] for v in poly.vertices]
     ys = [v[1] for v in poly.vertices]
-    x_lo, x_hi = min(_floor_ext(x) for x in xs), max(_ceil_ext(x) for x in xs)
-    y_lo, y_hi = min(_floor_ext(y) for y in ys), max(_ceil_ext(y) for y in ys)
+    x_lo, x_hi = min(math.floor(x) for x in xs), max(math.ceil(x) for x in xs)
+    y_lo, y_hi = min(math.floor(y) for y in ys), max(math.ceil(y) for y in ys)
     if x_hi == x_lo:
         x_hi += 1
     if y_hi == y_lo:
@@ -263,7 +248,7 @@ def polygon_to_svg(poly: OkounkovPolygon) -> str:
         )
         ticks.append(
             f'<text x="{px}" y="{base_y}" dy="28" font-size="24" '
-            f'text-anchor="middle">{_tick_label(b)}</text>'
+            f'text-anchor="middle">{b}</text>'
         )
     tick_markup = "\n  ".join(ticks)
     return (
@@ -273,9 +258,3 @@ def polygon_to_svg(poly: OkounkovPolygon) -> str:
         f"  {tick_markup}\n"
         "</svg>\n"
     )
-
-
-def _tick_label(b: ExtRat) -> str:
-    if isinstance(b, QuadExt):
-        return str(b)
-    return str(format_rat(b))

@@ -305,6 +305,8 @@ def first_chamber_along(model: SurfaceModel, alpha: Vec, direction: Vec) -> Segm
     for big alpha: the first chamber of that walk (see _chamber_at), which
     also tests that alpha is big.  t_hi is the first event (terminal or
     not), or 1 when no event lies ahead."""
+    if len(direction) != model.rank:
+        raise ValueError(f"class vector must have length {model.rank}")
     return _chamber_at(model, alpha, direction, Fraction(0), Fraction(1))[0]
 
 

@@ -28,7 +28,6 @@ from .zariski import (
     ZariskiDecomp,
     _check_decomposition,
     _direction_kind,
-    derivative_vol,
     zariski_decompose,
 )
 
@@ -199,7 +198,7 @@ def run_model_verification(
 
     mismatch = None
     checked = 0
-    big_classes: list[tuple[Vec, Fraction]] = []  # with their volumes
+    big_classes: list[tuple[Vec, ZariskiDecomp]] = []  # with their decompositions
     for coords in _class_grid(model.rank, bound):
         alpha = tuple(Fraction(c) for c in coords)
         checked += 1
@@ -213,8 +212,8 @@ def run_model_verification(
                 f"class {_fmt_class(coords)}: iterative {fast} vs subset {oracle}"
             )
             break
-        if fast is not None and (vol := fast.volume(model)) > 0:
-            big_classes.append((alpha, vol))
+        if fast is not None and fast.volume(model) > 0:
+            big_classes.append((alpha, fast))
     reports.append(
         OracleReport(
             subject=f"zariski-vs-subset-search[grid {bound}, {checked} classes]",
@@ -226,10 +225,10 @@ def run_model_verification(
     directions = [model.kahler] + [c.cls for c in model.curves]
     mismatch = None
     pairs = 0
-    for alpha, _ in big_classes[:64]:
+    for alpha, dec in big_classes[:64]:
         for beta in directions:
             pairs += 1
-            lhs = derivative_vol(model, alpha, beta)
+            lhs = 2 * model.intersect(dec.positive, beta)  # derivative_vol's closed form
             rhs = derivative_by_chambers(model, alpha, beta)
             if lhs != rhs:
                 mismatch = (
@@ -249,7 +248,8 @@ def run_model_verification(
 
     mismatch = None
     built = 0
-    for alpha, vol in big_classes[:32]:
+    for alpha, dec in big_classes[:32]:
+        vol = dec.volume(model)
         for index in range(len(model.curves)):
             flag = FlagSpec.make(index)
             built += 1

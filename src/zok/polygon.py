@@ -30,8 +30,8 @@ class ConvexPolygon(tuple):
     """Vertices of a convex polygon in canonical form: distinct, counter-
     clockwise, no three consecutive ones collinear, starting at the leftmost-
     lowest vertex.  It equals, hashes and prints as the plain tuple; only code
-    that has established that form builds one (convex_hull, and
-    okounkov_polygon from its checked envelopes)."""
+    that has established that form builds one (convex_hull, minkowski_sum,
+    and okounkov_polygon from its checked envelopes)."""
 
     __slots__ = ()
 
@@ -106,82 +106,58 @@ def shoelace_area(vertices: Sequence[Point]) -> ExtRat:
     return signed_area_twice(vertices) / 2
 
 
-def _bottommost(vertices: Sequence[Point]) -> int:
-    best = 0
-    for i in range(1, len(vertices)):
-        if vertices[i][1] < vertices[best][1] or (
-            vertices[i][1] == vertices[best][1] and vertices[i][0] < vertices[best][0]
-        ):
-            best = i
-    return best
+def _half(v: Point) -> int:
+    """0 for an edge direction at an angle in (-90, 90] degrees, 1 otherwise.
+
+    From its leftmost-lowest vertex, a canonical polygon's edges run through
+    half 0 and then half 1, turning left within each half.
+    """
+    sx = ext_sign(v[0])
+    return 0 if sx > 0 or (sx == 0 and ext_sign(v[1]) > 0) else 1
 
 
-def _edge_angle_key(v: Point) -> tuple[int, Point]:
-    """Orders edge vectors by CCW angle from the positive x-axis, exactly."""
-    x, y = v
-    sy, sx = ext_sign(y), ext_sign(x)
-    if sy > 0 or (sy == 0 and sx > 0):
-        half = 0
-    else:
-        half = 1
-    return half, v
-
-
-def _angle_less(u: Point, v: Point) -> bool:
-    hu, _ = _edge_angle_key(u)
-    hv, _ = _edge_angle_key(v)
-    if hu != hv:
-        return hu < hv
-    return ext_sign(_dir_cross(u, v)) > 0
+def _edges(vs: ConvexPolygon) -> list[Point]:
+    if len(vs) == 1:
+        return []
+    return [(b[0] - a[0], b[1] - a[1]) for a, b in zip(vs, vs[1:] + vs[:1])]
 
 
 def minkowski_sum(p: Sequence[Point], q: Sequence[Point]) -> ConvexPolygon:
-    """Exact Minkowski sum of two convex polygons.
+    """Exact Minkowski sum of two convex polygons, in canonical form.
 
-    Both edge cycles are rotated to start at the bottommost vertex, where the
-    CCW edge sequences are sorted by angle; a single merge of the two sorted
-    sequences walks the sum's boundary.  Degenerate inputs fall out naturally
-    (a point contributes no edges, i.e. a translation).
+    Both canonical edge cycles start at the leftmost-lowest vertex and are
+    sorted by angle there; one merge of the two, adding edges of equal
+    angle, walks the sum's boundary from the sum of the two start vertices.
+    That sum is the leftmost-lowest vertex of the result (the lexicographic
+    minimum of a sum is the sum of the minima), and the merged angles
+    strictly increase, so the walk is canonical as it stands.  A point
+    contributes no edges, i.e. a translation.
     """
     pv = normalize_convex(p)
     qv = normalize_convex(q)
-
-    def edges(vs):
-        n = len(vs)
-        start = _bottommost(vs)
-        return [
-            (
-                vs[(start + i + 1) % n][0] - vs[(start + i) % n][0],
-                vs[(start + i + 1) % n][1] - vs[(start + i) % n][1],
-            )
-            for i in range(n)
-        ] if n > 1 else []
-
-    ep, eq = edges(pv), edges(qv)
-    start = (
-        pv[_bottommost(pv)][0] + qv[_bottommost(qv)][0],
-        pv[_bottommost(pv)][1] + qv[_bottommost(qv)][1],
-    )
+    ep, eq = _edges(pv), _edges(qv)
     merged: list[Point] = []
     i = j = 0
     while i < len(ep) and j < len(eq):
-        if _angle_less(ep[i], eq[j]):
-            merged.append(ep[i])
+        u, v = ep[i], eq[j]
+        turn = _half(v) - _half(u) or ext_sign(_dir_cross(u, v))
+        if turn > 0:
+            merged.append(u)
             i += 1
-        elif _angle_less(eq[j], ep[i]):
-            merged.append(eq[j])
+        elif turn < 0:
+            merged.append(v)
             j += 1
         else:
-            merged.append((ep[i][0] + eq[j][0], ep[i][1] + eq[j][1]))
+            merged.append((u[0] + v[0], u[1] + v[1]))
             i += 1
             j += 1
     merged.extend(ep[i:])
     merged.extend(eq[j:])
-    out = [start]
-    for e in merged[:-1] if merged else []:
+    out = [(pv[0][0] + qv[0][0], pv[0][1] + qv[0][1])]
+    for e in merged[:-1]:
         last = out[-1]
         out.append((last[0] + e[0], last[1] + e[1]))
-    return normalize_convex(out)
+    return ConvexPolygon(out)
 
 
 def polygon_contains(p: Sequence[Point], q: Sequence[Point]) -> bool:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import decimal
+import math
 from fractions import Fraction
 
 import pytest
@@ -41,7 +43,11 @@ def test_format_rat_roundtrip():
 
 @pytest.mark.parametrize(
     "n,expected",
-    [(1, (1, 1)), (4, (2, 1)), (12, (2, 3)), (45, (3, 5)), (49, (7, 1)), (50, (5, 2))],
+    [
+        (1, (1, 1)), (4, (2, 1)), (12, (2, 3)), (45, (3, 5)), (49, (7, 1)), (50, (5, 2)),
+        # a square factor above the trial bound next to a small prime
+        (2 * 100003**2, (100003, 2)), (12 * 100003**2, (200006, 3)),
+    ],
 )
 def test_squarefree_split(n, expected):
     assert squarefree_split(n) == expected
@@ -55,6 +61,8 @@ def test_sqrt_rat_exact_cases():
     assert r * r == 2
     r = sqrt_rat(Fraction(8))  # 2*sqrt(2)
     assert r == QuadExt.new(0, 2, 2)
+    # a square factor above the trial bound: the same radicand as QuadExt.new's
+    assert sqrt_rat(Fraction(2 * 100003**2)) - QuadExt.new(0, 100003, 2) == 0
     with pytest.raises(ValueError):
         sqrt_rat(Fraction(-1))
 
@@ -204,3 +212,18 @@ def test_quadext_arithmetic_keeps_its_canonical_radicand(monkeypatch):
     # a radicand from outside is still made canonical
     assert QuadExt.new(0, 1, 20) == QuadExt(Fraction(0), Fraction(2), 5)
     assert calls == [20]
+
+
+def test_floor_and_ceil_are_exact():
+    ctx = decimal.Context(prec=80)
+    for d in (2, 3, 5, 7, 10**6 + 3):
+        for p in (Fraction(0), Fraction(7, 3), Fraction(-10**20, 7)):
+            for q in (Fraction(1), Fraction(-1), Fraction(10**22, 3), Fraction(-1, 10**9)):
+                x = QuadExt.new(p, q, d)
+                value = ctx.add(
+                    ctx.divide(p.numerator, p.denominator),
+                    ctx.multiply(ctx.divide(q.numerator, q.denominator), ctx.sqrt(d)),
+                )
+                assert math.floor(x) == math.floor(value)
+                assert math.floor(-x) == math.floor(-value)
+                assert math.ceil(x) == math.ceil(value)

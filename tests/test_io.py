@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import decimal
 import json
 import math
 from fractions import Fraction
@@ -10,7 +9,6 @@ import pytest
 from zok.errors import ModelValidationError, UsageError
 from zok.exact import QuadExt
 from zok.io import (
-    _floor_ext,
     decomposition_to_dict,
     dumps_canonical,
     ext_from_json,
@@ -124,20 +122,6 @@ def test_svg_handles_irrational_endpoint(golden_model):
     poly = okounkov_polygon(golden_model, F(1, 0), FlagSpec.make(1))
     svg = polygon_to_svg(poly)
     assert "61.80339887" in svg  # s*100 rendered at 12 significant digits
-
-
-def test_floor_ext_is_exact():
-    ctx = decimal.Context(prec=80)
-    for d in (2, 3, 5, 7, 10**6 + 3):
-        for p in (Fraction(0), Fraction(7, 3), Fraction(-10**20, 7)):
-            for q in (Fraction(1), Fraction(-1), Fraction(10**22, 3), Fraction(-1, 10**9)):
-                x = QuadExt.new(p, q, d)
-                value = ctx.add(
-                    ctx.divide(p.numerator, p.denominator),
-                    ctx.multiply(ctx.divide(q.numerator, q.denominator), ctx.sqrt(d)),
-                )
-                assert _floor_ext(x) == math.floor(value)
-                assert _floor_ext(-x) == math.floor(-value)
 
 
 def test_svg_of_huge_irrational_polygon(golden_model):

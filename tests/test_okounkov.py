@@ -103,6 +103,11 @@ def test_chambers_require_big(blowup1):
         for walk, arg in ((segment_chambers, 0), (first_chamber_along, F(1, -1))):
             with pytest.raises(ValueError, match="^class vector must have length 2$"):
                 walk(blowup1, alpha, arg)
+    # so does a direction of the wrong length, not a walk of its first
+    # coordinates
+    for direction in (F(1), F(1, -1, 7)):
+        with pytest.raises(ValueError, match="^class vector must have length 2$"):
+            first_chamber_along(blowup1, F(2, 1), direction)
 
 
 def test_first_chamber_along_nef_direction(blowup1):

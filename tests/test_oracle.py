@@ -336,8 +336,8 @@ def test_verification_reuses_the_sweep_volumes(decompositions, blowup1):
         "polygon-area-vs-integration[21 polygons]",
     ]
     assert all(r.agrees for r in reports)
-    # 25 in the sweep, 2 per derivative pair (the closed form, then the one
-    # chamber of the walk, which also tests bigness), and 26 for the 21
-    # polygons (one per chamber, the first of which also tests bigness and
-    # keeps the volume the area identity uses)
-    assert len(decompositions) == 107
+    # 25 in the sweep, 1 per derivative pair (the one chamber of the walk,
+    # which also tests bigness; the closed form reads P off the sweep's
+    # decomposition), and 26 for the 21 polygons (one per chamber, the first
+    # of which also tests bigness and keeps the volume the area identity uses)
+    assert len(decompositions) == 79

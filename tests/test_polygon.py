@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -34,18 +35,54 @@ def test_minkowski_triangle_doubles():
     assert shoelace_area(doubled) == 2
 
 
-def test_minkowski_matches_hull_oracle_random():
+def test_minkowski_matches_hull_oracle_random(all_fixture_models, golden_model):
+    """The merge is canonical as it stands: the same tuple as the hull of
+    all pairwise vertex sums, and a ConvexPolygon.  Inputs are random
+    polygons, points and segments, and Okounkov bodies of the fixtures and of
+    the golden model (QuadExt vertices), paired wherever they share one
+    quadratic field."""
+    from zok.errors import NotBig, NotPseudoEffective
+    from zok.exact import QuadExt
+    from zok.okounkov import FlagSpec, okounkov_polygon
+
     rng = random.Random(5)
-    for _ in range(40):
-        p = convex_hull(
-            [(Fraction(rng.randint(-4, 4)), Fraction(rng.randint(-4, 4))) for _ in range(6)]
+    pairs = [
+        tuple(
+            convex_hull(
+                [
+                    (Fraction(rng.randint(-4, 4)), Fraction(rng.randint(-4, 4)))
+                    for _ in range(rng.randint(1, 6))
+                ]
+            )
+            for _ in range(2)
         )
-        q = convex_hull(
-            [(Fraction(rng.randint(-4, 4)), Fraction(rng.randint(-4, 4))) for _ in range(6)]
-        )
-        if not p or not q:
-            continue
-        assert set(minkowski_sum(p, q)) == set(_hull_of_sums(p, q))
+        for _ in range(200)
+    ]
+    bodies = []
+    for model in all_fixture_models + [golden_model]:
+        big = 0
+        for coords in itertools.product(range(-1, 4), repeat=model.rank):
+            alpha = tuple(Fraction(c) for c in coords)
+            try:
+                bodies += [
+                    okounkov_polygon(model, alpha, FlagSpec.make(i)).vertices
+                    for i in range(len(model.curves))
+                ]
+            except (NotBig, NotPseudoEffective):
+                continue
+            big += 1
+            if big == 3:
+                break
+
+    def radicands(poly):
+        return {c.d for v in poly for c in v if isinstance(c, QuadExt)}
+
+    assert any(radicands(p) for p in bodies)
+    pairs += [(p, q) for p in bodies for q in bodies if len(radicands(p) | radicands(q)) <= 1]
+    for p, q in pairs:
+        got = minkowski_sum(p, q)
+        assert type(got) is ConvexPolygon
+        assert got == _hull_of_sums(p, q)
 
 
 def test_minkowski_with_point_translates():
@@ -143,8 +180,8 @@ def test_canonical_polygons_are_not_renormalized(monkeypatch, blowup2):
 
     monkeypatch.setattr(zok.polygon, "convex_hull", counting)
     assert polygon_contains(pab, minkowski_sum(pa, pb))
-    # the merged boundary of the sum is put in canonical form once
-    assert len(calls) == 1
+    # the merged boundary of the sum is canonical as it stands
+    assert calls == []
     assert normalize_convex(pa) is pa
 
 
