@@ -56,9 +56,8 @@ def _parse_class(model: SurfaceModel, text: str):
         return model.curve_class(model.curve_index(text))
     except KeyError:
         pass
-    parts = [p for p in text.split(",") if p.strip()]
     try:
-        coords = tuple(parse_rat(p) for p in parts)
+        coords = tuple(parse_rat(p) for p in text.split(","))
     except ValueError as exc:
         raise UsageError(f"cannot parse class {text!r}: {exc}") from exc
     if len(coords) != model.rank:

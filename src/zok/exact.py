@@ -4,15 +4,15 @@ Every number in the library is either a ``fractions.Fraction`` or a
 :class:`QuadExt` value ``p + q*sqrt(d)`` with rational p, q and squarefree
 d > 1.  ``QuadExt`` values only arise as roots of rational quadratics (the
 terminal endpoint of a chamber walk); all arithmetic and comparisons on them
-are exact.  :class:`EpsPoly` values (polynomials in a formal infinitesimal)
-live only inside a chamber-walk step and are never returned.
+are exact.  The chamber walk's formal infinitesimal needs no scalar type of
+its own: it is carried as a tuple of rationals, one per power, and signed
+lexicographically (see zariski._grow_support).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import total_ordering
-from itertools import zip_longest
 from math import floor, isqrt
 from typing import Union
 
@@ -227,88 +227,12 @@ class QuadExt:
         return -floor(-self)
 
 
-@total_ordering
-class EpsPoly:
-    """Exact polynomial c0 + c1*eps + ... in a formal positive infinitesimal
-    eps, with Fraction coefficients, signed by its first non-zero coefficient.
-
-    Canonical form has an eps term with non-zero top coefficient; eps-free
-    values are plain Fractions.  Construct via :meth:`new`, which demotes.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: tuple):
-        self.coeffs = coeffs
-
-    @staticmethod
-    def new(coeffs):
-        c = [x if isinstance(x, Fraction) else Fraction(x) for x in coeffs]
-        while len(c) > 1 and c[-1] == 0:
-            c.pop()
-        return c[0] if len(c) == 1 else EpsPoly(tuple(c))
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return EpsPoly((self.coeffs[0] + other,) + self.coeffs[1:])
-        if not isinstance(other, EpsPoly):
-            return NotImplemented
-        return EpsPoly.new([x + y for x, y in zip_longest(self.coeffs, other.coeffs, fillvalue=0)])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return EpsPoly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        return self + -other
-
-    def __rsub__(self, other):
-        return -self + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return EpsPoly(tuple(c * other for c in self.coeffs)) if other else Fraction(0)
-        if not isinstance(other, EpsPoly):
-            return NotImplemented
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, x in enumerate(self.coeffs):
-            for j, y in enumerate(other.coeffs):
-                out[i + j] += x * y
-        return EpsPoly.new(out)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):  # by rationals only
-        if not isinstance(other, (int, Fraction)):
-            return NotImplemented
-        return EpsPoly(tuple(c / other for c in self.coeffs))
-
-    def __eq__(self, other):
-        return isinstance(other, EpsPoly) and self.coeffs == other.coeffs
-
-    # against 0, the sign of self itself: no difference is built
-    def __lt__(self, other):
-        return ext_sign(self if other == 0 else self - other) < 0
-
-    def __gt__(self, other):
-        return ext_sign(self if other == 0 else self - other) > 0
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        return f"EpsPoly{tuple(str(c) for c in self.coeffs)}"
-
-
 ExtRat = Union[Fraction, QuadExt]
 
 
 def ext_sign(x) -> int:
     if isinstance(x, QuadExt):
         return x.sign()
-    if isinstance(x, EpsPoly):
-        x = next(c for c in x.coeffs if c)
     return (x > 0) - (x < 0)
 
 

@@ -60,7 +60,7 @@ def model_from_dict(data: Mapping) -> SurfaceModel:
         gram = data["gram"]
         kahler = data["kahler"]
         curves = [(str(c["name"]), c["class"]) for c in data["curves"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"malformed model data: {exc}") from exc
     try:
         model = make_model(name, rank, gram, curves, kahler)

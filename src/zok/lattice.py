@@ -17,7 +17,7 @@ from math import lcm
 from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .exact import EpsPoly, parse_rat
+from .exact import parse_rat
 
 Vec = tuple[Fraction, ...]
 Mat = tuple[tuple[Fraction, ...], ...]
@@ -40,8 +40,8 @@ def vec_sub(u: Vec, v: Vec) -> Vec:
 
 
 def _exact(x):
-    """x itself when already an exact scalar, else x as a Fraction."""
-    return x if isinstance(x, (Fraction, EpsPoly)) else Fraction(x)
+    """x itself when already a Fraction, else x as a Fraction."""
+    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 def vec_scale(c, u: Vec) -> Vec:
@@ -148,7 +148,7 @@ class NegativeLDL:
     pivots: tuple[Fraction, ...]
 
     def solve(self, rhs: Sequence) -> Vec:
-        """Exact solution x of matrix * x = rhs (entries may be any exact scalar)."""
+        """Exact solution x of matrix * x = rhs."""
         n = len(self.pivots)
         if len(rhs) != n:
             raise ValueError(f"right-hand side must have length {n}")
@@ -254,7 +254,11 @@ def _shared(rows) -> Mat:
 
 def _over_lcm(u: Sequence) -> tuple[int, list[int]]:
     """(den, nums) with u[k] == nums[k] / den, den the lcm of the denominators
-    of the rational vector u."""
+    of u, which must be a rational vector."""
+    kinds = {type(x) for x in u} - {Fraction, int}
+    if kinds:
+        names = sorted(k.__name__ for k in kinds)
+        raise TypeError(f"unsupported scalars in a class vector: {names}")
     den = lcm(*[x.denominator for x in u])
     return den, [x.numerator * (den // x.denominator) for x in u]
 
@@ -266,38 +270,12 @@ def _int_rows(rows) -> tuple[int, tuple[tuple[int, ...], ...]]:
     return den, tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in rows)
 
 
-def _split(u: Sequence) -> tuple:
-    """u by linearity as (field, parts): u[k] == sum(parts[m][k] * e**m), each
-    part a rational vector.  field is None for a rational u (one part, e = 1)
-    and "eps" for EpsPoly entries (e = eps); any other scalar is refused."""
-    kinds = {type(x) for x in u} - {Fraction, int}
-    if not kinds:
-        return None, (u,)
-    if kinds == {EpsPoly}:
-        coeffs = [x.coeffs if type(x) is EpsPoly else (x,) for x in u]
-        width = max(map(len, coeffs))
-        zero = Fraction(0)
-        return "eps", [[c[m] if m < len(c) else zero for c in coeffs] for m in range(width)]
-    raise TypeError(f"unsupported scalars in a class vector: {sorted(k.__name__ for k in kinds)}")
-
-
-def _join(field, coeffs: Sequence[Fraction]):
-    """sum(coeffs[m] * e**m) for the e of a field from _split."""
-    return coeffs[0] if field is None else EpsPoly.new(coeffs)
-
-
 def _dots(u: Sequence, den: int, rows) -> list:
-    """u . row / den for every integer row, u over any exact scalars: one
-    integer dot product per row and part of u (see _split), divided once."""
-    field, parts = _split(u)
-    cols = []
-    for part in parts:
-        lu, nums = _over_lcm(part)
-        d = lu * den
-        cols.append([Fraction(sum(map(mul, nums, row)), d) for row in rows])
-    if field is None:
-        return cols[0]
-    return [_join(field, coeffs) for coeffs in zip(*cols)]
+    """u . row / den for every integer row, u rational: one integer dot
+    product per row, divided once."""
+    lu, nums = _over_lcm(u)
+    d = lu * den
+    return [Fraction(sum(map(mul, nums, row)), d) for row in rows]
 
 
 def _family_atlas(table: Mat) -> tuple[tuple, ...]:
@@ -361,8 +339,8 @@ class SurfaceModel:
     its denominators, each pairing is one integer sum of products against an
     integer table (the form, the duals or the curve Gram table, each over
     one common denominator), and the sum is divided once.  Classes are
-    rational or have EpsPoly entries, which are paired part by part (see
-    _split).  ``gram_product`` is the independent reference.  The family
+    rational; any other scalar is refused with a TypeError.
+    ``gram_product`` is the independent reference.  The family
     atlas (``family_atlas``) is likewise built once, on first use, by subset
     search.
     """
@@ -378,27 +356,16 @@ class SurfaceModel:
         return _int_rows(self.gram)
 
     def intersect(self, u: Sequence, v: Sequence):
-        """u^T * gram * v, exact; bilinear over the parts of _split.  Each
-        part is scaled to integers once and each part of v meets the form
-        once; u . u reuses both."""
+        """u^T * gram * v, exact, for rational u and v.  Each is scaled to
+        integers once and v meets the form once; u . u reuses both."""
         n = len(self.gram)
         if len(u) != n or len(v) != n:
             raise ValueError(f"vector length must be {n}")
-        fu, us = _split(u)
-        scaled_u = [_over_lcm(part) for part in us]
-        if u is v:
-            fv, scaled_v = fu, scaled_u
-        else:
-            fv, vs = _split(v)
-            scaled_v = [_over_lcm(part) for part in vs]
-        field = fu or fv
+        lu, nu = _over_lcm(u)
+        lv, nv = (lu, nu) if u is v else _over_lcm(v)
         den, gram = self._gram_ints
-        met = [(lv * den, [sum(map(mul, row, nv)) for row in gram]) for lv, nv in scaled_v]
-        out = [Fraction(0)] * (len(scaled_u) + len(met) - 1)
-        for a, (lu, nu) in enumerate(scaled_u):
-            for b, (dv, gv) in enumerate(met):
-                out[a + b] += Fraction(sum(map(mul, nu, gv)), lu * dv)
-        return _join(field, out)
+        met = [sum(map(mul, row, nv)) for row in gram]
+        return Fraction(sum(map(mul, nu, met)), lu * lv * den)
 
     @cached_property
     def duals(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
@@ -455,10 +422,7 @@ class SurfaceModel:
         The class is scaled to integers once, so both tests are integer sign
         tests; only a family that passes them divides.
         """
-        field, parts = _split(pairs)
-        if field is not None:
-            raise TypeError("subset search takes rational classes only")
-        d, nums = _over_lcm(parts[0])
+        d, nums = _over_lcm(pairs)
         for support, den, coeff_rows, outside, residual_rows in self.family_atlas:
             v = [nums[i] for i in support]
             scaled = []

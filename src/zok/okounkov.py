@@ -4,10 +4,11 @@ bodies on the volume-zero boundary.
 
 The walk is exact: within a chamber the negative-part support is constant,
 so the orthogonality system makes the coefficients and the positive part
-affine in t.  Each chamber is read off one decomposition at t0 + eps, just
-past its start t0, with eps a formal positive infinitesimal (symbolic
-perturbation): that decomposition has the chamber's support, and its
-entries are the affine formulas.  Breakpoints are roots of affine functions
+affine in t.  Each chamber starts with one rational decomposition at its
+start t0; support growth over the two rational columns of t0 + eps, eps a
+formal positive infinitesimal signed lexicographically (symbolic
+perturbation), then reaches the chamber's support, and its two solves are
+the affine formulas.  Breakpoints are roots of affine functions
 (hence rational); only the terminal endpoint, where the positive part's
 square vanishes, can be a quadratic irrational, represented exactly in
 Q(sqrt(d)).
@@ -25,16 +26,19 @@ from .errors import (
     InvariantError,
     NotBig,
     NotOnBoundary,
+    NotPseudoEffective,
     UnknownCurve,
 )
-from .exact import EpsPoly, ExtRat, smallest_quadratic_root_above
-from .lattice import SurfaceModel, Vec, vec_add, vec_scale
+from .exact import ExtRat, smallest_quadratic_root_above
+from .lattice import SurfaceModel, Vec, vec_add, vec_scale, vec_sub
 from .polygon import ConvexPolygon, Point, shoelace_area
 from .zariski import (
     Kind,
     ZariskiDecomp,
     _classification_of,
+    _combination,
     _decompose_or_none,
+    _grow_support,
     _non_kahler_of,
     zariski_decompose,
 )
@@ -169,23 +173,6 @@ class BoundaryBody:
 # ---------------------------------------------------------------------------
 
 
-def _affine_parts(values, t0) -> tuple[tuple, tuple]:
-    """(p, q) with values[k] = p[k] + (t0 + eps)*q[k]; entries must be affine in eps."""
-    parts = [x.coeffs if isinstance(x, EpsPoly) else (x, Fraction(0)) for x in values]
-    if any(len(c) != 2 for c in parts):
-        raise InvariantError("chamber formula is not affine in the parameter")
-    return tuple(v - t0 * q for v, q in parts), tuple(q for _, q in parts)
-
-
-def _quadratic_parts(value, t0) -> tuple:
-    """(c0, c1, c2) with value = c0 + c1*t + c2*t**2 at t = t0 + eps, for a
-    value of degree at most 2 in eps."""
-    e = value.coeffs if isinstance(value, EpsPoly) else (value,)
-    e0, e1, e2 = tuple(e) + (Fraction(0),) * (3 - len(e))
-    c1 = e1 - 2 * t0 * e2
-    return e0 - t0 * (c1 + t0 * e2), c1, e2
-
-
 def _chamber_events(support, coeff0, coeff1, h0, h1, quadratic, t0):
     """(next affine event strictly after t0 or None, terminal root or None).
 
@@ -209,37 +196,51 @@ def _chamber_events(support, coeff0, coeff1, h0, h1, quadratic, t0):
     return (min(affine) if affine else None), terminal
 
 
-def _chamber_at(model, alpha, direction, t0, fallback_end=None):
+def _chamber_at(model, alpha, direction, along, t0, fallback_end=None):
     """The chamber starting at t0 along alpha + t*direction, and whether it
     ends at the terminal root of Z(t)^2; the one start of every walk.
 
-    One decomposition of alpha + (t0 + eps)*direction, eps a formal positive
-    infinitesimal, has the chamber's support; the eps-parts of its entries
-    are the slopes of the affine formulas.  The numbers its check kept
-    (Z.C_j and Z^2, see ZariskiDecomp) give the off-support crossings and
-    Z(t)^2, whose value at t0 must be positive.  At t0 = 0 that value is
-    vol(alpha), so this is the bigness test of alpha: a class failing it, or
-    of the wrong length, gets _require_big's verdict, and one passing
-    _require_big there is an invariant breach, as is any failure past 0.
-    The chamber ends at the first event after t0, or at fallback_end when
-    none lies ahead.
+    ``along`` is direction . C_j for every curve, paired once per walk.  The
+    chamber starts with one checked decomposition of alpha + t0*direction,
+    whose P^2 must be positive: at t0 = 0 that is _require_big(alpha), the
+    bigness test of every walk, and past 0 a failure is an invariant breach.
+    Its support is a subset of the chamber's, which is the support of
+    alpha + (t0 + eps)*direction for a formal positive infinitesimal eps:
+    _grow_support over the two rational columns (alpha + t0*direction) . C_j
+    and direction . C_j, started there, reaches it, and its eps-parts are
+    the slopes of the affine formulas.  The chamber ends at the first event
+    after t0, or at fallback_end when none lies ahead.
     """
-    after = vec_add(alpha, vec_scale(EpsPoly.new((t0, 1)), direction))
-    dec = _decompose_or_none(model, after) if len(alpha) == model.rank else None
-    square = (0, 0, 0) if dec is None else _quadratic_parts(dec.volume(model), t0)
-    if not square[0] + t0 * (square[1] + t0 * square[2]) > 0:
-        if t0 == 0:
-            _require_big(model, alpha)
-        raise InvariantError(f"class just after t = {t0} is not big")
-    coeff0, coeff1 = _affine_parts(dec.coeffs, t0)
-    z0, z1 = _affine_parts(dec.positive, t0)
-    h0, h1 = _affine_parts(dec.positive_pairings, t0)
-    affine_next, terminal = _chamber_events(dec.support, coeff0, coeff1, h0, h1, square, t0)
+    if t0 == 0:
+        start, dec = alpha, _require_big(model, alpha)
+    else:
+        start = vec_add(alpha, vec_scale(t0, direction))
+        dec = _decompose_or_none(model, start)
+        if dec is None or not dec.volume(model) > 0:
+            raise InvariantError(f"class at t = {t0} is not big")
+    try:
+        support, (c0, c1), (h, h1) = _grow_support(
+            model, (model.pairings(start), along), dec.support
+        )
+    except NotPseudoEffective as exc:
+        raise InvariantError(f"class just after t = {t0} is not big") from exc
+    coeff0 = tuple(p - t0 * q for p, q in zip(c0, c1))
+    h0 = tuple(p - t0 * q for p, q in zip(h, h1))
+    z1 = vec_sub(direction, _combination(model, support, c1))
+    z0 = vec_sub(dec.positive, vec_scale(t0, z1))
+    if vec_add(z0, _combination(model, support, coeff0)) != tuple(alpha):
+        raise InvariantError("chamber formulas do not reconstruct the class")
+    if h != dec.positive_pairings or model.pairings(z1) != h1:
+        raise InvariantError("chamber pairings disagree with the positive part")
+    if any(h1[i] for i in support) or any(v < (0, 0) for v in zip(h, h1)):
+        raise InvariantError("chamber positive part not nef in model")
+    square = (model.intersect(z0, z0), 2 * model.intersect(z0, z1), model.intersect(z1, z1))
+    affine_next, terminal = _chamber_events(support, coeff0, c1, h0, h1, square, t0)
     last = terminal is not None and (affine_next is None or not affine_next < terminal)
     t1 = terminal if last else (fallback_end if affine_next is None else affine_next)
     if t1 is None:
         raise InvariantError("chamber walk found no event ahead")
-    chamber = SegmentChamber(t0, t1, dec.support, z0, z1, coeff0, coeff1, h0, h1, square)
+    chamber = SegmentChamber(t0, t1, support, z0, z1, coeff0, c1, h0, h1, square)
     return chamber, last
 
 
@@ -276,8 +277,9 @@ def _resolve_curve(model: SurfaceModel, curve) -> int:
 def segment_chambers(model: SurfaceModel, alpha: Vec, curve) -> list[SegmentChamber]:
     """Exact chamber list covering [0, s] along alpha - t*C for big alpha.
 
-    Each chamber costs one decomposition, of the class just after its start
-    (see _chamber_at), and the first one also tests that alpha is big; its
+    Each chamber costs one decomposition, of the class at its start, and one
+    support growth just past it (see _chamber_at); the first decomposition
+    also tests that alpha is big, and direction . C_j is paired once; its
     end is the smallest of the coefficient zeros, the off-support
     orthogonality crossings, and the terminal root of Z(t)^2, which ends the
     walk and may be a quadratic irrational.  Adjacent chambers must agree at
@@ -286,10 +288,11 @@ def segment_chambers(model: SurfaceModel, alpha: Vec, curve) -> list[SegmentCham
     """
     index = _resolve_curve(model, curve)
     direction = vec_scale(-1, model.curve_class(index))
+    along = model.pairings(direction)
     chambers: list[SegmentChamber] = []
     t0 = Fraction(0)
     while True:
-        chamber, last = _chamber_at(model, alpha, direction, t0)
+        chamber, last = _chamber_at(model, alpha, direction, along, t0)
         if chambers:
             _assert_continuity(chambers[-1], chamber)
             if not set(chambers[-1].support) - {index} <= set(chamber.support):
@@ -307,7 +310,8 @@ def first_chamber_along(model: SurfaceModel, alpha: Vec, direction: Vec) -> Segm
     not), or 1 when no event lies ahead."""
     if len(direction) != model.rank:
         raise ValueError(f"class vector must have length {model.rank}")
-    return _chamber_at(model, alpha, direction, Fraction(0), Fraction(1))[0]
+    along = model.pairings(direction)
+    return _chamber_at(model, alpha, direction, along, Fraction(0), Fraction(1))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -63,10 +63,7 @@ class ZariskiDecomp:
         return dict(zip(self.support, self.coeffs))
 
     def negative_part(self, model: SurfaceModel) -> Vec:
-        total = zero_vec(model.rank)
-        for i, a in zip(self.support, self.coeffs):
-            total = vec_add(total, vec_scale(a, model.curve_class(i)))
-        return total
+        return _combination(model, self.support, self.coeffs)
 
     def volume(self, model: SurfaceModel) -> Fraction:
         if self.positive_square is not None:
@@ -77,6 +74,14 @@ class ZariskiDecomp:
         if vec_is_zero(self.positive):
             return 0
         return 2 if self.volume(model) > 0 else 1
+
+
+def _combination(model: SurfaceModel, support: Sequence[int], coeffs: Sequence) -> Vec:
+    """sum(coeffs[k] * C_support[k]), exact."""
+    total = zero_vec(model.rank)
+    for i, a in zip(support, coeffs):
+        total = vec_add(total, vec_scale(a, model.curve_class(i)))
+    return total
 
 
 class Kind(enum.Enum):
@@ -109,43 +114,63 @@ def is_nef_in_model(model: SurfaceModel, alpha: Vec) -> bool:
     return model.intersect(alpha, model.kahler) >= 0
 
 
+def _grow_support(model: SurfaceModel, columns: Sequence[Sequence], start=()) -> tuple:
+    """(support, coeffs, left): the support growth of Bauer's proof for the
+    class x_j = sum(columns[m][j] * eps**m) paired with the curves, one
+    rational column per power of a formal positive infinitesimal eps.
+
+    Every sign is the lexicographic sign of a k-tuple (col_0[j], ..., col_k-1[j]),
+    which is Python's tuple order against (0,)*k; with k = 1 it is the
+    sign of a rational.  The support starts at ``start``, which must lie in
+    the final support, and absorbs every curve the residual meets
+    negatively, until stable.  One factorization (lattice.negative_ldl)
+    both tests the support Gram and solves the orthogonality system for
+    every column; coeffs[m] and left[m] (the residual's pairings with every
+    curve, from the curve table) are the parts at eps**m.  Raises
+    NotPseudoEffective when the support Gram loses negative definiteness or
+    a coefficient turns negative.
+    """
+    zero = (0,) * len(columns)
+    support: list[int] = []
+    coeffs: tuple = ((),) * len(columns)
+    left = columns
+    entering = list(start)
+    while True:
+        in_support = set(support)
+        entering += [j for j, v in enumerate(zip(*left)) if v < zero and j not in in_support]
+        if not entering:
+            return tuple(support), coeffs, left
+        support = sorted(set(support + entering))
+        entering = []
+        factor = negative_ldl(model.gram_submatrix(support))
+        if factor is None:
+            raise NotPseudoEffective("support Gram matrix is not negative definite")
+        coeffs = tuple(factor.solve([col[i] for i in support]) for col in columns)
+        for a in zip(*coeffs):
+            if a < zero:
+                raise NotPseudoEffective("negative coefficient in support solve")
+            if a == zero:
+                raise InvariantError(
+                    "zero coefficient in support solve; model violates "
+                    "the strict-positivity hypotheses"
+                )
+        left = tuple(model.residual_pairings(col, support, a) for col, a in zip(columns, coeffs))
+
+
 def zariski_decompose(model: SurfaceModel, alpha: Vec) -> ZariskiDecomp:
     """Unique orthogonal decomposition of alpha into nef and exceptional parts.
 
-    Iterative support growth: seed the support with the curves alpha meets
+    Iterative support growth (see _grow_support) over the pairings of alpha
+    with the curves: seed the support with the curves alpha meets
     negatively, solve the orthogonality system Gram(S) * a = (alpha . N_i),
-    and absorb every curve the residual still meets negatively, until stable.
-    One factorization (lattice.negative_ldl) both tests the support Gram and
-    solves the system; the residual's pairings come from the curve table.
-    Raises NotPseudoEffective when the support Gram loses negative
+    and absorb every curve the residual still meets negatively, until
+    stable.  Raises NotPseudoEffective when the support Gram loses negative
     definiteness, a solved coefficient turns negative, or the stabilized
     residual fails the remaining nef-in-model conditions.
     """
     if len(alpha) != model.rank:
         raise ValueError(f"class vector must have length {model.rank}")
-    pairs = model.pairings(alpha)
-    support: list[int] = []
-    coeffs: tuple = ()
-    left = pairs  # residual . C_j
-    while True:
-        in_support = set(support)
-        entering = [j for j, v in enumerate(left) if v < 0 and j not in in_support]
-        if not entering:
-            break
-        support = sorted(support + entering)
-        factor = negative_ldl(model.gram_submatrix(support))
-        if factor is None:
-            raise NotPseudoEffective("support Gram matrix is not negative definite")
-        coeffs = factor.solve([pairs[i] for i in support])
-        for a in coeffs:
-            if a < 0:
-                raise NotPseudoEffective("negative coefficient in support solve")
-            if a == 0:
-                raise InvariantError(
-                    "zero coefficient in support solve; model violates "
-                    "the strict-positivity hypotheses"
-                )
-        left = model.residual_pairings(pairs, support, coeffs)
+    support, (coeffs,), _ = _grow_support(model, (model.pairings(alpha),))
     residual = alpha
     for i, a in zip(support, coeffs):
         residual = vec_sub(residual, vec_scale(a, model.curve_class(i)))
@@ -158,7 +183,7 @@ def zariski_decompose(model: SurfaceModel, alpha: Vec) -> ZariskiDecomp:
     dec = ZariskiDecomp(
         alpha=tuple(alpha),
         positive=residual,
-        support=tuple(support),
+        support=support,
         coeffs=coeffs,
     )
     return _check_decomposition(model, dec, square, kahler)

@@ -50,8 +50,23 @@ def test_classify_outputs_null_numdim(capsys):
 def test_usage_errors_exit_2(capsys, tmp_path):
     code, out = run_cli(capsys, "volume", "-m", "blowup1", "-c", "1,2,3")
     assert code == 2
+    # an empty or blank coordinate is not skipped
+    for text in ("1,,0", "1, ,0", "1,0,", ",1,0", ""):
+        code, out = run_cli(capsys, "zariski", "-m", "blowup1", "-c", text)
+        assert code == 2
+        assert json.loads(out)["detail"].startswith(f"cannot parse class {text!r}: ")
     code, out = run_cli(capsys, "volume", "-m", str(tmp_path / "missing.json"), "-c", "1")
     assert code == 2
+    # JSON reads 1e400 as inf, which has no integer value
+    huge = tmp_path / "huge.json"
+    huge.write_text(
+        '{"name": "huge", "rank": 1e400, "gram": [[1]], "kahler": [1], "curves": []}',
+        encoding="utf-8",
+    )
+    code, out = run_cli(capsys, "volume", "-m", str(huge), "-c", "1")
+    assert code == 2
+    assert json.loads(out)["error"] == "UsageError"
+    assert json.loads(out)["detail"].startswith("malformed model data: ")
     bad = tmp_path / "asym.json"
     bad.write_text(
         json.dumps(

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from zok.exact import (
-    EpsPoly,
     QuadExt,
     format_rat,
     parse_rat,
@@ -145,55 +144,6 @@ def test_quadratic_root_double_root():
     assert smallest_quadratic_root_above(Fraction(4), Fraction(-4), Fraction(1), Fraction(0)) == 2
     # from beyond the root: nothing ahead
     assert smallest_quadratic_root_above(Fraction(4), Fraction(-4), Fraction(1), Fraction(2)) is None
-
-
-# -- formal infinitesimals ------------------------------------------------------
-
-
-def test_epspoly_order_is_by_first_nonzero_coefficient():
-    eps = EpsPoly.new((0, 1))
-    assert 0 < eps < Fraction(1, 10**30)
-    assert -eps < 0
-    assert 1 - eps < 1 < 1 + eps
-    assert eps * eps < eps  # eps**2 is infinitesimal relative to eps
-    assert EpsPoly.new((0, 0, -1)) < 0 < EpsPoly.new((0, 0, 1))
-    assert EpsPoly.new((-1, 5)) < Fraction(0) and not EpsPoly.new((-1, 5)) >= 0
-    assert EpsPoly.new((1, -5)) > 0 and EpsPoly.new((0, 0, 1)) >= Fraction(0)
-    assert EpsPoly.new((2, -5)) > EpsPoly.new((2, -6))
-    assert EpsPoly.new((1, 1)) >= 1 and not EpsPoly.new((1, 1)) <= 1
-    assert sorted([1 + eps, Fraction(1), 1 - eps]) == [1 - eps, Fraction(1), 1 + eps]
-    # reflected comparisons from Fraction and int
-    assert Fraction(1) < 1 + eps and 1 > 1 - eps
-
-
-def test_epspoly_demotes_to_fraction():
-    eps = EpsPoly.new((0, 1))
-    assert EpsPoly.new((3,)) == 3 and isinstance(EpsPoly.new((3, 0, 0)), Fraction)
-    assert isinstance(EpsPoly.new((Fraction(1, 2), 0)), Fraction)
-    for value in (eps - eps, (1 + eps) - eps, eps * 0, (2 + eps) + (-eps)):
-        assert isinstance(value, Fraction)
-    assert (1 + eps) - eps == 1
-    assert EpsPoly.new((1, 2, 0)) == EpsPoly.new((1, 2))
-    assert hash(EpsPoly.new((1, 2, 0))) == hash(EpsPoly.new((1, 2)))
-    assert 1 + eps != 1 and eps != 0
-
-
-def test_epspoly_mixed_arithmetic():
-    eps = EpsPoly.new((0, 1))
-    t = EpsPoly.new((Fraction(1, 3), 1))  # 1/3 + eps
-    assert t + Fraction(2, 3) == 1 + eps == Fraction(2, 3) + t
-    assert t - 1 == EpsPoly.new((Fraction(-2, 3), 1))
-    assert 1 - t == EpsPoly.new((Fraction(2, 3), -1))
-    assert 3 * t == 1 + 3 * eps == t * 3
-    assert Fraction(3, 2) * t == EpsPoly.new((Fraction(1, 2), Fraction(3, 2)))
-    assert t / 2 == EpsPoly.new((Fraction(1, 6), Fraction(1, 2)))
-    assert t * t == EpsPoly.new((Fraction(1, 9), Fraction(2, 3), 1))
-    assert (t + eps) * (t - eps) == t * t - eps * eps
-    assert all(isinstance(c, Fraction) for c in (t * 3 + 1).coeffs)
-    with pytest.raises(TypeError):
-        _ = 1 / t
-    with pytest.raises(TypeError):
-        _ = t + QuadExt.new(0, 1, 2)
 
 
 def test_quadext_arithmetic_keeps_its_canonical_radicand(monkeypatch):

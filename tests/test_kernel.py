@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zok.exact import EpsPoly, QuadExt
+from zok.exact import QuadExt
 from zok.lattice import (
     gram_product,
     make_model,
@@ -201,11 +201,6 @@ def rational_models(draw):
     return make_model("rational", n, gram, curves, [1] * n)
 
 
-def eps_entries(max_degree=2):
-    coeffs = st.lists(rationals, min_size=2, max_size=max_degree + 1)
-    return st.one_of(rationals, st.builds(EpsPoly.new, coeffs))
-
-
 def _assert_kernel_matches_reference(model, u, v):
     classes = [c.cls for c in model.curves]
     assert model.pairings(u) == tuple(gram_product(model.gram, u, c) for c in classes)
@@ -226,17 +221,6 @@ def test_kernel_on_rational_models_and_classes(data):
     _assert_kernel_matches_reference(model, tuple(data.draw(vectors)), tuple(data.draw(vectors)))
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_kernel_on_eps_classes(data):
-    model = data.draw(rational_models())
-    vectors = st.lists(eps_entries(), min_size=model.rank, max_size=model.rank)
-    u, v = tuple(data.draw(vectors)), tuple(data.draw(vectors))
-    _assert_kernel_matches_reference(model, u, v)
-    rational = tuple(data.draw(st.lists(rationals, min_size=model.rank, max_size=model.rank)))
-    assert model.intersect(u, rational) == gram_product(model.gram, u, rational)
-
-
 def test_kernel_on_a_model_with_halves():
     model = make_model("halves", 2, [["1/2", 0], [0, "-1/2"]],
                        [("A", ["1/2", "1/2"]), ("B", [1, "-3/2"])], [2, 0])
@@ -247,7 +231,7 @@ def test_kernel_on_a_model_with_halves():
 
 
 def test_kernel_errors(blowup2):
-    # the kernel pairs rational and eps classes only
+    # the kernel pairs rational classes only
     quad = (QuadExt._of(Fraction(0), Fraction(1), 2), Fraction(1), Fraction(0))
     for call in (lambda: blowup2.pairings(quad), lambda: blowup2.pairing(quad, 0),
                  lambda: blowup2.intersect(quad, blowup2.kahler),

@@ -80,6 +80,27 @@ def test_chambers_h_plus_e_along_e(blowup1):
     assert chs[1].z_at(Fraction(3, 2)) == (Fraction(1), Fraction(-1, 2))
 
 
+def test_chamber_support_grows_past_its_start(blowup1):
+    """2H - E along -(H-E): the class at t = 1 is H, with empty support, but
+    just past it E enters, since H.E = 0 and -(H-E).E = -1; the lexicographic
+    growth over the two rational columns finds it."""
+    from zok.zariski import _grow_support, zariski_decompose
+
+    chs = segment_chambers(blowup1, blowup1.kahler, "H-E")
+    assert [(ch.t_lo, ch.t_hi) for ch in chs] == [(0, 1), (1, 2)]
+    assert chs[0].support == ()
+    assert zariski_decompose(blowup1, F(1, 0)).support == ()
+    columns = (blowup1.pairings(F(1, 0)), blowup1.pairings(F(-1, 1)))
+    assert _grow_support(blowup1, columns)[0] == (0,)
+    # Z(t) = (2-t)H and a_E(t) = t - 1 on [1, 2]
+    ch = chs[1]
+    assert ch.support == (0,)
+    assert (ch.z0, ch.z1) == (F(2, 0), F(-1, 0))
+    assert (ch.coeff0, ch.coeff1) == (F(-1), F(1))
+    assert (ch.h0, ch.h1) == (F(0, 2, 2), F(0, -1, -1))
+    assert ch.square == F(4, -4, 1)
+
+
 def test_chambers_cover_segment_and_agree_at_breakpoints(blowup2):
     for alpha in [F(2, -1, 0), F(3, -1, -1), F(2, 0, 0)]:
         for curve in range(3):
@@ -119,9 +140,8 @@ def test_first_chamber_along_nef_direction(blowup1):
 
 
 def test_first_chamber_along_raises_the_bigness_verdict(all_fixture_models):
-    """Off the big cone the walk's first eps-decomposition falls back on the
-    bigness check of alpha, so every walk raises the exception that check
-    raises: first_chamber_along in every direction, and the chambers, slopes,
+    """Off the big cone the walk's first decomposition is the bigness check
+    of alpha, so every walk raises the exception that check raises: first_chamber_along in every direction, and the chambers, slopes,
     envelopes and polygon along every curve."""
     from zok.okounkov import _require_big
 
@@ -451,12 +471,10 @@ def test_walk_decomposes_once_per_chamber(decompositions, blowup2, hirzebruch2, 
 
 
 def test_chamber_formulas_match_direct_decompositions():
-    """Each chamber's formulas agree with a direct decomposition inside it;
-    its crossings and terminal quadratic, read off the numbers kept by the
-    decomposition just after its start, equal those recomputed with
-    intersect, and so do its events."""
-    from zok.exact import EpsPoly
-    from zok.okounkov import _affine_parts, _chamber_events, _quadratic_parts
+    """Each chamber's formulas agree with rational decompositions at its start
+    and inside it; its crossings and terminal quadratic equal those
+    recomputed with intersect, and so do its events."""
+    from zok.okounkov import _chamber_events
     from zok.oracle import ModelGenSpec, random_model
     from zok.zariski import zariski_decompose
 
@@ -467,35 +485,30 @@ def test_chamber_formulas_match_direct_decompositions():
             for curve in range(len(model.curves)):
                 c_cls = model.curve_class(curve)
                 for ch in segment_chambers(model, alpha, curve):
-                    # a rational parameter strictly inside the chamber
+                    # the start, and a rational parameter strictly inside
                     t = ch.t_lo + 1
                     while not t < ch.t_hi:
                         t = (ch.t_lo + t) / 2
-                    dec = zariski_decompose(
-                        model, tuple(a - t * c for a, c in zip(alpha, c_cls))
-                    )
+                    for u in (ch.t_lo, t):
+                        dec = zariski_decompose(
+                            model, tuple(a - u * c for a, c in zip(alpha, c_cls))
+                        )
+                        assert dec.positive == ch.z_at(u)
+                        assert dec.coeff_map() == {
+                            i: a for i, a in zip(ch.support, ch.coeff_at(u)) if a
+                        }
+                    # inside the chamber, the support is the chamber's
                     assert dec.support == ch.support
-                    assert dec.positive == ch.z_at(t)
-                    assert dec.coeffs == ch.coeff_at(t)
                     t0, z0, z1 = ch.t_lo, ch.z0, ch.z1
-                    after = EpsPoly.new((t0, 1))
-                    dec = zariski_decompose(
-                        model, tuple(a - after * c for a, c in zip(alpha, c_cls))
-                    )
-                    kept_h = _affine_parts(dec.positive_pairings, t0)
-                    kept_c = _quadratic_parts(dec.positive_square, t0)
                     h = tuple(tuple(model.intersect(z, c) for c in curves) for z in (z0, z1))
                     c = (
                         model.intersect(z0, z0),
                         2 * model.intersect(z0, z1),
                         model.intersect(z1, z1),
                     )
-                    assert kept_h == h and kept_c == c
                     assert (ch.h0, ch.h1) == h
-                    assert ch.square == kept_c
+                    assert ch.square == c
                     events = _chamber_events(ch.support, ch.coeff0, ch.coeff1, *h, c, t0)
-                    kept = _chamber_events(ch.support, ch.coeff0, ch.coeff1, *kept_h, kept_c, t0)
-                    assert kept == events
                     assert ch.t_hi == min(e for e in events if e is not None)
 
 

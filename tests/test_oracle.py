@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zok.errors import MultipleCandidates, NotPseudoEffective, UsageError
-from zok.exact import EpsPoly
+from zok.exact import QuadExt
 from zok.lattice import (
     make_model,
     negative_definite_subsets,
@@ -47,8 +47,8 @@ def test_brute_force_examples(blowup1):
 
     assert brute_force_zariski(blowup1, F(-1, 0)) is None
 
-    with pytest.raises(TypeError, match="rational classes only"):
-        brute_force_zariski(blowup1, (Fraction(2) + EpsPoly.new((0, 1)), Fraction(1)))
+    with pytest.raises(TypeError, match=r"^unsupported scalars in a class vector: \['QuadExt'\]$"):
+        brute_force_zariski(blowup1, (QuadExt.new(2, 1, 2), Fraction(1)))
 
 
 def test_brute_force_cap():

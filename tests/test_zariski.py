@@ -417,10 +417,8 @@ def _assert_kept_numbers_match(model, dec):
 
 
 def test_kept_numbers_on_every_route(blowup1, blowup2, hirzebruch2):
-    from zok.exact import EpsPoly
     from zok.oracle import ModelGenSpec, brute_force_zariski, random_model
 
-    eps = EpsPoly.new((0, 1))
     models = [blowup1, blowup2, hirzebruch2, random_model(ModelGenSpec(seed=7, rank=4, num_curves=6))]
     routes = 0
     for model in models:
@@ -433,13 +431,6 @@ def test_kept_numbers_on_every_route(blowup1, blowup2, hirzebruch2):
                 continue
             _assert_kept_numbers_match(model, dec)
             _assert_kept_numbers_match(model, brute_force_zariski(model, alpha))
-            # an eps-class: alpha moved infinitesimally towards omega, and back
-            for sign in (1, -1):
-                try:
-                    moved = zariski_decompose(model, vec_add(alpha, vec_scale(sign * eps, omega)))
-                except NotPseudoEffective:
-                    continue
-                _assert_kept_numbers_match(model, moved)
             if dec.support:
                 _, b = orthogonal_nef_lift(model, dec.support, omega)
                 eps_ok = min(a / bi for a, bi in zip(dec.coeffs, b)) / 2
