@@ -1,8 +1,14 @@
 """Command-line front end.
 
+One dispatcher (_run) loads the model, parses -c/--cls into a class and
+calls the subcommand's handler, a function of (model, args) that returns
+(output, exit code); main writes the output, a JSON payload through
+io.dumps_canonical or text (SVG, CSV, verify's JSON lines) as it is.
+
 Exit codes: 0 success, 1 mathematically negative verdict (not psef, Morse
-hypothesis fails, unsupported direction, ...), 2 input or usage error,
-3 internal invariant breach (always a bug; a reproduction file is dumped).
+hypothesis fails, unsupported direction, ...), 2 input or usage error
+(UsageError only), 3 anything else: an internal invariant breach or any
+unexpected exception, always a bug; a reproduction file is dumped.
 All output is deterministic: canonical JSON with sorted keys, no timestamps.
 """
 
@@ -26,11 +32,13 @@ from .fixtures import FIXTURE_NAMES, fixture_path
 from .lattice import SurfaceModel
 from .okounkov import (
     FlagSpec,
+    _resolve_curve,
     boundary_body,
     chamber_slopes,
     okounkov_polygon,
     restricted_body,
     segment_chambers,
+    validate_flag,
 )
 from .oracle import DEFAULT_SUBSET_CAP, run_model_verification
 from .zariski import (
@@ -53,8 +61,8 @@ def _resolve_model_path(spec: str) -> str:
 def _parse_class(model: SurfaceModel, text: str):
     """A class argument is a curve name or a comma-separated rational vector."""
     try:
-        return model.curve_class(model.curve_index(text))
-    except KeyError:
+        return model.curve_class(_resolve_curve(model, text))
+    except UnknownCurve:
         pass
     try:
         coords = tuple(parse_rat(p) for p in text.split(","))
@@ -68,117 +76,75 @@ def _parse_class(model: SurfaceModel, text: str):
 
 
 def _parse_flag(model: SurfaceModel, name: str, mults: list[str]) -> FlagSpec:
-    try:
-        curve = model.curve_index(name)
-    except KeyError:
-        raise UnknownCurve(f"no curve named {name!r}") from None
+    curve = _resolve_curve(model, name)
     mult_map = {}
-    for item in mults:
-        if "=" not in item:
-            raise UsageError(f"--mult needs NAME=VALUE, got {item!r}")
-        cname, value = item.split("=", 1)
-        try:
-            index = model.curve_index(cname.strip())
-        except KeyError:
-            raise UnknownCurve(f"no curve named {cname.strip()!r}") from None
-        try:
-            mult_map[index] = parse_rat(value.strip())
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
     try:
+        for item in mults:
+            cname, sep, value = item.partition("=")
+            if not sep:
+                raise UsageError(f"--mult needs NAME=VALUE, got {item!r}")
+            mult_map[_resolve_curve(model, cname.strip())] = parse_rat(value.strip())
         flag = FlagSpec.make(curve, mult_map)
-        from .okounkov import validate_flag
-
         validate_flag(model, flag)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     return flag
 
 
-def _emit(text: str) -> None:
-    sys.stdout.write(text)
+def _csv(rows) -> str:
+    """CSV text, one line per row; a field holding a comma, quote or newline
+    is quoted."""
 
+    def field(value: str) -> str:
+        if any(ch in value for ch in ',"\n'):
+            return '"' + value.replace('"', '""') + '"'
+        return value
 
-def _csv_escape(value: str) -> str:
-    if any(ch in value for ch in ',"\n'):
-        return '"' + value.replace('"', '""') + '"'
-    return value
+    return "".join(",".join(map(field, row)) + "\n" for row in rows)
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: (model, args) -> (output, exit code), where args.cls is
+# already a class and the output is a JSON payload or text emitted as is
 # ---------------------------------------------------------------------------
 
 
-def _cmd_validate(args) -> int:
-    # bypass load_model so an invalid model prints its report instead of erroring
-    path = _resolve_model_path(args.model)
-    try:
-        zio.model_from_dict(zio.read_model_json(path))
-        problems: list[str] = []
-    except ModelValidationError as exc:
-        problems = exc.problems
-    _emit(zio.dumps_canonical({"valid": not problems, "problems": problems}))
-    return 0 if not problems else 2
+def _cmd_validate(model, args):
+    # an invalid model never gets here: _run reports its problems
+    return {"valid": True, "problems": []}, 0
 
 
-def _cmd_zariski(args) -> int:
-    model = zio.load_model(_resolve_model_path(args.model))
-    dec = zariski_decompose(model, _parse_class(model, args.cls))
-    _emit(zio.dumps_canonical(zio.decomposition_to_dict(model, dec)))
-    return 0
+def _cmd_zariski(model, args):
+    dec = zariski_decompose(model, args.cls)
+    return zio.decomposition_to_dict(model, dec), 0
 
 
-def _cmd_classify(args) -> int:
-    model = zio.load_model(_resolve_model_path(args.model))
-    cls = classify(model, _parse_class(model, args.cls))
-    _emit(zio.dumps_canonical(zio.classification_to_dict(cls)))
-    return 0
+def _cmd_classify(model, args):
+    return zio.classification_to_dict(classify(model, args.cls)), 0
 
 
-def _cmd_volume(args) -> int:
-    model = zio.load_model(_resolve_model_path(args.model))
-    alpha = _parse_class(model, args.cls)
-    dec = zariski_decompose(model, alpha)
-    _emit(
-        zio.dumps_canonical(
-            {"class": zio.vec_to_json(alpha), "volume": format_rat(dec.volume(model))}
-        )
-    )
-    return 0
+def _cmd_volume(model, args):
+    dec = zariski_decompose(model, args.cls)
+    return {"class": zio.vec_to_json(args.cls), "volume": format_rat(dec.volume(model))}, 0
 
 
-def _cmd_derivative(args) -> int:
-    model = zio.load_model(_resolve_model_path(args.model))
-    alpha = _parse_class(model, args.cls)
+def _cmd_derivative(model, args):
     beta = _parse_class(model, args.direction)
-    value = derivative_vol(model, alpha, beta)
-    _emit(
-        zio.dumps_canonical(
-            {
-                "alpha": zio.vec_to_json(alpha),
-                "beta": zio.vec_to_json(beta),
-                "derivative": format_rat(value),
-            }
-        )
-    )
-    return 0
+    value = derivative_vol(model, args.cls, beta)
+    return {
+        "alpha": zio.vec_to_json(args.cls),
+        "beta": zio.vec_to_json(beta),
+        "derivative": format_rat(value),
+    }, 0
 
 
-def _cmd_morse(args) -> int:
-    model = zio.load_model(_resolve_model_path(args.model))
-    alpha = _parse_class(model, args.cls)
-    beta = _parse_class(model, args.beta)
-    cert = morse_gap(model, alpha, beta)
-    _emit(zio.dumps_canonical(zio.morse_to_dict(cert)))
-    return 0 if cert.lhs > 0 else 1
+def _cmd_morse(model, args):
+    cert = morse_gap(model, args.cls, _parse_class(model, args.beta))
+    return zio.morse_to_dict(cert), 0 if cert.lhs > 0 else 1
 
 
-def _cmd_okounkov(args) -> int:
-    model = zio.load_model(_resolve_model_path(args.model))
-    alpha = _parse_class(model, args.cls)
-    flag = _parse_flag(model, args.flag, args.mult)
-    poly = okounkov_polygon(model, alpha, flag)
+def _cmd_okounkov(model, args):
+    poly = okounkov_polygon(model, args.cls, _parse_flag(model, args.flag, args.mult))
     svg = zio.polygon_to_svg(poly)
     if args.svg:
         try:
@@ -186,77 +152,51 @@ def _cmd_okounkov(args) -> int:
                 fh.write(svg)
         except OSError as exc:
             raise UsageError(f"cannot write SVG file {args.svg!r}: {exc}") from exc
-    if args.format == "svg":
-        _emit(svg)
-    else:
-        _emit(zio.dumps_canonical(zio.polygon_to_dict(poly)))
-    return 0
+    return (svg if args.format == "svg" else zio.polygon_to_dict(poly)), 0
 
 
-def _cmd_restricted(args) -> int:
-    model = zio.load_model(_resolve_model_path(args.model))
-    alpha = _parse_class(model, args.cls)
-    flag = _parse_flag(model, args.flag, args.mult)
-    lo, hi = restricted_body(model, alpha, flag)
-    _emit(zio.dumps_canonical({"interval": [format_rat(lo), format_rat(hi)]}))
-    return 0
+def _cmd_restricted(model, args):
+    lo, hi = restricted_body(model, args.cls, _parse_flag(model, args.flag, args.mult))
+    return {"interval": [format_rat(lo), format_rat(hi)]}, 0
 
 
-def _cmd_boundary(args) -> int:
-    model = zio.load_model(_resolve_model_path(args.model))
-    alpha = _parse_class(model, args.cls)
-    flag = _parse_flag(model, args.flag, args.mult)
-    body = boundary_body(model, alpha, flag)
-    _emit(zio.dumps_canonical(zio.boundary_body_to_dict(body)))
-    return 0
+def _cmd_boundary(model, args):
+    body = boundary_body(model, args.cls, _parse_flag(model, args.flag, args.mult))
+    return zio.boundary_body_to_dict(body), 0
 
 
-def _cmd_chambers(args) -> int:
-    model = zio.load_model(_resolve_model_path(args.model))
-    alpha = _parse_class(model, args.cls)
-    try:
-        curve = model.curve_index(args.curve)
-    except KeyError:
-        raise UnknownCurve(f"no curve named {args.curve!r}") from None
-    chambers = segment_chambers(model, alpha, curve)
+def _cmd_chambers(model, args):
+    curve = _resolve_curve(model, args.curve)
+    chambers = segment_chambers(model, args.cls, curve)
     a, s = chamber_slopes(chambers, curve)
     if args.format == "csv":
-        lines = ["t_lo,t_hi,support,Z0,Z1"]
+        rows = [["t_lo", "t_hi", "support", "Z0", "Z1"]]
         for ch in chambers:
-            lines.append(
-                ",".join(
-                    [
-                        _csv_escape(str(zio.ext_to_json(ch.t_lo))),
-                        _csv_escape(str(zio.ext_to_json(ch.t_hi))),
-                        _csv_escape(";".join(model.curve_name(i) for i in ch.support)),
-                        _csv_escape(";".join(map(str, zio.vec_to_json(ch.z0)))),
-                        _csv_escape(";".join(map(str, zio.vec_to_json(ch.z1)))),
-                    ]
-                )
+            rows.append(
+                [
+                    str(zio.ext_to_json(ch.t_lo)),
+                    str(zio.ext_to_json(ch.t_hi)),
+                    ";".join(model.curve_name(i) for i in ch.support),
+                    ";".join(map(str, zio.vec_to_json(ch.z0))),
+                    ";".join(map(str, zio.vec_to_json(ch.z1))),
+                ]
             )
-        _emit("\n".join(lines) + "\n")
-    else:
-        payload = zio.chambers_to_dict(model, chambers)
-        payload["a"] = zio.ext_to_json(a)
-        payload["s"] = zio.ext_to_json(s)
-        _emit(zio.dumps_canonical(payload))
-    return 0
+        return _csv(rows), 0
+    payload = zio.chambers_to_dict(model, chambers)
+    payload["a"] = zio.ext_to_json(a)
+    payload["s"] = zio.ext_to_json(s)
+    return payload, 0
 
 
-def _cmd_families(args) -> int:
-    model = zio.load_model(_resolve_model_path(args.model))
+def _cmd_families(model, args):
     families = enumerate_exceptional_families(model, allow_large=args.allow_large)
     named = [[model.curve_name(i) for i in fam] for fam in families]
     if args.format == "csv":
-        lines = ["family"] + [_csv_escape(";".join(fam)) for fam in named]
-        _emit("\n".join(lines) + "\n")
-    else:
-        _emit(zio.dumps_canonical({"families": named}))
-    return 0
+        return _csv([["family"]] + [[";".join(fam)] for fam in named]), 0
+    return {"families": named}, 0
 
 
-def _cmd_verify(args) -> int:
-    model = zio.load_model(_resolve_model_path(args.model))
+def _cmd_verify(model, args):
     cap = DEFAULT_SUBSET_CAP
     env_cap = os.environ.get("ZOK_MAX_SUBSET_CURVES")
     if env_cap is not None:
@@ -269,10 +209,10 @@ def _cmd_verify(args) -> int:
     reports = run_model_verification(
         model, grid_bound=args.grid_bound, max_subset_curves=cap
     )
-    for report in reports:
-        _emit(zio.report_to_json_line(report) + "\n")
+    lines = "".join(zio.report_to_json_line(r) + "\n" for r in reports)
     if all(r.agrees for r in reports):
-        return 0
+        return lines, 0
+    sys.stdout.write(lines)  # the reports come before the breach's error
     raise InvariantError("oracle verification found a mismatch")
 
 
@@ -393,6 +333,27 @@ def _merge_negative_values(argv: list[str]) -> list[str]:
     return out
 
 
+def _run(args):
+    """Load the model, parse -c/--cls into a class and run the subcommand;
+    validate alone reports a model's problems instead of raising them."""
+    try:
+        model = zio.load_model(_resolve_model_path(args.model))
+    except ModelValidationError as exc:
+        if args.command != "validate":
+            raise
+        return {"valid": False, "problems": exc.problems}, 2
+    if "cls" in args:
+        args.cls = _parse_class(model, args.cls)
+    return args.func(model, args)
+
+
+def _error(exc: Exception) -> dict:
+    payload = {"error": type(exc).__name__, "detail": str(exc)}
+    if isinstance(exc, ModelValidationError):
+        payload["problems"] = exc.problems
+    return payload
+
+
 def main(argv=None) -> int:
     argv = _merge_negative_values(list(sys.argv[1:] if argv is None else argv))
     parser = build_parser()
@@ -402,28 +363,16 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        output, code = _run(args)
     except MathVerdictError as exc:
-        _emit(zio.dumps_canonical({"error": type(exc).__name__, "detail": str(exc)}))
-        return 1
-    except (UsageError, ValueError) as exc:
-        payload = {"error": type(exc).__name__, "detail": str(exc)}
-        if isinstance(exc, ModelValidationError):
-            payload["problems"] = exc.problems
-        _emit(zio.dumps_canonical(payload))
-        return 2
-    except InvariantError as exc:
+        output, code = _error(exc), 1
+    except UsageError as exc:
+        output, code = _error(exc), 2
+    except Exception as exc:  # an invariant breach, or any other bug
         _dump_repro(argv, exc)
-        _emit(
-            zio.dumps_canonical(
-                {
-                    "error": type(exc).__name__,
-                    "detail": str(exc),
-                    "repro": REPRO_FILE,
-                }
-            )
-        )
-        return 3
+        output, code = dict(_error(exc), repro=REPRO_FILE), 3
+    sys.stdout.write(output if isinstance(output, str) else zio.dumps_canonical(output))
+    return code
 
 
 if __name__ == "__main__":

@@ -51,15 +51,24 @@ def dumps_canonical(payload) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _array(value, what: str) -> list:
+    # a string would iterate as its characters, and "01" load as (0, 1)
+    if not isinstance(value, list):
+        raise TypeError(f"{what} must be an array, not {type(value).__name__}")
+    return value
+
+
 def model_from_dict(data: Mapping) -> SurfaceModel:
     try:
         if not isinstance(data, Mapping):
             raise TypeError(f"top level must be an object, not {type(data).__name__}")
         name = str(data.get("name", "unnamed"))
-        rank = int(data["rank"])
-        gram = data["gram"]
-        kahler = data["kahler"]
-        curves = [(str(c["name"]), c["class"]) for c in data["curves"]]
+        rank = data["rank"]
+        if type(rank) is not int:
+            raise TypeError(f"rank must be an integer, got {rank!r}")
+        gram = [_array(row, "gram row") for row in _array(data["gram"], "gram")]
+        kahler = _array(data["kahler"], "kahler")
+        curves = [(str(c["name"]), _array(c["class"], "curve class")) for c in data["curves"]]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"malformed model data: {exc}") from exc
     try:

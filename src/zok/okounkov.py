@@ -208,20 +208,20 @@ def _chamber_at(model, alpha, direction, along, t0, fallback_end=None):
     alpha + (t0 + eps)*direction for a formal positive infinitesimal eps:
     _grow_support over the two rational columns (alpha + t0*direction) . C_j
     and direction . C_j, started there, reaches it, and its eps-parts are
-    the slopes of the affine formulas.  The chamber ends at the first event
-    after t0, or at fallback_end when none lies ahead.
+    the slopes of the affine formulas.  The first column is (P + N) . C_j,
+    read off the decomposition's P . C_j and N without pairing the class
+    again.  The chamber ends at the first event after t0, or at
+    fallback_end when none lies ahead.
     """
     if t0 == 0:
-        start, dec = alpha, _require_big(model, alpha)
+        dec = _require_big(model, alpha)
     else:
-        start = vec_add(alpha, vec_scale(t0, direction))
-        dec = _decompose_or_none(model, start)
+        dec = _decompose_or_none(model, vec_add(alpha, vec_scale(t0, direction)))
         if dec is None or not dec.volume(model) > 0:
             raise InvariantError(f"class at t = {t0} is not big")
+    start = model.residual_pairings(dec.positive_pairings, dec.support, [-a for a in dec.coeffs])
     try:
-        support, (c0, c1), (h, h1) = _grow_support(
-            model, (model.pairings(start), along), dec.support
-        )
+        support, (c0, c1), (h, h1) = _grow_support(model, (start, along), dec.support)
     except NotPseudoEffective as exc:
         raise InvariantError(f"class just after t = {t0} is not big") from exc
     coeff0 = tuple(p - t0 * q for p, q in zip(c0, c1))

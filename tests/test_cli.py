@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
 from zok.cli import main
-from zok.fixtures import fixture_path
+from zok.fixtures import FIXTURE_NAMES, fixture_path, load_fixture
 from zok.oracle import OracleReport
 
 
@@ -179,6 +184,30 @@ def test_chambers_json_and_csv(capsys):
     assert len(out.splitlines()) == 3
 
 
+def test_chambers_csv_quotes_an_irrational_endpoint(capsys, tmp_path):
+    # the walk ends at the root (sqrt(5) - 1)/2 of Z(t)^2 = 2 - 2t - 2t^2
+    golden = tmp_path / "golden.json"
+    golden.write_text(
+        json.dumps(
+            {
+                "name": "golden", "rank": 2, "gram": [[2, 1], [1, -2]],
+                "kahler": [1, 0],
+                "curves": [{"name": "A", "class": [1, 0]}, {"name": "N", "class": [0, 1]}],
+            }
+        ),
+        encoding="utf-8",
+    )
+    code, out = run_cli(
+        capsys, "chambers", "-m", str(golden), "-c", "1,0", "--curve", "N",
+        "--format", "csv",
+    )
+    assert code == 0
+    assert out == (
+        "t_lo,t_hi,support,Z0,Z1\n"
+        "0,\"{'p': '-1/2', 'q': '1/2', 'd': 5}\",,1;0,0;-1\n"
+    )
+
+
 def test_families_command(capsys):
     code, out = run_cli(capsys, "families", "-m", "blowup2")
     assert code == 0
@@ -259,6 +288,35 @@ def test_invariant_breach_dumps_repro(capsys, monkeypatch, tmp_path):
     assert repro["model"]["name"] == "blowup1"
 
 
+@pytest.mark.parametrize(
+    "target, argv, exc",
+    [
+        ("zariski_decompose", ["zariski", "-m", "blowup1", "-c", "1,1"],
+         ValueError("internal value error")),
+        ("okounkov_polygon", ["okounkov", "-m", "p2", "-c", "1", "--flag", "L"],
+         RuntimeError("internal runtime error")),
+    ],
+)
+def test_unexpected_exception_exits_3_with_repro(capsys, monkeypatch, tmp_path, target, argv, exc):
+    """Only a UsageError exits 2; any other exception that is not a verdict
+    is a bug: exit 3, the JSON error and zok-repro.json."""
+    monkeypatch.chdir(tmp_path)
+    import zok.cli as cli_mod
+
+    def broken(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli_mod, target, broken)
+    code, out = run_cli(capsys, *argv)
+    assert code == 3
+    name = type(exc).__name__
+    assert json.loads(out) == {"error": name, "detail": str(exc), "repro": "zok-repro.json"}
+    repro = json.loads((tmp_path / "zok-repro.json").read_text(encoding="utf-8"))
+    assert repro["argv"] == argv
+    assert repro["error"] == f"{name}: {exc}"
+    assert repro["model"]["name"] == argv[2]
+
+
 def test_help_paths(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
@@ -301,3 +359,69 @@ def test_chambers_walks_once(capsys, monkeypatch):
     assert code == 0
     assert len(walks) == 1
     assert len(json.loads(out)["chambers"]) == 2
+
+
+_MODELS = {name: load_fixture(name) for name in FIXTURE_NAMES}
+
+
+@st.composite
+def cli_argv(draw):
+    """(argv, whether stdout must be one JSON document) for every subcommand
+    but verify, on a bundled model: small rational classes of about the right
+    length, curve names known and unknown, and good and bad --mult values."""
+    name = draw(st.sampled_from(FIXTURE_NAMES))
+    model = _MODELS[name]
+    # mostly well-formed: an unknown name or a bad length ends every run early
+    curves = st.sampled_from([c.name for c in model.curves] * 4 + ["Q"])
+    rat = st.fractions(min_value=-3, max_value=3, max_denominator=3).map(str)
+    lengths = [model.rank] * 6 + [max(1, model.rank - 1), model.rank + 1]
+
+    def cls():
+        if draw(st.integers(0, 7)) == 0:
+            return draw(curves)
+        n = draw(st.sampled_from(lengths))
+        return ",".join(draw(st.lists(rat, min_size=n, max_size=n)))
+
+    value = st.sampled_from(["0", "1", "1/2", "0", "1", "1/2", "-1", "5", "x"])
+    mult = st.one_of(st.builds("{}={}".format, curves, value), curves)
+    command = draw(st.sampled_from([
+        "validate", "zariski", "classify", "volume", "derivative", "morse",
+        "okounkov", "restricted", "boundary", "chambers", "families",
+    ]))
+    argv = [command, "-m", name]
+    fmt = "json"
+    if command not in ("validate", "families"):
+        argv += ["-c", cls()]
+    if command == "derivative":
+        argv += ["-d", cls()]
+    elif command == "morse":
+        argv += ["-b", cls()]
+    elif command in ("okounkov", "restricted", "boundary"):
+        argv += ["--flag", draw(curves)]
+        for item in draw(st.lists(mult, max_size=1)):
+            argv += ["--mult", item]
+    elif command == "chambers":
+        argv += ["--curve", draw(curves)]
+    if command in ("okounkov", "chambers", "families"):
+        fmt = draw(st.sampled_from(["json", "svg" if command == "okounkov" else "csv"]))
+        argv += ["--format", fmt]
+    return argv, fmt == "json"
+
+
+@settings(
+    max_examples=150, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(cli_argv())
+def test_every_run_exits_0_to_3_with_one_document(monkeypatch, tmp_path, case):
+    """The exit contract: any argv ends in exit 0-3, never a traceback; a
+    JSON-format command, and any run that fails, prints exactly one JSON
+    document."""
+    monkeypatch.chdir(tmp_path)
+    argv, json_format = case
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    if json_format or code:
+        json.loads(out.getvalue())

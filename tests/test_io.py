@@ -62,6 +62,25 @@ def test_model_from_dict_rejects_malformed():
         )
 
 
+def test_model_from_dict_rejects_strings_and_fractional_rank():
+    """A string where an array belongs would iterate as its characters ("01"
+    loading as (0, 1)), and int() would truncate a rank of 2.9 to 2."""
+    good = {
+        "name": "x", "rank": 2, "gram": [[1, 0], [0, -1]], "kahler": [2, -1],
+        "curves": [{"name": "E", "class": [0, 1]}],
+    }
+    assert model_from_dict(good).rank == 2
+    bad_values = [
+        ("rank", 2.9), ("rank", 2.0), ("rank", True), ("rank", "2"),
+        ("gram", "10"), ("gram", [[1, 0], "01"]), ("kahler", "10"),
+        ("curves", [{"name": "E", "class": "01"}]),
+    ]
+    for key, value in bad_values:
+        with pytest.raises(UsageError, match="^malformed model data: ") as err:
+            model_from_dict(dict(good, **{key: value}))
+        assert not isinstance(err.value, ModelValidationError)
+
+
 def test_load_model_missing_file(tmp_path):
     with pytest.raises(UsageError):
         load_model(str(tmp_path / "nope.json"))

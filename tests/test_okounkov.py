@@ -552,6 +552,26 @@ def test_bodies_read_the_kept_pairings(monkeypatch, blowup1, blowup2):
     assert calls == {"pairings": 2, "intersect": 2}
 
 
+def test_chamber_start_pairs_the_class_once(monkeypatch, blowup2):
+    """Each chamber reads (alpha + t0*d) . C off its start decomposition's
+    P . C and N instead of pairing the start class a second time."""
+    from zok.lattice import SurfaceModel
+
+    calls = []
+    pairings = SurfaceModel.pairings
+
+    def counting(self, u):
+        calls.append(u)
+        return pairings(self, u)
+
+    monkeypatch.setattr(SurfaceModel, "pairings", counting)
+    chambers = segment_chambers(blowup2, F(3, -1, -1), "L12")
+    assert len(chambers) == 2
+    # d once, then per chamber: the start (in its decomposition), P (in the
+    # decomposition's check) and z1 (in the chamber's check)
+    assert len(calls) == 7
+
+
 def test_restricted_body_decomposes_alpha_once(decompositions, blowup1):
     calls = decompositions
     flag = FlagSpec.make(blowup1.curve_index("H-E"), {0: Fraction(1)})
