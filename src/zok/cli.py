@@ -8,7 +8,8 @@ io.dumps_canonical or text (SVG, CSV, verify's JSON lines) as it is.
 Exit codes: 0 success, 1 mathematically negative verdict (not psef, Morse
 hypothesis fails, unsupported direction, ...), 2 input or usage error
 (UsageError only), 3 anything else: an internal invariant breach or any
-unexpected exception, always a bug; a reproduction file is dumped.
+unexpected exception, always a bug; a reproduction file is dumped, and
+named in the JSON error ("repro": null when it cannot be written).
 All output is deterministic: canonical JSON with sorted keys, no timestamps.
 """
 
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from typing import Optional
 
 from . import io as zio
 from .errors import (
@@ -291,10 +293,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _dump_repro(argv, exc: Exception) -> None:
+def _dump_repro(argv, exc: Exception) -> Optional[str]:
+    """Write REPRO_FILE for an exit-3 run and return its name, or None when
+    it cannot be written: the run still ends in one JSON document."""
+    import traceback  # only a failing run pays for the import
+
     payload = {
         "argv": list(argv),
         "error": f"{type(exc).__name__}: {exc}",
+        "traceback": traceback.format_exception(exc),
     }
     model_arg = None
     for i, a in enumerate(argv):
@@ -305,8 +312,12 @@ def _dump_repro(argv, exc: Exception) -> None:
             payload["model"] = zio.read_model_json(_resolve_model_path(model_arg))
         except ZokError:
             payload["model"] = None
-    with open(REPRO_FILE, "w", encoding="utf-8") as fh:
-        fh.write(zio.dumps_canonical(payload))
+    try:
+        with open(REPRO_FILE, "w", encoding="utf-8") as fh:
+            fh.write(zio.dumps_canonical(payload))
+    except OSError:
+        return None
+    return REPRO_FILE
 
 
 _VALUE_OPTIONS = {"-c", "--cls", "-d", "--direction", "-b", "--beta"}
@@ -369,8 +380,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         output, code = _error(exc), 2
     except Exception as exc:  # an invariant breach, or any other bug
-        _dump_repro(argv, exc)
-        output, code = dict(_error(exc), repro=REPRO_FILE), 3
+        output, code = dict(_error(exc), repro=_dump_repro(argv, exc)), 3
     sys.stdout.write(output if isinstance(output, str) else zio.dumps_canonical(output))
     return code
 

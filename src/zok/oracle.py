@@ -12,17 +12,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import GenerationError, MultipleCandidates, UsageError
+from .errors import GenerationError, MultipleCandidates, NotPseudoEffective, UsageError
 from .exact import ExtRat
-from .lattice import (
-    SurfaceModel,
-    Vec,
-    make_model,
-    validate_model,
-    vec_scale,
-    vec_sub,
-)
-from .errors import NotPseudoEffective
+from .lattice import SurfaceModel, Vec, make_model, validate_model
 from .okounkov import FlagSpec, PiecewiseLinear, first_chamber_along, okounkov_polygon
 from .zariski import (
     ZariskiDecomp,
@@ -57,10 +49,11 @@ def brute_force_zariski(
     Every negative-definite curve subset (the empty one included) is a
     candidate support.  The model's family atlas tests its coefficients
     (strictly positive) and its residual's curve pairings (non-negative) as
-    integer sign tests (SurfaceModel.orthogonal_candidates); a subset that
-    passes both must also leave a residual P with P^2 >= 0 and
-    P.omega >= 0.  Uniqueness of the orthogonal decomposition makes more
-    than one candidate a model bug.
+    integer sign tests (SurfaceModel.orthogonal_candidates); each subset that
+    passes both goes to the decomposition checker
+    (zariski._check_decomposition), which drops it on NotPseudoEffective
+    (P^2 < 0 or P.omega < 0).  Uniqueness of the orthogonal decomposition
+    makes more than one candidate a model bug.
     """
     n = len(model.curves)
     if n > max_curves:
@@ -69,34 +62,24 @@ def brute_force_zariski(
             "(override via ZOK_MAX_SUBSET_CURVES)"
         )
     alpha = tuple(alpha)
-    candidates = []  # (decomposition, P^2, P.omega)
+    candidates = []
     for subset, coeffs in model.orthogonal_candidates(model.pairings(alpha)):
-        residual = alpha
-        for i, a in zip(subset, coeffs):
-            residual = vec_sub(residual, vec_scale(a, model.curve_class(i)))
-        square = model.intersect(residual, residual)
-        if square < 0:
+        try:
+            candidates.append(_check_decomposition(model, alpha, subset, coeffs))
+        except NotPseudoEffective:
             continue
-        kahler = model.intersect(residual, model.kahler)
-        if kahler < 0:
-            continue
-        dec = ZariskiDecomp(alpha=alpha, positive=residual, support=subset, coeffs=coeffs)
-        candidates.append((dec, square, kahler))
     if len(candidates) > 1:
         raise MultipleCandidates(
             f"{len(candidates)} orthogonal decompositions found for {alpha}"
         )
-    if not candidates:
-        return None
-    return _check_decomposition(model, *candidates[0])
+    return candidates[0] if candidates else None
 
 
 def derivative_by_chambers(model: SurfaceModel, alpha: Vec, beta: Vec) -> Fraction:
     """Volume derivative read off the first chamber of the walk along
     alpha + t*beta: the t-derivative of Z(t)^2 at t = 0."""
     _direction_kind(model, beta)  # raises UnsupportedDirection otherwise
-    chamber = first_chamber_along(model, alpha, tuple(beta))
-    return 2 * model.intersect(chamber.z0, chamber.z1)
+    return first_chamber_along(model, alpha, tuple(beta)).square[1]
 
 
 def area_by_integration(f: PiecewiseLinear, g: PiecewiseLinear) -> ExtRat:

@@ -45,8 +45,9 @@ class ZariskiDecomp:
     """alpha = positive + sum(coeffs[i] * curve[i]) with positive nef-in-model,
     orthogonal to every support curve, and negative-definite support Gram.
 
-    A checked decomposition (see _check_decomposition) also keeps the
-    positive part's numbers that its check computed: P.C_i for every curve,
+    Every decomposition zok returns is built by _check_decomposition from
+    (alpha, support, coeffs), the data it is saved as, and keeps the
+    positive part's numbers that the check computed: P.C_i for every curve,
     P^2 and P.omega.  They take no part in equality or repr; one built by
     hand has none, and volume then computes P^2.
     """
@@ -171,52 +172,43 @@ def zariski_decompose(model: SurfaceModel, alpha: Vec) -> ZariskiDecomp:
     if len(alpha) != model.rank:
         raise ValueError(f"class vector must have length {model.rank}")
     support, (coeffs,), _ = _grow_support(model, (model.pairings(alpha),))
-    residual = alpha
-    for i, a in zip(support, coeffs):
-        residual = vec_sub(residual, vec_scale(a, model.curve_class(i)))
-    kahler = model.intersect(residual, model.kahler)
-    if kahler < 0:
-        raise NotPseudoEffective("positive part meets the Kahler class negatively")
-    square = model.intersect(residual, residual)
-    if square < 0:
-        raise NotPseudoEffective("positive part has negative self-intersection")
-    dec = ZariskiDecomp(
-        alpha=tuple(alpha),
-        positive=residual,
-        support=support,
-        coeffs=coeffs,
-    )
-    return _check_decomposition(model, dec, square, kahler)
+    return _check_decomposition(model, alpha, support, coeffs)
 
 
 def _check_decomposition(
-    model: SurfaceModel, dec: ZariskiDecomp, square=None, kahler=None
+    model: SurfaceModel, alpha: Vec, support: Sequence[int], coeffs: Sequence[Fraction]
 ) -> ZariskiDecomp:
-    """Defensive re-verification of every decomposition invariant; returns
-    dec keeping the numbers of its positive part P that the check computed.
+    """The decomposition alpha = P + N with N = sum(coeffs[k] * C_support[k]),
+    built and verified; every ZariskiDecomp comes from here.
 
-    One pairing of P itself gives P.C_i for both the orthogonality and the
-    nef test.  ``square`` and ``kahler`` are P^2 and P.omega when the caller
-    has computed them on this same P; otherwise they are computed here.
+    Raises NotPseudoEffective when P meets the Kahler class negatively, then
+    when P^2 < 0.  Any other failure is an InvariantError: reconstruction,
+    P orthogonal to the support, positive coefficients, negative-definite
+    support Gram, and P nef in the model.  One pairing of P gives P.C_i for
+    both the orthogonality and the nef test; the result keeps P.C_i, P^2 and
+    P.omega.
     """
-    p = dec.positive
-    recon = vec_add(p, dec.negative_part(model))
-    if recon != tuple(dec.alpha):
+    alpha = tuple(alpha)
+    negative = _combination(model, support, coeffs)
+    p = vec_sub(alpha, negative) if support else alpha  # N = 0: P is alpha as given
+    kahler = model.intersect(p, model.kahler)
+    if kahler < 0:
+        raise NotPseudoEffective("positive part meets the Kahler class negatively")
+    square = model.intersect(p, p)
+    if square < 0:
+        raise NotPseudoEffective("positive part has negative self-intersection")
+    if vec_add(p, negative) != alpha:
         raise InvariantError("decomposition does not reconstruct the class")
     pairs = model.pairings(p)
-    if any(pairs[i] != 0 for i in dec.support):
+    if any(pairs[i] != 0 for i in support):
         raise InvariantError("positive part not orthogonal to support")
-    if any(a <= 0 for a in dec.coeffs):
+    if any(a <= 0 for a in coeffs):
         raise InvariantError("non-positive negative-part coefficient")
-    if negative_ldl(model.gram_submatrix(dec.support)) is None:
+    if negative_ldl(model.gram_submatrix(support)) is None:
         raise InvariantError("support Gram matrix not negative definite")
-    if square is None:
-        square = model.intersect(p, p)
-    if kahler is None:
-        kahler = model.intersect(p, model.kahler)
-    if any(v < 0 for v in pairs) or square < 0 or kahler < 0:
+    if any(v < 0 for v in pairs):
         raise InvariantError("positive part not nef in model")
-    return ZariskiDecomp(dec.alpha, p, dec.support, dec.coeffs, pairs, square, kahler)
+    return ZariskiDecomp(alpha, p, support, coeffs, pairs, square, kahler)
 
 
 def volume(model: SurfaceModel, alpha: Vec) -> Fraction:
@@ -366,12 +358,15 @@ def orthogonal_nef_lift(
     b = tuple(-x for x in sol)
     if any(x <= 0 for x in b):
         raise InvariantError("lift coefficients must be positive")
-    lifted = omega
-    for i, bi in zip(family, b):
-        lifted = vec_add(lifted, vec_scale(bi, model.curve_class(i)))
-    if any(model.pairing(lifted, i) != 0 for i in family):
+    lifted = vec_add(omega, _combination(model, family, b))
+    pairs = model.pairings(lifted)
+    if any(pairs[i] != 0 for i in family):
         raise InvariantError("lift not orthogonal to family")
-    if not is_nef_in_model(model, lifted) or model.intersect(lifted, lifted) <= 0:
+    if (
+        any(v < 0 for v in pairs)
+        or model.intersect(lifted, lifted) <= 0
+        or model.intersect(lifted, model.kahler) < 0
+    ):
         raise InvariantError("lifted class not big and nef in model")
     return lifted, b
 
@@ -405,13 +400,13 @@ def perturbed_decomposition(
     threshold = min(a / bi for a, bi in zip(dec.coeffs, b))
     if eps >= threshold:
         raise EpsilonTooLarge(threshold)
-    closed = ZariskiDecomp(
-        alpha=shifted,
-        positive=vec_add(dec.positive, vec_scale(eps, lifted)),
-        support=dec.support,
-        coeffs=tuple(a - eps * bi for a, bi in zip(dec.coeffs, b)),
-    )
-    closed = _check_decomposition(model, closed)
+    coeffs = tuple(a - eps * bi for a, bi in zip(dec.coeffs, b))
+    try:
+        closed = _check_decomposition(model, shifted, dec.support, coeffs)
+    except NotPseudoEffective as exc:  # a broken closed form is a bug, not a verdict
+        raise InvariantError("positive part not nef in model") from exc
+    if closed.positive != vec_add(dec.positive, vec_scale(eps, lifted)):
+        raise InvariantError("perturbed positive part is not P + eps * lift")
     direct = zariski_decompose(model, shifted)
     if closed != direct:
         raise InvariantError("perturbation formula disagrees with direct decomposition")

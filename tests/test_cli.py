@@ -9,7 +9,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from zok.cli import main
 from zok.fixtures import FIXTURE_NAMES, fixture_path, load_fixture
-from zok.oracle import OracleReport
+from zok.io import dumps_canonical, model_to_dict
+from zok.oracle import ModelGenSpec, OracleReport, random_model
 
 
 def run_cli(capsys, *argv):
@@ -315,6 +316,25 @@ def test_unexpected_exception_exits_3_with_repro(capsys, monkeypatch, tmp_path, 
     assert repro["argv"] == argv
     assert repro["error"] == f"{name}: {exc}"
     assert repro["model"]["name"] == argv[2]
+    # format_exception's last entry is the exception line, its last frame the one before
+    assert repro["traceback"][-1] == f"{name}: {exc}\n"
+    assert repro["traceback"][-2].splitlines()[0].endswith(", in broken")
+
+
+def test_unwritable_repro_file_still_exits_3_with_one_document(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "zok-repro.json").mkdir()
+    import zok.cli as cli_mod
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("internal runtime error")
+
+    monkeypatch.setattr(cli_mod, "zariski_decompose", broken)
+    code, out = run_cli(capsys, "zariski", "-m", "blowup1", "-c", "1,1")
+    assert code == 3
+    assert json.loads(out) == {
+        "error": "RuntimeError", "detail": "internal runtime error", "repro": None,
+    }
 
 
 def test_help_paths(capsys):
@@ -362,15 +382,26 @@ def test_chambers_walks_once(capsys, monkeypatch):
 
 
 _MODELS = {name: load_fixture(name) for name in FIXTURE_NAMES}
+GENERATED_FILE = "generated-model.json"
 
 
 @st.composite
 def cli_argv(draw):
-    """(argv, whether stdout must be one JSON document) for every subcommand
-    but verify, on a bundled model: small rational classes of about the right
-    length, curve names known and unknown, and good and bad --mult values."""
-    name = draw(st.sampled_from(FIXTURE_NAMES))
-    model = _MODELS[name]
+    """(argv, output format, generated model) for every subcommand, on a
+    bundled model or on a random_model of rank 2-4 that the test writes to
+    GENERATED_FILE: small rational classes of about the right length, curve
+    names known and unknown, good and bad --mult values, and verify's grid
+    bounds from -1 to 1."""
+    generated = None
+    name = draw(st.sampled_from(FIXTURE_NAMES + ("random",)))
+    if name == "random":
+        rank = draw(st.integers(2, 4))
+        spec = ModelGenSpec(seed=draw(st.integers(0, 49)), rank=rank,
+                            num_curves=rank + draw(st.integers(1, 3)))
+        model = generated = random_model(spec)
+        name = GENERATED_FILE
+    else:
+        model = _MODELS[name]
     # mostly well-formed: an unknown name or a bad length ends every run early
     curves = st.sampled_from([c.name for c in model.curves] * 4 + ["Q"])
     rat = st.fractions(min_value=-3, max_value=3, max_denominator=3).map(str)
@@ -386,11 +417,14 @@ def cli_argv(draw):
     mult = st.one_of(st.builds("{}={}".format, curves, value), curves)
     command = draw(st.sampled_from([
         "validate", "zariski", "classify", "volume", "derivative", "morse",
-        "okounkov", "restricted", "boundary", "chambers", "families",
+        "okounkov", "restricted", "boundary", "chambers", "families", "verify",
     ]))
     argv = [command, "-m", name]
     fmt = "json"
-    if command not in ("validate", "families"):
+    if command == "verify":
+        argv += ["--grid-bound", str(draw(st.integers(-1, 1)))]
+        fmt = "lines"
+    elif command not in ("validate", "families"):
         argv += ["-c", cls()]
     if command == "derivative":
         argv += ["-d", cls()]
@@ -405,7 +439,7 @@ def cli_argv(draw):
     if command in ("okounkov", "chambers", "families"):
         fmt = draw(st.sampled_from(["json", "svg" if command == "okounkov" else "csv"]))
         argv += ["--format", fmt]
-    return argv, fmt == "json"
+    return argv, fmt, generated
 
 
 @settings(
@@ -416,12 +450,19 @@ def cli_argv(draw):
 def test_every_run_exits_0_to_3_with_one_document(monkeypatch, tmp_path, case):
     """The exit contract: any argv ends in exit 0-3, never a traceback; a
     JSON-format command, and any run that fails, prints exactly one JSON
-    document."""
+    document; a verify run that passes prints one JSON document a line."""
     monkeypatch.chdir(tmp_path)
-    argv, json_format = case
+    argv, fmt, generated = case
+    if generated is not None:
+        (tmp_path / GENERATED_FILE).write_text(
+            dumps_canonical(model_to_dict(generated)), encoding="utf-8"
+        )
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(argv)
     assert code in (0, 1, 2, 3)
-    if json_format or code:
+    if fmt == "lines" and code == 0:
+        lines = out.getvalue().splitlines()
+        assert lines and all(json.loads(line)["agrees"] for line in lines)
+    elif fmt == "json" or code:
         json.loads(out.getvalue())

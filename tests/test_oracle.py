@@ -14,7 +14,6 @@ from zok.lattice import (
     validate_model,
     vec_add,
     vec_scale,
-    vec_sub,
 )
 from zok.okounkov import PiecewiseLinear
 from zok.oracle import (
@@ -77,7 +76,8 @@ def test_brute_force_agrees_with_iterative_everywhere(all_fixture_models):
 
 def reference_subset_search(model, alpha):
     """brute_force_zariski as a plain loop over the families: each is
-    factored and solved, and its residual is paired with every curve."""
+    factored and solved, its residual is paired with every curve, and each
+    family left goes to the decomposition checker."""
     alpha = tuple(alpha)
     pairs = model.pairings(alpha)
     candidates = []
@@ -87,24 +87,15 @@ def reference_subset_search(model, alpha):
             continue
         if any(v < 0 for v in model.residual_pairings(pairs, subset, coeffs)):
             continue
-        residual = alpha
-        for i, a in zip(subset, coeffs):
-            residual = vec_sub(residual, vec_scale(a, model.curve_class(i)))
-        square = model.intersect(residual, residual)
-        if square < 0:
+        try:
+            candidates.append(_check_decomposition(model, alpha, subset, coeffs))
+        except NotPseudoEffective:
             continue
-        kahler = model.intersect(residual, model.kahler)
-        if kahler < 0:
-            continue
-        dec = ZariskiDecomp(alpha=alpha, positive=residual, support=subset, coeffs=coeffs)
-        candidates.append((dec, square, kahler))
     if len(candidates) > 1:
         raise MultipleCandidates(
             f"{len(candidates)} orthogonal decompositions found for {alpha}"
         )
-    if not candidates:
-        return None
-    return _check_decomposition(model, *candidates[0])
+    return candidates[0] if candidates else None
 
 
 def _outcome(search, model, alpha):

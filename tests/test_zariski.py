@@ -441,28 +441,90 @@ def test_kept_numbers_on_every_route(blowup1, blowup2, hirzebruch2):
     assert routes > 40
 
 
+def _count_calls_on(monkeypatch, vector):
+    """The names of the SurfaceModel pairing methods called on vector, as
+    they happen."""
+    from zok.lattice import SurfaceModel
+
+    calls = []
+    for name in ("intersect", "pairings", "pairing"):
+        method = getattr(SurfaceModel, name)
+
+        def counting(self, u, *rest, _name=name, _method=method):
+            if tuple(u) == vector:
+                calls.append(_name)
+            return _method(self, u, *rest)
+
+        monkeypatch.setattr(SurfaceModel, name, counting)
+    return calls
+
+
 def test_positive_part_numbers_are_computed_once(monkeypatch, blowup2):
     """The check pairs P with the curves once, and P^2 and P.omega come from
-    the NotPseudoEffective tests of the route, on zariski_decompose and on
+    its NotPseudoEffective tests, on zariski_decompose and on
     brute_force_zariski."""
-    from zok.lattice import SurfaceModel
     from zok.oracle import brute_force_zariski
 
     alpha = F(3, 1, -1)
     dec = zariski_decompose(blowup2, alpha)
     positive = dec.positive
     assert dec.support == (0,)
-    calls = []
-    for name in ("intersect", "pairings", "pairing"):
-        method = getattr(SurfaceModel, name)
-
-        def counting(self, u, *rest, _name=name, _method=method):
-            if tuple(u) == positive:
-                calls.append(_name)
-            return _method(self, u, *rest)
-
-        monkeypatch.setattr(SurfaceModel, name, counting)
+    calls = _count_calls_on(monkeypatch, positive)
     for route in (zariski_decompose, brute_force_zariski):
         calls.clear()
         assert route(blowup2, alpha).positive == positive
         assert sorted(calls) == ["intersect", "intersect", "pairings"]
+
+
+def test_orthogonal_nef_lift_pairs_the_lift_once(monkeypatch, blowup2):
+    """One pairing of the lift serves the orthogonality and the nef test;
+    its square and its product with omega are computed once each."""
+    lifted, b = orthogonal_nef_lift(blowup2, (0, 1))
+    calls = _count_calls_on(monkeypatch, lifted)
+    assert orthogonal_nef_lift(blowup2, (0, 1)) == (lifted, b)
+    assert sorted(calls) == ["intersect", "intersect", "pairings"]
+
+
+# -- the decomposition checker, fed by hand --------------------------------------
+
+
+@pytest.mark.parametrize(
+    "name, alpha, support, coeffs, error, text",
+    [
+        ("p2", (-1,), (), (), NotPseudoEffective,
+         "positive part meets the Kahler class negatively"),
+        ("blowup1", (0, 1), (), (), NotPseudoEffective,
+         "positive part has negative self-intersection"),
+        ("blowup1", (2, 1, 5), (0,), (1,), InvariantError,
+         "decomposition does not reconstruct the class"),
+        ("blowup1", (2, 1), (0,), (Fraction(1, 2),), InvariantError,
+         "positive part not orthogonal to support"),
+        ("blowup1", (1, 0), (0,), (0,), InvariantError,
+         "non-positive negative-part coefficient"),
+        ("blowup1", (2, -1), (0,), (-1,), InvariantError,
+         "non-positive negative-part coefficient"),
+        ("p2", (1,), (0,), (1,), InvariantError,
+         "support Gram matrix not negative definite"),
+        ("blowup1", (2, 1), (), (), InvariantError,
+         "positive part not nef in model"),
+    ],
+)
+def test_checker_rejects_hand_made_decompositions(name, alpha, support, coeffs, error, text):
+    """Each branch of the checker, reached from (alpha, S, a) on a fixture:
+    the two verdicts first, then the invariant breaches no public route
+    reaches."""
+    from zok.fixtures import load_fixture
+    from zok.zariski import _check_decomposition
+
+    with pytest.raises(error) as info:
+        _check_decomposition(load_fixture(name), F(*alpha), support, F(*coeffs))
+    assert type(info.value) is error and str(info.value) == text
+
+
+def test_checker_builds_a_valid_decomposition(blowup1):
+    from zok.zariski import _check_decomposition
+
+    dec = _check_decomposition(blowup1, F(2, 1), (0,), F(1))
+    assert (dec.alpha, dec.positive, dec.support, dec.coeffs) == (F(2, 1), F(2, 0), (0,), F(1))
+    assert dec == zariski_decompose(blowup1, F(2, 1))
+    _assert_kept_numbers_match(blowup1, dec)
