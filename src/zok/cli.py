@@ -4,6 +4,8 @@ One dispatcher (_run) loads the model, parses -c/--cls into a class and
 calls the subcommand's handler, a function of (model, args) that returns
 (output, exit code); main writes the output, a JSON payload through
 io.dumps_canonical or text (SVG, CSV, verify's JSON lines) as it is.
+The okounkov and oracle modules are imported by the handlers that run them,
+so a subcommand loads only what it uses.
 
 Exit codes: 0 success, 1 mathematically negative verdict (not psef, Morse
 hypothesis fails, unsupported direction, ...), 2 input or usage error
@@ -18,7 +20,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from . import io as zio
 from .errors import (
@@ -32,17 +34,6 @@ from .errors import (
 from .exact import format_rat, parse_rat
 from .fixtures import FIXTURE_NAMES, fixture_path
 from .lattice import SurfaceModel
-from .okounkov import (
-    FlagSpec,
-    _resolve_curve,
-    boundary_body,
-    chamber_slopes,
-    okounkov_polygon,
-    restricted_body,
-    segment_chambers,
-    validate_flag,
-)
-from .oracle import DEFAULT_SUBSET_CAP, run_model_verification
 from .zariski import (
     classify,
     derivative_vol,
@@ -50,6 +41,9 @@ from .zariski import (
     morse_gap,
     zariski_decompose,
 )
+
+if TYPE_CHECKING:
+    from .okounkov import FlagSpec
 
 REPRO_FILE = "zok-repro.json"
 
@@ -63,7 +57,7 @@ def _resolve_model_path(spec: str) -> str:
 def _parse_class(model: SurfaceModel, text: str):
     """A class argument is a curve name or a comma-separated rational vector."""
     try:
-        return model.curve_class(_resolve_curve(model, text))
+        return model.curve_class(model.resolve_curve(text))
     except UnknownCurve:
         pass
     try:
@@ -78,14 +72,16 @@ def _parse_class(model: SurfaceModel, text: str):
 
 
 def _parse_flag(model: SurfaceModel, name: str, mults: list[str]) -> FlagSpec:
-    curve = _resolve_curve(model, name)
+    from .okounkov import FlagSpec, validate_flag
+
+    curve = model.resolve_curve(name)
     mult_map = {}
     try:
         for item in mults:
             cname, sep, value = item.partition("=")
             if not sep:
                 raise UsageError(f"--mult needs NAME=VALUE, got {item!r}")
-            mult_map[_resolve_curve(model, cname.strip())] = parse_rat(value.strip())
+            mult_map[model.resolve_curve(cname.strip())] = parse_rat(value.strip())
         flag = FlagSpec.make(curve, mult_map)
         validate_flag(model, flag)
     except ValueError as exc:
@@ -146,6 +142,8 @@ def _cmd_morse(model, args):
 
 
 def _cmd_okounkov(model, args):
+    from .okounkov import okounkov_polygon
+
     poly = okounkov_polygon(model, args.cls, _parse_flag(model, args.flag, args.mult))
     svg = zio.polygon_to_svg(poly)
     if args.svg:
@@ -158,17 +156,23 @@ def _cmd_okounkov(model, args):
 
 
 def _cmd_restricted(model, args):
+    from .okounkov import restricted_body
+
     lo, hi = restricted_body(model, args.cls, _parse_flag(model, args.flag, args.mult))
     return {"interval": [format_rat(lo), format_rat(hi)]}, 0
 
 
 def _cmd_boundary(model, args):
+    from .okounkov import boundary_body
+
     body = boundary_body(model, args.cls, _parse_flag(model, args.flag, args.mult))
     return zio.boundary_body_to_dict(body), 0
 
 
 def _cmd_chambers(model, args):
-    curve = _resolve_curve(model, args.curve)
+    from .okounkov import chamber_slopes, segment_chambers
+
+    curve = model.resolve_curve(args.curve)
     chambers = segment_chambers(model, args.cls, curve)
     a, s = chamber_slopes(chambers, curve)
     if args.format == "csv":
@@ -199,6 +203,8 @@ def _cmd_families(model, args):
 
 
 def _cmd_verify(model, args):
+    from .oracle import DEFAULT_SUBSET_CAP, run_model_verification
+
     cap = DEFAULT_SUBSET_CAP
     env_cap = os.environ.get("ZOK_MAX_SUBSET_CURVES")
     if env_cap is not None:
@@ -214,7 +220,8 @@ def _cmd_verify(model, args):
     lines = "".join(zio.report_to_json_line(r) + "\n" for r in reports)
     if all(r.agrees for r in reports):
         return lines, 0
-    sys.stdout.write(lines)  # the reports come before the breach's error
+    # stdout carries only the error document; the reports show the mismatch
+    sys.stderr.write(lines)
     raise InvariantError("oracle verification found a mismatch")
 
 

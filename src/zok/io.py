@@ -9,18 +9,19 @@ decimal renderings for display only.
 
 from __future__ import annotations
 
-import decimal
 import json
 import math
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .errors import ModelValidationError, UsageError
 from .exact import ExtRat, QuadExt, format_rat, parse_rat
 from .lattice import SurfaceModel, make_model, validate_model
-from .okounkov import BoundaryBody, OkounkovPolygon, PiecewiseLinear, SegmentChamber
-from .oracle import OracleReport
-from .zariski import Classification, MorseCertificate, ZariskiDecomp
+
+if TYPE_CHECKING:  # result types appear in annotations only
+    from .okounkov import BoundaryBody, OkounkovPolygon, PiecewiseLinear, SegmentChamber
+    from .oracle import OracleReport
+    from .zariski import Classification, MorseCertificate, ZariskiDecomp
 
 
 def ext_to_json(x: ExtRat):
@@ -100,6 +101,8 @@ def read_model_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read model file {path!r}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"model file {path!r} is not valid UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"model file {path!r} is not valid JSON: {exc}") from exc
 
@@ -201,20 +204,19 @@ _SVG_SCALE = 100  # drawing units per lattice unit
 
 def ext_to_decimal_str(x: ExtRat, digits: int = 12) -> str:
     """Deterministic decimal rendering of an exact value, display only."""
-    ctx = decimal.Context(prec=digits + 10)
+    from decimal import Context, Decimal  # only the SVG rendering needs it
+
+    ctx = Context(prec=digits + 10)
+
+    def dec(q: Fraction) -> Decimal:
+        return ctx.divide(Decimal(q.numerator), Decimal(q.denominator))
+
     if isinstance(x, QuadExt):
-        root = ctx.sqrt(decimal.Decimal(x.d))
-        value = ctx.add(
-            _frac_to_dec(x.p, ctx), ctx.multiply(_frac_to_dec(x.q, ctx), root)
-        )
+        value = ctx.add(dec(x.p), ctx.multiply(dec(x.q), ctx.sqrt(Decimal(x.d))))
     else:
-        value = _frac_to_dec(x, ctx)
-    out = decimal.Context(prec=digits).create_decimal(value)
+        value = dec(x)
+    out = Context(prec=digits).create_decimal(value)
     return format(out.normalize(), "f")
-
-
-def _frac_to_dec(x: Fraction, ctx: decimal.Context):
-    return ctx.divide(decimal.Decimal(x.numerator), decimal.Decimal(x.denominator))
 
 
 def _svg_xy(x: ExtRat, y: ExtRat, y_flip_about: tuple) -> tuple[str, str]:

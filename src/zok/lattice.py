@@ -17,6 +17,7 @@ from math import lcm
 from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
 
+from .errors import UnknownCurve
 from .exact import parse_rat
 
 Vec = tuple[Fraction, ...]
@@ -447,6 +448,18 @@ class SurfaceModel:
             if c.name == name:
                 return i
         raise KeyError(name)
+
+    def resolve_curve(self, curve) -> int:
+        """Index of a curve given by name or by index; UnknownCurve otherwise."""
+        if isinstance(curve, str):
+            try:
+                return self.curve_index(curve)
+            except KeyError:
+                raise UnknownCurve(f"no curve named {curve!r}") from None
+        index = int(curve)
+        if not 0 <= index < len(self.curves):
+            raise UnknownCurve(f"no curve with index {curve}")
+        return index
 
     def gram_submatrix(self, indices: Sequence[int]) -> Mat:
         table = self.curve_gram

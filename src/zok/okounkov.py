@@ -262,18 +262,6 @@ def _require_big(model: SurfaceModel, alpha: Vec) -> ZariskiDecomp:
     return dec
 
 
-def _resolve_curve(model: SurfaceModel, curve) -> int:
-    if isinstance(curve, str):
-        try:
-            return model.curve_index(curve)
-        except KeyError:
-            raise UnknownCurve(f"no curve named {curve!r}") from None
-    index = int(curve)
-    if not 0 <= index < len(model.curves):
-        raise UnknownCurve(f"no curve with index {curve}")
-    return index
-
-
 def segment_chambers(model: SurfaceModel, alpha: Vec, curve) -> list[SegmentChamber]:
     """Exact chamber list covering [0, s] along alpha - t*C for big alpha.
 
@@ -286,7 +274,7 @@ def segment_chambers(model: SurfaceModel, alpha: Vec, curve) -> list[SegmentCham
     their breakpoint, and no curve but C may leave the support, since
     N(D + E) <= N(D) + E for effective E.
     """
-    index = _resolve_curve(model, curve)
+    index = model.resolve_curve(curve)
     direction = vec_scale(-1, model.curve_class(index))
     along = model.pairings(direction)
     chambers: list[SegmentChamber] = []
@@ -340,7 +328,7 @@ def _slope_a_from_chambers(chambers: Sequence[SegmentChamber], index: int):
 def slopes(model: SurfaceModel, alpha: Vec, curve) -> tuple[ExtRat, ExtRat]:
     """(a, s): where the flag curve leaves the non-Kahler locus of alpha - t*C,
     and where the volume of alpha - t*C hits zero."""
-    index = _resolve_curve(model, curve)
+    index = model.resolve_curve(curve)
     return chamber_slopes(segment_chambers(model, alpha, index), index)
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import importlib
 import io
 import json
 
@@ -86,6 +87,14 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     code, out = run_cli(capsys, "volume", "-m", str(bad), "-c", "1,0")
     assert code == 2
     assert any("(0,1)" in p for p in json.loads(out)["problems"])
+    # a UTF-16 byte-order mark before "{}": not UTF-8, so not a model file
+    binary = tmp_path / "bad.json"
+    binary.write_bytes(b"\xff\xfe{}")
+    code, out = run_cli(capsys, "volume", "-m", str(binary), "-c", "1")
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["error"] == "UsageError"
+    assert payload["detail"].startswith(f"model file {str(binary)!r} is not valid UTF-8: ")
 
 
 def test_non_object_model_json_is_a_usage_error(capsys, tmp_path):
@@ -273,20 +282,29 @@ def test_verify_env_cap(capsys, monkeypatch):
 
 def test_invariant_breach_dumps_repro(capsys, monkeypatch, tmp_path):
     monkeypatch.chdir(tmp_path)
-    import zok.cli as cli_mod
+    import zok.oracle as oracle_mod
 
     monkeypatch.setattr(
-        cli_mod,
+        oracle_mod,
         "run_model_verification",
         lambda model, grid_bound, max_subset_curves: [
             OracleReport(subject="forced", agrees=False, witness="forced mismatch")
         ],
     )
-    code, out = run_cli(capsys, "verify", "-m", "blowup1")
+    code = main(["verify", "-m", "blowup1"])
+    out, err = capsys.readouterr()
     assert code == 3
+    # stdout is the error document alone; the failing report went to stderr
+    assert json.loads(out)["error"] == "InvariantError"
+    assert json.loads(err) == {"agrees": False, "subject": "forced", "witness": "forced mismatch"}
     repro = json.loads((tmp_path / "zok-repro.json").read_text(encoding="utf-8"))
     assert repro["error"].startswith("InvariantError")
     assert repro["model"]["name"] == "blowup1"
+
+
+# the module whose attribute main's handler reads: cli imports zariski when it
+# loads, okounkov only inside the handlers that run it
+_HOMES = {"zariski_decompose": "zok.cli", "okounkov_polygon": "zok.okounkov"}
 
 
 @pytest.mark.parametrize(
@@ -302,12 +320,11 @@ def test_unexpected_exception_exits_3_with_repro(capsys, monkeypatch, tmp_path, 
     """Only a UsageError exits 2; any other exception that is not a verdict
     is a bug: exit 3, the JSON error and zok-repro.json."""
     monkeypatch.chdir(tmp_path)
-    import zok.cli as cli_mod
 
     def broken(*args, **kwargs):
         raise exc
 
-    monkeypatch.setattr(cli_mod, target, broken)
+    monkeypatch.setattr(importlib.import_module(_HOMES[target]), target, broken)
     code, out = run_cli(capsys, *argv)
     assert code == 3
     name = type(exc).__name__
@@ -361,7 +378,6 @@ def test_byte_identical_repeated_runs(capsys):
 
 
 def test_chambers_walks_once(capsys, monkeypatch):
-    import zok.cli as cli_module
     import zok.okounkov as okounkov_module
 
     walks = []
@@ -372,7 +388,6 @@ def test_chambers_walks_once(capsys, monkeypatch):
         return walk(*args, **kwargs)
 
     monkeypatch.setattr(okounkov_module, "segment_chambers", counting)
-    monkeypatch.setattr(cli_module, "segment_chambers", counting)
     code, out = run_cli(
         capsys, "chambers", "-m", "blowup2", "-c", "3,-1,-1", "--curve", "L12"
     )
