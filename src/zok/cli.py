@@ -81,7 +81,10 @@ def _parse_flag(model: SurfaceModel, name: str, mults: list[str]) -> FlagSpec:
             cname, sep, value = item.partition("=")
             if not sep:
                 raise UsageError(f"--mult needs NAME=VALUE, got {item!r}")
-            mult_map[model.resolve_curve(cname.strip())] = parse_rat(value.strip())
+            index = model.resolve_curve(cname.strip())
+            if index in mult_map:
+                raise UsageError(f"--mult names curve {model.curve_name(index)!r} twice")
+            mult_map[index] = parse_rat(value.strip())
         flag = FlagSpec.make(curve, mult_map)
         validate_flag(model, flag)
     except ValueError as exc:

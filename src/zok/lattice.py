@@ -90,29 +90,30 @@ def _check_symmetric(gram: Mat) -> None:
                 raise ValueError(f"matrix not symmetric at entry ({i},{j})")
 
 
-def _schur(block, k: int, rows: Sequence[int]):
-    """Eliminate pivot k of a symmetric block: the multipliers block[r][k] / p
-    and the Schur complement over ``rows``, with p = block[k][k]."""
-    p = block[k][k]
-    pivot_row = block[k]
-    mults = [block[r][k] / p for r in rows]
-    rest = [[block[r][c] - f * pivot_row[c] for c in rows] for f, r in zip(mults, rows)]
-    return mults, rest
+def _pivot_out(rows, pivot: Sequence, k: int) -> None:
+    """One pivoted elimination step, in place: each row loses row[k] / pivot[k]
+    times the pivot row, which clears its entry k."""
+    for row in rows:
+        if row[k]:
+            f = row[k] / pivot[k]
+            row[:] = [a - f * b if b else a for a, b in zip(row, pivot)]
 
 
 def signature(gram: Mat) -> tuple[int, int, int]:
     """Inertia (n_plus, n_minus, n_zero) of a symmetric rational matrix.
 
     Congruence diagonalization with greedy symmetric pivoting on the
-    largest-magnitude diagonal entry, each step a Schur complement (see
-    _schur).  When every remaining diagonal entry is zero but some
+    largest-magnitude diagonal entry, each step (_pivot_out) leaving the
+    Schur complement.  When every remaining diagonal entry is zero but some
     off-diagonal entry m[i][j] is not, the symmetric update row/col i +=
     row/col j creates the pivot 2*m[i][j] (the standard rank-2 split, no
-    perturbation needed).  Exact, hence Sylvester-invariant.
+    perturbation needed).  An indefinite form needs this pivot search; a
+    definiteness test does not (see negative_solve).  Exact, hence
+    Sylvester-invariant.
     """
     _check_symmetric(gram)
     n = len(gram)
-    block = [list(row) for row in gram]
+    block = [[_exact(x) for x in row] for row in gram]
     plus = minus = 0
     while block:
         size = len(block)
@@ -129,111 +130,104 @@ def signature(gram: Mat) -> tuple[int, int, int]:
                 row[i] += row[j]
             block[i] = [a + b for a, b in zip(block[i], block[j])]
             continue
-        if block[k][k] > 0:
-            plus += 1
-        else:
-            minus += 1
-        _, block = _schur(block, k, [r for r in range(size) if r != k])
+        pivot = block.pop(k)
+        plus += pivot[k] > 0
+        minus += pivot[k] < 0
+        _pivot_out(block, pivot, k)
+        for row in block:
+            del row[k]
     return plus, minus, n - plus - minus
 
 
-@dataclass(frozen=True)
-class NegativeLDL:
-    """matrix = L D L^T with L unit lower triangular and every pivot in D
-    negative: the factorization of a negative-definite matrix.
-
-    ``columns[k]`` holds the entries of L below the diagonal in column k.
-    """
-
-    columns: tuple[tuple[Fraction, ...], ...]
-    pivots: tuple[Fraction, ...]
-
-    def solve(self, rhs: Sequence) -> Vec:
-        """Exact solution x of matrix * x = rhs."""
-        n = len(self.pivots)
-        if len(rhs) != n:
-            raise ValueError(f"right-hand side must have length {n}")
-        y = [_exact(r) for r in rhs]
-        for k, col in enumerate(self.columns):
-            yk = y[k]
-            for i, f in enumerate(col, k + 1):
-                y[i] -= f * yk
-        x = [y[k] / p for k, p in enumerate(self.pivots)]
-        for k in range(n - 1, -1, -1):
-            for i, f in enumerate(self.columns[k], k + 1):
-                x[k] -= f * x[i]
-        return tuple(x)
+def _border(cross: Sequence, r_j: Sequence, s_j, y_j, r_y: Sequence) -> tuple[Vec, Fraction]:
+    """One bordering step, the elimination kernel: G_{S+j}^-1 * y_{S+j} from
+    r_y = G_S^-1 * y_S, for a negative-definite index set S and an index j
+    outside it, with cross = G[j][S], r_j = G_S^-1 * cross and the Schur
+    pivot s_j = G[j][j] - cross . r_j < 0.  With b = y_j - cross . r_y and
+    t = b / s_j, returns ((r_y - t * r_j, t), t * b); when y is the column
+    of an index k outside S + j, t * b is how much k's pivot drops."""
+    b = y_j - _dot(cross, r_y)
+    if not b:
+        return (*r_y, b), b
+    t = b / s_j
+    return (*(x - t * y if y else x for x, y in zip(r_y, r_j)), t), t * b
 
 
-def negative_ldl(matrix: Mat) -> Optional[NegativeLDL]:
-    """In-order symmetric elimination of a symmetric matrix, stopped at the
-    first pivot >= 0: the factorization when every pivot is negative, else
-    None.  Pivot k is the ratio of the leading principal minors of sizes
-    k+1 and k, so by Sylvester's criterion the pivots are all negative
-    exactly when the matrix is negative definite; no pivot search is needed.
-    """
-    block = [list(row) for row in matrix]
-    columns: list[tuple] = []
-    pivots: list[Fraction] = []
-    while block:
-        p = block[0][0]
-        if p >= 0:
+def negative_solve(matrix: Mat, columns: Sequence[Sequence] = ()) -> Optional[tuple[Vec, ...]]:
+    """(matrix^-1 * col for col in columns) when the symmetric matrix is
+    negative definite, else None.  Exact on integer entries too.
+
+    Borders the indices in order (see _border): index k's Schur pivot and
+    r_k come from bordering its column through the earlier ones, so a
+    matrix that fails at k has touched only its leading k+1 rows.  Pivot k
+    is the ratio of the leading principal minors of sizes k+1 and k, so by
+    Sylvester's criterion no pivot search is needed."""
+    if any(len(col) != len(matrix) for col in columns):
+        raise ValueError(f"right-hand side must have length {len(matrix)}")
+    steps: list[tuple] = []  # (G[k][:k], r_k, s_k) for each bordered index k
+
+    def through(col) -> tuple[Vec, Fraction]:
+        x, total = (), 0
+        for step, y in zip(steps, col):
+            x, drop = _border(*step, y, x)
+            total += drop
+        return x, total
+
+    for k, row in enumerate(matrix):
+        r, drop = through(row)
+        s = _exact(row[k]) - drop
+        if s >= 0:
             return None
-        mults, block = _schur(block, 0, range(1, len(block)))
-        columns.append(tuple(mults))
-        pivots.append(p)
-    return NegativeLDL(tuple(columns), tuple(pivots))
+        steps.append((row[:k], r, s))
+    return tuple(through(col)[0] for col in columns)
 
 
 def is_negative_definite(gram: Mat) -> bool:
     """Exact negative-definiteness test; the empty matrix is vacuously so."""
     _check_symmetric(gram)
-    return negative_ldl(gram) is not None
+    return negative_solve(gram) is not None
 
 
 def negative_definite_subsets(gram: Mat) -> Iterator[tuple[int, ...]]:
     """Every index set whose principal submatrix of the symmetric ``gram`` is
     negative definite, the empty set included, in lexicographic order.
 
-    Depth-first search that carries the Schur complement of the current set
-    over its remaining candidates: a candidate extends the set to a
-    negative-definite one iff its diagonal entry there is negative, and
-    extending is one rank-1 update.  Negative definiteness is hereditary, so
-    a candidate that fails is dropped from every deeper level.
+    Depth-first search that carries, for each candidate i of the current set
+    S, r_i = G_S^-1 * G[S][i] and its Schur pivot s_i over S: i extends S to
+    a negative-definite set iff s_i < 0, and extending S by m borders every
+    later candidate once (see _border).  Negative definiteness is
+    hereditary, so a candidate that fails is dropped from every deeper level.
     """
 
-    def visit(subset, cands, block):
+    def visit(subset, cands):
         yield subset
-        for k, j in enumerate(cands):
-            later = range(k + 1, len(cands))
-            p = block[k][k]
-            keep = [r for r in later if block[r][r] - block[r][k] * block[k][r] / p < 0]
-            _, rest = _schur(block, k, keep)
-            yield from visit(subset + (j,), [cands[r] for r in keep], rest)
+        for k, (m, r_m, s_m) in enumerate(cands):
+            row = gram[m]
+            cross = [row[i] for i in subset]
+            keep = []
+            for j, r_j, s_j in cands[k + 1:]:
+                r, drop = _border(cross, r_m, s_m, row[j], r_j)
+                s = s_j - drop
+                if s < 0:
+                    keep.append((j, r, s))
+            yield from visit(subset + (m,), keep)
 
-    roots = [i for i in range(len(gram)) if gram[i][i] < 0]
-    yield from visit((), roots, [[gram[i][j] for j in roots] for i in roots])
+    yield from visit((), [(i, (), _exact(row[i])) for i, row in enumerate(gram) if row[i] < 0])
 
 
 def solve_linear(matrix: Mat, rhs: Sequence) -> Vec:
-    """Exact solution of matrix * x = rhs; raises ValueError when singular."""
+    """Exact solution of matrix * x = rhs by Gauss-Jordan elimination with a
+    pivot search; raises ValueError when singular."""
     n = len(matrix)
     if any(len(row) != n for row in matrix) or len(rhs) != n:
         raise ValueError("need a square system")
-    a = [list(row) + [_exact(r)] for row, r in zip(matrix, rhs)]
+    a = [[_exact(x) for x in row] + [_exact(r)] for row, r in zip(matrix, rhs)]
     for col in range(n):
         pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
         if pivot is None:
             raise ValueError("singular system")
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-        pv = a[col][col]
-        for r in range(n):
-            if r == col or a[r][col] == 0:
-                continue
-            f = a[r][col] / pv
-            for k in range(col, n + 1):
-                a[r][k] -= f * a[col][k]
+        a[col], a[pivot] = a[pivot], a[col]
+        _pivot_out(a[:col] + a[col + 1:], a[col], col)
     return tuple(a[i][n] / a[i][i] for i in range(n))
 
 
@@ -281,7 +275,8 @@ def _dots(u: Sequence, den: int, rows) -> list:
 
 def _family_atlas(table: Mat) -> tuple[tuple, ...]:
     """The family atlas: (S, den, coeff_rows, outside, residual_rows) for
-    every family S of negative_definite_subsets(table), in its order.
+    every negative-definite family S of the curve table, the empty one
+    included, in lexicographic order (that of negative_definite_subsets).
 
     These are the linear forms of the orthogonal decomposition over S, as
     integer rows over one denominator den.  For a class u with
@@ -290,43 +285,36 @@ def _family_atlas(table: Mat) -> tuple[tuple, ...]:
     not in S, the residual pairing (u - sum_k a[k] C_S[k]) . C_j is
     u.C_j - residual_rows[k] . v / den.
 
-    The rows come from rank-one updates along the search.  With W = G_S^-1
-    and r_j = W (C_S . C_j), a child S + (m,) has the Schur pivot
-    s = C_m.C_m - (C_m.C_S) . r_m, and with t_j = (C_m.C_j - (C_m.C_S) . r_j) / s
-    its inverse is [[W + r_m r_m^T / s, -r_m / s], [-r_m^T / s, 1 / s]] and
-    its r_j is (r_j - t_j r_m, t_j).  The search is in preorder, so a
-    family's parent tops the stack of its ancestors.
-    """
+    A depth-first search of its own: each family carries the columns of
+    G_S^-1 and, for every curve j outside S, r_j = G_S^-1 (C_S . C_j) with
+    its Schur pivot s_j.  A child S + (m,) exists iff s_m < 0; bordering by
+    m (see _border) gives its inverse columns, from the unit columns, and
+    each r_j with the drop of s_j."""
     atlas = []
     seen: dict = {}  # equal rows recur across families; keep one object each
-    stack: list[tuple] = []  # (W, {j: r_j for every curve j outside S})
-    for family in negative_definite_subsets(table):
-        del stack[len(family):]
-        if not family:
-            inverse, outside = (), {j: () for j in range(len(table))}
-        else:
-            inverse, parent_outside = stack[-1]
-            *parent, m = family
-            row = table[m]
-            cross = [row[i] for i in parent]
-            u = parent_outside[m]
-            s = row[m] - _dot(cross, u)
-            w = [x / s for x in u]
-            inverse = tuple(
-                tuple(a + uk * wl for a, wl in zip(w_row, w)) + (-wk,)
-                for w_row, uk, wk in zip(inverse, u, w)
-            ) + (tuple(-wl for wl in w) + (1 / s,),)
-            outside = {}
-            for j, r in parent_outside.items():
-                if j != m:
-                    t = (row[j] - _dot(cross, r)) / s
-                    outside[j] = tuple(x - t * y for x, y in zip(r, u)) + (t,)
-        stack.append((inverse, outside))
-        den, rows = _int_rows(inverse + tuple(outside.values()))
+
+    def visit(family, inverse, outside):
+        # outside: {j: (r_j, s_j)} for every curve j not in family, in order
+        den, rows = _int_rows(inverse + tuple(r for r, _ in outside.values()))
         rows = [seen.setdefault(r, r) for r in rows]
         size = len(family)
         parts = (tuple(rows[:size]), tuple(outside), tuple(rows[size:]))
         atlas.append((family, den, *(seen.setdefault(p, p) for p in parts)))
+        for m, (r_m, s_m) in outside.items():
+            if s_m >= 0 or family and m < family[-1]:
+                continue
+            row = table[m]
+            cross = [row[i] for i in family]
+            child = {}
+            for j, (r_j, s_j) in outside.items():
+                if j != m:
+                    r, drop = _border(cross, r_m, s_m, row[j], r_j)
+                    child[j] = (r, s_j - drop)
+            columns = tuple(_border(cross, r_m, s_m, 0, w)[0] for w in inverse)
+            columns += (_border(cross, r_m, s_m, 1, zero_vec(size))[0],)
+            visit(family + (m,), columns, child)
+
+    visit((), (), {j: ((), row[j]) for j, row in enumerate(table)})
     return tuple(atlas)
 
 

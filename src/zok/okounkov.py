@@ -70,6 +70,8 @@ def validate_flag(model: SurfaceModel, flag: FlagSpec) -> None:
             raise ValueError("flag multiplicities exclude the flag curve itself")
         if not 0 <= i < len(model.curves):
             raise UnknownCurve(f"no curve with index {i}")
+        if sum(j == i for j, _ in flag.mults) > 1:
+            raise ValueError(f"curve {model.curve_name(i)!r} has more than one multiplicity")
         if m < 0:
             raise ValueError("flag multiplicities must be non-negative")
         cap = model.curve_gram[i][flag.curve]

@@ -29,7 +29,7 @@ from .lattice import (
     SurfaceModel,
     Vec,
     negative_definite_subsets,
-    negative_ldl,
+    negative_solve,
     vec_add,
     vec_is_zero,
     vec_scale,
@@ -124,7 +124,7 @@ def _grow_support(model: SurfaceModel, columns: Sequence[Sequence], start=()) ->
     which is Python's tuple order against (0,)*k; with k = 1 it is the
     sign of a rational.  The support starts at ``start``, which must lie in
     the final support, and absorbs every curve the residual meets
-    negatively, until stable.  One factorization (lattice.negative_ldl)
+    negatively, until stable.  One bordered solve (lattice.negative_solve)
     both tests the support Gram and solves the orthogonality system for
     every column; coeffs[m] and left[m] (the residual's pairings with every
     curve, from the curve table) are the parts at eps**m.  Raises
@@ -143,10 +143,10 @@ def _grow_support(model: SurfaceModel, columns: Sequence[Sequence], start=()) ->
             return tuple(support), coeffs, left
         support = sorted(set(support + entering))
         entering = []
-        factor = negative_ldl(model.gram_submatrix(support))
-        if factor is None:
+        gram = model.gram_submatrix(support)
+        coeffs = negative_solve(gram, [[col[i] for i in support] for col in columns])
+        if coeffs is None:
             raise NotPseudoEffective("support Gram matrix is not negative definite")
-        coeffs = tuple(factor.solve([col[i] for i in support]) for col in columns)
         for a in zip(*coeffs):
             if a < zero:
                 raise NotPseudoEffective("negative coefficient in support solve")
@@ -204,7 +204,7 @@ def _check_decomposition(
         raise InvariantError("positive part not orthogonal to support")
     if any(a <= 0 for a in coeffs):
         raise InvariantError("non-positive negative-part coefficient")
-    if negative_ldl(model.gram_submatrix(support)) is None:
+    if negative_solve(model.gram_submatrix(support)) is None:
         raise InvariantError("support Gram matrix not negative definite")
     if any(v < 0 for v in pairs):
         raise InvariantError("positive part not nef in model")
@@ -308,7 +308,7 @@ def _non_kahler_of(model: SurfaceModel, dec: ZariskiDecomp) -> tuple[int, ...]:
     among them.
     """
     combined = [i for i, v in enumerate(dec.positive_pairings) if v == 0]
-    if negative_ldl(model.gram_submatrix(combined)) is None:
+    if negative_solve(model.gram_submatrix(combined)) is None:
         raise InvariantError("non-Kahler curves do not form an exceptional family")
     return tuple(combined)
 
@@ -347,15 +347,19 @@ def orthogonal_nef_lift(
         raise ValueError("family must be nonempty")
     if omega is None:
         omega = model.kahler
-    factor = negative_ldl(model.gram_submatrix(family))
-    if factor is None:
+    try:
+        on_curves = model.pairings(omega)
+    except (TypeError, ValueError):
+        on_curves = None  # raised again below, after the definiteness test
+    columns = () if on_curves is None else ([on_curves[i] for i in family],)
+    solved = negative_solve(model.gram_submatrix(family), columns)
+    if solved is None:
         raise ValueError("family Gram matrix is not negative definite")
-    on_curves = model.pairings(omega)
-    pairings = [on_curves[i] for i in family]
-    if any(p <= 0 for p in pairings):
+    if not columns:
+        model.pairings(omega)  # raises what it raised above
+    if any(p <= 0 for p in columns[0]):
         raise ValueError("omega must meet every family curve positively")
-    sol = factor.solve(pairings)
-    b = tuple(-x for x in sol)
+    b = tuple(-x for x in solved[0])
     if any(x <= 0 for x in b):
         raise InvariantError("lift coefficients must be positive")
     lifted = vec_add(omega, _combination(model, family, b))

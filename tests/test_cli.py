@@ -176,6 +176,17 @@ def test_boundary_and_restricted(capsys):
     assert code == 1
 
 
+def test_mult_naming_a_curve_twice_is_a_usage_error(capsys):
+    code, out = run_cli(
+        capsys, "okounkov", "-m", "blowup2", "-c", "3,-1,-1", "--flag", "L12",
+        "--mult", "E1=1", "--mult", "E1=0",
+    )
+    assert code == 2
+    payload = json.loads(out)  # one document: the error
+    assert payload["error"] == "UsageError"
+    assert payload["detail"] == "--mult names curve 'E1' twice"
+
+
 def test_chambers_json_and_csv(capsys):
     code, out = run_cli(
         capsys, "chambers", "-m", "blowup1", "-c", "1,1", "--curve", "E"

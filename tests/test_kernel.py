@@ -1,5 +1,5 @@
 """The exact kernels: the integer pairing kernel over the curve table, the
-in-order negative-definite factorization and the hereditary search over
+in-order negative-definite bordered solve and the hereditary search over
 negative-definite curve sets."""
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from zok.lattice import (
     gram_product,
     make_model,
     negative_definite_subsets,
-    negative_ldl,
+    negative_solve,
     signature,
     solve_linear,
     vec_scale,
@@ -60,28 +60,42 @@ def symmetric_matrices(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(symmetric_matrices())
-def test_negative_ldl_decides_like_signature(g):
+def test_negative_solve_decides_like_signature(g):
     n = len(g)
-    factor = negative_ldl(g)
-    assert (factor is not None) == (signature(g) == (0, n, 0))
-    if factor is not None:
-        rhs = tuple(Fraction(k - 2, k + 1) for k in range(n))
-        x = factor.solve(rhs)
-        assert tuple(sum((g[i][j] * x[j] for j in range(n)), Fraction(0))
-                     for i in range(n)) == rhs
+    rhs = [tuple(Fraction(k - 2, k + 1) for k in range(n)),
+           tuple(Fraction(k * k - 1, 3) for k in range(n))]
+    for count in range(3):
+        solutions = negative_solve(g, rhs[:count])
+        assert (solutions is not None) == (signature(g) == (0, n, 0))
+        if solutions is not None:
+            assert len(solutions) == count
+            for x, b in zip(solutions, rhs):
+                assert tuple(sum((g[i][j] * x[j] for j in range(n)), Fraction(0))
+                             for i in range(n)) == b
 
 
-def test_negative_ldl_examples():
-    assert negative_ldl(()) is not None
-    assert negative_ldl(((Fraction(0),),)) is None
+def test_negative_solve_examples():
+    assert negative_solve(()) == ()
+    assert negative_solve(((Fraction(0),),)) is None
     # a zero leading pivot ends the elimination even where a pivot search
     # would continue: [[0, 1], [1, 0]] is indefinite
-    assert negative_ldl(((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0)))) is None
-    f = negative_ldl(((Fraction(-2), Fraction(1)), (Fraction(1), Fraction(-2))))
-    assert f.pivots == (Fraction(-2), Fraction(-3, 2))
-    assert f.solve((Fraction(-1), Fraction(-1))) == (Fraction(1), Fraction(1))
-    with pytest.raises(ValueError):
-        f.solve((Fraction(1),))
+    assert negative_solve(((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0)))) is None
+    g = ((Fraction(-2), Fraction(1)), (Fraction(1), Fraction(-2)))
+    assert negative_solve(g) == ()
+    assert negative_solve(g, [(Fraction(-1), Fraction(-1))]) == ((Fraction(1), Fraction(1)),)
+    assert negative_solve(g, [(1, 0), (0, 1)]) == (
+        (Fraction(-2, 3), Fraction(-1, 3)), (Fraction(-1, 3), Fraction(-2, 3))
+    )
+    with pytest.raises(ValueError, match="^right-hand side must have length 2$"):
+        negative_solve(g, [(Fraction(1),)])
+
+
+def test_negative_solve_is_exact_on_integer_matrices():
+    big = 10**17
+    assert negative_solve(((-big, big - 1), (big - 1, -big + 1))) == ()
+    assert negative_solve(((-big, big), (big, -big + 1))) is None
+    (x,) = negative_solve(((-2, 1), (1, -2)), [(1, 1)])
+    assert x == (-1, -1) and all(type(v) is Fraction for v in x)
 
 
 def test_curve_table_matches_gram_product(blowup2, hirzebruch2):

@@ -164,6 +164,16 @@ def test_solve_linear_roundtrip_and_singular():
             assert recon == b
 
 
+def test_integer_input_gives_exact_answers():
+    # plain Python ints, whose true quotients are floats: every division
+    # must be a Fraction for the answers to stay exact
+    x = solve_linear(((-2, 1), (1, -2)), (1, 1))
+    assert x == (-1, -1) and all(type(v) is Fraction for v in x)
+    big = 10**17
+    assert signature(((-big, big), (big, -big + 1))) == (1, 1, 0)
+    assert is_negative_definite(((-big, big - 1), (big - 1, -big + 1))) is True
+
+
 def test_validate_model_accepts_fixtures(all_fixture_models):
     for model in all_fixture_models:
         assert validate_model(model) == []

@@ -47,6 +47,14 @@ def test_flag_validation(blowup1):
         validate_flag(blowup1, FlagSpec.make(7))
 
 
+def test_flag_rejects_two_multiplicities_for_one_curve(blowup2):
+    # 0 and "0" are one curve index once FlagSpec.make converts them
+    flag = FlagSpec.make(2, {0: 1, "0": 0})
+    assert [i for i, _ in flag.mults] == [0, 0]
+    with pytest.raises(ValueError, match="^curve 'E1' has more than one multiplicity$"):
+        validate_flag(blowup2, flag)
+
+
 # -- chamber walks ---------------------------------------------------------------
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -9,8 +10,8 @@ from zok.errors import MultipleCandidates, NotPseudoEffective, UsageError
 from zok.exact import QuadExt
 from zok.lattice import (
     make_model,
-    negative_definite_subsets,
-    negative_ldl,
+    signature,
+    solve_linear,
     validate_model,
     vec_add,
     vec_scale,
@@ -75,14 +76,21 @@ def test_brute_force_agrees_with_iterative_everywhere(all_fixture_models):
 
 
 def reference_subset_search(model, alpha):
-    """brute_force_zariski as a plain loop over the families: each is
-    factored and solved, its residual is paired with every curve, and each
-    family left goes to the decomposition checker."""
+    """brute_force_zariski as a plain loop over every curve subset, with
+    none of its kernel: a subset whose Gram matrix has signature (0, |S|, 0)
+    is solved by solve_linear, its residual is paired with every curve, and
+    each subset left goes to the decomposition checker."""
     alpha = tuple(alpha)
     pairs = model.pairings(alpha)
     candidates = []
-    for subset in negative_definite_subsets(model.curve_gram):
-        coeffs = negative_ldl(model.gram_submatrix(subset)).solve([pairs[i] for i in subset])
+    n = len(model.curves)
+    for subset in itertools.chain.from_iterable(
+        itertools.combinations(range(n), size) for size in range(n + 1)
+    ):
+        gram = model.gram_submatrix(subset)
+        if signature(gram) != (0, len(subset), 0):
+            continue
+        coeffs = solve_linear(gram, [pairs[i] for i in subset])
         if any(a <= 0 for a in coeffs):
             continue
         if any(v < 0 for v in model.residual_pairings(pairs, subset, coeffs)):
@@ -167,32 +175,32 @@ def test_brute_force_matches_the_reference_on_the_fixtures(all_fixture_models):
 
 def test_a_second_subset_search_factors_no_family(monkeypatch):
     """The family atlas is built on the first call; after it, only the
-    check of the winning decomposition factors a support Gram matrix."""
+    check of the winning decomposition eliminates a support Gram matrix."""
     import zok.lattice
     import zok.zariski
 
     model = random_model(ModelGenSpec(seed=5, rank=5, num_curves=8))
     alpha = vec_add(model.kahler, vec_scale(3, model.curve_class(0)))
     calls = []
-    factor = zok.lattice.negative_ldl
+    solve = zok.lattice.negative_solve
     submatrix = zok.lattice.SurfaceModel.gram_submatrix
 
-    def counting_ldl(matrix):
-        calls.append("negative_ldl")
-        return factor(matrix)
+    def counting_solve(matrix, columns=()):
+        calls.append("negative_solve")
+        return solve(matrix, columns)
 
     def counting_submatrix(self, indices):
         calls.append("gram_submatrix")
         return submatrix(self, indices)
 
     for module in (zok.lattice, zok.zariski):
-        monkeypatch.setattr(module, "negative_ldl", counting_ldl)
+        monkeypatch.setattr(module, "negative_solve", counting_solve)
     monkeypatch.setattr(zok.lattice.SurfaceModel, "gram_submatrix", counting_submatrix)
     first = brute_force_zariski(model, alpha)
     assert first.support and len(model.family_atlas) > 1
     calls.clear()
     assert brute_force_zariski(model, alpha) == first
-    assert sorted(calls) == ["gram_submatrix", "negative_ldl"]
+    assert sorted(calls) == ["gram_submatrix", "negative_solve"]
 
 
 def test_enumeration_and_the_cap_leave_the_atlas_unbuilt():
