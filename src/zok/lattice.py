@@ -331,7 +331,10 @@ class SurfaceModel:
     rational; any other scalar is refused with a TypeError.
     ``gram_product`` is the independent reference.  The family
     atlas (``family_atlas``) is likewise built once, on first use, by subset
-    search.
+    search.  Next to the curve table the model keeps a support table
+    (``support_forms``), filled lazily: each curve set that support growth,
+    a decomposition check, a non-Kahler locus or a nef lift meets is solved
+    once per model, by one ``negative_solve``, and kept as integer rows.
     """
 
     name: str
@@ -373,6 +376,40 @@ class SurfaceModel:
     @cached_property
     def _curve_gram_ints(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
         return _int_rows(self.curve_gram)
+
+    @cached_property
+    def _curve_ints(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """The curve classes as integer rows over one common denominator."""
+        return _int_rows([c.cls for c in self.curves])
+
+    @cached_property
+    def _support_table(self) -> dict:
+        return {}
+
+    def support_forms(self, support: tuple[int, ...]) -> Optional[tuple]:
+        """(den, coeff_rows, residual_rows) for a tuple S of curve indices, or
+        None when its Gram matrix G_S is not negative definite.
+
+        Integer rows over one den > 0: coeff_rows[k] is den * G_S^-1 * e_k,
+        so G_S * a = v has a[k] = coeff_rows[k] . v / den, and for every
+        curve j, residual_rows[j] is den * G_S^-1 * G[S][j], so the residual
+        pairing (u - sum a[k] C_S[k]) . C_j is u.C_j - residual_rows[j] . v / den.
+        Each S is solved once per model, by one negative_solve on first use,
+        and kept; rows are in the order of S.
+        """
+        known = self._support_table
+        if support not in known:
+            table = self.curve_gram
+            size = len(support)
+            units = [[int(i == k) for i in range(size)] for k in range(size)]
+            cross = [[table[i][j] for i in support] for j in range(len(table))]
+            solved = negative_solve(self.gram_submatrix(support), units + cross)
+            if solved is None:
+                known[support] = None
+            else:
+                den, rows = _int_rows(solved)
+                known[support] = (den, rows[:size], rows[size:])
+        return known[support]
 
     def pairing(self, u: Sequence, index: int):
         """u . C_index."""
@@ -437,6 +474,11 @@ class SurfaceModel:
                 return i
         raise KeyError(name)
 
+    def has_curve(self, index) -> bool:
+        """Whether index is the index of a listed curve: an int, not a bool."""
+        return (isinstance(index, int) and not isinstance(index, bool)
+                and 0 <= index < len(self.curves))
+
     def resolve_curve(self, curve) -> int:
         """Index of a curve given by name or by index; UnknownCurve otherwise."""
         if isinstance(curve, str):
@@ -444,10 +486,9 @@ class SurfaceModel:
                 return self.curve_index(curve)
             except KeyError:
                 raise UnknownCurve(f"no curve named {curve!r}") from None
-        index = int(curve)
-        if not 0 <= index < len(self.curves):
+        if not self.has_curve(curve):
             raise UnknownCurve(f"no curve with index {curve}")
-        return index
+        return curve
 
     def gram_submatrix(self, indices: Sequence[int]) -> Mat:
         table = self.curve_gram

@@ -44,6 +44,17 @@ from .zariski import (
 )
 
 
+def _as_index(i) -> int:
+    if isinstance(i, str):
+        try:
+            return int(i)
+        except ValueError:
+            pass
+    elif isinstance(i, int) and not isinstance(i, bool):
+        return i
+    raise ValueError(f"curve index must be an integer, got {i!r}")
+
+
 @dataclass(frozen=True)
 class FlagSpec:
     """Flag data: the flag curve and the local intersection multiplicity of
@@ -58,18 +69,20 @@ class FlagSpec:
 
     @staticmethod
     def make(curve: int, mults: Optional[dict] = None) -> "FlagSpec":
-        items = tuple(sorted((int(i), Fraction(m)) for i, m in (mults or {}).items()))
-        return FlagSpec(curve=curve, mults=items)
+        """The flag with curve indices given as ints (not bools) or as
+        strings of ints; any other index raises ValueError."""
+        items = tuple(sorted((_as_index(i), Fraction(m)) for i, m in (mults or {}).items()))
+        return FlagSpec(curve=_as_index(curve), mults=items)
 
 
 def validate_flag(model: SurfaceModel, flag: FlagSpec) -> None:
-    if not 0 <= flag.curve < len(model.curves):
+    if not model.has_curve(flag.curve):
         raise UnknownCurve(f"no curve with index {flag.curve}")
     for i, m in flag.mults:
+        if not model.has_curve(i):
+            raise UnknownCurve(f"no curve with index {i}")
         if i == flag.curve:
             raise ValueError("flag multiplicities exclude the flag curve itself")
-        if not 0 <= i < len(model.curves):
-            raise UnknownCurve(f"no curve with index {i}")
         if sum(j == i for j, _ in flag.mults) > 1:
             raise ValueError(f"curve {model.curve_name(i)!r} has more than one multiplicity")
         if m < 0:

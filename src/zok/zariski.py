@@ -14,6 +14,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence
 
 from .errors import (
@@ -28,8 +29,8 @@ from .errors import (
 from .lattice import (
     SurfaceModel,
     Vec,
+    _over_lcm,
     negative_definite_subsets,
-    negative_solve,
     vec_add,
     vec_is_zero,
     vec_scale,
@@ -78,11 +79,16 @@ class ZariskiDecomp:
 
 
 def _combination(model: SurfaceModel, support: Sequence[int], coeffs: Sequence) -> Vec:
-    """sum(coeffs[k] * C_support[k]), exact."""
-    total = zero_vec(model.rank)
-    for i, a in zip(support, coeffs):
-        total = vec_add(total, vec_scale(a, model.curve_class(i)))
-    return total
+    """sum(coeffs[k] * C_support[k]), exact: the coefficients scaled to
+    integers once, one integer product with the curve classes' integer rows
+    (model._curve_ints), and one division per coordinate."""
+    terms = list(zip(support, coeffs))
+    if not terms:
+        return zero_vec(model.rank)
+    den, rows = model._curve_ints
+    lc, nums = _over_lcm([a for _, a in terms])
+    picked = [rows[i] for i, _ in terms]
+    return tuple(Fraction(sum(map(mul, nums, column)), den * lc) for column in zip(*picked))
 
 
 class Kind(enum.Enum):
@@ -124,30 +130,35 @@ def _grow_support(model: SurfaceModel, columns: Sequence[Sequence], start=()) ->
     which is Python's tuple order against (0,)*k; with k = 1 it is the
     sign of a rational.  The support starts at ``start``, which must lie in
     the final support, and absorbs every curve the residual meets
-    negatively, until stable.  One bordered solve (lattice.negative_solve)
-    both tests the support Gram and solves the orthogonality system for
-    every column; coeffs[m] and left[m] (the residual's pairings with every
-    curve, from the curve table) are the parts at eps**m.  Raises
+    negatively, until stable.  Each column is scaled to integer numerators
+    once; a round reads its support's integer rows from the model's support
+    table (SurfaceModel.support_forms, one solve per support and model), so
+    its coefficient signs and residual pairings are integer dot products
+    over the support.  coeffs[m] and left[m] (the residual's pairings with
+    every curve) are the parts at eps**m, divided only on return.  Raises
     NotPseudoEffective when the support Gram loses negative definiteness or
     a coefficient turns negative.
     """
     zero = (0,) * len(columns)
-    support: list[int] = []
-    coeffs: tuple = ((),) * len(columns)
-    left = columns
+    scales, nums = zip(*[_over_lcm(col) for col in columns])
+    support: tuple = ()
+    forms = None
+    residuals = list(zip(*nums))  # per curve, the residual's pairings as numerators
     entering = list(start)
     while True:
         in_support = set(support)
-        entering += [j for j, v in enumerate(zip(*left)) if v < zero and j not in in_support]
+        entering += [j for j, v in enumerate(residuals) if v < zero and j not in in_support]
         if not entering:
-            return tuple(support), coeffs, left
-        support = sorted(set(support + entering))
+            break
+        support = tuple(sorted(in_support.union(entering)))
         entering = []
-        gram = model.gram_submatrix(support)
-        coeffs = negative_solve(gram, [[col[i] for i in support] for col in columns])
-        if coeffs is None:
+        forms = model.support_forms(support)
+        if forms is None:
             raise NotPseudoEffective("support Gram matrix is not negative definite")
-        for a in zip(*coeffs):
+        den, coeff_rows, residual_rows = forms
+        picked = [[col[i] for i in support] for col in nums]
+        scaled = [tuple(sum(map(mul, row, x)) for x in picked) for row in coeff_rows]
+        for a in scaled:
             if a < zero:
                 raise NotPseudoEffective("negative coefficient in support solve")
             if a == zero:
@@ -155,7 +166,14 @@ def _grow_support(model: SurfaceModel, columns: Sequence[Sequence], start=()) ->
                     "zero coefficient in support solve; model violates "
                     "the strict-positivity hypotheses"
                 )
-        left = tuple(model.residual_pairings(col, support, a) for col, a in zip(columns, coeffs))
+        residuals = [tuple(den * col[j] - sum(map(mul, row, x)) for col, x in zip(nums, picked))
+                 for j, row in enumerate(residual_rows)]
+    if forms is None:
+        return support, ((),) * len(columns), columns
+    dens = [den * d for d in scales]
+    coeffs = tuple(tuple(Fraction(a[m], d) for a in scaled) for m, d in enumerate(dens))
+    left = tuple(tuple(Fraction(v[m], d) for v in residuals) for m, d in enumerate(dens))
+    return support, coeffs, left
 
 
 def zariski_decompose(model: SurfaceModel, alpha: Vec) -> ZariskiDecomp:
@@ -204,7 +222,7 @@ def _check_decomposition(
         raise InvariantError("positive part not orthogonal to support")
     if any(a <= 0 for a in coeffs):
         raise InvariantError("non-positive negative-part coefficient")
-    if negative_solve(model.gram_submatrix(support)) is None:
+    if model.support_forms(tuple(support)) is None:
         raise InvariantError("support Gram matrix not negative definite")
     if any(v < 0 for v in pairs):
         raise InvariantError("positive part not nef in model")
@@ -307,10 +325,10 @@ def _non_kahler_of(model: SurfaceModel, dec: ZariskiDecomp) -> tuple[int, ...]:
     of P are the zeros of its kept pairings; orthogonality puts the support
     among them.
     """
-    combined = [i for i, v in enumerate(dec.positive_pairings) if v == 0]
-    if negative_solve(model.gram_submatrix(combined)) is None:
+    combined = tuple(i for i, v in enumerate(dec.positive_pairings) if v == 0)
+    if model.support_forms(combined) is None:
         raise InvariantError("non-Kahler curves do not form an exceptional family")
-    return tuple(combined)
+    return combined
 
 
 def enumerate_exceptional_families(
@@ -351,15 +369,17 @@ def orthogonal_nef_lift(
         on_curves = model.pairings(omega)
     except (TypeError, ValueError):
         on_curves = None  # raised again below, after the definiteness test
-    columns = () if on_curves is None else ([on_curves[i] for i in family],)
-    solved = negative_solve(model.gram_submatrix(family), columns)
-    if solved is None:
+    on_family = None if on_curves is None else [on_curves[i] for i in family]
+    forms = model.support_forms(family)
+    if forms is None:
         raise ValueError("family Gram matrix is not negative definite")
-    if not columns:
+    if on_family is None:
         model.pairings(omega)  # raises what it raised above
-    if any(p <= 0 for p in columns[0]):
+    if any(p <= 0 for p in on_family):
         raise ValueError("omega must meet every family curve positively")
-    b = tuple(-x for x in solved[0])
+    den, coeff_rows, _ = forms
+    lw, nums = _over_lcm(on_family)
+    b = tuple(Fraction(-sum(map(mul, row, nums)), den * lw) for row in coeff_rows)
     if any(x <= 0 for x in b):
         raise InvariantError("lift coefficients must be positive")
     lifted = vec_add(omega, _combination(model, family, b))

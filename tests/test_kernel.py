@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from zok.errors import InvariantError, NotPseudoEffective
 from zok.exact import QuadExt
 from zok.lattice import (
     gram_product,
@@ -20,10 +21,11 @@ from zok.lattice import (
     solve_linear,
     vec_scale,
 )
+from zok.okounkov import segment_chambers
 from zok.oracle import ModelGenSpec, random_model
-from zok.zariski import enumerate_exceptional_families
+from zok.zariski import _grow_support, enumerate_exceptional_families, zariski_decompose
 
-from conftest import F
+from conftest import F, int_grid
 
 small = st.sampled_from([Fraction(0)] * 4 + [Fraction(k) for k in (-3, -2, -1, 1, 2)]
                         + [Fraction(-1, 2), Fraction(1, 3), Fraction(-5, 3)])
@@ -260,3 +262,150 @@ def test_kernel_errors(blowup2):
         with pytest.raises(ValueError) as err:
             call()
         assert str(err.value) == "vector length must be 3"
+
+
+# --- the support table and the integer support growth --------------------------
+
+
+def reference_growth(model, columns, start=()):
+    """The reference for zariski._grow_support, over Fractions: every round
+    solves its support Gram matrix afresh (negative_solve) and pairs the
+    residual through the curve table (residual_pairings)."""
+    zero = (0,) * len(columns)
+    support: list[int] = []
+    coeffs: tuple = ((),) * len(columns)
+    left = columns
+    entering = list(start)
+    while True:
+        in_support = set(support)
+        entering += [j for j, v in enumerate(zip(*left)) if v < zero and j not in in_support]
+        if not entering:
+            return tuple(support), coeffs, left
+        support = sorted(set(support + entering))
+        entering = []
+        gram = model.gram_submatrix(support)
+        coeffs = negative_solve(gram, [[col[i] for i in support] for col in columns])
+        if coeffs is None:
+            raise NotPseudoEffective("support Gram matrix is not negative definite")
+        for a in zip(*coeffs):
+            if a < zero:
+                raise NotPseudoEffective("negative coefficient in support solve")
+            if a == zero:
+                raise InvariantError(
+                    "zero coefficient in support solve; model violates "
+                    "the strict-positivity hypotheses"
+                )
+        left = tuple(model.residual_pairings(col, support, a) for col, a in zip(columns, coeffs))
+
+
+def _growth_outcome(grow, model, columns, start):
+    try:
+        return repr(grow(model, columns, start))
+    except (NotPseudoEffective, InvariantError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _assert_support_forms(model, support):
+    table = model.curve_gram
+    g = model.gram_submatrix(support)
+    forms = model.support_forms(support)
+    assert (forms is None) == (signature(g) != (0, len(support), 0))
+    if forms is None:
+        return
+    den, coeff_rows, residual_rows = forms
+    assert den > 0 and len(coeff_rows) == len(support) and len(residual_rows) == len(table)
+    for k, row in enumerate(coeff_rows):
+        unit = [int(i == k) for i in range(len(support))]
+        assert tuple(Fraction(x, den) for x in row) == solve_linear(g, unit)
+    for j, row in enumerate(residual_rows):
+        assert tuple(Fraction(x, den) for x in row) == solve_linear(
+            g, [table[i][j] for i in support])
+    assert model.support_forms(support) is forms
+
+
+def _subsets(n):
+    return [s for size in range(n + 1) for s in itertools.combinations(range(n), size)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_models())
+def test_support_forms_on_rational_models(model):
+    for support in _subsets(len(model.curves)):
+        _assert_support_forms(model, support)
+
+
+@pytest.mark.parametrize("seed,rank,curves", [(1, 4, 7), (5, 5, 8)])
+def test_support_forms_on_random_models(seed, rank, curves):
+    model = random_model(ModelGenSpec(seed=seed, rank=rank, num_curves=curves))
+    for support in _subsets(curves):
+        if len(support) <= 4:
+            _assert_support_forms(model, support)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_growth_matches_the_fraction_reference_on_rational_models(data):
+    model = data.draw(rational_models())
+    n = len(model.curves)
+    k = data.draw(st.integers(1, 2))
+    columns = tuple(tuple(data.draw(st.lists(rationals, min_size=n, max_size=n)))
+                    for _ in range(k))
+    start = tuple(data.draw(st.lists(st.integers(0, n - 1), max_size=2))) if n else ()
+    assert (_growth_outcome(_grow_support, model, columns, start)
+            == _growth_outcome(reference_growth, model, columns, start))
+
+
+@pytest.mark.parametrize("seed,rank,curves", [(2, 4, 7), (7, 5, 9), (13, 6, 9)])
+def test_growth_matches_the_fraction_reference_on_random_models(seed, rank, curves):
+    model = random_model(ModelGenSpec(seed=seed, rank=rank, num_curves=curves))
+    classes = [vec_scale(Fraction(c, 2), model.kahler) for c in (1, 3)]
+    classes += [tuple(Fraction(x, 3) for x in alpha) for alpha in int_grid(rank, 1)][::7]
+    seen = set()
+    for alpha in classes:
+        pairs = model.pairings(alpha)
+        columns = [(pairs,)]
+        columns += [(pairs, model.pairings(vec_scale(-1, c.cls))) for c in model.curves]
+        for cols in columns:
+            outcome = _growth_outcome(_grow_support, model, cols, ())
+            assert outcome == _growth_outcome(reference_growth, model, cols, ())
+            seen.add(type(outcome))
+    assert seen == {str, tuple}  # grown supports and refusals both met
+
+
+def test_each_support_is_solved_once_per_model(monkeypatch):
+    """A repeated walk or decomposition solves no support Gram matrix again:
+    each support a model meets is solved once, into its support table."""
+    import zok.lattice
+
+    model = random_model(ModelGenSpec(seed=3, rank=5, num_curves=8))
+    solved, calls = [], []
+    solve = zok.lattice.negative_solve
+    submatrix = zok.lattice.SurfaceModel.gram_submatrix
+
+    def counting_solve(matrix, columns=()):
+        calls.append(len(matrix))
+        return solve(matrix, columns)
+
+    def counting_submatrix(self, indices):
+        solved.append(tuple(indices))
+        return submatrix(self, indices)
+
+    monkeypatch.setattr(zok.lattice, "negative_solve", counting_solve)
+    monkeypatch.setattr(zok.lattice.SurfaceModel, "gram_submatrix", counting_submatrix)
+    classes = [vec_scale(Fraction(c, 2), model.kahler) for c in (2, 3)]
+    classes += [tuple(a + b for a, b in zip(model.kahler, c.cls)) for c in model.curves[:3]]
+
+    def walk_and_decompose():
+        walked = []
+        for alpha in classes:
+            walked.append(zariski_decompose(model, alpha))
+            for curve in range(len(model.curves)):
+                walked.append(segment_chambers(model, alpha, curve))
+        return walked
+
+    first = walk_and_decompose()
+    assert solved and len(solved) == len(set(solved)) == len(calls)
+    solved.clear()
+    calls.clear()
+    assert walk_and_decompose() == first
+    assert solved == [] and calls == []

@@ -47,6 +47,41 @@ def test_flag_validation(blowup1):
         validate_flag(blowup1, FlagSpec.make(7))
 
 
+def test_flag_make_refuses_a_multiplicity_index_that_is_not_an_integer():
+    # int() would truncate 0.9 to curve 0
+    for index in (0.9, Fraction(1), True, "0.5"):
+        with pytest.raises(ValueError, match="^curve index must be an integer, got "):
+            FlagSpec.make(2, {index: 1})
+
+
+def test_flag_make_refuses_a_flag_curve_that_is_not_an_integer():
+    for curve in (1.5, 1.0, False):
+        with pytest.raises(ValueError, match="^curve index must be an integer, got "):
+            FlagSpec.make(curve)
+    assert FlagSpec.make("1", {"0": 1}) == FlagSpec.make(1, {0: 1})
+
+
+def test_validate_flag_refuses_a_flag_curve_that_is_not_an_integer(blowup2):
+    for curve in (1.5, 1.0, True):
+        with pytest.raises(UnknownCurve, match=f"^no curve with index {curve}$"):
+            validate_flag(blowup2, FlagSpec(curve))
+
+
+def test_validate_flag_refuses_a_multiplicity_index_that_is_not_an_integer(blowup2):
+    for index in (0.9, 1.0, True):
+        with pytest.raises(UnknownCurve, match=f"^no curve with index {index}$"):
+            validate_flag(blowup2, FlagSpec(2, ((index, Fraction(1)),)))
+
+
+def test_resolve_curve_refuses_an_index_that_is_not_an_integer(blowup2):
+    assert blowup2.resolve_curve(1) == 1 and blowup2.resolve_curve("E1") == 0
+    for curve in (0.9, 1.0, True, Fraction(1), None):
+        with pytest.raises(UnknownCurve, match=f"^no curve with index {curve}$"):
+            blowup2.resolve_curve(curve)
+    with pytest.raises(UnknownCurve):
+        segment_chambers(blowup2, blowup2.kahler, 1.5)
+
+
 def test_flag_rejects_two_multiplicities_for_one_curve(blowup2):
     # 0 and "0" are one curve index once FlagSpec.make converts them
     flag = FlagSpec.make(2, {0: 1, "0": 0})
