@@ -249,18 +249,3 @@ def sqrt_rat(x: Fraction) -> ExtRat:
         return root
     return QuadExt._of(Fraction(0), root, m)
 
-
-def smallest_quadratic_root_above(c0: Fraction, c1: Fraction, c2: Fraction, t0: Fraction):
-    """Smallest real root of c2*t**2 + c1*t + c0 strictly above t0, or None."""
-    if c2 == 0:
-        if c1 == 0:
-            return None
-        r = -c0 / c1
-        return r if r > t0 else None
-    disc = c1 * c1 - 4 * c2 * c0
-    if disc < 0:
-        return None
-    sq = sqrt_rat(disc)
-    roots = [(-c1 - sq) / (2 * c2), (-c1 + sq) / (2 * c2)]
-    ahead = [r for r in roots if r > t0]
-    return min(ahead) if ahead else None

@@ -360,6 +360,13 @@ class SurfaceModel:
         return Fraction(sum(map(mul, nu, met)), lu * lv * den)
 
     @cached_property
+    def _kahler_ints(self) -> tuple[int, tuple[int, ...]]:
+        """gram * omega as one integer row over its denominator, so that
+        u . omega is one integer dot product."""
+        den, (row,) = _int_rows([_dots(self.kahler, *self._gram_ints)])
+        return den, row
+
+    @cached_property
     def duals(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
         """gram * c_i for every curve, as integer rows over one common
         denominator, so that u . C_i is one integer dot product."""

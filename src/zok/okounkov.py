@@ -8,16 +8,19 @@ affine in t.  Each chamber starts with one rational decomposition at its
 start t0; support growth over the two rational columns of t0 + eps, eps a
 formal positive infinitesimal signed lexicographically (symbolic
 perturbation), then reaches the chamber's support, and its two solves are
-the affine formulas.  Breakpoints are roots of affine functions
-(hence rational); only the terminal endpoint, where the positive part's
-square vanishes, can be a quadratic irrational, represented exactly in
-Q(sqrt(d)).
+the affine formulas.  The formulas, their checks and the chamber's events
+run over integer numerators, and Fractions are built only for the
+chamber's fields.  Breakpoints are roots of affine functions (hence
+rational); only the terminal endpoint, where the positive part's square
+vanishes, can be a quadratic irrational, represented exactly in Q(sqrt(d)).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
+from operator import mul
 from typing import Optional, Sequence
 
 from .errors import (
@@ -29,14 +32,14 @@ from .errors import (
     NotPseudoEffective,
     UnknownCurve,
 )
-from .exact import ExtRat, smallest_quadratic_root_above
-from .lattice import SurfaceModel, Vec, vec_add, vec_scale, vec_sub
+from .exact import ExtRat, QuadExt, parse_rat, sqrt_rat
+from .lattice import SurfaceModel, Vec, _over_lcm, vec_add, vec_scale
 from .polygon import ConvexPolygon, Point, shoelace_area
 from .zariski import (
     Kind,
     ZariskiDecomp,
     _classification_of,
-    _combination,
+    _curve_sum,
     _decompose_or_none,
     _grow_support,
     _non_kahler_of,
@@ -70,8 +73,10 @@ class FlagSpec:
     @staticmethod
     def make(curve: int, mults: Optional[dict] = None) -> "FlagSpec":
         """The flag with curve indices given as ints (not bools) or as
-        strings of ints; any other index raises ValueError."""
-        items = tuple(sorted((_as_index(i), Fraction(m)) for i, m in (mults or {}).items()))
+        strings of ints, and exact multiplicities (parse_rat); any other
+        index or multiplicity, a float or a bool among them, raises
+        ValueError."""
+        items = tuple(sorted((_as_index(i), parse_rat(m)) for i, m in (mults or {}).items()))
         return FlagSpec(curve=_as_index(curve), mults=items)
 
 
@@ -145,6 +150,9 @@ class PiecewiseLinear:
 
     def value_at(self, t) -> ExtRat:
         bps, vals = self.breakpoints, self.values
+        for b, v in zip(bps, vals):
+            if t == b:
+                return v  # a breakpoint keeps its value; nothing to interpolate
         if t < bps[0] or t > bps[-1]:
             raise ValueError("evaluation outside the domain")
         for k in range(len(bps) - 1):
@@ -188,29 +196,6 @@ class BoundaryBody:
 # ---------------------------------------------------------------------------
 
 
-def _chamber_events(support, coeff0, coeff1, h0, h1, quadratic, t0):
-    """(next affine event strictly after t0 or None, terminal root or None).
-
-    The coefficients are coeff0[k] + t*coeff1[k], the pairings Z(t).C_j are
-    h0[j] + t*h1[j], and Z(t)^2 = c0 + c1*t + c2*t**2 for quadratic =
-    (c0, c1, c2).
-    """
-    affine: list[Fraction] = []
-    for p, q in zip(coeff0, coeff1):
-        if q < 0:
-            r = -p / q
-            if r > t0:
-                affine.append(r)
-    in_support = set(support)
-    for i, (p, q) in enumerate(zip(h0, h1)):
-        if q < 0 and i not in in_support:
-            r = -p / q
-            if r > t0:
-                affine.append(r)
-    terminal = smallest_quadratic_root_above(*quadratic, t0)
-    return (min(affine) if affine else None), terminal
-
-
 def _chamber_at(model, alpha, direction, along, t0, fallback_end=None):
     """The chamber starting at t0 along alpha + t*direction, and whether it
     ends at the terminal root of Z(t)^2; the one start of every walk.
@@ -225,8 +210,16 @@ def _chamber_at(model, alpha, direction, along, t0, fallback_end=None):
     and direction . C_j, started there, reaches it, and its eps-parts are
     the slopes of the affine formulas.  The first column is (P + N) . C_j,
     read off the decomposition's P . C_j and N without pairing the class
-    again.  The chamber ends at the first event after t0, or at
-    fallback_end when none lies ahead.
+    again.
+
+    From the growth to the returned chamber everything is integer
+    numerators: with t0 = p/q and the growth's parts c0 = a0/D0, c1 = a1/D1
+    (coefficients) and h = r0/D0, h1 = r1/D1 (pairings), z1 = d - sum c1*C
+    and z0 = P - t0*z1; the checks (reconstruction, pairings, nef) are
+    integer equalities and sign tests, the events are found in u = t - t0,
+    and Fractions are built only for the chamber's fields.  The chamber
+    ends at the first event after t0, or at fallback_end when none lies
+    ahead.
     """
     if t0 == 0:
         dec = _require_big(model, alpha)
@@ -236,27 +229,72 @@ def _chamber_at(model, alpha, direction, along, t0, fallback_end=None):
             raise InvariantError(f"class at t = {t0} is not big")
     start = model.residual_pairings(dec.positive_pairings, dec.support, [-a for a in dec.coeffs])
     try:
-        support, (c0, c1), (h, h1) = _grow_support(model, (start, along), dec.support)
+        support, (d0, d1), (a0, a1), (r0, r1) = _grow_support(
+            model, (start, along), dec.support)
     except NotPseudoEffective as exc:
         raise InvariantError(f"class just after t = {t0} is not big") from exc
-    coeff0 = tuple(p - t0 * q for p, q in zip(c0, c1))
-    h0 = tuple(p - t0 * q for p, q in zip(h, h1))
-    z1 = vec_sub(direction, _combination(model, support, c1))
-    z0 = vec_sub(dec.positive, vec_scale(t0, z1))
-    if vec_add(z0, _combination(model, support, coeff0)) != tuple(alpha):
+    p, q = t0.numerator, t0.denominator
+    den = q * d0 * d1  # x0/D0 - t0*x1/D1 = (q*D1*x0 - p*D0*x1) / den
+    coeff0 = [q * d1 * x - p * d0 * y for x, y in zip(a0, a1)]
+    h0 = [q * d1 * x - p * d0 * y for x, y in zip(r0, r1)]
+    cd = model._curve_ints[0]
+    ld, d_nums = _over_lcm(direction)
+    z1 = [x * d1 * cd - y * ld for x, y in zip(d_nums, _curve_sum(model, support, a1))]
+    den1 = ld * d1 * cd
+    lp, p_nums = _over_lcm(dec.positive)
+    z0 = [x * q * den1 - p * lp * y for x, y in zip(p_nums, z1)]
+    den0 = lp * q * den1
+    la, a_nums = _over_lcm(alpha)
+    back = _curve_sum(model, support, coeff0)  # sum coeff0*C, over den * cd
+    s0, s1, s2 = den * cd * la, den0 * la, den0 * den * cd
+    if any(x * s0 + y * s1 != a * s2 for x, y, a in zip(z0, back, a_nums)):
         raise InvariantError("chamber formulas do not reconstruct the class")
-    if h != dec.positive_pairings or model.pairings(z1) != h1:
+    lh, h_nums = _over_lcm(dec.positive_pairings)
+    dd, duals = model.duals
+    if (any(x * lh != y * d0 for x, y in zip(r0, h_nums))
+            or any(sum(map(mul, z1, row)) * d1 != y * den1 * dd for row, y in zip(duals, r1))):
         raise InvariantError("chamber pairings disagree with the positive part")
-    if any(h1[i] for i in support) or any(v < (0, 0) for v in zip(h, h1)):
+    if any(r1[i] for i in support) or any(v < (0, 0) for v in zip(r0, r1)):
         raise InvariantError("chamber positive part not nef in model")
-    square = (model.intersect(z0, z0), 2 * model.intersect(z0, z1), model.intersect(z1, z1))
-    affine_next, terminal = _chamber_events(support, coeff0, c1, h0, h1, square, t0)
+    gd, gram = model._gram_ints
+    g0, g1 = ([sum(map(mul, row, z)) for row in gram] for z in (z0, z1))
+    w11 = sum(map(mul, z1, g1))
+    square = (Fraction(sum(map(mul, z0, g0)), den0 * den0 * gd),
+              Fraction(2 * sum(map(mul, z0, g1)), den0 * den1 * gd),
+              Fraction(w11, den1 * den1 * gd))
+    # affine events: u = x/y * D1/D0 for each decreasing coefficient and
+    # off-support pairing, the smallest by cross-multiplication
+    in_support = set(support)
+    ratios = [(x, -y) for x, y in zip(a0, a1) if y < 0]
+    ratios += [(x, -y) for j, (x, y) in enumerate(zip(r0, r1)) if y < 0 and j not in in_support]
+    affine_next = None
+    if ratios:
+        x, y = min(ratios, key=cmp_to_key(lambda r, s: r[0] * s[1] - s[0] * r[1]))
+        affine_next = t0 + Fraction(x * d1, y * d0)
+    # Z(t0 + u)^2 = e0 + e1*u + e2*u^2 with e0 = P^2 > 0, e1 = 2*P.z1 and
+    # e2 = z1^2: its smallest positive root is -e0/e1 when e2 = 0 and e1 < 0,
+    # else (-e1 - sqrt(e1^2 - 4*e2*e0)) / (2*e2) when real and e2 < 0 or e1 < 0
+    m1 = sum(map(mul, p_nums, g1))  # P.z1 over lp * den1 * gd
+    terminal = None
+    if w11 == 0 and m1 < 0:
+        terminal = t0 - dec.positive_square / Fraction(2 * m1, lp * den1 * gd)
+    elif w11 and (w11 < 0 or m1 < 0):
+        e1, e2 = Fraction(2 * m1, lp * den1 * gd), square[2]
+        disc = e1 * e1 - 4 * e2 * dec.positive_square
+        if disc >= 0:
+            root = sqrt_rat(disc)
+            if isinstance(root, QuadExt):
+                terminal = QuadExt._of(t0 - e1 / (2 * e2), -root.q / (2 * e2), root.d)
+            else:
+                terminal = t0 - (e1 + root) / (2 * e2)
     last = terminal is not None and (affine_next is None or not affine_next < terminal)
     t1 = terminal if last else (fallback_end if affine_next is None else affine_next)
     if t1 is None:
         raise InvariantError("chamber walk found no event ahead")
-    chamber = SegmentChamber(t0, t1, support, z0, z1, coeff0, c1, h0, h1, square)
-    return chamber, last
+    z0, z1 = (tuple(Fraction(x, d) for x in z) for z, d in ((z0, den0), (z1, den1)))
+    coeff0, h0 = (tuple(Fraction(x, den) for x in v) for v in (coeff0, h0))
+    coeff1, h1 = (tuple(Fraction(x, d1) for x in v) for v in (a1, r1))
+    return SegmentChamber(t0, t1, support, z0, z1, coeff0, coeff1, h0, h1, square), last
 
 
 def _assert_continuity(prev: SegmentChamber, nxt: SegmentChamber):

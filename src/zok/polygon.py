@@ -168,9 +168,9 @@ def polygon_contains(p: Sequence[Point], q: Sequence[Point]) -> bool:
         return all(v == pv[0] for v in qv)
     if len(pv) == 2:
         return all(_on_segment(v, pv[0], pv[1]) for v in qv)
-    n = len(pv)
+    edges = list(zip(pv, _edges(pv)))  # each edge of p, formed once
     for v in qv:
-        for i in range(n):
-            if ext_sign(cross(pv[i], pv[(i + 1) % n], v)) < 0:
+        for a, e in edges:
+            if ext_sign(_dir_cross(e, (v[0] - a[0], v[1] - a[1]))) < 0:
                 return False
     return True

@@ -26,6 +26,7 @@ from .errors import (
     UnsupportedDirection,
     UsageError,
 )
+from .exact import parse_rat
 from .lattice import (
     SurfaceModel,
     Vec,
@@ -78,17 +79,26 @@ class ZariskiDecomp:
         return 2 if self.volume(model) > 0 else 1
 
 
+def _curve_sum(model: SurfaceModel, support: Sequence[int], nums: Sequence[int]) -> list[int]:
+    """sum(nums[k] * C_support[k]) for integer nums, as integer numerators
+    over the curve classes' common denominator (model._curve_ints)."""
+    rows = model._curve_ints[1]
+    picked = [rows[i] for i in support]
+    if not picked:
+        return [0] * model.rank
+    return [sum(map(mul, nums, column)) for column in zip(*picked)]
+
+
 def _combination(model: SurfaceModel, support: Sequence[int], coeffs: Sequence) -> Vec:
     """sum(coeffs[k] * C_support[k]), exact: the coefficients scaled to
-    integers once, one integer product with the curve classes' integer rows
-    (model._curve_ints), and one division per coordinate."""
+    integers once, one integer product with the curve classes (_curve_sum),
+    and one division per coordinate."""
     terms = list(zip(support, coeffs))
     if not terms:
         return zero_vec(model.rank)
-    den, rows = model._curve_ints
     lc, nums = _over_lcm([a for _, a in terms])
-    picked = [rows[i] for i, _ in terms]
-    return tuple(Fraction(sum(map(mul, nums, column)), den * lc) for column in zip(*picked))
+    den = model._curve_ints[0] * lc
+    return tuple(Fraction(x, den) for x in _curve_sum(model, [i for i, _ in terms], nums))
 
 
 class Kind(enum.Enum):
@@ -122,9 +132,10 @@ def is_nef_in_model(model: SurfaceModel, alpha: Vec) -> bool:
 
 
 def _grow_support(model: SurfaceModel, columns: Sequence[Sequence], start=()) -> tuple:
-    """(support, coeffs, left): the support growth of Bauer's proof for the
-    class x_j = sum(columns[m][j] * eps**m) paired with the curves, one
-    rational column per power of a formal positive infinitesimal eps.
+    """(support, dens, coeff_nums, residual_nums): the support growth of
+    Bauer's proof for the class x_j = sum(columns[m][j] * eps**m) paired with
+    the curves, one rational column per power of a formal positive
+    infinitesimal eps.
 
     Every sign is the lexicographic sign of a k-tuple (col_0[j], ..., col_k-1[j]),
     which is Python's tuple order against (0,)*k; with k = 1 it is the
@@ -134,10 +145,11 @@ def _grow_support(model: SurfaceModel, columns: Sequence[Sequence], start=()) ->
     once; a round reads its support's integer rows from the model's support
     table (SurfaceModel.support_forms, one solve per support and model), so
     its coefficient signs and residual pairings are integer dot products
-    over the support.  coeffs[m] and left[m] (the residual's pairings with
-    every curve) are the parts at eps**m, divided only on return.  Raises
-    NotPseudoEffective when the support Gram loses negative definiteness or
-    a coefficient turns negative.
+    over the support.  The parts at eps**m are integer numerators over
+    dens[m] > 0: coeff_nums[m] of the support coefficients, residual_nums[m]
+    of the residual's pairings with every curve; callers divide only what
+    they return.  Raises NotPseudoEffective when the support Gram loses
+    negative definiteness or a coefficient turns negative.
     """
     zero = (0,) * len(columns)
     scales, nums = zip(*[_over_lcm(col) for col in columns])
@@ -169,11 +181,8 @@ def _grow_support(model: SurfaceModel, columns: Sequence[Sequence], start=()) ->
         residuals = [tuple(den * col[j] - sum(map(mul, row, x)) for col, x in zip(nums, picked))
                  for j, row in enumerate(residual_rows)]
     if forms is None:
-        return support, ((),) * len(columns), columns
-    dens = [den * d for d in scales]
-    coeffs = tuple(tuple(Fraction(a[m], d) for a in scaled) for m, d in enumerate(dens))
-    left = tuple(tuple(Fraction(v[m], d) for v in residuals) for m, d in enumerate(dens))
-    return support, coeffs, left
+        return support, scales, ((),) * len(columns), tuple(map(tuple, nums))
+    return support, tuple(den * d for d in scales), tuple(zip(*scaled)), tuple(zip(*residuals))
 
 
 def zariski_decompose(model: SurfaceModel, alpha: Vec) -> ZariskiDecomp:
@@ -189,8 +198,8 @@ def zariski_decompose(model: SurfaceModel, alpha: Vec) -> ZariskiDecomp:
     """
     if len(alpha) != model.rank:
         raise ValueError(f"class vector must have length {model.rank}")
-    support, (coeffs,), _ = _grow_support(model, (model.pairings(alpha),))
-    return _check_decomposition(model, alpha, support, coeffs)
+    support, (den,), (nums,), _ = _grow_support(model, (model.pairings(alpha),))
+    return _check_decomposition(model, alpha, support, tuple(Fraction(a, den) for a in nums))
 
 
 def _check_decomposition(
@@ -202,23 +211,39 @@ def _check_decomposition(
     Raises NotPseudoEffective when P meets the Kahler class negatively, then
     when P^2 < 0.  Any other failure is an InvariantError: reconstruction,
     P orthogonal to the support, positive coefficients, negative-definite
-    support Gram, and P nef in the model.  One pairing of P gives P.C_i for
-    both the orthogonality and the nef test; the result keeps P.C_i, P^2 and
-    P.omega.
+    support Gram, and P nef in the model.  P is formed once, as integer
+    numerators over one denominator; P.omega (the model's Kahler row), P^2
+    (its integer form) and P.C_i (its duals, for both the orthogonality and
+    the nef test) are integer dot products, and Fractions are built only for
+    the fields the result keeps: P, P.C_i, P^2 and P.omega.
     """
     alpha = tuple(alpha)
-    negative = _combination(model, support, coeffs)
-    p = vec_sub(alpha, negative) if support else alpha  # N = 0: P is alpha as given
-    kahler = model.intersect(p, model.kahler)
+    rank = model.rank
+    terms = list(zip(support, coeffs))
+    lc, nums = _over_lcm([a for _, a in terms])
+    negative = _curve_sum(model, [i for i, _ in terms], nums)
+    # P = alpha - N keeps the first rank coordinates of a longer alpha (which
+    # then fails to reconstruct); N = 0 leaves alpha as given
+    if len(alpha) < rank or not support and len(alpha) > rank:
+        raise ValueError(f"vector length must be {rank}")
+    lp, p = _over_lcm(alpha[:rank])
+    if support:  # P = alpha - N, over lp * ln
+        ln = model._curve_ints[0] * lc
+        p = [a * ln - x * lp for a, x in zip(p, negative)]
+        lp *= ln
+    kd, kahler_row = model._kahler_ints
+    kahler = sum(map(mul, p, kahler_row))
     if kahler < 0:
         raise NotPseudoEffective("positive part meets the Kahler class negatively")
-    square = model.intersect(p, p)
+    gd, gram = model._gram_ints
+    square = sum(map(mul, p, [sum(map(mul, row, p)) for row in gram]))
     if square < 0:
         raise NotPseudoEffective("positive part has negative self-intersection")
-    if vec_add(p, negative) != alpha:
+    if len(alpha) != rank:  # P + N is alpha exactly, up to its length
         raise InvariantError("decomposition does not reconstruct the class")
-    pairs = model.pairings(p)
-    if any(pairs[i] != 0 for i in support):
+    dd, duals = model.duals
+    pairs = [sum(map(mul, p, row)) for row in duals]
+    if any(pairs[i] for i in support):
         raise InvariantError("positive part not orthogonal to support")
     if any(a <= 0 for a in coeffs):
         raise InvariantError("non-positive negative-part coefficient")
@@ -226,7 +251,10 @@ def _check_decomposition(
         raise InvariantError("support Gram matrix not negative definite")
     if any(v < 0 for v in pairs):
         raise InvariantError("positive part not nef in model")
-    return ZariskiDecomp(alpha, p, support, coeffs, pairs, square, kahler)
+    positive = tuple(Fraction(x, lp) for x in p) if support else alpha
+    pd = lp * dd
+    return ZariskiDecomp(alpha, positive, support, coeffs, tuple(Fraction(v, pd) for v in pairs),
+                         Fraction(square, lp * lp * gd), Fraction(kahler, lp * kd))
 
 
 def volume(model: SurfaceModel, alpha: Vec) -> Fraction:
@@ -402,11 +430,13 @@ def perturbed_decomposition(
     of alpha: the positive part gains eps times the orthogonal nef lift of
     omega over the support, each coefficient drops by eps*b_i.
 
-    Valid strictly below the threshold min(a_i / b_i); at or above it raises
-    EpsilonTooLarge carrying the exact threshold.  With empty support the
+    eps is exact (parse_rat: an int, a Fraction or a 'p/q' string; a float
+    or a bool raises ValueError).  Valid strictly below the threshold
+    min(a_i / b_i); at or above it raises EpsilonTooLarge carrying the
+    exact threshold.  With empty support the
     formula degenerates to decomposing alpha + eps*omega directly.
     """
-    eps = Fraction(eps)
+    eps = parse_rat(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
     if len(omega) != model.rank:

@@ -11,10 +11,11 @@ from zok.exact import (
     QuadExt,
     format_rat,
     parse_rat,
-    smallest_quadratic_root_above,
     sqrt_rat,
     squarefree_split,
 )
+
+from reference import smallest_quadratic_root_above
 
 rationals = st.fractions(
     min_value=-100, max_value=100, max_denominator=50

@@ -26,6 +26,7 @@ from zok.oracle import ModelGenSpec, random_model
 from zok.zariski import _grow_support, enumerate_exceptional_families, zariski_decompose
 
 from conftest import F, int_grid
+from reference import reference_growth
 
 small = st.sampled_from([Fraction(0)] * 4 + [Fraction(k) for k in (-3, -2, -1, 1, 2)]
                         + [Fraction(-1, 2), Fraction(1, 3), Fraction(-5, 3)])
@@ -267,35 +268,13 @@ def test_kernel_errors(blowup2):
 # --- the support table and the integer support growth --------------------------
 
 
-def reference_growth(model, columns, start=()):
-    """The reference for zariski._grow_support, over Fractions: every round
-    solves its support Gram matrix afresh (negative_solve) and pairs the
-    residual through the curve table (residual_pairings)."""
-    zero = (0,) * len(columns)
-    support: list[int] = []
-    coeffs: tuple = ((),) * len(columns)
-    left = columns
-    entering = list(start)
-    while True:
-        in_support = set(support)
-        entering += [j for j, v in enumerate(zip(*left)) if v < zero and j not in in_support]
-        if not entering:
-            return tuple(support), coeffs, left
-        support = sorted(set(support + entering))
-        entering = []
-        gram = model.gram_submatrix(support)
-        coeffs = negative_solve(gram, [[col[i] for i in support] for col in columns])
-        if coeffs is None:
-            raise NotPseudoEffective("support Gram matrix is not negative definite")
-        for a in zip(*coeffs):
-            if a < zero:
-                raise NotPseudoEffective("negative coefficient in support solve")
-            if a == zero:
-                raise InvariantError(
-                    "zero coefficient in support solve; model violates "
-                    "the strict-positivity hypotheses"
-                )
-        left = tuple(model.residual_pairings(col, support, a) for col, a in zip(columns, coeffs))
+def fraction_growth(model, columns, start=()):
+    """zariski._grow_support's integer form (support, dens, coeff_nums,
+    residual_nums) as the reference's (support, coeffs, left)."""
+    support, dens, coeff_nums, residual_nums = _grow_support(model, columns, start)
+    return (support,
+            tuple(tuple(Fraction(a, d) for a in nums) for d, nums in zip(dens, coeff_nums)),
+            tuple(tuple(Fraction(v, d) for v in nums) for d, nums in zip(dens, residual_nums)))
 
 
 def _growth_outcome(grow, model, columns, start):
@@ -351,7 +330,7 @@ def test_growth_matches_the_fraction_reference_on_rational_models(data):
     columns = tuple(tuple(data.draw(st.lists(rationals, min_size=n, max_size=n)))
                     for _ in range(k))
     start = tuple(data.draw(st.lists(st.integers(0, n - 1), max_size=2))) if n else ()
-    assert (_growth_outcome(_grow_support, model, columns, start)
+    assert (_growth_outcome(fraction_growth, model, columns, start)
             == _growth_outcome(reference_growth, model, columns, start))
 
 
@@ -366,7 +345,7 @@ def test_growth_matches_the_fraction_reference_on_random_models(seed, rank, curv
         columns = [(pairs,)]
         columns += [(pairs, model.pairings(vec_scale(-1, c.cls))) for c in model.curves]
         for cols in columns:
-            outcome = _growth_outcome(_grow_support, model, cols, ())
+            outcome = _growth_outcome(fraction_growth, model, cols, ())
             assert outcome == _growth_outcome(reference_growth, model, cols, ())
             seen.add(type(outcome))
     assert seen == {str, tuple}  # grown supports and refusals both met

@@ -61,6 +61,14 @@ def test_flag_make_refuses_a_flag_curve_that_is_not_an_integer():
     assert FlagSpec.make("1", {"0": 1}) == FlagSpec.make(1, {0: 1})
 
 
+def test_flag_make_refuses_an_inexact_multiplicity():
+    # Fraction(0.1) would keep the float's binary value 3602879701896397/2**55
+    for mult in (0.1, 1.0, True):
+        with pytest.raises(ValueError, match="^not a rational: "):
+            FlagSpec.make(1, {0: mult})
+    assert FlagSpec.make(1, {0: "1/2"}).mults == ((0, Fraction(1, 2)),)
+
+
 def test_validate_flag_refuses_a_flag_curve_that_is_not_an_integer(blowup2):
     for curve in (1.5, 1.0, True):
         with pytest.raises(UnknownCurve, match=f"^no curve with index {curve}$"):
@@ -517,7 +525,7 @@ def test_chamber_formulas_match_direct_decompositions():
     """Each chamber's formulas agree with rational decompositions at its start
     and inside it; its crossings and terminal quadratic equal those
     recomputed with intersect, and so do its events."""
-    from zok.okounkov import _chamber_events
+    from reference import chamber_events
     from zok.oracle import ModelGenSpec, random_model
     from zok.zariski import zariski_decompose
 
@@ -551,8 +559,44 @@ def test_chamber_formulas_match_direct_decompositions():
                     )
                     assert (ch.h0, ch.h1) == h
                     assert ch.square == c
-                    events = _chamber_events(ch.support, ch.coeff0, ch.coeff1, *h, c, t0)
+                    events = chamber_events(ch.support, ch.coeff0, ch.coeff1, *h, c, t0)
                     assert ch.t_hi == min(e for e in events if e is not None)
+
+
+def test_integer_chambers_match_the_fraction_reference(all_fixture_models, golden_model):
+    """Every chamber the integer walk returns, its fields and its end, equals
+    the Fraction reference (reference_chamber) started at the same t0: over
+    seeded random models of rank 3-6, the fixtures and the golden model,
+    with every curve as the flag, and for first_chamber_along along omega
+    and along each curve.  The sweep meets an irrational end, a terminal
+    Z(t)^2 with e2 = z1^2 > 0 (a flag curve with C^2 > 0) and with e2 = 0,
+    and a first chamber with no event ahead (fallback_end)."""
+    from reference import reference_chamber
+    from zok.oracle import ModelGenSpec, random_model
+
+    models = [random_model(ModelGenSpec(seed=seed, rank=3 + seed % 4, num_curves=6 + seed % 3))
+              for seed in range(1, 9)]
+    models += [*all_fixture_models, golden_model]
+    seen = set()
+    for model in models:
+        for alpha in _big_classes_near_kahler(model, 2):
+            for curve in range(len(model.curves)):
+                direction = vec_scale(-1, model.curve_class(curve))
+                walk = segment_chambers(model, alpha, curve)
+                for k, ch in enumerate(walk):
+                    ref, last = reference_chamber(model, alpha, direction, ch.t_lo)
+                    assert repr(ch) == repr(ref) and last == (k == len(walk) - 1)
+                end = walk[-1]
+                seen.add("irrational" if isinstance(end.t_hi, QuadExt) else "rational")
+                seen.add(("e2 < 0", "e2 = 0", "e2 > 0")[(end.square[2] >= 0) + (end.square[2] > 0)])
+            for direction in (model.kahler, *[c.cls for c in model.curves]):
+                ch = first_chamber_along(model, alpha, direction)
+                ref, _ = reference_chamber(model, alpha, direction, Fraction(0), Fraction(1))
+                assert repr(ch) == repr(ref)
+                reached = reference_chamber(model, alpha, direction, Fraction(0))[0].t_hi
+                if reached is None:
+                    seen.add("fallback_end")
+    assert seen == {"irrational", "rational", "e2 < 0", "e2 = 0", "e2 > 0", "fallback_end"}
 
 
 def test_polygon_decomposes_alpha_once(decompositions, blowup2):
@@ -591,8 +635,8 @@ def test_bodies_read_the_kept_pairings(monkeypatch, blowup1, blowup2):
     calls.clear()
     flag = FlagSpec.make(blowup1.curve_index("H-E"), {0: Fraction(1)})
     assert restricted_body(blowup1, F(2, 1), flag) == (1, 3)
-    # the decomposition's own pairings and its NotPseudoEffective tests
-    assert calls == {"pairings": 2, "intersect": 2}
+    # alpha's pairings in its decomposition; the check pairs P over integers
+    assert calls == {"pairings": 1}
 
 
 def test_chamber_start_pairs_the_class_once(monkeypatch, blowup2):
@@ -610,9 +654,10 @@ def test_chamber_start_pairs_the_class_once(monkeypatch, blowup2):
     monkeypatch.setattr(SurfaceModel, "pairings", counting)
     chambers = segment_chambers(blowup2, F(3, -1, -1), "L12")
     assert len(chambers) == 2
-    # d once, then per chamber: the start (in its decomposition), P (in the
-    # decomposition's check) and z1 (in the chamber's check)
-    assert len(calls) == 7
+    # d once, then the start of each chamber, in its decomposition; the
+    # decomposition's check pairs P and the chamber's check pairs z1 over
+    # integers, with no call
+    assert len(calls) == 3
 
 
 def test_restricted_body_decomposes_alpha_once(decompositions, blowup1):

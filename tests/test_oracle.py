@@ -263,6 +263,18 @@ def test_area_by_integration_refines_breakpoints():
     assert area_by_integration(f, g) == 4
 
 
+def test_value_at_reads_breakpoints_and_interpolates_between():
+    """area_by_integration evaluates only at breakpoints: there value_at
+    returns the stored value itself, with no interpolation."""
+    end = QuadExt.new(Fraction(-1, 2), Fraction(1, 2), 5)  # about 0.618
+    pl = PiecewiseLinear((Fraction(0), Fraction(1, 4), end), (Fraction(1), Fraction(3), end))
+    for b, v in zip(pl.breakpoints, pl.values):
+        assert pl.value_at(b) is v
+    assert pl.value_at(Fraction(1, 8)) == 2
+    with pytest.raises(ValueError, match="^evaluation outside the domain$"):
+        pl.value_at(Fraction(1))
+
+
 def test_area_by_integration_rejects_crossing():
     f = PiecewiseLinear((Fraction(0), Fraction(1)), (Fraction(1), Fraction(1)))
     g = PiecewiseLinear((Fraction(0), Fraction(1)), (Fraction(0), Fraction(2)))

@@ -362,6 +362,15 @@ def test_perturbed_decomposition_threshold(blowup1):
     assert err.value.threshold == 1
 
 
+def test_perturbed_decomposition_refuses_an_inexact_eps(blowup1):
+    # Fraction(0.1) would run with eps = 3602879701896397/36028797018963968
+    omega = F(2, -1)
+    for eps in (0.1, 0.5, True):
+        with pytest.raises(ValueError, match="^not a rational: "):
+            perturbed_decomposition(blowup1, F(0, 1), omega, eps)
+    assert perturbed_decomposition(blowup1, F(0, 1), omega, "1/2").coeffs == (Fraction(1, 2),)
+
+
 def test_perturbed_decomposition_empty_support(blowup1):
     omega = F(2, -1)
     eps = Fraction(1, 3)
@@ -460,9 +469,9 @@ def _count_calls_on(monkeypatch, vector):
 
 
 def test_positive_part_numbers_are_computed_once(monkeypatch, blowup2):
-    """The check pairs P with the curves once, and P^2 and P.omega come from
-    its NotPseudoEffective tests, on zariski_decompose and on
-    brute_force_zariski."""
+    """The check forms P's numerators once and reads P.C_i, P^2 and P.omega
+    off them as integer dot products, with no pairing call on P, on
+    zariski_decompose and on brute_force_zariski."""
     from zok.oracle import brute_force_zariski
 
     alpha = F(3, 1, -1)
@@ -473,7 +482,7 @@ def test_positive_part_numbers_are_computed_once(monkeypatch, blowup2):
     for route in (zariski_decompose, brute_force_zariski):
         calls.clear()
         assert route(blowup2, alpha).positive == positive
-        assert sorted(calls) == ["intersect", "intersect", "pairings"]
+        assert calls == []
 
 
 def test_orthogonal_nef_lift_pairs_the_lift_once(monkeypatch, blowup2):
