@@ -112,10 +112,12 @@ class QuadExt:
                 raise ValueError(f"mixed radicands sqrt({self.d}) and sqrt({other.d})")
             return other.p, other.q
         if isinstance(other, (int, Fraction)):
-            return Fraction(other), Fraction(0)
+            return other, 0
         return None
 
     def __add__(self, other):
+        if isinstance(other, (int, Fraction)):  # a rational meets p alone
+            return QuadExt._of(self.p + other, self.q, self.d)
         co = self._coerce(other)
         if co is None:
             return NotImplemented
@@ -127,6 +129,8 @@ class QuadExt:
         return QuadExt(-self.p, -self.q, self.d)
 
     def __sub__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return QuadExt._of(self.p - other, self.q, self.d)
         co = self._coerce(other)
         if co is None:
             return NotImplemented
@@ -136,6 +140,8 @@ class QuadExt:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return QuadExt._of(self.p * other, self.q * other, self.d)
         co = self._coerce(other)
         if co is None:
             return NotImplemented

@@ -31,10 +31,13 @@ def ext_to_json(x: ExtRat):
 
 
 def ext_from_json(value) -> ExtRat:
+    """The exact value of ext_to_json's encoding; a radicand d that is not
+    an int, or is a bool, raises ValueError, as parse_rat does."""
     if isinstance(value, Mapping):
-        return QuadExt.new(
-            parse_rat(value["p"]), parse_rat(value["q"]), int(value["d"])
-        )
+        p, q, d = parse_rat(value["p"]), parse_rat(value["q"]), value["d"]
+        if isinstance(d, bool) or not isinstance(d, int):
+            raise ValueError(f"not an integer radicand: {d!r}")
+        return QuadExt.new(p, q, d)
     return parse_rat(value)
 
 

@@ -381,10 +381,6 @@ class SurfaceModel:
         return _shared(zip(*by_column))
 
     @cached_property
-    def _curve_gram_ints(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        return _int_rows(self.curve_gram)
-
-    @cached_property
     def _curve_ints(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
         """The curve classes as integer rows over one common denominator."""
         return _int_rows([c.cls for c in self.curves])
@@ -430,15 +426,6 @@ class SurfaceModel:
         if len(u) != self.rank:
             raise ValueError(f"vector length must be {self.rank}")
         return tuple(_dots(u, *self.duals))
-
-    def residual_pairings(self, pairs: Sequence, support: Sequence[int], coeffs: Sequence) -> tuple:
-        """(u - sum coeffs[k] * C_support[k]) . C_j for every curve j, from
-        pairs = u . C_j and the columns of the integer curve table."""
-        if not support:
-            return tuple(pairs)
-        den, table = self._curve_gram_ints
-        columns = list(zip(*[table[i] for i in support]))
-        return tuple(v - w for v, w in zip(pairs, _dots(coeffs, den, columns)))
 
     @cached_property
     def family_atlas(self) -> tuple[tuple, ...]:

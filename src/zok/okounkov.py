@@ -4,20 +4,21 @@ bodies on the volume-zero boundary.
 
 The walk is exact: within a chamber the negative-part support is constant,
 so the orthogonality system makes the coefficients and the positive part
-affine in t.  Each chamber starts with one rational decomposition at its
-start t0; support growth over the two rational columns of t0 + eps, eps a
-formal positive infinitesimal signed lexicographically (symbolic
-perturbation), then reaches the chamber's support, and its two solves are
-the affine formulas.  The formulas, their checks and the chamber's events
-run over integer numerators, and Fractions are built only for the
-chamber's fields.  Breakpoints are roots of affine functions (hence
+affine in t.  A walk scales alpha and the direction to integer numerators
+once.  Each chamber starts with one rational decomposition at its start
+t0; support growth over the two integer columns of t0 + eps, eps a formal
+positive infinitesimal signed lexicographically (symbolic perturbation),
+then reaches the chamber's support, and its two solves are the affine
+formulas.  The formulas, their checks, the chamber's events and the
+continuity of adjacent chambers run over integer numerators, and
+Fractions are built only for the chamber's fields.  Breakpoints are roots of affine functions (hence
 rational); only the terminal endpoint, where the positive part's square
 vanishes, can be a quadratic irrational, represented exactly in Q(sqrt(d)).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
 from operator import mul
@@ -33,7 +34,7 @@ from .errors import (
     UnknownCurve,
 )
 from .exact import ExtRat, QuadExt, parse_rat, sqrt_rat
-from .lattice import SurfaceModel, Vec, _over_lcm, vec_add, vec_scale
+from .lattice import SurfaceModel, Vec, _over_lcm
 from .polygon import ConvexPolygon, Point, shoelace_area
 from .zariski import (
     Kind,
@@ -121,6 +122,7 @@ class SegmentChamber:
     h0: tuple[Fraction, ...]
     h1: tuple[Fraction, ...]
     square: tuple[Fraction, Fraction, Fraction]
+    ints: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     def z_at(self, t) -> tuple:
         return tuple(a + t * b for a, b in zip(self.z0, self.z1))
@@ -196,62 +198,76 @@ class BoundaryBody:
 # ---------------------------------------------------------------------------
 
 
-def _chamber_at(model, alpha, direction, along, t0, fallback_end=None):
+def _walk_class(model: SurfaceModel, alpha: Vec, direction: Vec) -> tuple:
+    """(alpha, ld, d, along, la, a, pairs): direction = d / ld and alpha =
+    a / la, scaled once per walk, and their curve pairings along and pairs
+    over ld * dd and la * dd (the duals' denominator), in that order."""
+    dd, duals = model.duals
+    ld, d = _over_lcm(direction)
+    along = [sum(map(mul, d, row)) for row in duals]
+    if len(alpha) != model.rank:
+        raise ValueError(f"class vector must have length {model.rank}")
+    la, a = _over_lcm(alpha)
+    return alpha, ld, d, along, la, a, [sum(map(mul, a, row)) for row in duals]
+
+
+def _chamber_at(model, walk, t0, fallback_end=None):
     """The chamber starting at t0 along alpha + t*direction, and whether it
     ends at the terminal root of Z(t)^2; the one start of every walk.
 
-    ``along`` is direction . C_j for every curve, paired once per walk.  The
-    chamber starts with one checked decomposition of alpha + t0*direction,
-    whose P^2 must be positive: at t0 = 0 that is _require_big(alpha), the
-    bigness test of every walk, and past 0 a failure is an invariant breach.
-    Its support is a subset of the chamber's, which is the support of
+    ``walk`` is _walk_class's data.  The chamber starts with one checked
+    decomposition of alpha + t0*direction, one Fraction per coordinate from
+    the walk's numerators, whose P^2 must be positive: at t0 = 0 that is
+    _require_big(alpha), the bigness test of every walk, and past 0 a
+    failure is an invariant breach.  Its support is a subset of the
+    chamber's, which is the support of
     alpha + (t0 + eps)*direction for a formal positive infinitesimal eps:
-    _grow_support over the two rational columns (alpha + t0*direction) . C_j
-    and direction . C_j, started there, reaches it, and its eps-parts are
-    the slopes of the affine formulas.  The first column is (P + N) . C_j,
-    read off the decomposition's P . C_j and N without pairing the class
-    again.
+    _grow_support over the two integer columns (alpha + t0*direction) . C_j
+    and direction . C_j, read off the walk's two pairing rows and started
+    there, reaches it, and its eps-parts are the slopes of the affine
+    formulas.
 
-    From the growth to the returned chamber everything is integer
-    numerators: with t0 = p/q and the growth's parts c0 = a0/D0, c1 = a1/D1
-    (coefficients) and h = r0/D0, h1 = r1/D1 (pairings), z1 = d - sum c1*C
-    and z0 = P - t0*z1; the checks (reconstruction, pairings, nef) are
-    integer equalities and sign tests, the events are found in u = t - t0,
-    and Fractions are built only for the chamber's fields.  The chamber
-    ends at the first event after t0, or at fallback_end when none lies
-    ahead.
+    From the walk's numerators to the returned chamber everything is
+    integer numerators: with t0 = p/q and the growth's parts c0 = a0/D0,
+    c1 = a1/D1 (coefficients) and h = r0/D0, h1 = r1/D1 (pairings),
+    z1 = d - sum c1*C and z0 = P - t0*z1, P from the numerators the
+    decomposition keeps; the checks (reconstruction, pairings against the
+    decomposition's P.C_j and against z1, nef) are integer equalities and
+    sign tests, the events are found in u = t - t0, and Fractions are built
+    only for the chamber's fields; it keeps z0, z1, c0 and c1 as numerators
+    (ints).  It ends at the first event after t0, or at fallback_end when
+    none lies ahead.
     """
+    alpha, ld, d_nums, along, la, a_nums, a_pairs = walk
+    p, q = t0.numerator, t0.denominator
     if t0 == 0:
         dec = _require_big(model, alpha)
     else:
-        dec = _decompose_or_none(model, vec_add(alpha, vec_scale(t0, direction)))
+        dec = _decompose_or_none(model, tuple(
+            Fraction(q * ld * x + p * la * y, q * la * ld) for x, y in zip(a_nums, d_nums)))
         if dec is None or not dec.volume(model) > 0:
             raise InvariantError(f"class at t = {t0} is not big")
-    start = model.residual_pairings(dec.positive_pairings, dec.support, [-a for a in dec.coeffs])
+    dd, duals = model.duals
+    start = [q * ld * x + p * la * y for x, y in zip(a_pairs, along)]
     try:
         support, (d0, d1), (a0, a1), (r0, r1) = _grow_support(
-            model, (start, along), dec.support)
+            model, (start, along), (q * la * ld * dd, ld * dd), dec.support)
     except NotPseudoEffective as exc:
         raise InvariantError(f"class just after t = {t0} is not big") from exc
-    p, q = t0.numerator, t0.denominator
     den = q * d0 * d1  # x0/D0 - t0*x1/D1 = (q*D1*x0 - p*D0*x1) / den
     coeff0 = [q * d1 * x - p * d0 * y for x, y in zip(a0, a1)]
     h0 = [q * d1 * x - p * d0 * y for x, y in zip(r0, r1)]
     cd = model._curve_ints[0]
-    ld, d_nums = _over_lcm(direction)
     z1 = [x * d1 * cd - y * ld for x, y in zip(d_nums, _curve_sum(model, support, a1))]
     den1 = ld * d1 * cd
-    lp, p_nums = _over_lcm(dec.positive)
+    lp, p_nums, pd, p_pairs = dec.positive_ints
     z0 = [x * q * den1 - p * lp * y for x, y in zip(p_nums, z1)]
     den0 = lp * q * den1
-    la, a_nums = _over_lcm(alpha)
     back = _curve_sum(model, support, coeff0)  # sum coeff0*C, over den * cd
     s0, s1, s2 = den * cd * la, den0 * la, den0 * den * cd
     if any(x * s0 + y * s1 != a * s2 for x, y, a in zip(z0, back, a_nums)):
         raise InvariantError("chamber formulas do not reconstruct the class")
-    lh, h_nums = _over_lcm(dec.positive_pairings)
-    dd, duals = model.duals
-    if (any(x * lh != y * d0 for x, y in zip(r0, h_nums))
+    if (any(x * pd != y * d0 for x, y in zip(r0, p_pairs))
             or any(sum(map(mul, z1, row)) * d1 != y * den1 * dd for row, y in zip(duals, r1))):
         raise InvariantError("chamber pairings disagree with the positive part")
     if any(r1[i] for i in support) or any(v < (0, 0) for v in zip(r0, r1)):
@@ -291,21 +307,32 @@ def _chamber_at(model, alpha, direction, along, t0, fallback_end=None):
     t1 = terminal if last else (fallback_end if affine_next is None else affine_next)
     if t1 is None:
         raise InvariantError("chamber walk found no event ahead")
+    ints = (den0, z0, den1, z1, den, coeff0, d1, a1)
     z0, z1 = (tuple(Fraction(x, d) for x in z) for z, d in ((z0, den0), (z1, den1)))
     coeff0, h0 = (tuple(Fraction(x, den) for x in v) for v in (coeff0, h0))
     coeff1, h1 = (tuple(Fraction(x, d1) for x in v) for v in (a1, r1))
-    return SegmentChamber(t0, t1, support, z0, z1, coeff0, coeff1, h0, h1, square), last
+    return SegmentChamber(t0, t1, support, z0, z1, coeff0, coeff1, h0, h1, square, ints), last
+
+
+def _values_at(chamber: SegmentChamber, p: int, q: int) -> tuple:
+    """(dz, z, dc, c): Z(p/q) = z / dz and the support coefficients at p/q,
+    c[i] / dc for curve i, from the chamber's kept numerators."""
+    den0, z0, den1, z1, den, c0, d1, c1 = chamber.ints
+    z = [q * den1 * x + p * den0 * y for x, y in zip(z0, z1)]
+    c = {i: q * d1 * x + p * den * y for i, x, y in zip(chamber.support, c0, c1)}
+    return q * den0 * den1, z, q * den * d1, c
 
 
 def _assert_continuity(prev: SegmentChamber, nxt: SegmentChamber):
+    """Adjacent chambers agree at their rational breakpoint on Z(t) and on
+    every coefficient (absent = 0), by cross-multiplied numerators."""
     t = prev.t_hi
-    if prev.z_at(t) != nxt.z_at(t):
+    dz, z, dc, c = _values_at(prev, t.numerator, t.denominator)
+    ez, w, ec, e = _values_at(nxt, t.numerator, t.denominator)
+    if any(x * ez != y * dz for x, y in zip(z, w)):
         raise InvariantError("adjacent chamber formulas disagree at the breakpoint")
-    prev_map = {i: p + t * q for i, p, q in zip(prev.support, prev.coeff0, prev.coeff1)}
-    nxt_map = {i: p + t * q for i, p, q in zip(nxt.support, nxt.coeff0, nxt.coeff1)}
-    for i in set(prev_map) | set(nxt_map):
-        if prev_map.get(i, 0) != nxt_map.get(i, 0):
-            raise InvariantError("adjacent chamber coefficients disagree at the breakpoint")
+    if any(c.get(i, 0) * ec != e.get(i, 0) * dc for i in c.keys() | e.keys()):
+        raise InvariantError("adjacent chamber coefficients disagree at the breakpoint")
 
 
 def _require_big(model: SurfaceModel, alpha: Vec) -> ZariskiDecomp:
@@ -320,20 +347,20 @@ def segment_chambers(model: SurfaceModel, alpha: Vec, curve) -> list[SegmentCham
 
     Each chamber costs one decomposition, of the class at its start, and one
     support growth just past it (see _chamber_at); the first decomposition
-    also tests that alpha is big, and direction . C_j is paired once; its
-    end is the smallest of the coefficient zeros, the off-support
+    also tests that alpha is big.  -C and alpha are scaled to integer
+    numerators and paired with the curves once per walk (_walk_class).  A
+    chamber's end is the smallest of the coefficient zeros, the off-support
     orthogonality crossings, and the terminal root of Z(t)^2, which ends the
     walk and may be a quadratic irrational.  Adjacent chambers must agree at
-    their breakpoint, and no curve but C may leave the support, since
-    N(D + E) <= N(D) + E for effective E.
+    their breakpoint (over integers), and no curve but C may leave the
+    support, since N(D + E) <= N(D) + E for effective E.
     """
     index = model.resolve_curve(curve)
-    direction = vec_scale(-1, model.curve_class(index))
-    along = model.pairings(direction)
+    walk = _walk_class(model, alpha, tuple(-x for x in model.curve_class(index)))
     chambers: list[SegmentChamber] = []
     t0 = Fraction(0)
     while True:
-        chamber, last = _chamber_at(model, alpha, direction, along, t0)
+        chamber, last = _chamber_at(model, walk, t0)
         if chambers:
             _assert_continuity(chambers[-1], chamber)
             if not set(chambers[-1].support) - {index} <= set(chamber.support):
@@ -351,8 +378,8 @@ def first_chamber_along(model: SurfaceModel, alpha: Vec, direction: Vec) -> Segm
     not), or 1 when no event lies ahead."""
     if len(direction) != model.rank:
         raise ValueError(f"class vector must have length {model.rank}")
-    along = model.pairings(direction)
-    return _chamber_at(model, alpha, direction, along, Fraction(0), Fraction(1))[0]
+    walk = _walk_class(model, alpha, direction)
+    return _chamber_at(model, walk, Fraction(0), Fraction(1))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -47,11 +47,12 @@ class ZariskiDecomp:
     """alpha = positive + sum(coeffs[i] * curve[i]) with positive nef-in-model,
     orthogonal to every support curve, and negative-definite support Gram.
 
-    Every decomposition zok returns is built by _check_decomposition from
-    (alpha, support, coeffs), the data it is saved as, and keeps the
-    positive part's numbers that the check computed: P.C_i for every curve,
-    P^2 and P.omega.  They take no part in equality or repr; one built by
-    hand has none, and volume then computes P^2.
+    Every decomposition zok returns is built by _checked from (alpha,
+    support, coeffs), the data it is saved as, and keeps the positive part's
+    numbers that the check computed: P.C_i for every curve, P^2, P.omega and
+    positive_ints = (lp, p, pd, pairs), P = p / lp and P.C_i = pairs / pd.
+    They take no part in equality or repr; one built by hand has none, and
+    volume then computes P^2.
     """
 
     alpha: Vec
@@ -61,6 +62,7 @@ class ZariskiDecomp:
     positive_pairings: Optional[tuple] = field(default=None, compare=False, repr=False)
     positive_square: Optional[Fraction] = field(default=None, compare=False, repr=False)
     positive_kahler: Optional[Fraction] = field(default=None, compare=False, repr=False)
+    positive_ints: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     def coeff_map(self) -> dict[int, Fraction]:
         return dict(zip(self.support, self.coeffs))
@@ -131,31 +133,31 @@ def is_nef_in_model(model: SurfaceModel, alpha: Vec) -> bool:
     return model.intersect(alpha, model.kahler) >= 0
 
 
-def _grow_support(model: SurfaceModel, columns: Sequence[Sequence], start=()) -> tuple:
+def _grow_support(model: SurfaceModel, columns: Sequence[Sequence[int]], dens: Sequence[int],
+                  start=()) -> tuple:
     """(support, dens, coeff_nums, residual_nums): the support growth of
-    Bauer's proof for the class x_j = sum(columns[m][j] * eps**m) paired with
-    the curves, one rational column per power of a formal positive
-    infinitesimal eps.
+    Bauer's proof for the class x_j = sum(columns[m][j] / dens[m] * eps**m)
+    paired with the curves, one integer column over dens[m] > 0 per power
+    of a formal positive infinitesimal eps.
 
     Every sign is the lexicographic sign of a k-tuple (col_0[j], ..., col_k-1[j]),
     which is Python's tuple order against (0,)*k; with k = 1 it is the
-    sign of a rational.  The support starts at ``start``, which must lie in
+    sign of an integer.  The support starts at ``start``, which must lie in
     the final support, and absorbs every curve the residual meets
-    negatively, until stable.  Each column is scaled to integer numerators
-    once; a round reads its support's integer rows from the model's support
-    table (SurfaceModel.support_forms, one solve per support and model), so
-    its coefficient signs and residual pairings are integer dot products
-    over the support.  The parts at eps**m are integer numerators over
-    dens[m] > 0: coeff_nums[m] of the support coefficients, residual_nums[m]
-    of the residual's pairings with every curve; callers divide only what
-    they return.  Raises NotPseudoEffective when the support Gram loses
-    negative definiteness or a coefficient turns negative.
+    negatively, until stable.  A round reads its support's integer rows
+    from the model's support table (SurfaceModel.support_forms, one solve
+    per support and model), so its coefficient signs and residual pairings
+    are integer dot products over the support.  The parts at eps**m are
+    integer numerators over the returned dens[m] > 0: coeff_nums[m] of the
+    support coefficients, residual_nums[m] of the residual's pairings with
+    every curve; callers divide only what they return.  Raises
+    NotPseudoEffective when the support Gram loses negative definiteness or
+    a coefficient turns negative.
     """
     zero = (0,) * len(columns)
-    scales, nums = zip(*[_over_lcm(col) for col in columns])
     support: tuple = ()
     forms = None
-    residuals = list(zip(*nums))  # per curve, the residual's pairings as numerators
+    residuals = list(zip(*columns))  # per curve, the residual's pairings as numerators
     entering = list(start)
     while True:
         in_support = set(support)
@@ -168,7 +170,7 @@ def _grow_support(model: SurfaceModel, columns: Sequence[Sequence], start=()) ->
         if forms is None:
             raise NotPseudoEffective("support Gram matrix is not negative definite")
         den, coeff_rows, residual_rows = forms
-        picked = [[col[i] for i in support] for col in nums]
+        picked = [[col[i] for i in support] for col in columns]
         scaled = [tuple(sum(map(mul, row, x)) for x in picked) for row in coeff_rows]
         for a in scaled:
             if a < zero:
@@ -178,11 +180,11 @@ def _grow_support(model: SurfaceModel, columns: Sequence[Sequence], start=()) ->
                     "zero coefficient in support solve; model violates "
                     "the strict-positivity hypotheses"
                 )
-        residuals = [tuple(den * col[j] - sum(map(mul, row, x)) for col, x in zip(nums, picked))
-                 for j, row in enumerate(residual_rows)]
+        residuals = [tuple(den * col[j] - sum(map(mul, row, x)) for col, x in zip(columns, picked))
+                     for j, row in enumerate(residual_rows)]
     if forms is None:
-        return support, scales, ((),) * len(columns), tuple(map(tuple, nums))
-    return support, tuple(den * d for d in scales), tuple(zip(*scaled)), tuple(zip(*residuals))
+        return support, tuple(dens), ((),) * len(columns), tuple(map(tuple, columns))
+    return support, tuple(den * d for d in dens), tuple(zip(*scaled)), tuple(zip(*residuals))
 
 
 def zariski_decompose(model: SurfaceModel, alpha: Vec) -> ZariskiDecomp:
@@ -192,21 +194,43 @@ def zariski_decompose(model: SurfaceModel, alpha: Vec) -> ZariskiDecomp:
     with the curves: seed the support with the curves alpha meets
     negatively, solve the orthogonality system Gram(S) * a = (alpha . N_i),
     and absorb every curve the residual still meets negatively, until
-    stable.  Raises NotPseudoEffective when the support Gram loses negative
+    stable.  alpha is scaled to integer numerators once, for its pairings
+    (integer dot products with the duals) and for the check (_checked).
+    Raises NotPseudoEffective when the support Gram loses negative
     definiteness, a solved coefficient turns negative, or the stabilized
     residual fails the remaining nef-in-model conditions.
     """
     if len(alpha) != model.rank:
         raise ValueError(f"class vector must have length {model.rank}")
-    support, (den,), (nums,), _ = _grow_support(model, (model.pairings(alpha),))
-    return _check_decomposition(model, alpha, support, tuple(Fraction(a, den) for a in nums))
+    dd, duals = model.duals
+    la, nums = _over_lcm(alpha)
+    column = [sum(map(mul, nums, row)) for row in duals]
+    support, (den,), (a,), _ = _grow_support(model, (column,), (la * dd,))
+    return _checked(model, tuple(alpha), la, nums, support, tuple(Fraction(x, den) for x in a),
+                    den, a, _curve_sum(model, support, a))
 
 
 def _check_decomposition(
     model: SurfaceModel, alpha: Vec, support: Sequence[int], coeffs: Sequence[Fraction]
 ) -> ZariskiDecomp:
+    """_checked on rational alpha and coeffs, scaled to integers here.  P =
+    alpha - N keeps the first rank coordinates of a longer alpha (which then
+    fails to reconstruct); N = 0 leaves alpha as given."""
+    alpha = tuple(alpha)
+    rank = model.rank
+    lc, nums = _over_lcm(coeffs)
+    negative = _curve_sum(model, support, nums)
+    if len(alpha) < rank or not support and len(alpha) > rank:
+        raise ValueError(f"vector length must be {rank}")
+    return _checked(model, alpha, *_over_lcm(alpha[:rank]), support, coeffs, lc, nums, negative)
+
+
+def _checked(model: SurfaceModel, alpha: Vec, lp: int, p: list, support: Sequence[int],
+             coeffs: Sequence[Fraction], lc: int, nums: Sequence[int], negative: list
+             ) -> ZariskiDecomp:
     """The decomposition alpha = P + N with N = sum(coeffs[k] * C_support[k]),
-    built and verified; every ZariskiDecomp comes from here.
+    built and verified; every ZariskiDecomp comes from here.  alpha[:rank]
+    is p / lp, coeffs are nums / lc, and N is _curve_sum of nums, negative.
 
     Raises NotPseudoEffective when P meets the Kahler class negatively, then
     when P^2 < 0.  Any other failure is an InvariantError: reconstruction,
@@ -217,16 +241,6 @@ def _check_decomposition(
     the nef test) are integer dot products, and Fractions are built only for
     the fields the result keeps: P, P.C_i, P^2 and P.omega.
     """
-    alpha = tuple(alpha)
-    rank = model.rank
-    terms = list(zip(support, coeffs))
-    lc, nums = _over_lcm([a for _, a in terms])
-    negative = _curve_sum(model, [i for i, _ in terms], nums)
-    # P = alpha - N keeps the first rank coordinates of a longer alpha (which
-    # then fails to reconstruct); N = 0 leaves alpha as given
-    if len(alpha) < rank or not support and len(alpha) > rank:
-        raise ValueError(f"vector length must be {rank}")
-    lp, p = _over_lcm(alpha[:rank])
     if support:  # P = alpha - N, over lp * ln
         ln = model._curve_ints[0] * lc
         p = [a * ln - x * lp for a, x in zip(p, negative)]
@@ -239,13 +253,13 @@ def _check_decomposition(
     square = sum(map(mul, p, [sum(map(mul, row, p)) for row in gram]))
     if square < 0:
         raise NotPseudoEffective("positive part has negative self-intersection")
-    if len(alpha) != rank:  # P + N is alpha exactly, up to its length
+    if len(alpha) != model.rank:  # P + N is alpha exactly, up to its length
         raise InvariantError("decomposition does not reconstruct the class")
     dd, duals = model.duals
     pairs = [sum(map(mul, p, row)) for row in duals]
     if any(pairs[i] for i in support):
         raise InvariantError("positive part not orthogonal to support")
-    if any(a <= 0 for a in coeffs):
+    if any(a <= 0 for a in nums):
         raise InvariantError("non-positive negative-part coefficient")
     if model.support_forms(tuple(support)) is None:
         raise InvariantError("support Gram matrix not negative definite")
@@ -254,7 +268,8 @@ def _check_decomposition(
     positive = tuple(Fraction(x, lp) for x in p) if support else alpha
     pd = lp * dd
     return ZariskiDecomp(alpha, positive, support, coeffs, tuple(Fraction(v, pd) for v in pairs),
-                         Fraction(square, lp * lp * gd), Fraction(kahler, lp * kd))
+                         Fraction(square, lp * lp * gd), Fraction(kahler, lp * kd),
+                         (lp, p, pd, pairs))
 
 
 def volume(model: SurfaceModel, alpha: Vec) -> Fraction:

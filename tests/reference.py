@@ -1,9 +1,11 @@
 """Fraction references for the integer kernels of support growth and the
-chamber walk: the growth that solves each round afresh, the root search and
-event list that okounkov._chamber_at once ran over Fraction formulas, and
-that chamber's formulas.  The kernel keeps integer numerators from the
-growth to the returned chamber and finds its events in u = t - t0; these
-are the independent routes its tests compare against."""
+chamber walk: the growth that solves each round afresh and pairs its
+residual through the curve table, the root search and event list that
+okounkov._chamber_at once ran over Fraction formulas, that chamber's
+formulas, and the continuity test of adjacent chambers.  The kernel scales
+each class to integer numerators once, keeps them from the growth to the
+returned chamber and finds its events in u = t - t0; these are the
+independent routes its tests compare against."""
 
 from __future__ import annotations
 
@@ -55,6 +57,28 @@ def chamber_events(support, coeff0, coeff1, h0, h1, quadratic, t0):
     return (min(affine) if affine else None), terminal
 
 
+def residual_pairings(model, pairs, support, coeffs) -> tuple:
+    """(u - sum coeffs[k] * C_support[k]) . C_j for every curve j, from
+    pairs = u . C_j and the curve Gram table."""
+    table = model.curve_gram
+    return tuple(v - sum((a * table[i][j] for i, a in zip(support, coeffs)), Fraction(0))
+                 for j, v in enumerate(pairs))
+
+
+def reference_continuity(prev: SegmentChamber, nxt: SegmentChamber) -> None:
+    """The reference for okounkov._assert_continuity, over Fractions: Z(t)
+    and every coefficient (absent = 0) of two adjacent chambers agree at
+    t = prev.t_hi."""
+    t = prev.t_hi
+    if prev.z_at(t) != nxt.z_at(t):
+        raise InvariantError("adjacent chamber formulas disagree at the breakpoint")
+    prev_map = {i: p + t * q for i, p, q in zip(prev.support, prev.coeff0, prev.coeff1)}
+    nxt_map = {i: p + t * q for i, p, q in zip(nxt.support, nxt.coeff0, nxt.coeff1)}
+    for i in set(prev_map) | set(nxt_map):
+        if prev_map.get(i, 0) != nxt_map.get(i, 0):
+            raise InvariantError("adjacent chamber coefficients disagree at the breakpoint")
+
+
 def reference_growth(model, columns, start=()):
     """The reference for zariski._grow_support, over Fractions: every round
     solves its support Gram matrix afresh (negative_solve) and pairs the
@@ -83,7 +107,7 @@ def reference_growth(model, columns, start=()):
                     "zero coefficient in support solve; model violates "
                     "the strict-positivity hypotheses"
                 )
-        left = tuple(model.residual_pairings(col, support, a) for col, a in zip(columns, coeffs))
+        left = tuple(residual_pairings(model, col, support, a) for col, a in zip(columns, coeffs))
 
 
 def reference_chamber(model, alpha, direction, t0, fallback_end=None):

@@ -114,6 +114,34 @@ def test_quadext_arithmetic_matches_field_axioms(p1, q1, p2, q2):
         assert (a / b) * b == a
 
 
+def _parts(x):
+    """(type, p, q, types of p and q) of an ExtRat, q = 0 for a rational."""
+    if isinstance(x, QuadExt):
+        return QuadExt, x.p, x.q, type(x.p), type(x.q)
+    return type(x), x, 0, None, None
+
+
+@given(rationals, st.fractions(min_value=-100, max_value=100, max_denominator=50).filter(bool),
+       st.one_of(rationals, st.integers(-100, 100), st.booleans()))
+def test_quadext_rational_operand_matches_the_general_formulas(p, q, r):
+    """+, - and * with an int or Fraction (a bool among the ints) give the
+    value and the part types of the general formulas over (Fraction(r), 0)."""
+    x = QuadExt.new(p, q, 7)
+    o, z = Fraction(r), Fraction(0)
+    general = {
+        "add": QuadExt._of(x.p + o, x.q + z, 7),
+        "sub": QuadExt._of(x.p - o, x.q - z, 7),
+        "rsub": QuadExt._of(o - x.p, z - x.q, 7),
+        "mul": QuadExt._of(x.p * o + x.q * z * 7, x.p * z + x.q * o, 7),
+    }
+    fast = {"add": (x + r, r + x), "sub": (x - r,), "rsub": (r - x,), "mul": (x * r, r * x)}
+    for name, results in fast.items():
+        for result in results:
+            assert _parts(result) == _parts(general[name])
+    if r == 0:
+        assert type(x * r) is Fraction and x * r == 0
+
+
 @given(rationals, st.fractions(min_value=Fraction(1, 50), max_value=100, max_denominator=50))
 def test_quadext_sign_agrees_with_float(p, q):
     for qq in (q, -q):

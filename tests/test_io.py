@@ -35,6 +35,15 @@ def test_ext_json_roundtrip():
     assert ext_to_json(QuadExt.new(0, 1, 2)) == {"p": 0, "q": 1, "d": 2}
 
 
+@pytest.mark.parametrize("d", [2.7, 2.0, True, "2", None])
+def test_ext_from_json_refuses_a_radicand_that_is_not_an_int(d):
+    """A float radicand is not truncated (2.7 is not sqrt(2)), nor a bool
+    read as 1, nor a string parsed: each raises ValueError."""
+    with pytest.raises(ValueError) as err:
+        ext_from_json({"p": 0, "q": 1, "d": d})
+    assert str(err.value) == f"not an integer radicand: {d!r}"
+
+
 def test_model_roundtrip(blowup1):
     assert model_from_dict(model_to_dict(blowup1)) == blowup1
 

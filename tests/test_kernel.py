@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from zok.errors import InvariantError, NotPseudoEffective
 from zok.exact import QuadExt
 from zok.lattice import (
+    _over_lcm,
     gram_product,
     make_model,
     negative_definite_subsets,
@@ -269,9 +270,11 @@ def test_kernel_errors(blowup2):
 
 
 def fraction_growth(model, columns, start=()):
-    """zariski._grow_support's integer form (support, dens, coeff_nums,
-    residual_nums) as the reference's (support, coeffs, left)."""
-    support, dens, coeff_nums, residual_nums = _grow_support(model, columns, start)
+    """zariski._grow_support on the rational columns, each scaled to integer
+    numerators first, with its integer form (support, dens, coeff_nums,
+    residual_nums) read as the reference's (support, coeffs, left)."""
+    scales, integer_columns = zip(*[_over_lcm(col) for col in columns])
+    support, dens, coeff_nums, residual_nums = _grow_support(model, integer_columns, scales, start)
     return (support,
             tuple(tuple(Fraction(a, d) for a in nums) for d, nums in zip(dens, coeff_nums)),
             tuple(tuple(Fraction(v, d) for v in nums) for d, nums in zip(dens, residual_nums)))

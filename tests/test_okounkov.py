@@ -7,6 +7,7 @@ import pytest
 from zok.errors import (
     FlagInNonKahlerLocus,
     HypothesisViolated,
+    InvariantError,
     NotBig,
     NotOnBoundary,
     NotPseudoEffective,
@@ -135,14 +136,15 @@ def test_chamber_support_grows_past_its_start(blowup1):
     """2H - E along -(H-E): the class at t = 1 is H, with empty support, but
     just past it E enters, since H.E = 0 and -(H-E).E = -1; the lexicographic
     growth over the two rational columns finds it."""
+    from zok.lattice import _over_lcm
     from zok.zariski import _grow_support, zariski_decompose
 
     chs = segment_chambers(blowup1, blowup1.kahler, "H-E")
     assert [(ch.t_lo, ch.t_hi) for ch in chs] == [(0, 1), (1, 2)]
     assert chs[0].support == ()
     assert zariski_decompose(blowup1, F(1, 0)).support == ()
-    columns = (blowup1.pairings(F(1, 0)), blowup1.pairings(F(-1, 1)))
-    assert _grow_support(blowup1, columns)[0] == (0,)
+    dens, columns = zip(*[_over_lcm(blowup1.pairings(u)) for u in (F(1, 0), F(-1, 1))])
+    assert _grow_support(blowup1, columns, dens)[0] == (0,)
     # Z(t) = (2-t)H and a_E(t) = t - 1 on [1, 2]
     ch = chs[1]
     assert ch.support == (0,)
@@ -599,6 +601,101 @@ def test_integer_chambers_match_the_fraction_reference(all_fixture_models, golde
     assert seen == {"irrational", "rational", "e2 < 0", "e2 = 0", "e2 > 0", "fallback_end"}
 
 
+# -- continuity of adjacent chambers, over integers --------------------------------
+
+_Z_TEXT = "adjacent chamber formulas disagree at the breakpoint"
+_COEFF_TEXT = "adjacent chamber coefficients disagree at the breakpoint"
+
+
+def _with_ints(ch, ints):
+    """ch with its kept numerators replaced by ints and its formulas z0, z1,
+    coeff0 and coeff1 rebuilt from them, so both representations agree."""
+    import dataclasses
+
+    den0, z0, den1, z1, den, c0, d1, c1 = ints
+    return dataclasses.replace(
+        ch, z0=tuple(Fraction(x, den0) for x in z0), z1=tuple(Fraction(x, den1) for x in z1),
+        coeff0=tuple(Fraction(x, den) for x in c0), coeff1=tuple(Fraction(x, d1) for x in c1),
+        ints=ints)
+
+
+def _bumped(ch, part, k):
+    """ch with numerator k of one part of its kept numerators raised by 1:
+    part 1 is z0, 3 is z1, 5 is coeff0 and 7 is coeff1."""
+    ints = list(ch.ints)
+    nums = list(ints[part])
+    nums[k] += 1
+    ints[part] = nums
+    return _with_ints(ch, tuple(ints))
+
+
+def _continuity_outcome(check, prev, nxt):
+    try:
+        check(prev, nxt)
+    except InvariantError as exc:
+        return str(exc)
+    return None
+
+
+def test_continuity_refuses_one_changed_numerator(blowup2):
+    """Two adjacent chambers agree at their breakpoint; one numerator of Z(t)
+    or of a coefficient changed, in either chamber, raises that part's text."""
+    from zok.okounkov import _assert_continuity
+
+    prev, nxt = segment_chambers(blowup2, F(3, -1, -1), "L12")
+    assert _assert_continuity(prev, nxt) is None
+    assert _assert_continuity(_with_ints(prev, prev.ints), nxt) is None
+    for part, text in ((1, _Z_TEXT), (3, _Z_TEXT), (5, _COEFF_TEXT), (7, _COEFF_TEXT)):
+        for which in (0, 1):
+            pair = [prev, nxt]
+            if not pair[which].ints[part]:
+                continue
+            pair[which] = _bumped(pair[which], part, 0)
+            with pytest.raises(InvariantError) as err:
+                _assert_continuity(*pair)
+            assert str(err.value) == text
+
+
+def test_integer_continuity_matches_the_fraction_reference(all_fixture_models, golden_model):
+    """On every adjacent pair of a seeded sweep of walks, and on the pair
+    with one numerator of either chamber changed, the integer continuity
+    check gives the outcome of the Fraction reference: both pass, or both
+    raise the same text."""
+    from reference import reference_continuity
+    from zok.okounkov import _assert_continuity
+    from zok.oracle import ModelGenSpec, random_model
+
+    models = [random_model(ModelGenSpec(seed=seed, rank=3 + seed % 4, num_curves=6 + seed % 3))
+              for seed in range(1, 7)]
+    models += [*all_fixture_models, golden_model]
+    seen = set()
+    for model in models:
+        for alpha in _big_classes_near_kahler(model, 2):
+            for curve in range(len(model.curves)):
+                walk = segment_chambers(model, alpha, curve)
+                for prev, nxt in zip(walk, walk[1:]):
+                    pairs = [(prev, nxt)]
+                    for part in (1, 3, 5, 7):
+                        for k in range(len(prev.ints[part]))[:2]:
+                            pairs.append((_bumped(prev, part, k), nxt))
+                        for k in range(len(nxt.ints[part]))[:2]:
+                            pairs.append((prev, _bumped(nxt, part, k)))
+                    for pair in pairs:
+                        outcome = _continuity_outcome(_assert_continuity, *pair)
+                        assert outcome == _continuity_outcome(reference_continuity, *pair)
+                        seen.add(outcome)
+    assert seen == {None, _Z_TEXT, _COEFF_TEXT}
+
+
+def test_kept_chamber_numerators_take_no_part_in_equality_or_repr(blowup2):
+    import dataclasses
+
+    for ch in segment_chambers(blowup2, F(3, -1, -1), "L12"):
+        bare = dataclasses.replace(ch, ints=None)
+        assert ch.ints is not None and bare == ch and repr(bare) == repr(ch)
+        assert hash(bare) == hash(ch)
+
+
 def test_polygon_decomposes_alpha_once(decompositions, blowup2):
     alpha = F(3, -1, -1)
     assert len(segment_chambers(blowup2, alpha, "L12")) == 2
@@ -635,13 +732,14 @@ def test_bodies_read_the_kept_pairings(monkeypatch, blowup1, blowup2):
     calls.clear()
     flag = FlagSpec.make(blowup1.curve_index("H-E"), {0: Fraction(1)})
     assert restricted_body(blowup1, F(2, 1), flag) == (1, 3)
-    # alpha's pairings in its decomposition; the check pairs P over integers
-    assert calls == {"pairings": 1}
+    # the decomposition pairs alpha, and its check pairs P, over integers
+    assert calls == {}
 
 
 def test_chamber_start_pairs_the_class_once(monkeypatch, blowup2):
-    """Each chamber reads (alpha + t0*d) . C off its start decomposition's
-    P . C and N instead of pairing the start class a second time."""
+    """The walk pairs d and alpha once, over integers; each chamber reads
+    (alpha + t0*d) . C off those two rows, and its start decomposition
+    pairs the class over integers too, so no pairings call is made."""
     from zok.lattice import SurfaceModel
 
     calls = []
@@ -654,10 +752,7 @@ def test_chamber_start_pairs_the_class_once(monkeypatch, blowup2):
     monkeypatch.setattr(SurfaceModel, "pairings", counting)
     chambers = segment_chambers(blowup2, F(3, -1, -1), "L12")
     assert len(chambers) == 2
-    # d once, then the start of each chamber, in its decomposition; the
-    # decomposition's check pairs P and the chamber's check pairs z1 over
-    # integers, with no call
-    assert len(calls) == 3
+    assert calls == []
 
 
 def test_restricted_body_decomposes_alpha_once(decompositions, blowup1):

@@ -34,6 +34,7 @@ from zok.zariski import (
 )
 
 from conftest import F, int_grid
+from reference import residual_pairings
 from test_kernel import rational_models, rationals
 
 
@@ -93,7 +94,7 @@ def reference_subset_search(model, alpha):
         coeffs = solve_linear(gram, [pairs[i] for i in subset])
         if any(a <= 0 for a in coeffs):
             continue
-        if any(v < 0 for v in model.residual_pairings(pairs, subset, coeffs)):
+        if any(v < 0 for v in residual_pairings(model, pairs, subset, coeffs)):
             continue
         try:
             candidates.append(_check_decomposition(model, alpha, subset, coeffs))

@@ -419,9 +419,13 @@ def _assert_kept_numbers_match(model, dec):
     )
     assert dec.positive_square == gram_product(model.gram, p, p)
     assert dec.positive_kahler == gram_product(model.gram, p, model.kahler)
+    lp, nums, pd, pairs = dec.positive_ints
+    assert tuple(Fraction(x, lp) for x in nums) == p
+    assert tuple(Fraction(v, pd) for v in pairs) == dec.positive_pairings
     # a decomposition built by hand keeps nothing, and reads the same
     bare = ZariskiDecomp(dec.alpha, p, dec.support, dec.coeffs)
-    assert bare.positive_square is None and bare == dec and repr(bare) == repr(dec)
+    assert bare.positive_square is None and bare.positive_ints is None
+    assert bare == dec and repr(bare) == repr(dec) and hash(bare) == hash(dec)
     assert bare.volume(model) == dec.volume(model)
 
 
@@ -483,6 +487,27 @@ def test_positive_part_numbers_are_computed_once(monkeypatch, blowup2):
         calls.clear()
         assert route(blowup2, alpha).positive == positive
         assert calls == []
+
+
+def test_decomposition_makes_no_pairing_call(monkeypatch, blowup2, hirzebruch2):
+    """zariski_decompose scales alpha once and pairs it, and its check pairs
+    P, as integer dot products with the model's duals: no SurfaceModel
+    pairing method is called."""
+    from zok.lattice import SurfaceModel
+
+    calls = []
+    for name in ("intersect", "pairings", "pairing"):
+        method = getattr(SurfaceModel, name)
+
+        def counting(self, *args, _name=name, _method=method):
+            calls.append(_name)
+            return _method(self, *args)
+
+        monkeypatch.setattr(SurfaceModel, name, counting)
+    supports = [zariski_decompose(model, alpha).support
+                for model, alpha in ((blowup2, F(3, 1, -1)), (blowup2, F(3, -1, -1)),
+                                     (hirzebruch2, F(3, 2)), (hirzebruch2, F(1, 1)))]
+    assert calls == [] and () in supports and len(set(supports)) > 1
 
 
 def test_orthogonal_nef_lift_pairs_the_lift_once(monkeypatch, blowup2):
