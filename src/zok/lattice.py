@@ -416,16 +416,21 @@ class SurfaceModel:
 
     def pairing(self, u: Sequence, index: int):
         """u . C_index."""
-        if len(u) != self.rank:
-            raise ValueError(f"vector length must be {self.rank}")
-        den, rows = self.duals
-        return _dots(u, den, (rows[index],))[0]
+        return self.pairings(u)[index]
 
     def pairings(self, u: Sequence) -> tuple:
         """u . C_i for every listed curve, in curve order."""
+        _, _, pd, pairs = self.pairing_ints(u)
+        return tuple(Fraction(v, pd) for v in pairs)
+
+    def pairing_ints(self, u: Sequence) -> tuple[int, list[int], int, tuple[int, ...]]:
+        """(l, nums, pd, pairs): u = nums / l scaled once and u . C_i = pairs[i]
+        / pd, one integer dot product with the duals per curve."""
         if len(u) != self.rank:
             raise ValueError(f"vector length must be {self.rank}")
-        return tuple(_dots(u, *self.duals))
+        dd, duals = self.duals
+        l, nums = _over_lcm(u)
+        return l, nums, l * dd, tuple([sum(map(mul, nums, row)) for row in duals])
 
     @cached_property
     def family_atlas(self) -> tuple[tuple, ...]:
@@ -434,15 +439,15 @@ class SurfaceModel:
         _family_atlas)."""
         return _family_atlas(self.curve_gram)
 
-    def orthogonal_candidates(self, pairs: Sequence) -> Iterator[tuple[tuple[int, ...], Vec]]:
+    def orthogonal_candidates(self, d: int, nums: Sequence[int]) -> Iterator[tuple]:
         """(S, a) for every family S of the atlas over which a rational class
-        with curve pairings ``pairs`` has strictly positive orthogonality
-        coefficients a and a residual that meets no curve negatively.
+        with curve pairings nums[i] / d (integers over d > 0, as from
+        pairing_ints) has strictly positive orthogonality coefficients a and
+        a residual that meets no curve negatively.
 
-        The class is scaled to integers once, so both tests are integer sign
-        tests; only a family that passes them divides.
+        Both tests are integer sign tests; only a family that passes them
+        divides.
         """
-        d, nums = _over_lcm(pairs)
         for support, den, coeff_rows, outside, residual_rows in self.family_atlas:
             v = [nums[i] for i in support]
             scaled = []

@@ -49,7 +49,8 @@ def brute_force_zariski(
     Every negative-definite curve subset (the empty one included) is a
     candidate support.  The model's family atlas tests its coefficients
     (strictly positive) and its residual's curve pairings (non-negative) as
-    integer sign tests (SurfaceModel.orthogonal_candidates); each subset that
+    integer sign tests on alpha's pairings, formed once as integers
+    (SurfaceModel.pairing_ints, orthogonal_candidates); each subset that
     passes both goes to the decomposition checker
     (zariski._check_decomposition), which drops it on NotPseudoEffective
     (P^2 < 0 or P.omega < 0).  Uniqueness of the orthogonal decomposition
@@ -63,7 +64,7 @@ def brute_force_zariski(
         )
     alpha = tuple(alpha)
     candidates = []
-    for subset, coeffs in model.orthogonal_candidates(model.pairings(alpha)):
+    for subset, coeffs in model.orthogonal_candidates(*model.pairing_ints(alpha)[2:]):
         try:
             candidates.append(_check_decomposition(model, alpha, subset, coeffs))
         except NotPseudoEffective:

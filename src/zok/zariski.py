@@ -14,6 +14,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from operator import mul
 from typing import Optional, Sequence
 
@@ -36,7 +37,6 @@ from .lattice import (
     vec_is_zero,
     vec_scale,
     vec_sub,
-    zero_vec,
 )
 
 FAMILY_ENUMERATION_CAP = 20
@@ -49,26 +49,34 @@ class ZariskiDecomp:
 
     Every decomposition zok returns is built by _checked from (alpha,
     support, coeffs), the data it is saved as, and keeps the positive part's
-    numbers that the check computed: P.C_i for every curve, P^2, P.omega and
-    positive_ints = (lp, p, pd, pairs), P = p / lp and P.C_i = pairs / pd.
-    They take no part in equality or repr; one built by hand has none, and
-    volume then computes P^2.
+    numbers that the check computed: P^2, P.omega and positive_ints = (lp,
+    p, pd, pairs), P = p / lp and P.C_i = pairs / pd; P.C_i built on first
+    read (positive_pairings).  None takes part in equality, repr or hash;
+    one built by hand has none, and volume then computes P^2.
     """
 
     alpha: Vec
     positive: Vec
     support: tuple[int, ...]
     coeffs: tuple[Fraction, ...]
-    positive_pairings: Optional[tuple] = field(default=None, compare=False, repr=False)
     positive_square: Optional[Fraction] = field(default=None, compare=False, repr=False)
     positive_kahler: Optional[Fraction] = field(default=None, compare=False, repr=False)
     positive_ints: Optional[tuple] = field(default=None, compare=False, repr=False)
+
+    @cached_property
+    def positive_pairings(self) -> Optional[tuple]:
+        ints = self.positive_ints
+        return None if ints is None else tuple(Fraction(v, ints[2]) for v in ints[3])
 
     def coeff_map(self) -> dict[int, Fraction]:
         return dict(zip(self.support, self.coeffs))
 
     def negative_part(self, model: SurfaceModel) -> Vec:
-        return _combination(model, self.support, self.coeffs)
+        """sum(coeffs[k] * C_support[k]): the coefficients scaled once and one
+        integer product with the curve classes (_curve_sum)."""
+        lc, nums = _over_lcm(self.coeffs)
+        den = model._curve_ints[0] * lc
+        return tuple(Fraction(x, den) for x in _curve_sum(model, self.support, nums))
 
     def volume(self, model: SurfaceModel) -> Fraction:
         if self.positive_square is not None:
@@ -91,18 +99,6 @@ def _curve_sum(model: SurfaceModel, support: Sequence[int], nums: Sequence[int])
     return [sum(map(mul, nums, column)) for column in zip(*picked)]
 
 
-def _combination(model: SurfaceModel, support: Sequence[int], coeffs: Sequence) -> Vec:
-    """sum(coeffs[k] * C_support[k]), exact: the coefficients scaled to
-    integers once, one integer product with the curve classes (_curve_sum),
-    and one division per coordinate."""
-    terms = list(zip(support, coeffs))
-    if not terms:
-        return zero_vec(model.rank)
-    lc, nums = _over_lcm([a for _, a in terms])
-    den = model._curve_ints[0] * lc
-    return tuple(Fraction(x, den) for x in _curve_sum(model, [i for i, _ in terms], nums))
-
-
 class Kind(enum.Enum):
     NOT_PSEF = "NotPsefInModel"
     BOUNDARY = "Boundary"
@@ -123,14 +119,29 @@ class MorseCertificate:
     holds: bool
 
 
+def _met(model: SurfaceModel, nums: Sequence[int]) -> list[int]:
+    """The model's integer form (_gram_ints) times integer numerators."""
+    return [sum(map(mul, row, nums)) for row in model._gram_ints[1]]
+
+
 def is_nef_in_model(model: SurfaceModel, alpha: Vec) -> bool:
     """Non-negative against every listed curve, with alpha^2 >= 0 and
-    alpha.omega >= 0 to pin the positive-cone component."""
-    if any(v < 0 for v in model.pairings(alpha)):
-        return False
-    if model.intersect(alpha, alpha) < 0:
-        return False
-    return model.intersect(alpha, model.kahler) >= 0
+    alpha.omega >= 0 to pin the positive-cone component.  alpha is scaled
+    once and all three are integer sign tests (see _nef_ints)."""
+    return _nef_ints(model, alpha) is not None
+
+
+def _nef_ints(model: SurfaceModel, u: Vec) -> Optional[tuple]:
+    """(l, nums, pairs, met) when u is nef in the model, else None: u = nums
+    / l and pairs from SurfaceModel.pairing_ints, met = _met(nums).  Every
+    denominator is positive, so each test is the sign of an integer."""
+    l, nums, _, pairs = model.pairing_ints(u)
+    if any(v < 0 for v in pairs):
+        return None
+    met = _met(model, nums)
+    if sum(map(mul, nums, met)) < 0 or sum(map(mul, nums, model._kahler_ints[1])) < 0:
+        return None
+    return l, nums, pairs, met
 
 
 def _grow_support(model: SurfaceModel, columns: Sequence[Sequence[int]], dens: Sequence[int],
@@ -239,7 +250,7 @@ def _checked(model: SurfaceModel, alpha: Vec, lp: int, p: list, support: Sequenc
     numerators over one denominator; P.omega (the model's Kahler row), P^2
     (its integer form) and P.C_i (its duals, for both the orthogonality and
     the nef test) are integer dot products, and Fractions are built only for
-    the fields the result keeps: P, P.C_i, P^2 and P.omega.
+    the fields the result keeps: P, P^2 and P.omega.
     """
     if support:  # P = alpha - N, over lp * ln
         ln = model._curve_ints[0] * lc
@@ -249,8 +260,7 @@ def _checked(model: SurfaceModel, alpha: Vec, lp: int, p: list, support: Sequenc
     kahler = sum(map(mul, p, kahler_row))
     if kahler < 0:
         raise NotPseudoEffective("positive part meets the Kahler class negatively")
-    gd, gram = model._gram_ints
-    square = sum(map(mul, p, [sum(map(mul, row, p)) for row in gram]))
+    square = sum(map(mul, p, _met(model, p)))
     if square < 0:
         raise NotPseudoEffective("positive part has negative self-intersection")
     if len(alpha) != model.rank:  # P + N is alpha exactly, up to its length
@@ -266,10 +276,9 @@ def _checked(model: SurfaceModel, alpha: Vec, lp: int, p: list, support: Sequenc
     if any(v < 0 for v in pairs):
         raise InvariantError("positive part not nef in model")
     positive = tuple(Fraction(x, lp) for x in p) if support else alpha
-    pd = lp * dd
-    return ZariskiDecomp(alpha, positive, support, coeffs, tuple(Fraction(v, pd) for v in pairs),
-                         Fraction(square, lp * lp * gd), Fraction(kahler, lp * kd),
-                         (lp, p, pd, pairs))
+    return ZariskiDecomp(alpha, positive, support, coeffs,
+                         Fraction(square, lp * lp * model._gram_ints[0]), Fraction(kahler, lp * kd),
+                         (lp, p, lp * dd, pairs))
 
 
 def volume(model: SurfaceModel, alpha: Vec) -> Fraction:
@@ -299,11 +308,14 @@ def classify(model: SurfaceModel, alpha: Vec) -> Classification:
     return _classification_of(model, _decompose_or_none(model, alpha))
 
 
-def _direction_kind(model: SurfaceModel, beta: Vec) -> str:
-    if is_nef_in_model(model, beta):
-        return "nef"
-    if any(tuple(beta) == tuple(c.cls) for c in model.curves):
-        return "curve"
+def _direction_kind(model: SurfaceModel, beta: Vec) -> tuple:
+    """("nef", _nef_ints(beta)) or ("curve", the first curve of class beta)."""
+    nef = _nef_ints(model, beta)
+    if nef is not None:
+        return "nef", nef
+    for j, c in enumerate(model.curves):
+        if tuple(beta) == tuple(c.cls):
+            return "curve", j
     raise UnsupportedDirection(
         "direction is neither nef-in-model nor a listed curve class"
     )
@@ -312,12 +324,17 @@ def _direction_kind(model: SurfaceModel, beta: Vec) -> str:
 def derivative_vol(model: SurfaceModel, alpha: Vec, beta: Vec) -> Fraction:
     """One-sided derivative at t=0 of t -> volume(alpha + t*beta): twice the
     product of the positive part with beta.  Only nef directions and listed
-    curve classes are covered; anything else raises UnsupportedDirection."""
+    curve classes are covered; anything else raises UnsupportedDirection.
+    P.beta is an integer product with P's kept numerators (positive_ints)."""
     dec = zariski_decompose(model, alpha)
     if dec.volume(model) <= 0:
         raise NotBig("derivative requires a big class")
-    _direction_kind(model, beta)
-    return 2 * model.intersect(dec.positive, beta)
+    kind, found = _direction_kind(model, beta)
+    lp, p, pd, pairs = dec.positive_ints
+    if kind == "curve":
+        return Fraction(2 * pairs[found], pd)
+    lb, _, _, met = found
+    return Fraction(2 * sum(map(mul, p, met)), lp * lb * model._gram_ints[0])
 
 
 def morse_gap(model: SurfaceModel, alpha: Vec, beta: Vec) -> MorseCertificate:
@@ -325,13 +342,18 @@ def morse_gap(model: SurfaceModel, alpha: Vec, beta: Vec) -> MorseCertificate:
 
     lhs = alpha^2 - 2 alpha.beta.  When lhs > 0 the difference must be big
     with volume >= lhs; both facts are verified and any failure is an
-    internal invariant breach, not a negative verdict.
+    internal invariant breach, not a negative verdict.  Each class is
+    scaled once, by its nef test, and lhs is formed from those integers.
     """
-    if not is_nef_in_model(model, alpha):
+    nef_a = _nef_ints(model, alpha)
+    if nef_a is None:
         raise NotNef("first class is not nef in model")
-    if not is_nef_in_model(model, beta):
+    nef_b = _nef_ints(model, beta)
+    if nef_b is None:
         raise NotNef("second class is not nef in model")
-    lhs = model.intersect(alpha, alpha) - 2 * model.intersect(alpha, beta)
+    (la, na, _, met), (lb, nb, _, _) = nef_a, nef_b
+    lhs = Fraction(lb * sum(map(mul, na, met)) - 2 * la * sum(map(mul, nb, met)),
+                   la * la * lb * model._gram_ints[0])
     dec = _decompose_or_none(model, vec_sub(alpha, beta))
     vol = None if dec is None else dec.volume(model)
     big = vol is not None and vol > 0  # a zero positive part has volume 0
@@ -345,11 +367,13 @@ def morse_gap(model: SurfaceModel, alpha: Vec, beta: Vec) -> MorseCertificate:
 
 def null_curves(model: SurfaceModel, z: Vec) -> tuple[int, ...]:
     """Indices of listed curves orthogonal to a nef class of positive square."""
-    if not is_nef_in_model(model, z):
+    nef = _nef_ints(model, z)
+    if nef is None:
         raise NotNef("null locus needs a nef-in-model class")
-    if model.intersect(z, z) <= 0:
+    _, nums, pairs, met = nef
+    if sum(map(mul, nums, met)) <= 0:
         raise NotBig("null locus needs positive self-intersection")
-    return tuple(i for i, v in enumerate(model.pairings(z)) if v == 0)
+    return tuple(i for i, v in enumerate(pairs) if v == 0)
 
 
 def non_kahler_curves(model: SurfaceModel, alpha: Vec) -> tuple[int, ...]:
@@ -409,7 +433,7 @@ def orthogonal_nef_lift(
     if omega is None:
         omega = model.kahler
     try:
-        on_curves = model.pairings(omega)
+        lw, w, _, on_curves = model.pairing_ints(omega)
     except (TypeError, ValueError):
         on_curves = None  # raised again below, after the definiteness test
     on_family = None if on_curves is None else [on_curves[i] for i in family]
@@ -417,25 +441,33 @@ def orthogonal_nef_lift(
     if forms is None:
         raise ValueError("family Gram matrix is not negative definite")
     if on_family is None:
-        model.pairings(omega)  # raises what it raised above
+        model.pairing_ints(omega)  # raises what it raised above
     if any(p <= 0 for p in on_family):
         raise ValueError("omega must meet every family curve positively")
-    den, coeff_rows, _ = forms
-    lw, nums = _over_lcm(on_family)
-    b = tuple(Fraction(-sum(map(mul, row, nums)), den * lw) for row in coeff_rows)
-    if any(x <= 0 for x in b):
+    z, lz, b = _lift(model, family, lw, w, on_family)
+    return tuple(Fraction(x, lz) for x in z), b
+
+
+def _lift(model: SurfaceModel, family: tuple, lw: int, w: Sequence[int],
+          on_family: Sequence[int]) -> tuple[list[int], int, tuple[Fraction, ...]]:
+    """(z, lz, b) with z / lz = omega + sum(b[k] * C_family[k]), the lift of
+    omega = w / lw over a negative-definite family, from omega's integer
+    pairings with the family (over lw * the duals' den).  It is formed and
+    checked over integers: orthogonal to the family, nef, positive square."""
+    den, coeff_rows, _ = model.support_forms(family)
+    dd, duals = model.duals
+    bn = [-sum(map(mul, row, on_family)) for row in coeff_rows]  # b = bn / bd
+    if any(x <= 0 for x in bn):
         raise InvariantError("lift coefficients must be positive")
-    lifted = vec_add(omega, _combination(model, family, b))
-    pairs = model.pairings(lifted)
-    if any(pairs[i] != 0 for i in family):
+    bd, cd = den * lw * dd, model._curve_ints[0]
+    z = [x * den * dd * cd + y for x, y in zip(w, _curve_sum(model, family, bn))]
+    pairs = [sum(map(mul, z, row)) for row in duals]
+    if any(pairs[i] for i in family):
         raise InvariantError("lift not orthogonal to family")
-    if (
-        any(v < 0 for v in pairs)
-        or model.intersect(lifted, lifted) <= 0
-        or model.intersect(lifted, model.kahler) < 0
-    ):
+    if (any(v < 0 for v in pairs) or sum(map(mul, z, _met(model, z))) <= 0
+            or sum(map(mul, z, model._kahler_ints[1])) < 0):
         raise InvariantError("lifted class not big and nef in model")
-    return lifted, b
+    return z, bd * cd, tuple(Fraction(x, bd) for x in bn)
 
 
 def perturbed_decomposition(
@@ -449,23 +481,23 @@ def perturbed_decomposition(
     or a bool raises ValueError).  Valid strictly below the threshold
     min(a_i / b_i); at or above it raises EpsilonTooLarge carrying the
     exact threshold.  With empty support the
-    formula degenerates to decomposing alpha + eps*omega directly.
+    formula degenerates to decomposing alpha + eps*omega directly.  omega
+    is scaled once; the lift (_lift) and P + eps * lift stay integers.
     """
     eps = parse_rat(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
     if len(omega) != model.rank:
         raise ValueError(f"omega must have length {model.rank}")
-    if model.intersect(omega, omega) <= 0 or any(
-        v <= 0 for v in model.pairings(omega)
-    ):
+    lw, w, _, on_curves = model.pairing_ints(omega)
+    if sum(map(mul, w, _met(model, w))) <= 0 or any(v <= 0 for v in on_curves):
         raise ValueError("omega must be Kahler-like: positive square and "
                          "positive against every listed curve")
     dec = zariski_decompose(model, alpha)
     shifted = vec_add(alpha, vec_scale(eps, omega))
     if not dec.support:
         return zariski_decompose(model, shifted)
-    lifted, b = orthogonal_nef_lift(model, dec.support, omega)
+    z, lz, b = _lift(model, dec.support, lw, w, [on_curves[i] for i in dec.support])
     threshold = min(a / bi for a, bi in zip(dec.coeffs, b))
     if eps >= threshold:
         raise EpsilonTooLarge(threshold)
@@ -474,7 +506,9 @@ def perturbed_decomposition(
         closed = _check_decomposition(model, shifted, dec.support, coeffs)
     except NotPseudoEffective as exc:  # a broken closed form is a bug, not a verdict
         raise InvariantError("positive part not nef in model") from exc
-    if closed.positive != vec_add(dec.positive, vec_scale(eps, lifted)):
+    (l0, p0, _, _), (lq, q, _, _) = dec.positive_ints, closed.positive_ints
+    e, ed = eps.numerator, eps.denominator  # q / lq == p0 / l0 + e * z / (ed * lz)?
+    if any(x * l0 * ed * lz != (y * ed * lz + e * l0 * t) * lq for x, y, t in zip(q, p0, z)):
         raise InvariantError("perturbed positive part is not P + eps * lift")
     direct = zariski_decompose(model, shifted)
     if closed != direct:

@@ -5,17 +5,30 @@ okounkov._chamber_at once ran over Fraction formulas, that chamber's
 formulas, and the continuity test of adjacent chambers.  The kernel scales
 each class to integer numerators once, keeps them from the growth to the
 returned chamber and finds its events in u = t - t0; these are the
-independent routes its tests compare against."""
+independent routes its tests compare against.
+
+Also Fraction references, built on gram_product, for the operations on
+top of a decomposition that zariski runs over integer numerators: the nef
+test, the null locus, the volume derivative, the Morse certificate, the
+orthogonal nef lift and the perturbed decomposition, with the checks,
+exceptions and texts of each in the same order."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from zok.errors import InvariantError, NotPseudoEffective
-from zok.exact import sqrt_rat
+from zok.errors import (
+    EpsilonTooLarge,
+    InvariantError,
+    NotBig,
+    NotNef,
+    NotPseudoEffective,
+    UnsupportedDirection,
+)
+from zok.exact import parse_rat, sqrt_rat
 from zok.lattice import gram_product, negative_solve
 from zok.okounkov import SegmentChamber
-from zok.zariski import zariski_decompose
+from zok.zariski import MorseCertificate, _check_decomposition, zariski_decompose
 
 
 def smallest_quadratic_root_above(c0: Fraction, c1: Fraction, c2: Fraction, t0: Fraction):
@@ -133,3 +146,131 @@ def reference_chamber(model, alpha, direction, t0, fallback_end=None):
     last = terminal is not None and (affine is None or not affine < terminal)
     t1 = terminal if last else (fallback_end if affine is None else affine)
     return SegmentChamber(t0, t1, support, z0, z1, coeff0, c1, h0, h1, square), last
+
+
+# -- the operations on top of a decomposition, over Fractions ------------------
+
+
+def _pair(model, u, v) -> Fraction:
+    return gram_product(model.gram, u, v)
+
+
+def _curve_pairings(model, u) -> tuple:
+    """u . C_i for every curve, after the checks every pairing of a class
+    makes: its length (ValueError), then its scalars (TypeError)."""
+    if len(u) != model.rank:
+        raise ValueError(f"vector length must be {model.rank}")
+    kinds = {type(x) for x in u} - {Fraction, int}
+    if kinds:
+        names = sorted(k.__name__ for k in kinds)
+        raise TypeError(f"unsupported scalars in a class vector: {names}")
+    return tuple(_pair(model, u, c.cls) for c in model.curves)
+
+
+def reference_is_nef(model, alpha) -> bool:
+    if any(v < 0 for v in _curve_pairings(model, alpha)):
+        return False
+    return _pair(model, alpha, alpha) >= 0 and _pair(model, alpha, model.kahler) >= 0
+
+
+def reference_null_curves(model, z) -> tuple:
+    if not reference_is_nef(model, z):
+        raise NotNef("null locus needs a nef-in-model class")
+    if _pair(model, z, z) <= 0:
+        raise NotBig("null locus needs positive self-intersection")
+    return tuple(i for i, v in enumerate(_curve_pairings(model, z)) if v == 0)
+
+
+def reference_derivative_vol(model, alpha, beta) -> Fraction:
+    positive = zariski_decompose(model, alpha).positive
+    if _pair(model, positive, positive) <= 0:
+        raise NotBig("derivative requires a big class")
+    if not reference_is_nef(model, beta) and not any(
+            tuple(beta) == tuple(c.cls) for c in model.curves):
+        raise UnsupportedDirection("direction is neither nef-in-model nor a listed curve class")
+    return 2 * _pair(model, positive, beta)
+
+
+def reference_morse_gap(model, alpha, beta) -> MorseCertificate:
+    if not reference_is_nef(model, alpha):
+        raise NotNef("first class is not nef in model")
+    if not reference_is_nef(model, beta):
+        raise NotNef("second class is not nef in model")
+    lhs = _pair(model, alpha, alpha) - 2 * _pair(model, alpha, beta)
+    try:
+        positive = zariski_decompose(model, tuple(a - b for a, b in zip(alpha, beta))).positive
+        vol = _pair(model, positive, positive)
+    except NotPseudoEffective:
+        vol = None
+    big = vol is not None and vol > 0
+    if lhs > 0 and not big:
+        raise InvariantError("Morse hypothesis holds but difference is not big")
+    if lhs > 0 and vol < lhs:
+        raise InvariantError("Morse volume bound violated")
+    return MorseCertificate(lhs=lhs, conclusion_big=big, vol=vol, holds=True)
+
+
+def reference_orthogonal_nef_lift(model, family, omega=None) -> tuple:
+    """b solved afresh (negative_solve on the family's Gram matrix), the lift
+    omega + sum(b_i N_i) by vector arithmetic, its checks by gram_product."""
+    family = tuple(sorted(family))
+    if not family:
+        raise ValueError("family must be nonempty")
+    if omega is None:
+        omega = model.kahler
+    try:
+        on_curves = _curve_pairings(model, omega)
+    except (TypeError, ValueError) as exc:
+        on_curves = exc  # raised after the definiteness test
+    on_family = on_curves if isinstance(on_curves, Exception) else [on_curves[i] for i in family]
+    gram = model.gram_submatrix(family)
+    if negative_solve(gram) is None:
+        raise ValueError("family Gram matrix is not negative definite")
+    if isinstance(on_family, Exception):
+        raise on_family
+    if any(p <= 0 for p in on_family):
+        raise ValueError("omega must meet every family curve positively")
+    (b,) = negative_solve(gram, [[-p for p in on_family]])
+    if any(x <= 0 for x in b):
+        raise InvariantError("lift coefficients must be positive")
+    lifted = [Fraction(x) for x in omega]
+    for bi, i in zip(b, family):
+        lifted = [x + bi * c for x, c in zip(lifted, model.curve_class(i))]
+    lifted = tuple(lifted)
+    pairs = _curve_pairings(model, lifted)
+    if any(pairs[i] != 0 for i in family):
+        raise InvariantError("lift not orthogonal to family")
+    if (any(v < 0 for v in pairs) or _pair(model, lifted, lifted) <= 0
+            or _pair(model, lifted, model.kahler) < 0):
+        raise InvariantError("lifted class not big and nef in model")
+    return lifted, tuple(b)
+
+
+def reference_perturbed_decomposition(model, alpha, omega, eps):
+    eps = parse_rat(eps)
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    if len(omega) != model.rank:
+        raise ValueError(f"omega must have length {model.rank}")
+    _curve_pairings(model, omega)  # its scalars, before the form meets omega
+    if _pair(model, omega, omega) <= 0 or any(v <= 0 for v in _curve_pairings(model, omega)):
+        raise ValueError("omega must be Kahler-like: positive square and "
+                         "positive against every listed curve")
+    dec = zariski_decompose(model, alpha)
+    shifted = tuple(a + eps * w for a, w in zip(alpha, omega))
+    if not dec.support:
+        return zariski_decompose(model, shifted)
+    lifted, b = reference_orthogonal_nef_lift(model, dec.support, omega)
+    threshold = min(a / bi for a, bi in zip(dec.coeffs, b))
+    if eps >= threshold:
+        raise EpsilonTooLarge(threshold)
+    coeffs = tuple(a - eps * bi for a, bi in zip(dec.coeffs, b))
+    try:
+        closed = _check_decomposition(model, shifted, dec.support, coeffs)
+    except NotPseudoEffective as exc:
+        raise InvariantError("positive part not nef in model") from exc
+    if closed.positive != tuple(p + eps * x for p, x in zip(dec.positive, lifted)):
+        raise InvariantError("perturbed positive part is not P + eps * lift")
+    if closed != zariski_decompose(model, shifted):
+        raise InvariantError("perturbation formula disagrees with direct decomposition")
+    return closed

@@ -31,6 +31,14 @@ from zok.zariski import (
 )
 
 from conftest import F, int_grid
+from reference import (
+    reference_derivative_vol,
+    reference_is_nef,
+    reference_morse_gap,
+    reference_null_curves,
+    reference_orthogonal_nef_lift,
+    reference_perturbed_decomposition,
+)
 
 
 # -- nef test ---------------------------------------------------------------
@@ -511,12 +519,226 @@ def test_decomposition_makes_no_pairing_call(monkeypatch, blowup2, hirzebruch2):
 
 
 def test_orthogonal_nef_lift_pairs_the_lift_once(monkeypatch, blowup2):
-    """One pairing of the lift serves the orthogonality and the nef test;
-    its square and its product with omega are computed once each."""
+    """The lift is formed and checked over integer numerators: one integer
+    pairing of the lift serves the orthogonality and the nef test, and no
+    SurfaceModel pairing method meets it."""
     lifted, b = orthogonal_nef_lift(blowup2, (0, 1))
     calls = _count_calls_on(monkeypatch, lifted)
     assert orthogonal_nef_lift(blowup2, (0, 1)) == (lifted, b)
-    assert sorted(calls) == ["intersect", "intersect", "pairings"]
+    assert calls == []
+
+
+def _count_every_call(monkeypatch) -> list:
+    """The names of the SurfaceModel pairing methods called, on any class."""
+    from zok.lattice import SurfaceModel
+
+    calls = []
+    for name in ("intersect", "pairings", "pairing"):
+        method = getattr(SurfaceModel, name)
+
+        def counting(self, *args, _name=name, _method=method):
+            calls.append(_name)
+            return _method(self, *args)
+
+        monkeypatch.setattr(SurfaceModel, name, counting)
+    return calls
+
+
+def test_decompose_ops_make_no_pairing_call(monkeypatch, blowup1, blowup2):
+    """The nef test, the direction test, the derivative, the Morse
+    certificate, the null locus, the lift and the perturbation scale each
+    class once and read the model's integer tables: no SurfaceModel pairing
+    method is called, on answers and on refusals alike; nor by the subset
+    search, which pairs its class once as integers."""
+    from zok.oracle import brute_force_zariski
+    from zok.zariski import _direction_kind
+
+    calls = _count_every_call(monkeypatch)
+    assert is_nef_in_model(blowup2, F(3, -1, -1)) and not is_nef_in_model(blowup2, F(0, 1, 0))
+    assert _direction_kind(blowup1, F(0, 1)) == ("curve", 0)
+    assert _direction_kind(blowup1, F(1, -1))[0] == "nef"
+    assert derivative_vol(blowup1, F(3, -1), F(0, 1)) == 2
+    assert derivative_vol(blowup1, F(2, 1), F(1, 0)) == 4
+    assert morse_gap(blowup1, F(3, 0), F(1, -1)).lhs == 3
+    assert null_curves(blowup2, F(2, -1, -1)) == (2,)
+    assert orthogonal_nef_lift(blowup2, (0, 1), F(5, -1, -1))[1] == F(1, 1)
+    assert perturbed_decomposition(blowup2, F(3, 1, -1), blowup2.kahler, Fraction(1, 8)).support
+    with pytest.raises(EpsilonTooLarge):
+        perturbed_decomposition(blowup2, F(3, 1, -1), blowup2.kahler, 4)
+    with pytest.raises(ValueError):
+        perturbed_decomposition(blowup2, F(3, 1, -1), F(0, 1, 0), 1)
+    with pytest.raises(NotNef):
+        morse_gap(blowup1, F(0, 1), F(1, 0))
+    assert brute_force_zariski(blowup2, F(3, 1, -1)).support == (0,)
+    assert calls == []
+
+
+def test_positive_pairings_are_built_on_first_read(blowup2):
+    """positive_pairings is read off positive_ints on first read and kept:
+    it equals the gram_product reference, is built once, and takes no part
+    in equality, repr or hash; a decomposition built by hand reads None."""
+    from zok.lattice import gram_product
+
+    dec = zariski_decompose(blowup2, F(3, 1, -1))
+    bare = ZariskiDecomp(dec.alpha, dec.positive, dec.support, dec.coeffs)
+    before = (repr(dec), hash(dec))
+    assert "positive_pairings" not in vars(dec)
+    pairs = dec.positive_pairings
+    assert pairs == tuple(gram_product(blowup2.gram, dec.positive, c.cls) for c in blowup2.curves)
+    _, _, pd, ints = dec.positive_ints
+    assert pairs == tuple(Fraction(v, pd) for v in ints)
+    assert all(type(v) is Fraction for v in pairs)
+    assert vars(dec)["positive_pairings"] is pairs and dec.positive_pairings is pairs
+    assert (repr(dec), hash(dec)) == before == (repr(bare), hash(bare)) and dec == bare
+    assert "positive_pairings" not in repr(dec)
+    assert bare.positive_pairings is None
+
+
+# -- the integer edges against their Fraction references --------------------------
+
+
+@pytest.fixture(scope="module")
+def edge_models():
+    """The four fixtures, the golden model and eight seeded random models of
+    rank 3-6, each with its test classes: zero, omega, 2 omega, the curves,
+    omega -/+ a curve, seeded fractional classes and the positive part of
+    every decomposable one (nef, some of square 0)."""
+    import random
+
+    from zok.fixtures import load_fixture
+    from zok.oracle import ModelGenSpec, random_model
+
+    models = [load_fixture(n) for n in ("p2", "blowup1", "blowup2", "hirzebruch2")]
+    models.append(make_model("golden", 2, [[2, 1], [1, -2]],
+                             [("A", [1, 0]), ("N", [0, 1])], [1, 0]))
+    models += [random_model(ModelGenSpec(seed=s, rank=3 + s % 4, num_curves=5 + s % 3))
+               for s in range(8)]
+    cases = []
+    for k, model in enumerate(models):
+        rng = random.Random(k)
+        omega = model.kahler
+        curves = [c.cls for c in model.curves]
+        classes = [F(*[0] * model.rank), omega, vec_scale(2, omega)] + curves
+        for c in curves[:4]:
+            classes += [tuple(a - x for a, x in zip(omega, c)), vec_add(vec_scale(2, omega), c)]
+        classes += [tuple(Fraction(rng.randint(-3, 4), rng.choice((1, 2, 3))) for _ in omega)
+                    for _ in range(6)]
+        for alpha in list(classes):
+            try:
+                classes.append(zariski_decompose(model, alpha).positive)
+            except NotPseudoEffective:
+                pass
+        cases.append((model, list(dict.fromkeys(classes))))
+    return cases
+
+
+def _outcome(f, *args):
+    """An answer with its repr (which shows each scalar's type), or the
+    exception's type, text and threshold."""
+    try:
+        answer = f(*args)
+    except Exception as exc:  # noqa: BLE001 - the reference must raise the same
+        return "raised", type(exc), str(exc), getattr(exc, "threshold", None)
+    return "answered", answer, repr(answer)
+
+
+def test_nef_test_and_null_locus_match_their_references(edge_models):
+    seen = {"nef": 0, "not nef": 0, "null": 0, "not big": 0}
+    for model, classes in edge_models:
+        for alpha in classes:
+            got = _outcome(is_nef_in_model, model, alpha)
+            assert got == _outcome(reference_is_nef, model, alpha)
+            seen["nef" if got[1] else "not nef"] += 1
+            got = _outcome(null_curves, model, alpha)
+            assert got == _outcome(reference_null_curves, model, alpha)
+            seen["null"] += got[0] == "answered"
+            seen["not big"] += got[1] is NotBig
+    assert min(seen.values()) > 5, seen
+
+
+def test_derivative_and_morse_match_their_references(edge_models):
+    seen = {"nef": 0, "curve": 0, "unsupported": 0, "morse": 0, "not nef": 0, "lhs > 0": 0}
+    for model, classes in edge_models:
+        directions = [model.kahler] + [c.cls for c in model.curves[:3]] + classes[-4:]
+        for alpha in classes[::2]:
+            for beta in directions:
+                got = _outcome(derivative_vol, model, alpha, beta)
+                assert got == _outcome(reference_derivative_vol, model, alpha, beta)
+                if got[0] == "answered":
+                    seen["nef" if reference_is_nef(model, beta) else "curve"] += 1
+                seen["unsupported"] += got[1] is UnsupportedDirection
+                got = _outcome(morse_gap, model, alpha, beta)
+                assert got == _outcome(reference_morse_gap, model, alpha, beta)
+                seen["morse"] += got[0] == "answered"
+                seen["lhs > 0"] += got[0] == "answered" and got[1].lhs > 0
+                seen["not nef"] += got[1] is NotNef
+    assert min(seen.values()) > 5, seen
+
+
+def test_lift_and_perturbation_match_their_references(edge_models):
+    seen = {"lift": 0, "lift refused": 0, "lift breach": 0, "closed form": 0,
+            "direct": 0, "eps too large": 0, "not Kahler-like": 0}
+    for model, classes in edge_models:
+        families = [f for f in enumerate_exceptional_families(model, allow_large=True) if f][:5]
+        for family in families:
+            for omega in [None] + classes[1:8]:
+                got = _outcome(orthogonal_nef_lift, model, family, omega)
+                want = _outcome(reference_orthogonal_nef_lift, model, family, omega)
+                assert got == want
+                seen["lift"] += got[0] == "answered"
+                seen["lift refused"] += got[1] is ValueError
+                seen["lift breach"] += got[1] is InvariantError
+        omegas = [model.kahler, vec_add(vec_scale(2, model.kahler), model.curve_class(0)),
+                  model.curve_class(0)]
+        for alpha in classes:
+            for omega in omegas:
+                for eps in (Fraction(1, 64), Fraction(1, 4), 1, "4"):
+                    got = _outcome(perturbed_decomposition, model, alpha, omega, eps)
+                    want = _outcome(reference_perturbed_decomposition,
+                                    model, alpha, omega, eps)
+                    assert got == want
+                    if got[0] == "answered":
+                        seen["closed form" if got[1].support else "direct"] += 1
+                        _assert_kept_numbers_match(model, got[1])
+                    seen["eps too large"] += got[1] is EpsilonTooLarge
+                    seen["not Kahler-like"] += got[1] is ValueError
+    assert min(seen.values()) > 5, seen
+
+
+def test_bad_classes_raise_as_the_references(edge_models):
+    """Wrong length raises ValueError first, an unsupported scalar
+    (QuadExt, float, bool) TypeError, with the references' texts, in every
+    argument of every operation."""
+    from zok.exact import QuadExt
+    checked = 0
+    for model, classes in edge_models[1:8]:
+        good = model.kahler
+        rest = tuple(good[1:])
+        bads = [tuple(good[:-1]), tuple(good) + (Fraction(1),),
+                (QuadExt._of(Fraction(1), Fraction(1), 2),) + rest, (0.5,) + rest,
+                (True,) + rest, (QuadExt._of(Fraction(1), Fraction(1), 2), 0.5) + rest[1:]]
+        family = next(f for f in enumerate_exceptional_families(model) if f)
+        for bad in bads:
+            pairs = [
+                (is_nef_in_model, reference_is_nef, (model, bad)),
+                (null_curves, reference_null_curves, (model, bad)),
+                (derivative_vol, reference_derivative_vol, (model, good, bad)),
+                (morse_gap, reference_morse_gap, (model, bad, good)),
+                (morse_gap, reference_morse_gap, (model, good, bad)),
+                (orthogonal_nef_lift, reference_orthogonal_nef_lift,
+                 (model, family, bad)),
+                (orthogonal_nef_lift, reference_orthogonal_nef_lift,
+                 (model, tuple(range(len(model.curves))), bad)),
+                (perturbed_decomposition, reference_perturbed_decomposition,
+                 (model, good, bad, 1)),
+            ]
+            for f, ref, args in pairs:
+                got = _outcome(f, *args)
+                assert got[0] == "raised" and got == _outcome(ref, *args), (f.__name__, bad)
+                assert got[1] is (ValueError if len(bad) != model.rank else TypeError) or \
+                    f is orthogonal_nef_lift
+                checked += 1
+    assert checked > 300
 
 
 # -- the decomposition checker, fed by hand --------------------------------------
@@ -562,3 +784,46 @@ def test_checker_builds_a_valid_decomposition(blowup1):
     assert (dec.alpha, dec.positive, dec.support, dec.coeffs) == (F(2, 1), F(2, 0), (0,), F(1))
     assert dec == zariski_decompose(blowup1, F(2, 1))
     _assert_kept_numbers_match(blowup1, dec)
+
+
+def test_kahler_like_test_refuses_the_boundary(blowup2):
+    """omega of square 0 positive on every curve, and omega of positive
+    square with a null curve, are both refused as the reference refuses
+    them: each inequality of the Kahler-like test is strict."""
+    from zok.oracle import ModelGenSpec, random_model
+
+    model = random_model(ModelGenSpec(seed=3, rank=6, num_curves=5))
+    square_zero = F(4, -3, -2, -1, -1, -1)
+    null_curve = F(2, -1, -1)
+    assert reference_null_curves(blowup2, null_curve) == (2,)
+    for model, omega in ((model, square_zero), (blowup2, null_curve)):
+        alpha = vec_scale(3, model.kahler)
+        got = _outcome(perturbed_decomposition, model, alpha, omega, Fraction(1, 8))
+        assert got[:2] == ("raised", ValueError) and "Kahler-like" in got[2]
+        assert got == _outcome(reference_perturbed_decomposition, model, alpha, omega,
+                               Fraction(1, 8))
+
+
+def test_lift_refuses_a_coefficient_that_is_not_positive():
+    """On a model whose two curves meet negatively (against the model
+    invariants) the lift coefficients can be 0 or negative; both are
+    refused as the reference refuses them."""
+    model = make_model("meets-negatively", 3, [[1, 0, 0], [0, -1, 0], [0, 0, -1]],
+                       [("C1", [0, 1, 0]), ("C2", [0, 1, 1])], [3, -1, -1])
+    for omega in (F(3, -1, -1), F(3, -1, -2)):  # b = (0, 1) and b = (-1, 2)
+        got = _outcome(orthogonal_nef_lift, model, (0, 1), omega)
+        assert got == ("raised", InvariantError, "lift coefficients must be positive", None)
+        assert got == _outcome(reference_orthogonal_nef_lift, model, (0, 1), omega)
+
+
+def test_lift_refuses_a_support_table_that_does_not_solve():
+    """A support table whose rows do not solve the family's system gives a
+    lift that is not orthogonal to the family, which the lift refuses."""
+    from zok.fixtures import load_fixture
+
+    model = load_fixture("blowup2")
+    den, coeff_rows, residual_rows = model.support_forms((0, 1))
+    model._support_table[(0, 1)] = (2 * den, coeff_rows, residual_rows)  # halves b
+    with pytest.raises(InvariantError) as info:
+        orthogonal_nef_lift(model, (0, 1))
+    assert str(info.value) == "lift not orthogonal to family"
