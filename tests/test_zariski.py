@@ -462,9 +462,9 @@ def test_kept_numbers_on_every_route(blowup1, blowup2, hirzebruch2):
     assert routes > 40
 
 
-def _count_calls_on(monkeypatch, vector):
-    """The names of the SurfaceModel pairing methods called on vector, as
-    they happen."""
+def _count_calls_on(monkeypatch, vector=None):
+    """The names of the SurfaceModel pairing methods called on vector (on
+    any class when vector is None), as they happen."""
     from zok.lattice import SurfaceModel
 
     calls = []
@@ -472,7 +472,7 @@ def _count_calls_on(monkeypatch, vector):
         method = getattr(SurfaceModel, name)
 
         def counting(self, u, *rest, _name=name, _method=method):
-            if tuple(u) == vector:
+            if vector is None or tuple(u) == vector:
                 calls.append(_name)
             return _method(self, u, *rest)
 
@@ -501,17 +501,7 @@ def test_decomposition_makes_no_pairing_call(monkeypatch, blowup2, hirzebruch2):
     """zariski_decompose scales alpha once and pairs it, and its check pairs
     P, as integer dot products with the model's duals: no SurfaceModel
     pairing method is called."""
-    from zok.lattice import SurfaceModel
-
-    calls = []
-    for name in ("intersect", "pairings", "pairing"):
-        method = getattr(SurfaceModel, name)
-
-        def counting(self, *args, _name=name, _method=method):
-            calls.append(_name)
-            return _method(self, *args)
-
-        monkeypatch.setattr(SurfaceModel, name, counting)
+    calls = _count_calls_on(monkeypatch)
     supports = [zariski_decompose(model, alpha).support
                 for model, alpha in ((blowup2, F(3, 1, -1)), (blowup2, F(3, -1, -1)),
                                      (hirzebruch2, F(3, 2)), (hirzebruch2, F(1, 1)))]
@@ -528,22 +518,6 @@ def test_orthogonal_nef_lift_pairs_the_lift_once(monkeypatch, blowup2):
     assert calls == []
 
 
-def _count_every_call(monkeypatch) -> list:
-    """The names of the SurfaceModel pairing methods called, on any class."""
-    from zok.lattice import SurfaceModel
-
-    calls = []
-    for name in ("intersect", "pairings", "pairing"):
-        method = getattr(SurfaceModel, name)
-
-        def counting(self, *args, _name=name, _method=method):
-            calls.append(_name)
-            return _method(self, *args)
-
-        monkeypatch.setattr(SurfaceModel, name, counting)
-    return calls
-
-
 def test_decompose_ops_make_no_pairing_call(monkeypatch, blowup1, blowup2):
     """The nef test, the direction test, the derivative, the Morse
     certificate, the null locus, the lift and the perturbation scale each
@@ -553,7 +527,7 @@ def test_decompose_ops_make_no_pairing_call(monkeypatch, blowup1, blowup2):
     from zok.oracle import brute_force_zariski
     from zok.zariski import _direction_kind
 
-    calls = _count_every_call(monkeypatch)
+    calls = _count_calls_on(monkeypatch)
     assert is_nef_in_model(blowup2, F(3, -1, -1)) and not is_nef_in_model(blowup2, F(0, 1, 0))
     assert _direction_kind(blowup1, F(0, 1)) == ("curve", 0)
     assert _direction_kind(blowup1, F(1, -1))[0] == "nef"
