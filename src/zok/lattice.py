@@ -54,10 +54,6 @@ def vec_is_zero(u: Vec) -> bool:
     return all(a == 0 for a in u)
 
 
-def zero_vec(n: int) -> Vec:
-    return (Fraction(0),) * n
-
-
 def _dot(u: Sequence, v: Sequence):
     """sum(u[k] * v[k]) over the pairs with both entries non-zero, exact."""
     total = Fraction(0)
@@ -273,51 +269,6 @@ def _dots(u: Sequence, den: int, rows) -> list:
     return [Fraction(sum(map(mul, nums, row)), d) for row in rows]
 
 
-def _family_atlas(table: Mat) -> tuple[tuple, ...]:
-    """The family atlas: (S, den, coeff_rows, outside, residual_rows) for
-    every negative-definite family S of the curve table, the empty one
-    included, in lexicographic order (that of negative_definite_subsets).
-
-    These are the linear forms of the orthogonal decomposition over S, as
-    integer rows over one denominator den.  For a class u with
-    v = (u.C_i for i in S), the solution of G_S * a = v is
-    a[k] = coeff_rows[k] . v / den, and for j = outside[k], the k-th curve
-    not in S, the residual pairing (u - sum_k a[k] C_S[k]) . C_j is
-    u.C_j - residual_rows[k] . v / den.
-
-    A depth-first search of its own: each family carries the columns of
-    G_S^-1 and, for every curve j outside S, r_j = G_S^-1 (C_S . C_j) with
-    its Schur pivot s_j.  A child S + (m,) exists iff s_m < 0; bordering by
-    m (see _border) gives its inverse columns, from the unit columns, and
-    each r_j with the drop of s_j."""
-    atlas = []
-    seen: dict = {}  # equal rows recur across families; keep one object each
-
-    def visit(family, inverse, outside):
-        # outside: {j: (r_j, s_j)} for every curve j not in family, in order
-        den, rows = _int_rows(inverse + tuple(r for r, _ in outside.values()))
-        rows = [seen.setdefault(r, r) for r in rows]
-        size = len(family)
-        parts = (tuple(rows[:size]), tuple(outside), tuple(rows[size:]))
-        atlas.append((family, den, *(seen.setdefault(p, p) for p in parts)))
-        for m, (r_m, s_m) in outside.items():
-            if s_m >= 0 or family and m < family[-1]:
-                continue
-            row = table[m]
-            cross = [row[i] for i in family]
-            child = {}
-            for j, (r_j, s_j) in outside.items():
-                if j != m:
-                    r, drop = _border(cross, r_m, s_m, row[j], r_j)
-                    child[j] = (r, s_j - drop)
-            columns = tuple(_border(cross, r_m, s_m, 0, w)[0] for w in inverse)
-            columns += (_border(cross, r_m, s_m, 1, zero_vec(size))[0],)
-            visit(family + (m,), columns, child)
-
-    visit((), (), {j: ((), row[j]) for j, row in enumerate(table)})
-    return tuple(atlas)
-
-
 @dataclass(frozen=True)
 class SurfaceModel:
     """Finite rational intersection lattice with named curves and a Kahler class.
@@ -329,12 +280,14 @@ class SurfaceModel:
     integer table (the form, the duals or the curve Gram table, each over
     one common denominator), and the sum is divided once.  Classes are
     rational; any other scalar is refused with a TypeError.
-    ``gram_product`` is the independent reference.  The family
-    atlas (``family_atlas``) is likewise built once, on first use, by subset
-    search.  Next to the curve table the model keeps a support table
-    (``support_forms``), filled lazily: each curve set that support growth,
-    a decomposition check, a non-Kahler locus or a nef lift meets is solved
-    once per model, by one ``negative_solve``, and kept as integer rows.
+    ``gram_product`` is the independent reference.  Next to the curve table
+    the model keeps a support table (``support_forms``), filled lazily: each
+    curve set that support growth, a decomposition check, a non-Kahler locus,
+    a nef lift or the family atlas meets is solved once per model, by one
+    ``negative_solve``, and kept as integer rows; it is the only place a
+    family's forms are solved.  The families (``families``) are found once
+    per model, on first use, by one subset search; the family atlas
+    (``family_atlas``) is their view of the support table.
     """
 
     name: str
@@ -360,11 +313,10 @@ class SurfaceModel:
         return Fraction(sum(map(mul, nu, met)), lu * lv * den)
 
     @cached_property
-    def _kahler_ints(self) -> tuple[int, tuple[int, ...]]:
-        """gram * omega as one integer row over its denominator, so that
-        u . omega is one integer dot product."""
-        den, (row,) = _int_rows([_dots(self.kahler, *self._gram_ints)])
-        return den, row
+    def _kahler_row(self) -> tuple[int, ...]:
+        """gram * omega as one integer row over a positive denominator, so
+        that the sign of u . omega is that of one integer dot product."""
+        return _int_rows([_dots(self.kahler, *self._gram_ints)])[1][0]
 
     @cached_property
     def duals(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
@@ -433,11 +385,24 @@ class SurfaceModel:
         return l, nums, l * dd, tuple([sum(map(mul, nums, row)) for row in duals])
 
     @cached_property
+    def families(self) -> tuple[tuple[int, ...], ...]:
+        """Every negative-definite curve family, the empty one included, in
+        lexicographic order (negative_definite_subsets on the curve table)."""
+        return tuple(negative_definite_subsets(self.curve_gram))
+
+    @cached_property
     def family_atlas(self) -> tuple[tuple, ...]:
-        """The linear forms of the orthogonal decomposition over every
-        negative-definite curve family, the empty one included (see
-        _family_atlas)."""
-        return _family_atlas(self.curve_gram)
+        """(S, den, coeff_rows, outside, residual_rows) for every family S, in
+        the order of ``families``: the support table's forms of S (see
+        support_forms), with the residual rows of the curves outside S only:
+        the linear forms of the orthogonal decomposition over S."""
+        atlas = []
+        for support in self.families:
+            den, coeff_rows, residual_rows = self.support_forms(support)
+            outside = tuple(j for j in range(len(self.curves)) if j not in support)
+            atlas.append((support, den, coeff_rows, outside,
+                          tuple(residual_rows[j] for j in outside)))
+        return tuple(atlas)
 
     def orthogonal_candidates(self, d: int, nums: Sequence[int]) -> Iterator[tuple]:
         """(S, a) for every family S of the atlas over which a rational class

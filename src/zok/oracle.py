@@ -47,14 +47,15 @@ def brute_force_zariski(
     """Decomposition by exhaustive subset search; None when no subset works.
 
     Every negative-definite curve subset (the empty one included) is a
-    candidate support.  The model's family atlas tests its coefficients
-    (strictly positive) and its residual's curve pairings (non-negative) as
-    integer sign tests on alpha's pairings, formed once as integers
-    (SurfaceModel.pairing_ints, orthogonal_candidates); each subset that
-    passes both goes to the decomposition checker
-    (zariski._check_decomposition), which drops it on NotPseudoEffective
-    (P^2 < 0 or P.omega < 0).  Uniqueness of the orthogonal decomposition
-    makes more than one candidate a model bug.
+    candidate support.  The model's family atlas, built on the first search
+    from its families and its support table (SurfaceModel.families,
+    support_forms), tests its coefficients (strictly positive) and its
+    residual's curve pairings (non-negative) as integer sign tests on
+    alpha's pairings, formed once as integers (SurfaceModel.pairing_ints,
+    orthogonal_candidates); each subset that passes both goes to the
+    decomposition checker (zariski._check_decomposition), which drops it on
+    NotPseudoEffective (P^2 < 0 or P.omega < 0).  Uniqueness of the
+    orthogonal decomposition makes more than one candidate a model bug.
     """
     n = len(model.curves)
     if n > max_curves:

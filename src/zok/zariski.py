@@ -24,6 +24,7 @@ from .errors import (
     NotBig,
     NotNef,
     NotPseudoEffective,
+    UnknownCurve,
     UnsupportedDirection,
     UsageError,
 )
@@ -32,7 +33,6 @@ from .lattice import (
     SurfaceModel,
     Vec,
     _over_lcm,
-    negative_definite_subsets,
     vec_add,
     vec_is_zero,
     vec_scale,
@@ -49,7 +49,7 @@ class ZariskiDecomp:
 
     Every decomposition zok returns is built by _checked from (alpha,
     support, coeffs), the data it is saved as, and keeps the positive part's
-    numbers that the check computed: P^2, P.omega and positive_ints = (lp,
+    numbers that the check computed: P^2 and positive_ints = (lp,
     p, pd, pairs), P = p / lp and P.C_i = pairs / pd; P.C_i built on first
     read (positive_pairings).  None takes part in equality, repr or hash;
     one built by hand has none, and volume then computes P^2.
@@ -60,7 +60,6 @@ class ZariskiDecomp:
     support: tuple[int, ...]
     coeffs: tuple[Fraction, ...]
     positive_square: Optional[Fraction] = field(default=None, compare=False, repr=False)
-    positive_kahler: Optional[Fraction] = field(default=None, compare=False, repr=False)
     positive_ints: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     @cached_property
@@ -139,7 +138,7 @@ def _nef_ints(model: SurfaceModel, u: Vec) -> Optional[tuple]:
     if any(v < 0 for v in pairs):
         return None
     met = _met(model, nums)
-    if sum(map(mul, nums, met)) < 0 or sum(map(mul, nums, model._kahler_ints[1])) < 0:
+    if sum(map(mul, nums, met)) < 0 or sum(map(mul, nums, model._kahler_row)) < 0:
         return None
     return l, nums, pairs, met
 
@@ -250,15 +249,13 @@ def _checked(model: SurfaceModel, alpha: Vec, lp: int, p: list, support: Sequenc
     numerators over one denominator; P.omega (the model's Kahler row), P^2
     (its integer form) and P.C_i (its duals, for both the orthogonality and
     the nef test) are integer dot products, and Fractions are built only for
-    the fields the result keeps: P, P^2 and P.omega.
+    the fields the result keeps: P and P^2.
     """
     if support:  # P = alpha - N, over lp * ln
         ln = model._curve_ints[0] * lc
         p = [a * ln - x * lp for a, x in zip(p, negative)]
         lp *= ln
-    kd, kahler_row = model._kahler_ints
-    kahler = sum(map(mul, p, kahler_row))
-    if kahler < 0:
+    if sum(map(mul, p, model._kahler_row)) < 0:
         raise NotPseudoEffective("positive part meets the Kahler class negatively")
     square = sum(map(mul, p, _met(model, p)))
     if square < 0:
@@ -277,8 +274,7 @@ def _checked(model: SurfaceModel, alpha: Vec, lp: int, p: list, support: Sequenc
         raise InvariantError("positive part not nef in model")
     positive = tuple(Fraction(x, lp) for x in p) if support else alpha
     return ZariskiDecomp(alpha, positive, support, coeffs,
-                         Fraction(square, lp * lp * model._gram_ints[0]), Fraction(kahler, lp * kd),
-                         (lp, p, lp * dd, pairs))
+                         Fraction(square, lp * lp * model._gram_ints[0]), (lp, p, lp * dd, pairs))
 
 
 def volume(model: SurfaceModel, alpha: Vec) -> Fraction:
@@ -403,11 +399,12 @@ def enumerate_exceptional_families(
 ) -> list[tuple[int, ...]]:
     """All curve subsets with negative-definite Gram, lexicographic by index.
 
-    Negative definiteness is hereditary, so the search prunes every superset
-    of a failing subset; DFS preorder gives the lexicographic output order
-    (see lattice.negative_definite_subsets).
-    Models above FAMILY_ENUMERATION_CAP curves are refused unless
-    allow_large is set.
+    A fresh list of the model's families (SurfaceModel.families), which one
+    subset search finds on the model's first use and keeps: negative
+    definiteness is hereditary, so the search prunes every superset of a
+    failing subset, and DFS preorder gives the lexicographic order (see
+    lattice.negative_definite_subsets).  Models above
+    FAMILY_ENUMERATION_CAP curves are refused unless allow_large is set.
     """
     n = len(model.curves)
     if n > FAMILY_ENUMERATION_CAP and not allow_large:
@@ -415,7 +412,7 @@ def enumerate_exceptional_families(
             f"{n} curves exceeds the enumeration cap {FAMILY_ENUMERATION_CAP}; "
             "pass allow_large to override"
         )
-    return list(negative_definite_subsets(model.curve_gram))
+    return list(model.families)
 
 
 def orthogonal_nef_lift(
@@ -425,11 +422,16 @@ def orthogonal_nef_lift(
     the family; the lifted class is nef-in-model with positive square.
 
     omega defaults to the model's Kahler class and must meet every family
-    curve positively.
+    curve positively.  An index that is not a listed curve's raises
+    UnknownCurve before anything is solved.
     """
-    family = tuple(sorted(family))
+    family = tuple(family)
     if not family:
         raise ValueError("family must be nonempty")
+    for i in family:
+        if not model.has_curve(i):
+            raise UnknownCurve(f"no curve with index {i}")
+    family = tuple(sorted(family))
     if omega is None:
         omega = model.kahler
     try:
@@ -465,7 +467,7 @@ def _lift(model: SurfaceModel, family: tuple, lw: int, w: Sequence[int],
     if any(pairs[i] for i in family):
         raise InvariantError("lift not orthogonal to family")
     if (any(v < 0 for v in pairs) or sum(map(mul, z, _met(model, z))) <= 0
-            or sum(map(mul, z, model._kahler_ints[1])) < 0):
+            or sum(map(mul, z, model._kahler_row)) < 0):
         raise InvariantError("lifted class not big and nef in model")
     return z, bd * cd, tuple(Fraction(x, bd) for x in bn)
 

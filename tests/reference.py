@@ -23,6 +23,7 @@ from zok.errors import (
     NotBig,
     NotNef,
     NotPseudoEffective,
+    UnknownCurve,
     UnsupportedDirection,
 )
 from zok.exact import parse_rat, sqrt_rat
@@ -213,9 +214,13 @@ def reference_morse_gap(model, alpha, beta) -> MorseCertificate:
 def reference_orthogonal_nef_lift(model, family, omega=None) -> tuple:
     """b solved afresh (negative_solve on the family's Gram matrix), the lift
     omega + sum(b_i N_i) by vector arithmetic, its checks by gram_product."""
-    family = tuple(sorted(family))
+    family = tuple(family)
     if not family:
         raise ValueError("family must be nonempty")
+    for i in family:
+        if type(i) is not int or not 0 <= i < len(model.curves):
+            raise UnknownCurve(f"no curve with index {i}")
+    family = tuple(sorted(family))
     if omega is None:
         omega = model.kahler
     try:

@@ -169,7 +169,8 @@ def test_del_pezzo_family_counts():
 
 def test_family_atlas_holds_the_inverse_forms():
     """Each family's rows are G_S^-1 and G_S^-1 (C_S . C_j) for the curves j
-    outside S, over one positive denominator."""
+    outside S, over one positive denominator; the coefficient rows are the
+    support table's own, and the families those of the model's one search."""
     scaled = random_model(ModelGenSpec(seed=7, rank=5, num_curves=9))
     scaled = make_model("scaled", 5, [vec_scale(Fraction(2, 3), row) for row in scaled.gram],
                         [(c.name, vec_scale(Fraction(k + 1, 4), c.cls))
@@ -177,9 +178,11 @@ def test_family_atlas_holds_the_inverse_forms():
     for model in (del_pezzo(4), scaled):
         table = model.curve_gram
         atlas = model.family_atlas
-        assert [forms[0] for forms in atlas] == list(negative_definite_subsets(table))
+        assert [forms[0] for forms in atlas] == list(model.families)
+        assert model.families == tuple(negative_definite_subsets(table))
         for support, den, coeff_rows, outside, residual_rows in atlas:
             assert den > 0
+            assert coeff_rows is model.support_forms(support)[1]
             g = model.gram_submatrix(support)
             inverse = [[Fraction(x, den) for x in row] for row in coeff_rows]
             assert [[sum(a * b for a, b in zip(row, col)) for col in zip(*inverse)]

@@ -116,7 +116,7 @@ def _outcome(search, model, alpha):
         return "MultipleCandidates", str(exc)
     if dec is None:
         return None
-    return dec, dec.positive_pairings, dec.positive_square, dec.positive_kahler
+    return dec, dec.positive_pairings, dec.positive_square
 
 
 positive_rationals = st.builds(Fraction, st.integers(1, 7), st.integers(1, 12))
@@ -175,39 +175,73 @@ def test_brute_force_matches_the_reference_on_the_fixtures(all_fixture_models):
 
 
 def test_a_second_subset_search_factors_no_family(monkeypatch):
-    """The family atlas is built on the first call, and the check of the
-    winning decomposition solves its support once, into the model's support
-    table; a second search eliminates no Gram matrix at all."""
+    """The first search builds the family atlas from the support table,
+    which solves each family exactly once, in the order of model.families;
+    the check of the winning decomposition reads the table and solves
+    nothing more, and a second search solves nothing at all."""
     import zok.lattice
-    import zok.zariski
 
     model = random_model(ModelGenSpec(seed=5, rank=5, num_curves=8))
     alpha = vec_add(model.kahler, vec_scale(3, model.curve_class(0)))
-    calls = []
+    submatrices = []
+    solves = []
     solve = zok.lattice.negative_solve
     submatrix = zok.lattice.SurfaceModel.gram_submatrix
 
     def counting_solve(matrix, columns=()):
-        calls.append("negative_solve")
+        solves.append(len(matrix))
         return solve(matrix, columns)
 
     def counting_submatrix(self, indices):
-        calls.append("gram_submatrix")
+        submatrices.append(tuple(indices))
         return submatrix(self, indices)
 
     monkeypatch.setattr(zok.lattice, "negative_solve", counting_solve)
     monkeypatch.setattr(zok.lattice.SurfaceModel, "gram_submatrix", counting_submatrix)
     first = brute_force_zariski(model, alpha)
-    assert first.support and len(model.family_atlas) > 1
-    assert sorted(calls) == ["gram_submatrix", "negative_solve"]
-    calls.clear()
+    assert first.support and len(model.families) > 1
+    assert submatrices == list(model.families)
+    assert solves == [len(family) for family in model.families]
+    submatrices.clear()
+    solves.clear()
     assert brute_force_zariski(model, alpha) == first
-    assert calls == []
+    assert submatrices == [] and solves == []
+
+
+def test_enumeration_and_the_subset_search_share_one_family_search(monkeypatch):
+    import zok.lattice
+
+    calls = []
+    search = zok.lattice.negative_definite_subsets
+
+    def counting(gram):
+        calls.append(gram)
+        return search(gram)
+
+    monkeypatch.setattr(zok.lattice, "negative_definite_subsets", counting)
+    model = random_model(ModelGenSpec(seed=2, rank=5, num_curves=8))
+    families = enumerate_exceptional_families(model)
+    brute_force_zariski(model, model.kahler)
+    assert calls == [model.curve_gram]
+    assert [entry[0] for entry in model.family_atlas] == families == list(model.families)
+
+
+def test_the_enumerated_list_is_the_callers_own():
+    model = random_model(ModelGenSpec(seed=2, rank=5, num_curves=8))
+    families = enumerate_exceptional_families(model)
+    kept = model.families
+    want = list(kept)
+    families.append((99,))
+    families[0] = (42,)
+    del families[1]
+    assert model.families is kept and list(kept) == want
+    assert enumerate_exceptional_families(model) == want
 
 
 def test_enumeration_and_the_cap_leave_the_atlas_unbuilt():
     model = random_model(ModelGenSpec(seed=2, rank=5, num_curves=8))
     assert enumerate_exceptional_families(model)
+    assert "families" in vars(model)
     with pytest.raises(UsageError) as err:
         brute_force_zariski(model, model.kahler, max_curves=7)
     assert str(err.value) == (

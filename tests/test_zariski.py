@@ -418,7 +418,7 @@ def test_morse_gap_decomposes_the_difference_once(decompositions, blowup1):
 
 
 def _assert_kept_numbers_match(model, dec):
-    """P.C_i, P^2 and P.omega kept on dec equal the gram_product reference."""
+    """P.C_i and P^2 kept on dec equal the gram_product reference."""
     from zok.lattice import gram_product
 
     p = dec.positive
@@ -426,7 +426,6 @@ def _assert_kept_numbers_match(model, dec):
         gram_product(model.gram, p, model.curve_class(i)) for i in range(len(model.curves))
     )
     assert dec.positive_square == gram_product(model.gram, p, p)
-    assert dec.positive_kahler == gram_product(model.gram, p, model.kahler)
     lp, nums, pd, pairs = dec.positive_ints
     assert tuple(Fraction(x, lp) for x in nums) == p
     assert tuple(Fraction(v, pd) for v in pairs) == dec.positive_pairings
@@ -801,3 +800,19 @@ def test_lift_refuses_a_support_table_that_does_not_solve():
     with pytest.raises(InvariantError) as info:
         orthogonal_nef_lift(model, (0, 1))
     assert str(info.value) == "lift not orthogonal to family"
+
+
+@pytest.mark.parametrize("family, bad", [((-1,), -1), ((True,), True), ((99,), 99),
+                                         ((1.0,), 1.0), ((0, "E2"), "E2")])
+def test_lift_refuses_an_index_that_is_not_a_curve(family, bad):
+    """A negative index, a bool, an index past the curve list, a float and
+    a name next to an index are each refused as UnknownCurve, as the
+    reference refuses them, before the support table solves anything."""
+    from zok.errors import UnknownCurve
+    from zok.fixtures import load_fixture
+
+    model = load_fixture("blowup2")
+    got = _outcome(orthogonal_nef_lift, model, family)
+    assert got == ("raised", UnknownCurve, f"no curve with index {bad}", None)
+    assert got == _outcome(reference_orthogonal_nef_lift, model, family)
+    assert model._support_table == {}
