@@ -104,7 +104,7 @@ def signature(gram: Mat) -> tuple[int, int, int]:
     off-diagonal entry m[i][j] is not, the symmetric update row/col i +=
     row/col j creates the pivot 2*m[i][j] (the standard rank-2 split, no
     perturbation needed).  An indefinite form needs this pivot search; a
-    definiteness test does not (see negative_solve).  Exact, hence
+    definiteness test does not (see is_negative_definite).  Exact, hence
     Sylvester-invariant.
     """
     _check_symmetric(gram)
@@ -135,80 +135,95 @@ def signature(gram: Mat) -> tuple[int, int, int]:
     return plus, minus, n - plus - minus
 
 
-def _border(cross: Sequence, r_j: Sequence, s_j, y_j, r_y: Sequence) -> tuple[Vec, Fraction]:
-    """One bordering step, the elimination kernel: G_{S+j}^-1 * y_{S+j} from
-    r_y = G_S^-1 * y_S, for a negative-definite index set S and an index j
-    outside it, with cross = G[j][S], r_j = G_S^-1 * cross and the Schur
-    pivot s_j = G[j][j] - cross . r_j < 0.  With b = y_j - cross . r_y and
-    t = b / s_j, returns ((r_y - t * r_j, t), t * b); when y is the column
-    of an index k outside S + j, t * b is how much k's pivot drops."""
-    b = y_j - _dot(cross, r_y)
-    if not b:
-        return (*r_y, b), b
-    t = b / s_j
-    return (*(x - t * y if y else x for x, y in zip(r_y, r_j)), t), t * b
+def _border(d: int, cross: Sequence[int], r_m: Sequence[int], s: int, y_m: int,
+            r_y: Sequence[int]) -> tuple[tuple[int, ...], int]:
+    """One integer bordering step, the elimination kernel: Bareiss's form of
+    Sylvester's identity, with every division exact.
+
+    For a negative-definite index set S of an integer symmetric table G, with
+    D = det(-G_S) > 0, and an index m outside S, take cross = G[m][S],
+    r_m = D * G_S^-1 * cross and the pivot s = D * G[m][m] - cross . r_m < 0
+    (S + m is negative definite iff s < 0, and then det(-G_{S+m}) = -s).
+    Given r_y = D * G_S^-1 * y_S for a column y with entry y_m at m, and
+    tau = D * y_m - cross . r_y, returns (-s * G_{S+m}^-1 * y_{S+m}, tau),
+    that is ((-(s * r_y - tau * r_m) / D, -tau), tau).  When y is the
+    column of an index j outside S + m with pivot s_j over S, its pivot over
+    S + m is (tau**2 - s * s_j) / D."""
+    tau = d * y_m - sum(map(mul, cross, r_y))
+    return (*[(tau * b - s * a) // d for a, b in zip(r_y, r_m)], -tau), tau
 
 
-def negative_solve(matrix: Mat, columns: Sequence[Sequence] = ()) -> Optional[tuple[Vec, ...]]:
-    """(matrix^-1 * col for col in columns) when the symmetric matrix is
-    negative definite, else None.  Exact on integer entries too.
+def _extend(g: int, table, prefix: Sequence[int], entry: tuple, m: int) -> Optional[tuple]:
+    """The support-table entry (D, g * D * G_S^-1, rows D * G_S^-1 * G[S][j]
+    for every j) of S = prefix + (m,) from that of prefix, one _border per
+    column, over the integer table G = g * the true one; None when S is not
+    negative definite."""
+    d, coeff_rows, residual_rows = entry
+    row = table[m]
+    cross = [row[i] for i in prefix]
+    r_m = residual_rows[m]
+    s = d * row[m] - sum(map(mul, cross, r_m))
+    if s >= 0:
+        return None
+    coeffs = [_border(d, cross, r_m, s, 0, r)[0] for r in coeff_rows]
+    coeffs.append(_border(d, cross, r_m, s, g, [0] * len(prefix))[0])
+    return -s, tuple(coeffs), tuple([_border(d, cross, r_m, s, y, r)[0]
+                                     for y, r in zip(row, residual_rows)])
 
-    Borders the indices in order (see _border): index k's Schur pivot and
-    r_k come from bordering its column through the earlier ones, so a
-    matrix that fails at k has touched only its leading k+1 rows.  Pivot k
-    is the ratio of the leading principal minors of sizes k+1 and k, so by
-    Sylvester's criterion no pivot search is needed."""
-    if any(len(col) != len(matrix) for col in columns):
-        raise ValueError(f"right-hand side must have length {len(matrix)}")
-    steps: list[tuple] = []  # (G[k][:k], r_k, s_k) for each bordered index k
 
-    def through(col) -> tuple[Vec, Fraction]:
-        x, total = (), 0
-        for step, y in zip(steps, col):
-            x, drop = _border(*step, y, x)
-            total += drop
-        return x, total
-
-    for k, row in enumerate(matrix):
-        r, drop = through(row)
-        s = _exact(row[k]) - drop
-        if s >= 0:
-            return None
-        steps.append((row[:k], r, s))
-    return tuple(through(col)[0] for col in columns)
+def _solved(g: int, table, support: Sequence[int], known: dict) -> Optional[tuple]:
+    """The entry of support (see _extend) from that of its longest prefix in
+    known, the empty set's when none is, one step per further index; None
+    at the first set on the way that is not negative definite."""
+    k = len(support)
+    while k and support[:k] not in known:
+        k -= 1
+    entry = known[support[:k]] if k else (1, (), ((),) * len(table))
+    for k in range(k, len(support)):
+        if entry is None:
+            break
+        entry = _extend(g, table, support[:k], entry, support[k])
+    return entry
 
 
 def is_negative_definite(gram: Mat) -> bool:
-    """Exact negative-definiteness test; the empty matrix is vacuously so."""
+    """Exact negative-definiteness test; the empty matrix is vacuously so.
+
+    Borders the indices in order (_solved): the pivot of index k is D_{k+1}
+    / D_k for the leading principal minors D of -gram, so by Sylvester's
+    criterion no pivot search is needed."""
     _check_symmetric(gram)
-    return negative_solve(gram) is not None
+    g, table = _int_rows(gram)
+    return _solved(g, table, tuple(range(len(table))), {}) is not None
 
 
 def negative_definite_subsets(gram: Mat) -> Iterator[tuple[int, ...]]:
     """Every index set whose principal submatrix of the symmetric ``gram`` is
     negative definite, the empty set included, in lexicographic order.
 
-    Depth-first search that carries, for each candidate i of the current set
-    S, r_i = G_S^-1 * G[S][i] and its Schur pivot s_i over S: i extends S to
-    a negative-definite set iff s_i < 0, and extending S by m borders every
-    later candidate once (see _border).  Negative definiteness is
-    hereditary, so a candidate that fails is dropped from every deeper level.
+    Depth-first search over gram scaled to integers that carries, for each
+    candidate i of the current set S, R_i = D * G_S^-1 * G[S][i] and its
+    integer pivot s_i over S: i extends S to a negative-definite set iff
+    s_i < 0, and extending S by m borders every later candidate once (see
+    _border).  Negative definiteness is hereditary, so a candidate that
+    fails is dropped from every deeper level.
     """
+    _, table = _int_rows(gram)
 
-    def visit(subset, cands):
+    def visit(subset, d, cands):
         yield subset
         for k, (m, r_m, s_m) in enumerate(cands):
-            row = gram[m]
+            row = table[m]
             cross = [row[i] for i in subset]
             keep = []
             for j, r_j, s_j in cands[k + 1:]:
-                r, drop = _border(cross, r_m, s_m, row[j], r_j)
-                s = s_j - drop
+                r, tau = _border(d, cross, r_m, s_m, row[j], r_j)
+                s = (tau * tau - s_m * s_j) // d
                 if s < 0:
                     keep.append((j, r, s))
-            yield from visit(subset + (m,), keep)
+            yield from visit(subset + (m,), -s_m, keep)
 
-    yield from visit((), [(i, (), _exact(row[i])) for i, row in enumerate(gram) if row[i] < 0])
+    yield from visit((), 1, [(i, (), row[i]) for i, row in enumerate(table) if row[i] < 0])
 
 
 def solve_linear(matrix: Mat, rhs: Sequence) -> Vec:
@@ -256,9 +271,10 @@ def _over_lcm(u: Sequence) -> tuple[int, list[int]]:
 
 def _int_rows(rows) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """(den, ints) with rows[i][k] == ints[i][k] / den: rational rows over one
-    common denominator."""
-    den = lcm(*[x.denominator for row in rows for x in row])
-    return den, tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in rows)
+    common denominator.  Ints, Fractions and floats are read exactly."""
+    ratios = [[x.as_integer_ratio() for x in row] for row in rows]
+    den = lcm(*[q for row in ratios for _, q in row])
+    return den, tuple(tuple(p * (den // q) for p, q in row) for row in ratios)
 
 
 def _dots(u: Sequence, den: int, rows) -> list:
@@ -283,9 +299,10 @@ class SurfaceModel:
     ``gram_product`` is the independent reference.  Next to the curve table
     the model keeps a support table (``support_forms``), filled lazily: each
     curve set that support growth, a decomposition check, a non-Kahler locus,
-    a nef lift or the family atlas meets is solved once per model, by one
-    ``negative_solve``, and kept as integer rows; it is the only place a
-    family's forms are solved.  The families (``families``) are found once
+    a nef lift or the family atlas meets is solved once per model, by integer
+    bordering steps from its longest prefix already kept (Bareiss: every
+    division exact, no Fraction), and kept as integer rows; it is the only
+    place a family's forms are solved.  The families (``families``) are found once
     per model, on first use, by one subset search; the family atlas
     (``family_atlas``) is their view of the support table.
     """
@@ -338,6 +355,11 @@ class SurfaceModel:
         return _int_rows([c.cls for c in self.curves])
 
     @cached_property
+    def _curve_gram_ints(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """The curve Gram table as integer rows over one common denominator."""
+        return _int_rows(self.curve_gram)
+
+    @cached_property
     def _support_table(self) -> dict:
         return {}
 
@@ -349,21 +371,16 @@ class SurfaceModel:
         so G_S * a = v has a[k] = coeff_rows[k] . v / den, and for every
         curve j, residual_rows[j] is den * G_S^-1 * G[S][j], so the residual
         pairing (u - sum a[k] C_S[k]) . C_j is u.C_j - residual_rows[j] . v / den.
-        Each S is solved once per model, by one negative_solve on first use,
-        and kept; rows are in the order of S.
+        den is det(-G_S) over the integer curve table (_curve_gram_ints), and
+        rows are in the order of S.  Each S is solved once per model, on first
+        use, from the longest prefix of S already in the table, one integer
+        bordering step (_extend) per further index, and kept; the prefixes
+        passed on the way are not.  The family atlas asks the families in
+        lexicographic order, so each family is one step from its parent.
         """
         known = self._support_table
         if support not in known:
-            table = self.curve_gram
-            size = len(support)
-            units = [[int(i == k) for i in range(size)] for k in range(size)]
-            cross = [[table[i][j] for i in support] for j in range(len(table))]
-            solved = negative_solve(self.gram_submatrix(support), units + cross)
-            if solved is None:
-                known[support] = None
-            else:
-                den, rows = _int_rows(solved)
-                known[support] = (den, rows[:size], rows[size:])
+            known[support] = _solved(*self._curve_gram_ints, support, known)
         return known[support]
 
     def pairing(self, u: Sequence, index: int):

@@ -130,11 +130,12 @@ def is_nef_in_model(model: SurfaceModel, alpha: Vec) -> bool:
     return _nef_ints(model, alpha) is not None
 
 
-def _nef_ints(model: SurfaceModel, u: Vec) -> Optional[tuple]:
+def _nef_ints(model: SurfaceModel, u: Vec, scaled: Optional[tuple] = None) -> Optional[tuple]:
     """(l, nums, pairs, met) when u is nef in the model, else None: u = nums
-    / l and pairs from SurfaceModel.pairing_ints, met = _met(nums).  Every
-    denominator is positive, so each test is the sign of an integer."""
-    l, nums, _, pairs = model.pairing_ints(u)
+    / l and pairs from SurfaceModel.pairing_ints (or scaled, its result when
+    the caller has it), met = _met(nums).  Every denominator is positive, so
+    each test is the sign of an integer."""
+    l, nums, _, pairs = scaled or model.pairing_ints(u)
     if any(v < 0 for v in pairs):
         return None
     met = _met(model, nums)
@@ -305,12 +306,18 @@ def classify(model: SurfaceModel, alpha: Vec) -> Classification:
 
 
 def _direction_kind(model: SurfaceModel, beta: Vec) -> tuple:
-    """("nef", _nef_ints(beta)) or ("curve", the first curve of class beta)."""
-    nef = _nef_ints(model, beta)
+    """("nef", _nef_ints(beta)) or ("curve", the first curve of class beta).
+    beta = nums / l is matched by cross-multiplication against the curve
+    classes' integer rows (model._curve_ints)."""
+    scaled = model.pairing_ints(beta)
+    nef = _nef_ints(model, beta, scaled)
     if nef is not None:
         return "nef", nef
-    for j, c in enumerate(model.curves):
-        if tuple(beta) == tuple(c.cls):
+    l, nums = scaled[:2]
+    cd, rows = model._curve_ints
+    target = [x * cd for x in nums]
+    for j, row in enumerate(rows):
+        if [x * l for x in row] == target:
             return "curve", j
     raise UnsupportedDirection(
         "direction is neither nef-in-model nor a listed curve class"

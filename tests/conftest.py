@@ -62,6 +62,41 @@ def decompositions(monkeypatch):
     return calls
 
 
+class _StoreLog(dict):
+    """A support table that logs the key of every store."""
+
+    def __init__(self):
+        super().__init__()
+        self.stores = []
+
+    def __setitem__(self, key, value):
+        self.stores.append(key)
+        super().__setitem__(key, value)
+
+
+@pytest.fixture
+def support_steps(monkeypatch):
+    """(steps, log): log(model) gives the model a fresh support table that
+    logs its stores (.stores); steps lists the (prefix, index) of every
+    integer bordering step of a support-table entry (lattice._extend) while
+    the test runs."""
+    import zok.lattice
+
+    extend = zok.lattice._extend
+    steps = []
+
+    def counting(g, table, prefix, entry, m):
+        steps.append((tuple(prefix), m))
+        return extend(g, table, prefix, entry, m)
+
+    def log(model):
+        table = model.__dict__["_support_table"] = _StoreLog()
+        return table
+
+    monkeypatch.setattr(zok.lattice, "_extend", counting)
+    return steps, log
+
+
 def int_grid(rank: int, bound: int):
     """All integer class vectors with coordinates in [-bound, bound]."""
     return [

@@ -11,11 +11,16 @@ Also Fraction references, built on gram_product, for the operations on
 top of a decomposition that zariski runs over integer numerators: the nef
 test, the null locus, the volume derivative, the Morse certificate, the
 orthogonal nef lift and the perturbed decomposition, with the checks,
-exceptions and texts of each in the same order."""
+exceptions and texts of each in the same order.
+
+And the Fraction bordered solve (negative_solve, over the Fraction step
+_border) that the integer bordering step, lattice._border, replaced, as
+the reference for the support table and the definiteness test."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Optional, Sequence
 
 from zok.errors import (
     EpsilonTooLarge,
@@ -27,9 +32,52 @@ from zok.errors import (
     UnsupportedDirection,
 )
 from zok.exact import parse_rat, sqrt_rat
-from zok.lattice import gram_product, negative_solve
+from zok.lattice import Mat, Vec, _dot, _exact, gram_product
 from zok.okounkov import SegmentChamber
 from zok.zariski import MorseCertificate, _check_decomposition, zariski_decompose
+
+
+def _border(cross: Sequence, r_j: Sequence, s_j, y_j, r_y: Sequence) -> tuple[Vec, Fraction]:
+    """One bordering step, the elimination kernel: G_{S+j}^-1 * y_{S+j} from
+    r_y = G_S^-1 * y_S, for a negative-definite index set S and an index j
+    outside it, with cross = G[j][S], r_j = G_S^-1 * cross and the Schur
+    pivot s_j = G[j][j] - cross . r_j < 0.  With b = y_j - cross . r_y and
+    t = b / s_j, returns ((r_y - t * r_j, t), t * b); when y is the column
+    of an index k outside S + j, t * b is how much k's pivot drops."""
+    b = y_j - _dot(cross, r_y)
+    if not b:
+        return (*r_y, b), b
+    t = b / s_j
+    return (*(x - t * y if y else x for x, y in zip(r_y, r_j)), t), t * b
+
+
+def negative_solve(matrix: Mat, columns: Sequence[Sequence] = ()) -> Optional[tuple[Vec, ...]]:
+    """(matrix^-1 * col for col in columns) when the symmetric matrix is
+    negative definite, else None.  Exact on integer entries too.
+
+    Borders the indices in order (see _border): index k's Schur pivot and
+    r_k come from bordering its column through the earlier ones, so a
+    matrix that fails at k has touched only its leading k+1 rows.  Pivot k
+    is the ratio of the leading principal minors of sizes k+1 and k, so by
+    Sylvester's criterion no pivot search is needed."""
+    if any(len(col) != len(matrix) for col in columns):
+        raise ValueError(f"right-hand side must have length {len(matrix)}")
+    steps: list[tuple] = []  # (G[k][:k], r_k, s_k) for each bordered index k
+
+    def through(col) -> tuple[Vec, Fraction]:
+        x, total = (), 0
+        for step, y in zip(steps, col):
+            x, drop = _border(*step, y, x)
+            total += drop
+        return x, total
+
+    for k, row in enumerate(matrix):
+        r, drop = through(row)
+        s = _exact(row[k]) - drop
+        if s >= 0:
+            return None
+        steps.append((row[:k], r, s))
+    return tuple(through(col)[0] for col in columns)
 
 
 def smallest_quadratic_root_above(c0: Fraction, c1: Fraction, c2: Fraction, t0: Fraction):

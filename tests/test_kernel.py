@@ -1,6 +1,6 @@
 """The exact kernels: the integer pairing kernel over the curve table, the
-in-order negative-definite bordered solve and the hereditary search over
-negative-definite curve sets."""
+integer bordering step behind the definiteness test and the support table,
+and the hereditary search over negative-definite curve sets."""
 
 from __future__ import annotations
 
@@ -15,9 +15,9 @@ from zok.exact import QuadExt
 from zok.lattice import (
     _over_lcm,
     gram_product,
+    is_negative_definite,
     make_model,
     negative_definite_subsets,
-    negative_solve,
     signature,
     solve_linear,
     vec_scale,
@@ -27,7 +27,7 @@ from zok.oracle import ModelGenSpec, random_model
 from zok.zariski import _grow_support, enumerate_exceptional_families, zariski_decompose
 
 from conftest import F, int_grid
-from reference import reference_growth
+from reference import negative_solve, reference_growth
 
 small = st.sampled_from([Fraction(0)] * 4 + [Fraction(k) for k in (-3, -2, -1, 1, 2)]
                         + [Fraction(-1, 2), Fraction(1, 3), Fraction(-5, 3)])
@@ -62,44 +62,122 @@ def symmetric_matrices(draw):
     return tuple(tuple(row) for row in m)
 
 
+def _table_model(g):
+    """A model whose curve table is g: the form g with the unit vectors as
+    curves."""
+    n = len(g)
+    return make_model("table", n, g, [(f"C{i}", [int(i == k) for k in range(n)])
+                                      for i in range(n)], [1] * n)
+
+
+def _reference_forms(g, support):
+    """support_forms(support) of _table_model(g) as rationals, by the
+    reference negative_solve: (G_S^-1 e_k for each k, G_S^-1 G[S][j] for
+    every j), or None."""
+    size = len(support)
+    units = [[int(i == k) for i in range(size)] for k in range(size)]
+    cross = [[g[i][j] for i in support] for j in range(len(g))]
+    solved = negative_solve(tuple(tuple(g[i][j] for j in support) for i in support),
+                            units + cross)
+    return None if solved is None else (solved[:size], solved[size:])
+
+
+def _as_rationals(forms):
+    if forms is None:
+        return None
+    den, coeff_rows, residual_rows = forms
+    return tuple(tuple(tuple(Fraction(x, den) for x in row) for row in rows)
+                 for rows in (coeff_rows, residual_rows))
+
+
 @settings(max_examples=400, deadline=None)
 @given(symmetric_matrices())
-def test_negative_solve_decides_like_signature(g):
+def test_integer_kernel_decides_like_signature(g):
+    """is_negative_definite, the subset search and the support table, all on
+    the integer bordering step, decide like signature, and the table's rows
+    are the reference negative_solve's."""
     n = len(g)
-    rhs = [tuple(Fraction(k - 2, k + 1) for k in range(n)),
-           tuple(Fraction(k * k - 1, 3) for k in range(n))]
-    for count in range(3):
-        solutions = negative_solve(g, rhs[:count])
-        assert (solutions is not None) == (signature(g) == (0, n, 0))
-        if solutions is not None:
-            assert len(solutions) == count
-            for x, b in zip(solutions, rhs):
-                assert tuple(sum((g[i][j] * x[j] for j in range(n)), Fraction(0))
-                             for i in range(n)) == b
+    nd = signature(g) == (0, n, 0)
+    assert is_negative_definite(g) is nd
+    subsets = list(negative_definite_subsets(g))
+    assert subsets == sorted(subsets)
+    assert set(subsets) == {s for s in _subsets(n)
+                            if signature(tuple(tuple(g[i][j] for j in s) for i in s))
+                            == (0, len(s), 0)}
+    model = _table_model(g)
+    assert model.curve_gram == g
+    for support in (tuple(range(n)), tuple(reversed(range(n)))):
+        forms = model.support_forms(support)
+        assert (forms is None) is not nd
+        assert _as_rationals(forms) == _reference_forms(g, support)
+        if forms is not None:
+            assert forms[0] > 0
 
 
-def test_negative_solve_examples():
-    assert negative_solve(()) == ()
-    assert negative_solve(((Fraction(0),),)) is None
+def test_integer_kernel_examples():
+    assert is_negative_definite(()) is True
+    assert list(negative_definite_subsets(())) == [()]
+    assert is_negative_definite(((Fraction(0),),)) is False
     # a zero leading pivot ends the elimination even where a pivot search
     # would continue: [[0, 1], [1, 0]] is indefinite
-    assert negative_solve(((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0)))) is None
+    assert is_negative_definite(((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0)))) is False
     g = ((Fraction(-2), Fraction(1)), (Fraction(1), Fraction(-2)))
-    assert negative_solve(g) == ()
-    assert negative_solve(g, [(Fraction(-1), Fraction(-1))]) == ((Fraction(1), Fraction(1)),)
-    assert negative_solve(g, [(1, 0), (0, 1)]) == (
-        (Fraction(-2, 3), Fraction(-1, 3)), (Fraction(-1, 3), Fraction(-2, 3))
-    )
-    with pytest.raises(ValueError, match="^right-hand side must have length 2$"):
-        negative_solve(g, [(Fraction(1),)])
+    model = _table_model(g)
+    # den is det(-G_S): 3 for both curves, and the rows are 3 * G_S^-1 and
+    # 3 * G_S^-1 * G[S][j]
+    assert model.support_forms((0, 1)) == (3, ((-2, -1), (-1, -2)), ((3, 0), (0, 3)))
+    assert model.support_forms((1,)) == (2, ((-1,),), ((-1,), (2,)))
+    assert model.support_forms(()) == (1, (), ((), ()))
+    assert list(negative_definite_subsets(g)) == [(), (0,), (0, 1), (1,)]
+    with pytest.raises(ValueError, match="^matrix must be square$"):
+        is_negative_definite(((Fraction(-1), Fraction(0)),))
 
 
-def test_negative_solve_is_exact_on_integer_matrices():
+def test_support_table_cold_unsorted_non_definite_prefix_and_repeats():
+    """A cold model answers a long or unsorted support directly; a support
+    whose prefix is not negative definite, and one that repeats an index,
+    is None, whether or not its prefix was asked first."""
+    g = _symmetric(6, [Fraction(x) for x in (-3, 1, 0, 1, 0, 0,
+                                             -4, 1, 0, 2, 0,
+                                             -2, 1, 0, 3,
+                                             -5, 1, 0,
+                                             -3, 1,
+                                             -2)])
+    assert signature(g)[2] == 0 and not is_negative_definite(g)
+    for support in [(4, 0, 3, 1, 2), (0, 1, 2, 3, 4), (3, 1), (5, 2), (2, 5, 0),
+                    (0, 0), (1, 0, 1), (2, 5, 5), (3, 2, 0, 2)]:
+        cold = _table_model(g)
+        forms = cold.support_forms(support)
+        assert list(cold._support_table) == [support]
+        assert _as_rationals(forms) == _reference_forms(g, support)
+        warm = _table_model(g)
+        for k in range(len(support) + 1):
+            assert _as_rationals(warm.support_forms(support[:k])) == _reference_forms(
+                g, support[:k])
+        assert warm.support_forms(support) == forms
+    model = _table_model(g)
+    assert model.support_forms((2, 5)) is None  # not negative definite
+    assert model.support_forms((2, 5, 0)) is None
+    assert _table_model(g).support_forms((2, 5, 0)) is None
+    assert model.support_forms((0, 0)) is None and model.support_forms((1, 0, 1)) is None
+
+
+def test_integer_kernel_reads_float_and_large_entries_exactly():
     big = 10**17
-    assert negative_solve(((-big, big - 1), (big - 1, -big + 1))) == ()
-    assert negative_solve(((-big, big), (big, -big + 1))) is None
-    (x,) = negative_solve(((-2, 1), (1, -2)), [(1, 1)])
-    assert x == (-1, -1) and all(type(v) is Fraction for v in x)
+    assert is_negative_definite(((-big, big - 1), (big - 1, -big + 1))) is True
+    assert is_negative_definite(((-big, big), (big, -big + 1))) is False
+    assert list(negative_definite_subsets(((-big, big), (big, -big + 1)))) == [(), (0,), (1,)]
+    # read exactly, 0.1**2 > 0.01 but < 0.010000000000000002: float
+    # elimination finds a zero pivot where the exact one is negative
+    for g, sig in [(((-1.0, 0.1), (0.1, -0.010000000000000002)), (0, 2, 0)),
+                   (((-1.0, 0.1), (0.1, -0.01)), (1, 1, 0)),
+                   (((-0.5, 0.25), (0.25, -0.125)), (0, 1, 1))]:
+        exact = tuple(tuple(Fraction(x) for x in row) for row in g)
+        assert signature(exact) == sig
+        nd = sig == (0, 2, 0)
+        assert is_negative_definite(g) is nd
+        assert list(negative_definite_subsets(g)) == list(negative_definite_subsets(exact))
+        assert (_table_model(exact).support_forms((0, 1)) is None) is not nd
 
 
 def test_curve_table_matches_gram_product(blowup2, hirzebruch2):
@@ -175,7 +253,7 @@ def test_family_atlas_holds_the_inverse_forms():
     scaled = make_model("scaled", 5, [vec_scale(Fraction(2, 3), row) for row in scaled.gram],
                         [(c.name, vec_scale(Fraction(k + 1, 4), c.cls))
                          for k, c in enumerate(scaled.curves)], scaled.kahler)
-    for model in (del_pezzo(4), scaled):
+    for model in (del_pezzo(4), del_pezzo(6), scaled):
         table = model.curve_gram
         atlas = model.family_atlas
         assert [forms[0] for forms in atlas] == list(model.families)
@@ -357,26 +435,13 @@ def test_growth_matches_the_fraction_reference_on_random_models(seed, rank, curv
     assert seen == {str, tuple}  # grown supports and refusals both met
 
 
-def test_each_support_is_solved_once_per_model(monkeypatch):
-    """A repeated walk or decomposition solves no support Gram matrix again:
-    each support a model meets is solved once, into its support table."""
-    import zok.lattice
-
+def test_each_support_is_solved_once_per_model(support_steps):
+    """A repeated walk or decomposition solves no support again: each support
+    a model meets is stored once, into its support table, by bordering steps
+    along its own prefix."""
+    steps, log = support_steps
     model = random_model(ModelGenSpec(seed=3, rank=5, num_curves=8))
-    solved, calls = [], []
-    solve = zok.lattice.negative_solve
-    submatrix = zok.lattice.SurfaceModel.gram_submatrix
-
-    def counting_solve(matrix, columns=()):
-        calls.append(len(matrix))
-        return solve(matrix, columns)
-
-    def counting_submatrix(self, indices):
-        solved.append(tuple(indices))
-        return submatrix(self, indices)
-
-    monkeypatch.setattr(zok.lattice, "negative_solve", counting_solve)
-    monkeypatch.setattr(zok.lattice.SurfaceModel, "gram_submatrix", counting_submatrix)
+    table = log(model)
     classes = [vec_scale(Fraction(c, 2), model.kahler) for c in (2, 3)]
     classes += [tuple(a + b for a, b in zip(model.kahler, c.cls)) for c in model.curves[:3]]
 
@@ -389,8 +454,10 @@ def test_each_support_is_solved_once_per_model(monkeypatch):
         return walked
 
     first = walk_and_decompose()
-    assert solved and len(solved) == len(set(solved)) == len(calls)
-    solved.clear()
-    calls.clear()
+    assert steps and table.stores == list(table)
+    assert all(any(support[:len(prefix) + 1] == (*prefix, m) for support in table)
+               for prefix, m in steps)
+    stored = dict(table)
+    steps.clear()
     assert walk_and_decompose() == first
-    assert solved == [] and calls == []
+    assert steps == [] and table == stored and table.stores == list(stored)

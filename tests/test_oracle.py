@@ -174,38 +174,23 @@ def test_brute_force_matches_the_reference_on_the_fixtures(all_fixture_models):
     assert outcomes == {None, str, ZariskiDecomp}
 
 
-def test_a_second_subset_search_factors_no_family(monkeypatch):
+def test_a_second_subset_search_factors_no_family(support_steps):
     """The first search builds the family atlas from the support table,
-    which solves each family exactly once, in the order of model.families;
-    the check of the winning decomposition reads the table and solves
-    nothing more, and a second search solves nothing at all."""
-    import zok.lattice
-
+    which stores each family once, in the order of model.families, each one
+    bordering step from its parent; the check of the winning decomposition
+    reads the table and solves nothing more, and a second search solves
+    nothing at all."""
+    steps, log = support_steps
     model = random_model(ModelGenSpec(seed=5, rank=5, num_curves=8))
+    table = log(model)
     alpha = vec_add(model.kahler, vec_scale(3, model.curve_class(0)))
-    submatrices = []
-    solves = []
-    solve = zok.lattice.negative_solve
-    submatrix = zok.lattice.SurfaceModel.gram_submatrix
-
-    def counting_solve(matrix, columns=()):
-        solves.append(len(matrix))
-        return solve(matrix, columns)
-
-    def counting_submatrix(self, indices):
-        submatrices.append(tuple(indices))
-        return submatrix(self, indices)
-
-    monkeypatch.setattr(zok.lattice, "negative_solve", counting_solve)
-    monkeypatch.setattr(zok.lattice.SurfaceModel, "gram_submatrix", counting_submatrix)
     first = brute_force_zariski(model, alpha)
     assert first.support and len(model.families) > 1
-    assert submatrices == list(model.families)
-    assert solves == [len(family) for family in model.families]
-    submatrices.clear()
-    solves.clear()
+    assert table.stores == list(model.families)
+    assert steps == [(family[:-1], family[-1]) for family in model.families[1:]]
+    steps.clear()
     assert brute_force_zariski(model, alpha) == first
-    assert submatrices == [] and solves == []
+    assert steps == [] and table.stores == list(model.families)
 
 
 def test_enumeration_and_the_subset_search_share_one_family_search(monkeypatch):

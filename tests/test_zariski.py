@@ -648,6 +648,28 @@ def test_derivative_and_morse_match_their_references(edge_models):
     assert min(seen.values()) > 5, seen
 
 
+def test_a_curve_direction_is_matched_exactly_across_denominators():
+    """A direction is a listed curve only when it equals the curve's class as
+    rationals: the classes E1/4, E2/2 and 3 L12/4 sit over one common
+    denominator, and E1 = (0, 1, 0) has E1/4's numerators but is no listed
+    class."""
+    from zok.zariski import _direction_kind
+
+    model = make_model("quarters", 3, [[1, 0, 0], [0, -1, 0], [0, 0, -1]],
+                       [("A", [0, "1/4", 0]), ("B", [0, 0, "1/2"]),
+                        ("C", ["3/4", "-3/4", "-3/4"])], [3, -1, -1])
+    for j, c in enumerate(model.curves):
+        assert _direction_kind(model, c.cls) == ("curve", j)
+    doubled = [tuple(2 * x for x in c.cls) for c in model.curves]
+    for beta in [F(0, 1, 0), F(0, 0, 1), F(3, -3, -3)] + doubled:
+        with pytest.raises(UnsupportedDirection):
+            _direction_kind(model, beta)
+    for alpha in (F(3, -1, -1), F(4, -1, -2), F(5, -2, -1)):
+        for beta in [c.cls for c in model.curves] + [F(0, 1, 0), F(1, 0, 0)]:
+            got = _outcome(derivative_vol, model, alpha, beta)
+            assert got == _outcome(reference_derivative_vol, model, alpha, beta)
+
+
 def test_lift_and_perturbation_match_their_references(edge_models):
     seen = {"lift": 0, "lift refused": 0, "lift breach": 0, "closed form": 0,
             "direct": 0, "eps too large": 0, "not Kahler-like": 0}
