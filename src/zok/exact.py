@@ -173,22 +173,10 @@ class QuadExt:
     # -- exact sign and order ---------------------------------------------
 
     def sign(self) -> int:
-        """Exact sign of p + q*sqrt(d), decided over the integers.
-
-        With p, q of opposite signs the sign is that of p**2 - q**2*d taken
-        on p's side; equality cannot occur since sqrt(d) is irrational.
-        """
+        """Exact sign of p + q*sqrt(d): quad_sign of p and q scaled by both
+        denominators."""
         p, q = self.p, self.q
-        if p == 0:
-            return 1 if q > 0 else -1
-        if p > 0 and q > 0:
-            return 1
-        if p < 0 and q < 0:
-            return -1
-        lhs, rhs = p * p, q * q * self.d
-        if p > 0:  # q < 0
-            return 1 if lhs > rhs else -1
-        return 1 if rhs > lhs else -1
+        return quad_sign(p.numerator * q.denominator, q.numerator * p.denominator, self.d)
 
     def __eq__(self, other):
         if isinstance(other, QuadExt):
@@ -240,6 +228,26 @@ def ext_sign(x) -> int:
     if isinstance(x, QuadExt):
         return x.sign()
     return (x > 0) - (x < 0)
+
+
+def quad_sign(a: int, b: int, d: int) -> int:
+    """Exact sign of a + b*sqrt(d) for integers a and b and a radicand d
+    whose root is irrational (any d when b == 0): the sign of b when a is 0
+    or of b's sign, else that of a**2 - b**2*d taken on a's side; equality
+    cannot occur since sqrt(d) is irrational."""
+    if not b:
+        return (a > 0) - (a < 0)
+    sb = 1 if b > 0 else -1
+    if not a or (a > 0) == (b > 0):
+        return sb
+    return -sb if a * a > b * b * d else sb
+
+
+def quad_of_ints(a: int, b: int, d: int, den: int) -> ExtRat:
+    """(a + b*sqrt(d)) / den as a Fraction, or as a QuadExt when b != 0, for
+    a radicand d already in canonical form."""
+    p = Fraction(a, den)
+    return QuadExt(p, Fraction(b, den), d) if b else p
 
 
 def sqrt_rat(x: Fraction) -> ExtRat:

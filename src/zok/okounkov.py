@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
+from math import lcm
 from operator import mul
 from typing import Optional, Sequence
 
@@ -33,9 +34,9 @@ from .errors import (
     NotPseudoEffective,
     UnknownCurve,
 )
-from .exact import ExtRat, QuadExt, parse_rat, sqrt_rat
+from .exact import ExtRat, QuadExt, parse_rat, quad_of_ints, quad_sign, sqrt_rat
 from .lattice import SurfaceModel, Vec, _over_lcm
-from .polygon import ConvexPolygon, Point, shoelace_area
+from .polygon import ConvexPolygon, Point, _lift, _twice_area, shoelace_area
 from .zariski import (
     Kind,
     ZariskiDecomp,
@@ -234,9 +235,10 @@ def _chamber_at(model, walk, t0, fallback_end=None):
     decomposition keeps; the checks (reconstruction, pairings against the
     decomposition's P.C_j and against z1, nef) are integer equalities and
     sign tests, the events are found in u = t - t0, and Fractions are built
-    only for the chamber's fields; it keeps z0, z1, c0 and c1 as numerators
-    (ints).  It ends at the first event after t0, or at fallback_end when
-    none lies ahead.
+    only for the chamber's fields; it keeps the numerators as ints =
+    (den0, z0, den1, z1, den, c0, d1, c1, h0, h1), h0 over den and h1 over
+    d1 (den, d1 > 0).  It ends at the first event after t0, or at
+    fallback_end when none lies ahead.
     """
     alpha, ld, d_nums, along, la, a_nums, a_pairs = walk
     p, q = t0.numerator, t0.denominator
@@ -303,11 +305,15 @@ def _chamber_at(model, walk, t0, fallback_end=None):
                 terminal = QuadExt._of(t0 - e1 / (2 * e2), -root.q / (2 * e2), root.d)
             else:
                 terminal = t0 - (e1 + root) / (2 * e2)
-    last = terminal is not None and (affine_next is None or not affine_next < terminal)
+    if isinstance(terminal, QuadExt) and affine_next is not None:
+        w, v = terminal.p - affine_next, terminal.q  # sign of w + v*sqrt(d), no QuadExt built
+        last = quad_sign(w.numerator * v.denominator, v.numerator * w.denominator, terminal.d) < 0
+    else:
+        last = terminal is not None and (affine_next is None or terminal <= affine_next)
     t1 = terminal if last else (fallback_end if affine_next is None else affine_next)
     if t1 is None:
         raise InvariantError("chamber walk found no event ahead")
-    ints = (den0, z0, den1, z1, den, coeff0, d1, a1)
+    ints = (den0, z0, den1, z1, den, coeff0, d1, a1, h0, r1)
     z0, z1 = (tuple(Fraction(x, d) for x in z) for z, d in ((z0, den0), (z1, den1)))
     coeff0, h0 = (tuple(Fraction(x, den) for x in v) for v in (coeff0, h0))
     coeff1, h1 = (tuple(Fraction(x, d1) for x in v) for v in (a1, r1))
@@ -317,7 +323,7 @@ def _chamber_at(model, walk, t0, fallback_end=None):
 def _values_at(chamber: SegmentChamber, p: int, q: int) -> tuple:
     """(dz, z, dc, c): Z(p/q) = z / dz and the support coefficients at p/q,
     c[i] / dc for curve i, from the chamber's kept numerators."""
-    den0, z0, den1, z1, den, c0, d1, c1 = chamber.ints
+    den0, z0, den1, z1, den, c0, d1, c1 = chamber.ints[:8]
     z = [q * den1 * x + p * den0 * y for x, y in zip(z0, z1)]
     c = {i: q * d1 * x + p * den * y for i, x, y in zip(chamber.support, c0, c1)}
     return q * den0 * den1, z, q * den * d1, c
@@ -388,18 +394,21 @@ def first_chamber_along(model: SurfaceModel, alpha: Vec, direction: Vec) -> Segm
 
 
 def _slope_a_from_chambers(chambers: Sequence[SegmentChamber], index: int):
-    """First parameter from which Z(t).C stays positive; rational."""
+    """First parameter from which Z(t).C stays positive; rational.  Z(t).C
+    is h0/den + t*h1/d1 on a chamber, signed at its rational start over the
+    kept numerators."""
     for ch in chambers:
-        h0, h1 = ch.h0[index], ch.h1[index]
-        v_lo = h0 + ch.t_lo * h1
+        _, _, _, _, den, _, d1, _, h0, h1 = ch.ints
+        h0, h1, t = h0[index], h1[index], ch.t_lo
+        v_lo = t.denominator * d1 * h0 + t.numerator * den * h1
         if v_lo > 0:
-            if ch.t_lo != 0:
+            if t != 0:
                 raise InvariantError("Z(t).C jumped to positive mid-walk")
-            return ch.t_lo
+            return t
         if v_lo < 0:
             raise InvariantError("Z(t).C negative inside the walk")
         if h1 > 0:
-            return ch.t_lo
+            return t
         if h1 < 0:
             raise InvariantError("Z(t).C decreasing from zero inside the walk")
     raise InvariantError("Z(t).C vanishes along the entire segment")
@@ -428,64 +437,77 @@ def envelopes(
     asserted to agree.
     """
     validate_flag(model, flag)
-    return _envelopes_of(segment_chambers(model, alpha, flag.curve), flag)
+    return _envelopes_of(segment_chambers(model, alpha, flag.curve), flag)[:2]
 
 
-def _envelopes_of(
-    chambers: Sequence[SegmentChamber], flag: FlagSpec
-) -> tuple[PiecewiseLinear, PiecewiseLinear]:
-    """envelopes read off the chamber list of the walk along the flag curve."""
+def _at(x0: int, x1: int, e0: int, e1: int, t) -> tuple[int, int, int]:
+    """x0/e0 + t*x1/e1 at a breakpoint t = p + q*sqrt(d) (q = 0 when t is
+    rational) as integers (A, B, L): the value is (A + B*sqrt(d)) / L."""
+    if isinstance(t, QuadExt):
+        pn, pd, qn, qd = t.p.numerator, t.p.denominator, t.q.numerator, t.q.denominator
+    else:
+        pn, pd, qn, qd = t.numerator, t.denominator, 0, 1
+    return (x0 * e1 * pd + pn * x1 * e0) * qd, qn * x1 * e0 * pd, e0 * e1 * pd * qd
+
+
+def _envelopes_of(chambers: Sequence[SegmentChamber], flag: FlagSpec) -> tuple:
+    """(f, g, bends): envelopes read off the chamber list of the walk along
+    the flag curve, and at each inner breakpoint a pair of integers whose
+    signs are those of f's and of g's change of slope there.
+
+    With the flag multiplicities n_i / md over their least common
+    denominator md, f is sum n_i*c_i(t) / md and the width g - f is Z(t).C,
+    both x0/(md*den) + t*x1/(md*d1) on a chamber from its kept numerators,
+    so the slopes f1/e1 and g1/e1 (e1 = md*d1 > 0) are compared by
+    cross-multiplication; Fractions and QuadExts are built only for the
+    values.
+    """
     index = flag.curve
     a = _slope_a_from_chambers(chambers, index)
     sub = [ch for ch in chambers if not ch.t_lo < a]
     if not sub or sub[0].t_lo != a:
         raise InvariantError("parameter a is not a chamber boundary")
-    mults = flag.mult_map()
+    mults = {i: m for i, m in flag.mults if m}
+    md = lcm(*(m.denominator for m in mults.values()))
+    mults = {i: m.numerator * (md // m.denominator) for i, m in mults.items()}
+    lines = []
     for ch in sub:
-        if index in ch.support:
-            k = ch.support.index(index)
-            if ch.coeff0[k] != 0 or ch.coeff1[k] != 0:
+        _, _, _, _, den, c0, d1, c1, h0, h1 = ch.ints
+        f0 = f1 = 0
+        for i, x, y in zip(ch.support, c0, c1):
+            if i == index and (x or y):
                 raise InvariantError("flag curve carries a coefficient beyond a")
-
-    def f_at(ch: SegmentChamber, t):
-        total = Fraction(0)
-        for i, p, q in zip(ch.support, ch.coeff0, ch.coeff1):
-            m = mults.get(i)
-            if m:
-                total += m * (p + t * q)
-        return total
-
-    def g_at(ch: SegmentChamber, t):
-        return f_at(ch, t) + ch.h0[index] + t * ch.h1[index]
-
-    breakpoints: list[ExtRat] = [a]
-    f_vals: list[ExtRat] = [f_at(sub[0], a)]
-    g_vals: list[ExtRat] = [g_at(sub[0], a)]
-    for ch in sub:
-        breakpoints.append(ch.t_hi)
-        f_vals.append(f_at(ch, ch.t_hi))
-        g_vals.append(g_at(ch, ch.t_hi))
-    f = PiecewiseLinear(tuple(breakpoints), tuple(f_vals))
-    g = PiecewiseLinear(tuple(breakpoints), tuple(g_vals))
-    for fv, gv in zip(f.values, g.values):
-        if gv < fv:
-            raise InvariantError("lower envelope exceeds upper envelope")
-    return f, g
+            n = mults.get(i, 0)
+            f0, f1 = f0 + n * x, f1 + n * y
+        lines.append((f0, f1, f0 + md * h0[index], f1 + md * h1[index], md * den, md * d1))
+    breakpoints = (a, *(ch.t_hi for ch in sub))
+    d = breakpoints[-1].d if isinstance(breakpoints[-1], QuadExt) else 1
+    f_vals, g_vals, below = [], [], False
+    for (f0, f1, g0, g1, e0, e1), t in zip([lines[0], *lines], breakpoints):
+        fa, fb, den = _at(f0, f1, e0, e1, t)
+        ga, gb, _ = _at(g0, g1, e0, e1, t)
+        below = below or quad_sign(ga - fa, gb - fb, d) < 0
+        f_vals.append(quad_of_ints(fa, fb, d, den))
+        g_vals.append(quad_of_ints(ga, gb, d, den))
+    f = PiecewiseLinear(breakpoints, tuple(f_vals))
+    g = PiecewiseLinear(breakpoints, tuple(g_vals))
+    if below:
+        raise InvariantError("lower envelope exceeds upper envelope")
+    sl = [(f1, g1, e1) for _, f1, _, g1, _, e1 in lines]
+    return f, g, [(y * e - x * c, v * e - w * c) for (x, w, e), (y, v, c) in zip(sl, sl[1:])]
 
 
-def _envelope_vertices(f: PiecewiseLinear, fs, g: PiecewiseLinear, gs) -> ConvexPolygon:
+def _envelope_vertices(f: PiecewiseLinear, g: PiecewiseLinear, bends) -> ConvexPolygon:
     """The region between a convex f and a concave g >= f on their common
-    breakpoints, with slopes fs and gs, as a canonical polygon: f's chain from
-    (a, f(a)) to (s, f(s)), then g's chain back to a, keeping a breakpoint
-    only where the slope changes and g's end points only where g leaves f."""
+    breakpoints, with bends as _envelopes_of gives them, as a canonical
+    polygon: f's chain from (a, f(a)) to (s, f(s)), then g's chain back to
+    a, keeping a breakpoint only where the slope changes and g's end points
+    only where g leaves f."""
     a, s = f.breakpoints[0], f.breakpoints[-1]
-
-    def kinks(pl: PiecewiseLinear, slopes):
-        inner = zip(pl.breakpoints[1:-1], pl.values[1:-1], slopes, slopes[1:])
-        return [(t, v) for t, v, s0, s1 in inner if s0 != s1]
-
-    bottom = [(a, f.values[0])] + kinks(f, fs) + [(s, f.values[-1])]
-    top = kinks(g, gs)
+    inner = list(zip(f.breakpoints[1:-1], f.values[1:-1], g.values[1:-1], bends))
+    bottom = [(a, f.values[0])] + [(t, v) for t, v, _, (x, _) in inner if x]
+    bottom.append((s, f.values[-1]))
+    top = [(t, w) for t, _, w, (_, y) in inner if y]
     if g.values[0] != f.values[0]:
         top.insert(0, (a, g.values[0]))
     if g.values[-1] != f.values[-1]:
@@ -497,34 +519,36 @@ def okounkov_polygon(model: SurfaceModel, alpha: Vec, flag: FlagSpec) -> Okounko
     """The region between f and g over [a, s], as an exact convex polygon.
 
     The vertices are those of the two envelope chains, checked convex and
-    concave first, counter-clockwise from the leftmost-lowest vertex
-    (a, f(a)); they equal the convex hull of the envelope breakpoints.
-    Twice the shoelace area must reproduce the volume of the class, and the
-    vertex count is bounded by 2*rank + 2.  Both facts are verified on every
-    call; the volume is Z(0)^2, the constant term the first chamber of the
-    walk keeps, so alpha is decomposed only by the walk.
+    concave first (by the bends of _envelopes_of), counter-clockwise
+    from the leftmost-lowest vertex (a, f(a)); they equal the convex hull of
+    the envelope breakpoints.  Twice the shoelace area must reproduce the
+    volume of the class, and the vertex count is bounded by 2*rank + 2.
+    Both facts are verified on every call, the area by the integer shoelace
+    of the lifted vertices; the volume is Z(0)^2, the constant term the
+    first chamber of the walk keeps, so alpha is decomposed only by the
+    walk, and the area is half of it.
     """
     validate_flag(model, flag)
     chambers = segment_chambers(model, alpha, flag.curve)
-    f, g = _envelopes_of(chambers, flag)
-    fs, gs = f.slopes(), g.slopes()
-    if any(s1 < s0 for s0, s1 in zip(fs, fs[1:])):
+    f, g, bends = _envelopes_of(chambers, flag)
+    if any(x < 0 for x, _ in bends):
         raise InvariantError("lower envelope is not convex")
-    if any(s0 < s1 for s0, s1 in zip(gs, gs[1:])):
+    if any(y > 0 for _, y in bends):
         raise InvariantError("upper envelope is not concave")
-    vertices = _envelope_vertices(f, fs, g, gs)
+    vertices = _envelope_vertices(f, g, bends)
     if len(vertices) < 3:
         raise InvariantError("degenerate polygon for a big class")
-    area = shoelace_area(vertices)
     vol = chambers[0].square[0]
-    if 2 * area != vol:
+    d, big, (rows,) = _lift(vertices)
+    p, q = _twice_area(rows, d)
+    if q or p * vol.denominator != vol.numerator * big * big:
         raise InvariantError(
-            f"polygon area identity failed: 2*{area} != volume {vol}"
+            f"polygon area identity failed: 2*{shoelace_area(vertices)} != volume {vol}"
         )
     if len(vertices) > 2 * model.rank + 2:
         raise InvariantError("vertex count exceeds 2*rank + 2")
     a, s = f.breakpoints[0], f.breakpoints[-1]
-    return OkounkovPolygon(a=a, s=s, f=f, g=g, vertices=vertices, area=area)
+    return OkounkovPolygon(a=a, s=s, f=f, g=g, vertices=vertices, area=vol / 2)
 
 
 def _flag_base(dec: ZariskiDecomp, flag: FlagSpec) -> Fraction:

@@ -1,29 +1,26 @@
 """Exact convex polygon kernel: canonical form, shoelace area, Minkowski sum
 by edge-angle merging, and half-plane containment.
 
-Vertices are pairs of exact scalars (Fraction or QuadExt); all predicates are
-sign computations, so everything stays exact.  Degenerate polygons (a single
-point, a segment) are legal inputs.  A polygon in canonical form is a
-:class:`ConvexPolygon`; every function here takes one as it is, and
-normalizes and validates any other vertex sequence.
+Vertices are pairs of exact scalars (Fraction or QuadExt).  Each function
+lifts its polygons once to integer rows (_lift), so that every predicate is
+the sign of an integer pair (exact.quad_sign), and builds Fractions and
+QuadExts only for what it returns; inputs that span two radicands raise
+ValueError up front.  Degenerate polygons (a single point, a segment) are
+legal inputs.  A polygon in canonical form is a :class:`ConvexPolygon`;
+every function here takes one as it is, and normalizes and validates any
+other vertex sequence.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from functools import cmp_to_key
+from math import lcm
+from operator import add, sub
 from typing import Sequence
 
-from .exact import ExtRat, ext_sign
+from .exact import ExtRat, QuadExt, quad_of_ints, quad_sign
 
 Point = tuple[ExtRat, ExtRat]
-
-
-def cross(o: Point, a: Point, b: Point):
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def _dir_cross(u: Point, v: Point):
-    return u[0] * v[1] - u[1] * v[0]
 
 
 class ConvexPolygon(tuple):
@@ -36,33 +33,107 @@ class ConvexPolygon(tuple):
     __slots__ = ()
 
 
-def convex_hull(points: Sequence[Point]) -> ConvexPolygon:
-    """Monotone-chain hull, counter-clockwise, collinear points dropped."""
-    pts = sorted(set((p[0], p[1]) for p in points))
+def _lift(*polygons: Sequence[Point]) -> tuple:
+    """(d, L, rows): one radicand d (1 when every coordinate is rational),
+    one denominator L, and per polygon one integer row (Ax, Bx, Ay, By) per
+    vertex ((Ax + Bx*sqrt(d)) / L, (Ay + By*sqrt(d)) / L).  A second
+    radicand raises ValueError, naming the first one met first."""
+    d, dens = 1, {1}
+    for poly in polygons:
+        for point in poly:
+            for c in point[:2]:
+                if isinstance(c, QuadExt):
+                    if c.d != d != 1:
+                        raise ValueError(f"mixed radicands sqrt({d}) and sqrt({c.d})")
+                    d = c.d
+                    dens.add(c.q.denominator)
+                    c = c.p
+                dens.add(c.denominator)
+    big = lcm(*dens)
+
+    def lift(c) -> tuple[int, int]:
+        if isinstance(c, QuadExt):
+            p, q = c.p, c.q
+            return p.numerator * (big // p.denominator), q.numerator * (big // q.denominator)
+        return c.numerator * (big // c.denominator), 0
+
+    return d, big, [[(*lift(p[0]), *lift(p[1])) for p in poly] for poly in polygons]
+
+
+def _point(row, d: int, big: int) -> Point:
+    return quad_of_ints(row[0], row[1], d, big), quad_of_ints(row[2], row[3], d, big)
+
+
+def _cross(u, v, d: int) -> tuple[int, int]:
+    """u x v = P + Q*sqrt(d) for two rows u and v, as (P, Q)."""
+    ux, uxb, uy, uyb = u
+    vx, vxb, vy, vyb = v
+    return (ux * vy - uy * vx + (uxb * vyb - uyb * vxb) * d,
+            ux * vyb + uxb * vy - uy * vxb - uyb * vx)
+
+
+def _turn(o, a, b, d: int) -> int:
+    """Sign of (a - o) x (b - o): 1 for a left turn o, a, b."""
+    return quad_sign(*_cross(tuple(map(sub, a, o)), tuple(map(sub, b, o)), d), d)
+
+
+def _cmp(u, v, d: int) -> int:
+    """Lexicographic comparison of two rows as points."""
+    return quad_sign(u[0] - v[0], u[1] - v[1], d) or quad_sign(u[2] - v[2], u[3] - v[3], d)
+
+
+def _hull(rows, d: int) -> list:
+    """Monotone-chain hull of rows, counter-clockwise, collinear points dropped."""
+    pts = sorted(set(rows), key=None if d == 1 else cmp_to_key(lambda u, v: _cmp(u, v, d)))
     if len(pts) <= 1:
-        return ConvexPolygon(pts)
-    lower: list[Point] = []
+        return pts
+    lower: list = []
     for p in pts:
-        while len(lower) >= 2 and ext_sign(cross(lower[-2], lower[-1], p)) <= 0:
+        while len(lower) >= 2 and _turn(lower[-2], lower[-1], p, d) <= 0:
             lower.pop()
         lower.append(p)
-    upper: list[Point] = []
+    upper: list = []
     for p in reversed(pts):
-        while len(upper) >= 2 and ext_sign(cross(upper[-2], upper[-1], p)) <= 0:
+        while len(upper) >= 2 and _turn(upper[-2], upper[-1], p, d) <= 0:
             upper.pop()
         upper.append(p)
     hull = lower[:-1] + upper[:-1]
-    if len(hull) == 2 and hull[0] == hull[1]:
-        return ConvexPolygon(hull[:1])
-    return ConvexPolygon(hull)
+    return hull[:1] if len(hull) == 2 and hull[0] == hull[1] else hull
 
 
-def _on_segment(p: Point, a: Point, b: Point) -> bool:
-    if ext_sign(cross(a, b, p)) != 0:
-        return False
-    d = (b[0] - a[0], b[1] - a[1])
-    t = (p[0] - a[0]) * d[0] + (p[1] - a[1]) * d[1]
-    return ext_sign(t) >= 0 and t <= d[0] * d[0] + d[1] * d[1]
+def _given(points: Sequence[Point], rows, chosen) -> ConvexPolygon:
+    """The given points (the first of equal ones) at the chosen rows."""
+    given: dict = {}
+    for row, p in zip(rows, points):
+        given.setdefault(row, (p[0], p[1]))
+    return ConvexPolygon(given[row] for row in chosen)
+
+
+def convex_hull(points: Sequence[Point]) -> ConvexPolygon:
+    """Monotone-chain hull, counter-clockwise, collinear points dropped."""
+    d, _, (rows,) = _lift(points)
+    return _given(points, rows, _hull(rows, d))
+
+
+def _on_segment(p, a, b, d: int) -> bool:
+    """p on the closed segment [a, b]: collinear, and between a and b in the
+    lexicographic order, which orders the points of a line along it."""
+    return not _turn(a, b, p, d) and _cmp(p, a, d) * _cmp(p, b, d) <= 0
+
+
+def _canonical(points: Sequence[Point], rows, d: int) -> list:
+    """The rows of points in canonical form, a ConvexPolygon's as they are;
+    raises on empty or non-convex input (see normalize_convex)."""
+    if not rows:
+        raise ValueError("polygon needs at least one vertex")
+    if type(points) is ConvexPolygon:
+        return rows
+    hull = _hull(rows, d)
+    sides = list(zip(hull, hull[1:] + hull[:1])) if len(hull) > 1 else []
+    for p in rows:
+        if p not in hull and not any(_on_segment(p, a, b, d) for a, b in sides):
+            raise ValueError("non-convex polygon input")
+    return hull
 
 
 def normalize_convex(points: Sequence[Point]) -> ConvexPolygon:
@@ -72,54 +143,33 @@ def normalize_convex(points: Sequence[Point]) -> ConvexPolygon:
     given vertex lies on the hull boundary (collinear edge subdivisions are
     fine, strictly interior points are not).
     """
-    if not points:
-        raise ValueError("polygon needs at least one vertex")
-    if type(points) is ConvexPolygon:
+    if type(points) is ConvexPolygon and points:
         return points
-    hull = convex_hull(points)
-    for p in points:
-        p = (p[0], p[1])
-        if p in hull:
-            continue
-        m = len(hull)
-        if m == 1:
-            ok = p == hull[0]
-        else:
-            ok = any(_on_segment(p, hull[i], hull[(i + 1) % m]) for i in range(m))
-        if not ok:
-            raise ValueError("non-convex polygon input")
-    return hull
+    d, _, (rows,) = _lift(points)
+    return _given(points, rows, _canonical(points, rows, d))
 
 
-def signed_area_twice(vertices: Sequence[Point]):
-    total = Fraction(0)
-    n = len(vertices)
-    for i in range(n):
-        x0, y0 = vertices[i]
-        x1, y1 = vertices[(i + 1) % n]
-        total = total + (x0 * y1 - x1 * y0)
-    return total
+def _twice_area(rows, d: int) -> tuple[int, int]:
+    """Twice the signed area of the polygon of rows, as (P, Q) over L**2."""
+    parts = [_cross(u, v, d) for u, v in zip(rows, rows[1:] + rows[:1])]
+    return sum(p for p, _ in parts), sum(q for _, q in parts)
 
 
 def shoelace_area(vertices: Sequence[Point]) -> ExtRat:
     """Exact area of a CCW simple polygon."""
-    return signed_area_twice(vertices) / 2
+    d, big, (rows,) = _lift(vertices)
+    return quad_of_ints(*_twice_area(rows, d), d, 2 * big * big)
 
 
-def _half(v: Point) -> int:
-    """0 for an edge direction at an angle in (-90, 90] degrees, 1 otherwise.
-
-    From its leftmost-lowest vertex, a canonical polygon's edges run through
-    half 0 and then half 1, turning left within each half.
-    """
-    sx = ext_sign(v[0])
-    return 0 if sx > 0 or (sx == 0 and ext_sign(v[1]) > 0) else 1
-
-
-def _edges(vs: ConvexPolygon) -> list[Point]:
-    if len(vs) == 1:
+def _edges(rows, d: int) -> list[tuple]:
+    """(half, edge) per edge of canonical rows: half 1 for an edge pointing
+    lexicographically down, at an angle outside (-90, 90] degrees.  From its
+    leftmost-lowest vertex, a canonical polygon's edges run through half 0
+    and then half 1, turning left within each half."""
+    if len(rows) == 1:
         return []
-    return [(b[0] - a[0], b[1] - a[1]) for a, b in zip(vs, vs[1:] + vs[:1])]
+    edges = [tuple(map(sub, b, a)) for a, b in zip(rows, rows[1:] + rows[:1])]
+    return [(int(_cmp(e, (0, 0, 0, 0), d) < 0), e) for e in edges]
 
 
 def minkowski_sum(p: Sequence[Point], q: Sequence[Point]) -> ConvexPolygon:
@@ -133,44 +183,30 @@ def minkowski_sum(p: Sequence[Point], q: Sequence[Point]) -> ConvexPolygon:
     strictly increase, so the walk is canonical as it stands.  A point
     contributes no edges, i.e. a translation.
     """
-    pv = normalize_convex(p)
-    qv = normalize_convex(q)
-    ep, eq = _edges(pv), _edges(qv)
-    merged: list[Point] = []
+    d, big, (pr, qr) = _lift(p, q)
+    pv, qv = _canonical(p, pr, d), _canonical(q, qr, d)
+    ep, eq = _edges(pv, d), _edges(qv, d)
+    merged: list = []
     i = j = 0
     while i < len(ep) and j < len(eq):
-        u, v = ep[i], eq[j]
-        turn = _half(v) - _half(u) or ext_sign(_dir_cross(u, v))
-        if turn > 0:
-            merged.append(u)
-            i += 1
-        elif turn < 0:
-            merged.append(v)
-            j += 1
-        else:
-            merged.append((u[0] + v[0], u[1] + v[1]))
-            i += 1
-            j += 1
-    merged.extend(ep[i:])
-    merged.extend(eq[j:])
-    out = [(pv[0][0] + qv[0][0], pv[0][1] + qv[0][1])]
+        (hu, u), (hv, v) = ep[i], eq[j]
+        turn = hv - hu or quad_sign(*_cross(u, v, d), d)
+        merged.append(u if turn > 0 else v if turn < 0 else tuple(map(add, u, v)))
+        i, j = i + (turn >= 0), j + (turn <= 0)
+    merged += [e for _, e in ep[i:] + eq[j:]]
+    out = [tuple(map(add, pv[0], qv[0]))]
     for e in merged[:-1]:
-        last = out[-1]
-        out.append((last[0] + e[0], last[1] + e[1]))
-    return ConvexPolygon(out)
+        out.append(tuple(map(add, out[-1], e)))
+    return ConvexPolygon(_point(row, d, big) for row in out)
 
 
 def polygon_contains(p: Sequence[Point], q: Sequence[Point]) -> bool:
     """True when every vertex of q lies in the convex polygon p (edges included)."""
-    pv = normalize_convex(p)
-    qv = normalize_convex(q)
+    d, _, (pr, qr) = _lift(p, q)
+    pv, qv = _canonical(p, pr, d), _canonical(q, qr, d)
     if len(pv) == 1:
         return all(v == pv[0] for v in qv)
     if len(pv) == 2:
-        return all(_on_segment(v, pv[0], pv[1]) for v in qv)
-    edges = list(zip(pv, _edges(pv)))  # each edge of p, formed once
-    for v in qv:
-        for a, e in edges:
-            if ext_sign(_dir_cross(e, (v[0] - a[0], v[1] - a[1]))) < 0:
-                return False
-    return True
+        return all(_on_segment(v, pv[0], pv[1], d) for v in qv)
+    sides = list(zip(pv, pv[1:] + pv[:1]))
+    return all(_turn(a, b, v, d) >= 0 for v in qv for a, b in sides)

@@ -15,7 +15,14 @@ exceptions and texts of each in the same order.
 
 And the Fraction bordered solve (negative_solve, over the Fraction step
 _border) that the integer bordering step, lattice._border, replaced, as
-the reference for the support table and the definiteness test."""
+the reference for the support table and the definiteness test.
+
+And the polygon kernel over Fraction and QuadExt arithmetic that the
+integer rows of zok.polygon replaced (hull, normalization, shoelace area,
+Minkowski merge, containment, with cross and _dir_cross), QuadExt.sign as
+it was, and the envelopes and polygon that okounkov once read off the
+chambers' Fraction fields (f_at, g_at, and slopes by
+PiecewiseLinear.slopes)."""
 
 from __future__ import annotations
 
@@ -31,9 +38,16 @@ from zok.errors import (
     UnknownCurve,
     UnsupportedDirection,
 )
-from zok.exact import parse_rat, sqrt_rat
+from zok.exact import ext_sign, parse_rat, sqrt_rat
 from zok.lattice import Mat, Vec, _dot, _exact, gram_product
-from zok.okounkov import SegmentChamber
+from zok.okounkov import (
+    OkounkovPolygon,
+    PiecewiseLinear,
+    SegmentChamber,
+    segment_chambers,
+    validate_flag,
+)
+from zok.polygon import ConvexPolygon
 from zok.zariski import MorseCertificate, _check_decomposition, zariski_decompose
 
 
@@ -327,3 +341,237 @@ def reference_perturbed_decomposition(model, alpha, omega, eps):
     if closed != zariski_decompose(model, shifted):
         raise InvariantError("perturbation formula disagrees with direct decomposition")
     return closed
+
+
+# -- the polygon kernel and the envelopes, over Fractions and QuadExts --------
+
+
+def reference_sign(p, q, d) -> int:
+    """Sign of p + q*sqrt(d) for rational p, q: QuadExt.sign as it was, over
+    Fractions."""
+    if q == 0:
+        return (p > 0) - (p < 0)
+    if p == 0:
+        return 1 if q > 0 else -1
+    if p > 0 and q > 0:
+        return 1
+    if p < 0 and q < 0:
+        return -1
+    lhs, rhs = p * p, q * q * d
+    if p > 0:  # q < 0
+        return 1 if lhs > rhs else -1
+    return 1 if rhs > lhs else -1
+
+
+def cross(o, a, b):
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _dir_cross(u, v):
+    return u[0] * v[1] - u[1] * v[0]
+
+
+def reference_convex_hull(points) -> ConvexPolygon:
+    """Monotone-chain hull, counter-clockwise, collinear points dropped."""
+    pts = sorted(set((p[0], p[1]) for p in points))
+    if len(pts) <= 1:
+        return ConvexPolygon(pts)
+    lower: list = []
+    for p in pts:
+        while len(lower) >= 2 and ext_sign(cross(lower[-2], lower[-1], p)) <= 0:
+            lower.pop()
+        lower.append(p)
+    upper: list = []
+    for p in reversed(pts):
+        while len(upper) >= 2 and ext_sign(cross(upper[-2], upper[-1], p)) <= 0:
+            upper.pop()
+        upper.append(p)
+    hull = lower[:-1] + upper[:-1]
+    if len(hull) == 2 and hull[0] == hull[1]:
+        return ConvexPolygon(hull[:1])
+    return ConvexPolygon(hull)
+
+
+def _on_segment(p, a, b) -> bool:
+    if ext_sign(cross(a, b, p)) != 0:
+        return False
+    d = (b[0] - a[0], b[1] - a[1])
+    t = (p[0] - a[0]) * d[0] + (p[1] - a[1]) * d[1]
+    return ext_sign(t) >= 0 and t <= d[0] * d[0] + d[1] * d[1]
+
+
+def reference_normalize_convex(points) -> ConvexPolygon:
+    if not points:
+        raise ValueError("polygon needs at least one vertex")
+    if type(points) is ConvexPolygon:
+        return points
+    hull = reference_convex_hull(points)
+    for p in points:
+        p = (p[0], p[1])
+        if p in hull:
+            continue
+        m = len(hull)
+        if m == 1:
+            ok = p == hull[0]
+        else:
+            ok = any(_on_segment(p, hull[i], hull[(i + 1) % m]) for i in range(m))
+        if not ok:
+            raise ValueError("non-convex polygon input")
+    return hull
+
+
+def reference_shoelace_area(vertices):
+    total = Fraction(0)
+    n = len(vertices)
+    for i in range(n):
+        x0, y0 = vertices[i]
+        x1, y1 = vertices[(i + 1) % n]
+        total = total + (x0 * y1 - x1 * y0)
+    return total / 2
+
+
+def _half(v) -> int:
+    sx = ext_sign(v[0])
+    return 0 if sx > 0 or (sx == 0 and ext_sign(v[1]) > 0) else 1
+
+
+def _edges(vs) -> list:
+    if len(vs) == 1:
+        return []
+    return [(b[0] - a[0], b[1] - a[1]) for a, b in zip(vs, vs[1:] + vs[:1])]
+
+
+def reference_minkowski_sum(p, q) -> ConvexPolygon:
+    pv = reference_normalize_convex(p)
+    qv = reference_normalize_convex(q)
+    ep, eq = _edges(pv), _edges(qv)
+    merged: list = []
+    i = j = 0
+    while i < len(ep) and j < len(eq):
+        u, v = ep[i], eq[j]
+        turn = _half(v) - _half(u) or ext_sign(_dir_cross(u, v))
+        if turn > 0:
+            merged.append(u)
+            i += 1
+        elif turn < 0:
+            merged.append(v)
+            j += 1
+        else:
+            merged.append((u[0] + v[0], u[1] + v[1]))
+            i += 1
+            j += 1
+    merged.extend(ep[i:])
+    merged.extend(eq[j:])
+    out = [(pv[0][0] + qv[0][0], pv[0][1] + qv[0][1])]
+    for e in merged[:-1]:
+        last = out[-1]
+        out.append((last[0] + e[0], last[1] + e[1]))
+    return ConvexPolygon(out)
+
+
+def reference_polygon_contains(p, q) -> bool:
+    pv = reference_normalize_convex(p)
+    qv = reference_normalize_convex(q)
+    if len(pv) == 1:
+        return all(v == pv[0] for v in qv)
+    if len(pv) == 2:
+        return all(_on_segment(v, pv[0], pv[1]) for v in qv)
+    edges = list(zip(pv, _edges(pv)))
+    for v in qv:
+        for a, e in edges:
+            if ext_sign(_dir_cross(e, (v[0] - a[0], v[1] - a[1]))) < 0:
+                return False
+    return True
+
+
+def reference_slope_a(chambers, index):
+    """okounkov._slope_a_from_chambers over the chambers' Fraction fields."""
+    for ch in chambers:
+        h0, h1 = ch.h0[index], ch.h1[index]
+        v_lo = h0 + ch.t_lo * h1
+        if v_lo > 0:
+            if ch.t_lo != 0:
+                raise InvariantError("Z(t).C jumped to positive mid-walk")
+            return ch.t_lo
+        if v_lo < 0:
+            raise InvariantError("Z(t).C negative inside the walk")
+        if h1 > 0:
+            return ch.t_lo
+        if h1 < 0:
+            raise InvariantError("Z(t).C decreasing from zero inside the walk")
+    raise InvariantError("Z(t).C vanishes along the entire segment")
+
+
+def reference_envelopes_of(chambers, flag) -> tuple:
+    """(f, g) read off the chambers' Fraction fields by f_at and g_at."""
+    index = flag.curve
+    a = reference_slope_a(chambers, index)
+    sub = [ch for ch in chambers if not ch.t_lo < a]
+    if not sub or sub[0].t_lo != a:
+        raise InvariantError("parameter a is not a chamber boundary")
+    mults = flag.mult_map()
+    for ch in sub:
+        if index in ch.support:
+            k = ch.support.index(index)
+            if ch.coeff0[k] != 0 or ch.coeff1[k] != 0:
+                raise InvariantError("flag curve carries a coefficient beyond a")
+
+    def f_at(ch, t):
+        total = Fraction(0)
+        for i, p, q in zip(ch.support, ch.coeff0, ch.coeff1):
+            m = mults.get(i)
+            if m:
+                total += m * (p + t * q)
+        return total
+
+    def g_at(ch, t):
+        return f_at(ch, t) + ch.h0[index] + t * ch.h1[index]
+
+    breakpoints = [a]
+    f_vals = [f_at(sub[0], a)]
+    g_vals = [g_at(sub[0], a)]
+    for ch in sub:
+        breakpoints.append(ch.t_hi)
+        f_vals.append(f_at(ch, ch.t_hi))
+        g_vals.append(g_at(ch, ch.t_hi))
+    f = PiecewiseLinear(tuple(breakpoints), tuple(f_vals))
+    g = PiecewiseLinear(tuple(breakpoints), tuple(g_vals))
+    for fv, gv in zip(f.values, g.values):
+        if gv < fv:
+            raise InvariantError("lower envelope exceeds upper envelope")
+    return f, g
+
+
+def reference_okounkov_polygon(model, alpha, flag) -> OkounkovPolygon:
+    """okounkov_polygon over the envelopes' values: slopes and kinks by
+    PiecewiseLinear.slopes, the area by the Fraction shoelace."""
+    validate_flag(model, flag)
+    chambers = segment_chambers(model, alpha, flag.curve)
+    f, g = reference_envelopes_of(chambers, flag)
+    fs, gs = f.slopes(), g.slopes()
+    if any(s1 < s0 for s0, s1 in zip(fs, fs[1:])):
+        raise InvariantError("lower envelope is not convex")
+    if any(s0 < s1 for s0, s1 in zip(gs, gs[1:])):
+        raise InvariantError("upper envelope is not concave")
+    a, s = f.breakpoints[0], f.breakpoints[-1]
+
+    def kinks(pl, slopes):
+        inner = zip(pl.breakpoints[1:-1], pl.values[1:-1], slopes, slopes[1:])
+        return [(t, v) for t, v, s0, s1 in inner if s0 != s1]
+
+    bottom = [(a, f.values[0])] + kinks(f, fs) + [(s, f.values[-1])]
+    top = kinks(g, gs)
+    if g.values[0] != f.values[0]:
+        top.insert(0, (a, g.values[0]))
+    if g.values[-1] != f.values[-1]:
+        top.append((s, g.values[-1]))
+    vertices = ConvexPolygon(bottom + top[::-1])
+    if len(vertices) < 3:
+        raise InvariantError("degenerate polygon for a big class")
+    area = reference_shoelace_area(vertices)
+    vol = chambers[0].square[0]
+    if 2 * area != vol:
+        raise InvariantError(f"polygon area identity failed: 2*{area} != volume {vol}")
+    if len(vertices) > 2 * model.rank + 2:
+        raise InvariantError("vertex count exceeds 2*rank + 2")
+    return OkounkovPolygon(a=a, s=s, f=f, g=g, vertices=vertices, area=area)

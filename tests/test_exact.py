@@ -11,6 +11,7 @@ from zok.exact import (
     QuadExt,
     format_rat,
     parse_rat,
+    quad_sign,
     sqrt_rat,
     squarefree_split,
 )
@@ -150,6 +151,24 @@ def test_quadext_sign_agrees_with_float(p, q):
             approx = float(x)
             if abs(approx) > 1e-9:
                 assert x.sign() == (1 if approx > 0 else -1)
+
+
+@given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6), st.sampled_from((2, 3, 5, 7, 10, 30)),
+       rationals, rationals)
+def test_quad_sign_matches_the_fraction_sign(a, b, d, p, q):
+    """quad_sign on integers, and QuadExt.sign through it, give the sign
+    QuadExt.sign took over Fractions, near the cancellation a**2 = b**2*d
+    too (a = isqrt(b**2*d) + 1 and the neighbours of the root)."""
+    from math import isqrt
+
+    from reference import reference_sign
+
+    root = isqrt(b * b * d)
+    for x in (a, root, root + 1, -root, -root - 1):
+        assert quad_sign(x, b, d) == reference_sign(Fraction(x), Fraction(b), d)
+    x = QuadExt.new(p, q, d)
+    if isinstance(x, QuadExt):
+        assert x.sign() == reference_sign(x.p, x.q, x.d)
 
 
 def test_smallest_quadratic_root_above_affine_and_quadratic():

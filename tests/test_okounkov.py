@@ -609,13 +609,15 @@ _COEFF_TEXT = "adjacent chamber coefficients disagree at the breakpoint"
 
 def _with_ints(ch, ints):
     """ch with its kept numerators replaced by ints and its formulas z0, z1,
-    coeff0 and coeff1 rebuilt from them, so both representations agree."""
+    coeff0, coeff1, h0 and h1 rebuilt from them, so both representations
+    agree."""
     import dataclasses
 
-    den0, z0, den1, z1, den, c0, d1, c1 = ints
+    den0, z0, den1, z1, den, c0, d1, c1, h0, h1 = ints
     return dataclasses.replace(
         ch, z0=tuple(Fraction(x, den0) for x in z0), z1=tuple(Fraction(x, den1) for x in z1),
         coeff0=tuple(Fraction(x, den) for x in c0), coeff1=tuple(Fraction(x, d1) for x in c1),
+        h0=tuple(Fraction(x, den) for x in h0), h1=tuple(Fraction(x, d1) for x in h1),
         ints=ints)
 
 
@@ -810,3 +812,52 @@ def test_polygon_vertices_are_the_hull_of_the_envelopes(all_fixture_models, gold
                 polygons += 1
                 irrational += isinstance(poly.s, QuadExt)
     assert polygons > 300 and irrational > 0
+
+
+# -- the envelopes and the polygon on integer numerators ------------------------
+
+
+def _outcome(fn, *args):
+    try:
+        return repr(fn(*args))
+    except (InvariantError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_integer_envelopes_and_polygons_match_the_fraction_reference(
+        all_fixture_models, golden_model):
+    """On the fixtures and seeded random models, with every curve as the flag
+    and no, an integer and a fractional multiplicity, the envelopes and
+    okounkov_polygon's f, g, vertices and area (reprs) equal those read off
+    the chambers' Fraction fields (f_at, g_at, PiecewiseLinear.slopes and
+    the Fraction shoelace)."""
+    from reference import reference_envelopes_of, reference_okounkov_polygon
+    from zok.okounkov import _envelopes_of
+    from zok.oracle import ModelGenSpec, random_model
+
+    models = [*all_fixture_models, golden_model]
+    models += [random_model(ModelGenSpec(seed=seed, rank=3 + seed % 3, num_curves=5 + seed % 3))
+               for seed in range(11, 19)]
+    seen = set()
+    for model in models:
+        n = len(model.curves)
+        for alpha in _big_classes_near_kahler(model, 4):
+            for c in range(n):
+                meeting = [i for i in range(n) if i != c and model.curve_gram[i][c] >= 1]
+                flags = [FlagSpec.make(c)]
+                if meeting:
+                    cap = model.curve_gram[meeting[0]][c]
+                    flags += [FlagSpec.make(c, {meeting[0]: 1}),
+                              FlagSpec.make(c, {meeting[0]: cap / 2, meeting[-1]: cap / 3})]
+                for flag in flags:
+                    got = _outcome(okounkov_polygon, model, alpha, flag)
+                    assert got == _outcome(reference_okounkov_polygon, model, alpha, flag)
+                    if got.startswith("OkounkovPolygon"):
+                        chambers = segment_chambers(model, alpha, c)
+                        f, g = _envelopes_of(chambers, flag)[:2]
+                        assert repr((f, g)) == repr(reference_envelopes_of(chambers, flag))
+                        poly = okounkov_polygon(model, alpha, flag)
+                        seen.add("irrational s" if isinstance(poly.s, QuadExt) else "rational s")
+                        fractional = any(m.denominator > 1 for _, m in flag.mults)
+                        seen.add("fractional" if fractional else "integer" if flag.mults else "no")
+    assert {"irrational s", "rational s", "no", "integer", "fractional"} <= seen

@@ -5,7 +5,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from zok.exact import QuadExt
 from zok.polygon import (
     ConvexPolygon,
     convex_hull,
@@ -209,3 +211,131 @@ def test_non_canonical_inputs_are_normalized_as_before():
             normalize_convex(empty)
         with pytest.raises(ValueError, match="^polygon needs at least one vertex$"):
             minkowski_sum(empty, TRI)
+
+
+# -- the integer kernel against the Fraction and QuadExt reference -----------------
+
+_small = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+
+
+@st.composite
+def _scalar(draw, d):
+    """A rational, or an element of Q(sqrt(d)) when d > 1."""
+    p = draw(_small)
+    return QuadExt.new(p, draw(_small), d) if d > 1 and draw(st.booleans()) else p
+
+
+@st.composite
+def _points(draw, d):
+    """Vertices of a general polygon, a segment (collinear points) or a point."""
+    kind = draw(st.sampled_from(("general", "segment", "point")))
+    start = (draw(_scalar(d)), draw(_scalar(d)))
+    if kind == "point":
+        return [start] * draw(st.integers(1, 2))
+    if kind == "segment":
+        step = (draw(_scalar(d)), draw(_scalar(d)))
+        ks = draw(st.lists(_small, min_size=1, max_size=4))
+        return [start] + [(start[0] + k * step[0], start[1] + k * step[1]) for k in ks]
+    return [start] + draw(st.lists(st.tuples(_scalar(d), _scalar(d)), min_size=1, max_size=6))
+
+
+@st.composite
+def _vertical_pair_at_s(draw, d):
+    """Rational vertices left of an irrational s and the pair (s, f(s)),
+    (s, g(s)) for rational affine f <= g, as an Okounkov polygon ends."""
+    s = QuadExt.new(draw(st.fractions(1, 3, max_denominator=4)),
+                    draw(st.fractions(1, 2, max_denominator=4)), d)
+    f0, f1, w0 = draw(_small), draw(_small), draw(st.fractions(0, 4, max_denominator=3))
+    left = draw(st.lists(st.tuples(st.fractions(-6, 0, max_denominator=4), _small),
+                         min_size=1, max_size=4))
+    return left + [(s, f0 + f1 * s), (s, f0 + w0 + f1 * s)]
+
+
+def _outcome(fn, *args):
+    try:
+        return repr(fn(*args))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def _subdivided(poly):
+    """poly rotated, with the midpoint of each edge inserted and its first
+    vertex repeated: non-canonical input with collinear subdivisions."""
+    poly = list(poly)
+    out = []
+    for a, b in zip(poly, poly[1:] + poly[:1]):
+        out += [a, ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)]
+    return out[1:] + out[:2]
+
+
+def _check_against_reference(points_p, points_q):
+    from reference import (
+        reference_convex_hull,
+        reference_minkowski_sum,
+        reference_normalize_convex,
+        reference_polygon_contains,
+        reference_shoelace_area,
+    )
+
+    for points in (points_p, points_q, points_p + points_q):
+        assert _outcome(convex_hull, points) == _outcome(reference_convex_hull, points)
+    p, q = reference_convex_hull(points_p), reference_convex_hull(points_q)
+    s = reference_minkowski_sum(p, q)
+    inputs = [p, q, s, list(p), _subdivided(p), _subdivided(s)]
+    if len(p) >= 3:
+        centre = tuple(sum(c) / len(p) for c in zip(*p))
+        inputs.append(list(p) + [centre])  # strictly inside: non-convex input
+    for x in inputs:
+        assert _outcome(normalize_convex, x) == _outcome(reference_normalize_convex, x)
+        assert _outcome(shoelace_area, x) == _outcome(reference_shoelace_area, x)
+        for y in inputs:
+            assert _outcome(minkowski_sum, x, y) == _outcome(reference_minkowski_sum, x, y)
+            assert _outcome(polygon_contains, x, y) == _outcome(reference_polygon_contains, x, y)
+    assert polygon_contains(s, _subdivided(s)) and polygon_contains(_subdivided(s), s)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((1, 2, 5)).flatmap(lambda d: st.tuples(_points(d), _points(d))))
+def test_integer_kernel_matches_the_reference(pair):
+    """Hull, normalization, shoelace area, Minkowski sum and containment
+    give the reprs, answers and errors of the Fraction and QuadExt kernel on
+    convex polygons, segments and points over Q or one Q(sqrt(d)), canonical
+    or not (rotated, collinear edge subdivisions, a repeated vertex), and on
+    input with a strictly interior point."""
+    _check_against_reference(*pair)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from((2, 3, 7)).flatmap(lambda d: st.tuples(_vertical_pair_at_s(d), _points(d))))
+def test_integer_kernel_matches_the_reference_at_an_irrational_end(pair):
+    """As above, for polygons whose right edge is a vertex pair at an
+    irrational x = s, as the Okounkov polygons that end at an irrational s."""
+    _check_against_reference(*pair)
+
+
+# -- mixed radicands, refused up front ------------------------------------------------
+
+_ROOT2 = QuadExt.new(Fraction(0), Fraction(1), 2)
+_ROOT3 = QuadExt.new(Fraction(0), Fraction(1), 3)
+
+
+def test_mixed_radicands_raise_up_front_naming_the_first_input_first():
+    """Two inputs over Q(sqrt(2)) and Q(sqrt(3)) raise before any predicate
+    runs, the first input's radicand named first.  The pair below returned
+    False before, since its first vertex of q fails p's first (rational)
+    edge before any mixed operation; that is a declared change."""
+    from reference import reference_polygon_contains
+
+    p = convex_hull([(Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)), (Fraction(0), _ROOT2)])
+    q = convex_hull([(Fraction(0), Fraction(-1)), (_ROOT3, Fraction(5))])
+    assert reference_polygon_contains(p, q) is False
+    for call, first, second in (
+        (lambda: polygon_contains(p, q), 2, 3),
+        (lambda: polygon_contains(q, p), 3, 2),
+        (lambda: minkowski_sum(p, q), 2, 3),
+        (lambda: minkowski_sum(q, p), 3, 2),
+        (lambda: convex_hull(list(p) + list(q)), 2, 3),
+        (lambda: convex_hull(list(q) + list(p)), 3, 2),
+    ):
+        with pytest.raises(ValueError, match=rf"^mixed radicands sqrt\({first}\) and sqrt\({second}\)$"):
+            call()
