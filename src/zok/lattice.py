@@ -32,22 +32,9 @@ def mat(rows: Iterable[Iterable]) -> Mat:
     return tuple(vec(row) for row in rows)
 
 
-def vec_add(u: Vec, v: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_sub(u: Vec, v: Vec) -> Vec:
-    return tuple(a - b for a, b in zip(u, v))
-
-
 def _exact(x):
     """x itself when already a Fraction, else x as a Fraction."""
     return x if isinstance(x, Fraction) else Fraction(x)
-
-
-def vec_scale(c, u: Vec) -> Vec:
-    c = _exact(c)
-    return tuple(c * a for a in u)
 
 
 def vec_is_zero(u: Vec) -> bool:
@@ -394,7 +381,9 @@ class SurfaceModel:
 
     def pairing_ints(self, u: Sequence) -> tuple[int, list[int], int, tuple[int, ...]]:
         """(l, nums, pd, pairs): u = nums / l scaled once and u . C_i = pairs[i]
-        / pd, one integer dot product with the duals per curve."""
+        / pd, one integer dot product with the duals per curve.  The one door
+        of a class into the integer kernel: its length is checked first
+        (ValueError), then its scalars (TypeError, _over_lcm)."""
         if len(u) != self.rank:
             raise ValueError(f"vector length must be {self.rank}")
         dd, duals = self.duals

@@ -35,8 +35,8 @@ from .errors import (
     UnknownCurve,
 )
 from .exact import ExtRat, QuadExt, parse_rat, quad_of_ints, quad_sign, sqrt_rat
-from .lattice import SurfaceModel, Vec, _over_lcm
-from .polygon import ConvexPolygon, Point, _lift, _twice_area, shoelace_area
+from .lattice import SurfaceModel, Vec
+from .polygon import ConvexPolygon, Point, shoelace_area
 from .zariski import (
     Kind,
     ZariskiDecomp,
@@ -201,15 +201,12 @@ class BoundaryBody:
 
 def _walk_class(model: SurfaceModel, alpha: Vec, direction: Vec) -> tuple:
     """(alpha, ld, d, along, la, a, pairs): direction = d / ld and alpha =
-    a / la, scaled once per walk, and their curve pairings along and pairs
-    over ld * dd and la * dd (the duals' denominator), in that order."""
-    dd, duals = model.duals
-    ld, d = _over_lcm(direction)
-    along = [sum(map(mul, d, row)) for row in duals]
-    if len(alpha) != model.rank:
-        raise ValueError(f"class vector must have length {model.rank}")
-    la, a = _over_lcm(alpha)
-    return alpha, ld, d, along, la, a, [sum(map(mul, a, row)) for row in duals]
+    a / la, scaled once per walk by model.pairing_ints, in that order, and
+    their curve pairings along and pairs over ld * dd and la * dd (the
+    duals' denominator)."""
+    ld, d, _, along = model.pairing_ints(direction)
+    la, a, _, pairs = model.pairing_ints(alpha)
+    return alpha, ld, d, along, la, a, pairs
 
 
 def _chamber_at(model, walk, t0, fallback_end=None):
@@ -382,8 +379,6 @@ def first_chamber_along(model: SurfaceModel, alpha: Vec, direction: Vec) -> Segm
     for big alpha: the first chamber of that walk (see _chamber_at), which
     also tests that alpha is big.  t_hi is the first event (terminal or
     not), or 1 when no event lies ahead."""
-    if len(direction) != model.rank:
-        raise ValueError(f"class vector must have length {model.rank}")
     walk = _walk_class(model, alpha, direction)
     return _chamber_at(model, walk, Fraction(0), Fraction(1))[0]
 
@@ -523,10 +518,9 @@ def okounkov_polygon(model: SurfaceModel, alpha: Vec, flag: FlagSpec) -> Okounko
     from the leftmost-lowest vertex (a, f(a)); they equal the convex hull of
     the envelope breakpoints.  Twice the shoelace area must reproduce the
     volume of the class, and the vertex count is bounded by 2*rank + 2.
-    Both facts are verified on every call, the area by the integer shoelace
-    of the lifted vertices; the volume is Z(0)^2, the constant term the
-    first chamber of the walk keeps, so alpha is decomposed only by the
-    walk, and the area is half of it.
+    Both facts are verified on every call; the volume is Z(0)^2, the
+    constant term the first chamber of the walk keeps, so alpha is
+    decomposed only by the walk.
     """
     validate_flag(model, flag)
     chambers = segment_chambers(model, alpha, flag.curve)
@@ -538,17 +532,13 @@ def okounkov_polygon(model: SurfaceModel, alpha: Vec, flag: FlagSpec) -> Okounko
     vertices = _envelope_vertices(f, g, bends)
     if len(vertices) < 3:
         raise InvariantError("degenerate polygon for a big class")
-    vol = chambers[0].square[0]
-    d, big, (rows,) = _lift(vertices)
-    p, q = _twice_area(rows, d)
-    if q or p * vol.denominator != vol.numerator * big * big:
-        raise InvariantError(
-            f"polygon area identity failed: 2*{shoelace_area(vertices)} != volume {vol}"
-        )
+    vol, area = chambers[0].square[0], shoelace_area(vertices)
+    if 2 * area != vol:
+        raise InvariantError(f"polygon area identity failed: 2*{area} != volume {vol}")
     if len(vertices) > 2 * model.rank + 2:
         raise InvariantError("vertex count exceeds 2*rank + 2")
     a, s = f.breakpoints[0], f.breakpoints[-1]
-    return OkounkovPolygon(a=a, s=s, f=f, g=g, vertices=vertices, area=vol / 2)
+    return OkounkovPolygon(a=a, s=s, f=f, g=g, vertices=vertices, area=area)
 
 
 def _flag_base(dec: ZariskiDecomp, flag: FlagSpec) -> Fraction:

@@ -1,18 +1,19 @@
 """Exact convex polygon kernel: canonical form, shoelace area, Minkowski sum
 by edge-angle merging, and half-plane containment.
 
-Vertices are pairs of exact scalars (Fraction or QuadExt).  Each function
-lifts its polygons once to integer rows (_lift), so that every predicate is
-the sign of an integer pair (exact.quad_sign), and builds Fractions and
-QuadExts only for what it returns; inputs that span two radicands raise
-ValueError up front.  Degenerate polygons (a single point, a segment) are
-legal inputs.  A polygon in canonical form is a :class:`ConvexPolygon`;
-every function here takes one as it is, and normalizes and validates any
-other vertex sequence.
+Vertices are pairs of exact scalars: int, Fraction or QuadExt.  Each
+function lifts its polygons once to integer rows (_lift), so that every
+predicate is the sign of an integer pair (exact.quad_sign), and builds
+Fractions and QuadExts only for what it returns; any other scalar raises
+TypeError and inputs that span two radicands ValueError, up front.
+Degenerate polygons (a single point, a segment) are legal inputs.  A
+polygon in canonical form is a :class:`ConvexPolygon`; every function here
+takes one as it is, and normalizes and validates any other vertex sequence.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import cmp_to_key
 from math import lcm
 from operator import add, sub
@@ -36,8 +37,15 @@ class ConvexPolygon(tuple):
 def _lift(*polygons: Sequence[Point]) -> tuple:
     """(d, L, rows): one radicand d (1 when every coordinate is rational),
     one denominator L, and per polygon one integer row (Ax, Bx, Ay, By) per
-    vertex ((Ax + Bx*sqrt(d)) / L, (Ay + By*sqrt(d)) / L).  A second
+    vertex ((Ax + Bx*sqrt(d)) / L, (Ay + By*sqrt(d)) / L).  A coordinate
+    whose type is not exactly int, Fraction or QuadExt (a float, a bool)
+    raises TypeError naming the types, before anything else; a second
     radicand raises ValueError, naming the first one met first."""
+    kinds = {type(c) for poly in polygons for point in poly for c in point[:2]}
+    kinds -= {int, Fraction, QuadExt}
+    if kinds:
+        names = sorted(k.__name__ for k in kinds)
+        raise TypeError(f"unsupported scalars in a polygon: {names}")
     d, dens = 1, {1}
     for poly in polygons:
         for point in poly:
@@ -149,16 +157,12 @@ def normalize_convex(points: Sequence[Point]) -> ConvexPolygon:
     return _given(points, rows, _canonical(points, rows, d))
 
 
-def _twice_area(rows, d: int) -> tuple[int, int]:
-    """Twice the signed area of the polygon of rows, as (P, Q) over L**2."""
-    parts = [_cross(u, v, d) for u, v in zip(rows, rows[1:] + rows[:1])]
-    return sum(p for p, _ in parts), sum(q for _, q in parts)
-
-
 def shoelace_area(vertices: Sequence[Point]) -> ExtRat:
-    """Exact area of a CCW simple polygon."""
+    """Exact area of a CCW simple polygon: half the sum of its edges' cross
+    products, each an integer pair over L**2."""
     d, big, (rows,) = _lift(vertices)
-    return quad_of_ints(*_twice_area(rows, d), d, 2 * big * big)
+    parts = [_cross(u, v, d) for u, v in zip(rows, rows[1:] + rows[:1])]
+    return quad_of_ints(sum(p for p, _ in parts), sum(q for _, q in parts), d, 2 * big * big)
 
 
 def _edges(rows, d: int) -> list[tuple]:

@@ -29,15 +29,7 @@ from .errors import (
     UsageError,
 )
 from .exact import parse_rat
-from .lattice import (
-    SurfaceModel,
-    Vec,
-    _over_lcm,
-    vec_add,
-    vec_is_zero,
-    vec_scale,
-    vec_sub,
-)
+from .lattice import SurfaceModel, Vec, _over_lcm, vec_is_zero
 
 FAMILY_ENUMERATION_CAP = 20
 
@@ -127,15 +119,15 @@ def is_nef_in_model(model: SurfaceModel, alpha: Vec) -> bool:
     """Non-negative against every listed curve, with alpha^2 >= 0 and
     alpha.omega >= 0 to pin the positive-cone component.  alpha is scaled
     once and all three are integer sign tests (see _nef_ints)."""
-    return _nef_ints(model, alpha) is not None
+    return _nef_ints(model, model.pairing_ints(alpha)) is not None
 
 
-def _nef_ints(model: SurfaceModel, u: Vec, scaled: Optional[tuple] = None) -> Optional[tuple]:
-    """(l, nums, pairs, met) when u is nef in the model, else None: u = nums
-    / l and pairs from SurfaceModel.pairing_ints (or scaled, its result when
-    the caller has it), met = _met(nums).  Every denominator is positive, so
-    each test is the sign of an integer."""
-    l, nums, _, pairs = scaled or model.pairing_ints(u)
+def _nef_ints(model: SurfaceModel, scaled: tuple) -> Optional[tuple]:
+    """(l, nums, pairs, met) when the class u of scaled = model.pairing_ints(u)
+    is nef in the model, else None: u = nums / l, pairs its curve pairings
+    and met = _met(nums).  Every denominator is positive, so each test is
+    the sign of an integer."""
+    l, nums, _, pairs = scaled
     if any(v < 0 for v in pairs):
         return None
     met = _met(model, nums)
@@ -205,18 +197,14 @@ def zariski_decompose(model: SurfaceModel, alpha: Vec) -> ZariskiDecomp:
     with the curves: seed the support with the curves alpha meets
     negatively, solve the orthogonality system Gram(S) * a = (alpha . N_i),
     and absorb every curve the residual still meets negatively, until
-    stable.  alpha is scaled to integer numerators once, for its pairings
-    (integer dot products with the duals) and for the check (_checked).
+    stable.  alpha enters through model.pairing_ints, scaled to integer
+    numerators once, for its pairings and for the check (_checked).
     Raises NotPseudoEffective when the support Gram loses negative
     definiteness, a solved coefficient turns negative, or the stabilized
     residual fails the remaining nef-in-model conditions.
     """
-    if len(alpha) != model.rank:
-        raise ValueError(f"class vector must have length {model.rank}")
-    dd, duals = model.duals
-    la, nums = _over_lcm(alpha)
-    column = [sum(map(mul, nums, row)) for row in duals]
-    support, (den,), (a,), _ = _grow_support(model, (column,), (la * dd,))
+    la, nums, pd, column = model.pairing_ints(alpha)
+    support, (den,), (a,), _ = _grow_support(model, (column,), (pd,))
     return _checked(model, tuple(alpha), la, nums, support, tuple(Fraction(x, den) for x in a),
                     den, a, _curve_sum(model, support, a))
 
@@ -310,7 +298,7 @@ def _direction_kind(model: SurfaceModel, beta: Vec) -> tuple:
     beta = nums / l is matched by cross-multiplication against the curve
     classes' integer rows (model._curve_ints)."""
     scaled = model.pairing_ints(beta)
-    nef = _nef_ints(model, beta, scaled)
+    nef = _nef_ints(model, scaled)
     if nef is not None:
         return "nef", nef
     l, nums = scaled[:2]
@@ -346,18 +334,20 @@ def morse_gap(model: SurfaceModel, alpha: Vec, beta: Vec) -> MorseCertificate:
     lhs = alpha^2 - 2 alpha.beta.  When lhs > 0 the difference must be big
     with volume >= lhs; both facts are verified and any failure is an
     internal invariant breach, not a negative verdict.  Each class is
-    scaled once, by its nef test, and lhs is formed from those integers.
+    scaled once, by its nef test, and lhs and the difference are formed
+    from those integers.
     """
-    nef_a = _nef_ints(model, alpha)
+    nef_a = _nef_ints(model, model.pairing_ints(alpha))
     if nef_a is None:
         raise NotNef("first class is not nef in model")
-    nef_b = _nef_ints(model, beta)
+    nef_b = _nef_ints(model, model.pairing_ints(beta))
     if nef_b is None:
         raise NotNef("second class is not nef in model")
     (la, na, _, met), (lb, nb, _, _) = nef_a, nef_b
     lhs = Fraction(lb * sum(map(mul, na, met)) - 2 * la * sum(map(mul, nb, met)),
                    la * la * lb * model._gram_ints[0])
-    dec = _decompose_or_none(model, vec_sub(alpha, beta))
+    diff = tuple(Fraction(lb * x - la * y, la * lb) for x, y in zip(na, nb))
+    dec = _decompose_or_none(model, diff)
     vol = None if dec is None else dec.volume(model)
     big = vol is not None and vol > 0  # a zero positive part has volume 0
     if lhs > 0:
@@ -370,7 +360,7 @@ def morse_gap(model: SurfaceModel, alpha: Vec, beta: Vec) -> MorseCertificate:
 
 def null_curves(model: SurfaceModel, z: Vec) -> tuple[int, ...]:
     """Indices of listed curves orthogonal to a nef class of positive square."""
-    nef = _nef_ints(model, z)
+    nef = _nef_ints(model, model.pairing_ints(z))
     if nef is None:
         raise NotNef("null locus needs a nef-in-model class")
     _, nums, pairs, met = nef
@@ -491,7 +481,9 @@ def perturbed_decomposition(
     min(a_i / b_i); at or above it raises EpsilonTooLarge carrying the
     exact threshold.  With empty support the
     formula degenerates to decomposing alpha + eps*omega directly.  omega
-    is scaled once; the lift (_lift) and P + eps * lift stay integers.
+    and alpha are scaled once (pairing_ints), alpha + eps*omega is formed
+    from their numerators, and the lift (_lift) and P + eps * lift stay
+    integers.
     """
     eps = parse_rat(eps)
     if eps <= 0:
@@ -503,7 +495,9 @@ def perturbed_decomposition(
         raise ValueError("omega must be Kahler-like: positive square and "
                          "positive against every listed curve")
     dec = zariski_decompose(model, alpha)
-    shifted = vec_add(alpha, vec_scale(eps, omega))
+    la, a, _, _ = model.pairing_ints(alpha)
+    e, ed = eps.numerator, eps.denominator
+    shifted = tuple(Fraction(ed * lw * x + e * la * y, la * ed * lw) for x, y in zip(a, w))
     if not dec.support:
         return zariski_decompose(model, shifted)
     z, lz, b = _lift(model, dec.support, lw, w, [on_curves[i] for i in dec.support])
@@ -516,7 +510,7 @@ def perturbed_decomposition(
     except NotPseudoEffective as exc:  # a broken closed form is a bug, not a verdict
         raise InvariantError("positive part not nef in model") from exc
     (l0, p0, _, _), (lq, q, _, _) = dec.positive_ints, closed.positive_ints
-    e, ed = eps.numerator, eps.denominator  # q / lq == p0 / l0 + e * z / (ed * lz)?
+    # q / lq == p0 / l0 + e * z / (ed * lz)?
     if any(x * l0 * ed * lz != (y * ed * lz + e * l0 * t) * lq for x, y, t in zip(q, p0, z)):
         raise InvariantError("perturbed positive part is not P + eps * lift")
     direct = zariski_decompose(model, shifted)

@@ -22,7 +22,10 @@ integer rows of zok.polygon replaced (hull, normalization, shoelace area,
 Minkowski merge, containment, with cross and _dir_cross), QuadExt.sign as
 it was, and the envelopes and polygon that okounkov once read off the
 chambers' Fraction fields (f_at, g_at, and slopes by
-PiecewiseLinear.slopes)."""
+PiecewiseLinear.slopes).
+
+And vec_add and vec_scale, the Fraction vector arithmetic that zok no
+longer does, for building the tests' classes."""
 
 from __future__ import annotations
 
@@ -49,6 +52,15 @@ from zok.okounkov import (
 )
 from zok.polygon import ConvexPolygon
 from zok.zariski import MorseCertificate, _check_decomposition, zariski_decompose
+
+
+def vec_add(u: Vec, v: Vec) -> Vec:
+    return tuple(a + b for a, b in zip(u, v))
+
+
+def vec_scale(c, u: Vec) -> Vec:
+    c = _exact(c)
+    return tuple(c * a for a in u)
 
 
 def _border(cross: Sequence, r_j: Sequence, s_j, y_j, r_y: Sequence) -> tuple[Vec, Fraction]:

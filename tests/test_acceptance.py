@@ -15,7 +15,6 @@ import pytest
 
 from zok.cli import main as cli_main
 from zok.errors import EpsilonTooLarge, NotPseudoEffective
-from zok.lattice import vec_add, vec_scale
 from zok.okounkov import FlagSpec, boundary_body, okounkov_polygon
 from zok.oracle import area_by_integration, brute_force_zariski, derivative_by_chambers
 from zok.polygon import minkowski_sum, polygon_contains
@@ -31,6 +30,7 @@ from zok.zariski import (
 )
 
 from conftest import F, int_grid
+from reference import vec_add, vec_scale
 
 GRID_BOUND = 3
 

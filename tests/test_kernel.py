@@ -20,14 +20,13 @@ from zok.lattice import (
     negative_definite_subsets,
     signature,
     solve_linear,
-    vec_scale,
 )
 from zok.okounkov import segment_chambers
 from zok.oracle import ModelGenSpec, random_model
 from zok.zariski import _grow_support, enumerate_exceptional_families, zariski_decompose
 
 from conftest import F, int_grid
-from reference import negative_solve, reference_growth
+from reference import negative_solve, reference_growth, vec_scale
 
 small = st.sampled_from([Fraction(0)] * 4 + [Fraction(k) for k in (-3, -2, -1, 1, 2)]
                         + [Fraction(-1, 2), Fraction(1, 3), Fraction(-5, 3)])

@@ -14,7 +14,6 @@ from zok.errors import (
     UnknownCurve,
 )
 from zok.exact import QuadExt
-from zok.lattice import vec_scale
 from zok.okounkov import (
     BoundaryBody,
     FlagSpec,
@@ -31,6 +30,7 @@ from zok.oracle import area_by_integration
 from zok.zariski import volume
 
 from conftest import F, int_grid
+from reference import vec_scale
 
 
 # -- flag validation -----------------------------------------------------------
@@ -175,12 +175,12 @@ def test_chambers_require_big(blowup1):
     # walk of its first coordinates
     for alpha in (F(2), F(2, 0, 0)):
         for walk, arg in ((segment_chambers, 0), (first_chamber_along, F(1, -1))):
-            with pytest.raises(ValueError, match="^class vector must have length 2$"):
+            with pytest.raises(ValueError, match="^vector length must be 2$"):
                 walk(blowup1, alpha, arg)
     # so does a direction of the wrong length, not a walk of its first
     # coordinates
     for direction in (F(1), F(1, -1, 7)):
-        with pytest.raises(ValueError, match="^class vector must have length 2$"):
+        with pytest.raises(ValueError, match="^vector length must be 2$"):
             first_chamber_along(blowup1, F(2, 1), direction)
 
 

@@ -13,8 +13,6 @@ from zok.lattice import (
     signature,
     solve_linear,
     validate_model,
-    vec_add,
-    vec_scale,
 )
 from zok.okounkov import PiecewiseLinear
 from zok.oracle import (
@@ -34,7 +32,7 @@ from zok.zariski import (
 )
 
 from conftest import F, int_grid
-from reference import residual_pairings
+from reference import residual_pairings, vec_add, vec_scale
 from test_kernel import rational_models, rationals
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -339,3 +340,23 @@ def test_mixed_radicands_raise_up_front_naming_the_first_input_first():
     ):
         with pytest.raises(ValueError, match=rf"^mixed radicands sqrt\({first}\) and sqrt\({second}\)$"):
             call()
+
+
+def test_inexact_coordinates_raise_type_error_naming_the_types():
+    """A float or bool coordinate is refused up front, before the mixed-
+    radicand test, with a TypeError that names its types, in every polygon
+    function and in either argument.  Before, a float raised AttributeError
+    from the lift and a bool was read as 0 or 1; that is a declared change."""
+    point, flag = [(0.5, Fraction(0))], [(True, Fraction(0))]
+    mixed = [(_ROOT2, 0.5), (Fraction(0), True)]
+    over3 = [(Fraction(0), Fraction(0)), (_ROOT3, Fraction(0)), (Fraction(0), _ROOT3)]
+    calls = [(f, (bad,)) for f in (convex_hull, normalize_convex, shoelace_area)
+             for bad in (point, flag, mixed)]
+    calls += [(f, args) for f in (minkowski_sum, polygon_contains)
+              for args in ((point, TRI), (TRI, flag), (mixed, over3))]
+    for f, args in calls:
+        names = ["bool", "float"] if mixed in args else ["float"] if point in args else ["bool"]
+        text = f"unsupported scalars in a polygon: {names}"
+        with pytest.raises(TypeError, match=f"^{re.escape(text)}$"):
+            f(*args)
+    assert polygon_contains([(Fraction(1, 2), 0)], [(Fraction(1, 2), Fraction(0))])
