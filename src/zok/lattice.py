@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -237,14 +237,6 @@ class CurveRecord:
     cls: Vec
 
 
-def _shared(rows) -> Mat:
-    """rows as a table in which equal entries are one object.  The curve
-    Gram table repeats a few small Fractions; one object per distinct value
-    keeps it small."""
-    seen: dict = {}
-    return tuple(tuple(seen.setdefault(x, x) for x in row) for row in rows)
-
-
 def _over_lcm(u: Sequence) -> tuple[int, list[int]]:
     """(den, nums) with u[k] == nums[k] / den, den the lcm of the denominators
     of u, which must be a rational vector."""
@@ -264,24 +256,27 @@ def _int_rows(rows) -> tuple[int, tuple[tuple[int, ...], ...]]:
     return den, tuple(tuple(p * (den // q) for p, q in row) for row in ratios)
 
 
-def _dots(u: Sequence, den: int, rows) -> list:
-    """u . row / den for every integer row, u rational: one integer dot
-    product per row, divided once."""
-    lu, nums = _over_lcm(u)
-    d = lu * den
-    return [Fraction(sum(map(mul, nums, row)), d) for row in rows]
+def _products(den: int, rows, scale: int, vecs) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The values row . v / (den * scale) for every integer row, one integer
+    row per integer vector v of vecs, over their least common denominator:
+    den * scale > 0 and every product divided by their one gcd."""
+    table = [[sum(map(mul, row, v)) for row in rows] for v in vecs]
+    g = gcd(den * scale, *[x for row in table for x in row])
+    return den * scale // g, tuple(tuple(x // g for x in row) for row in table)
 
 
 @dataclass(frozen=True)
 class SurfaceModel:
     """Finite rational intersection lattice with named curves and a Kahler class.
 
-    The curve table (``duals`` and ``curve_gram``) is built once per model,
-    on first use, from a model whose shapes are valid.  Every pairing runs
+    The integer tables (the duals, the Kahler row, the curve Gram table) are
+    built once per model, on first use, from a model whose shapes are valid,
+    as integer products of the form and the curve classes (_products), each
+    reduced once to its least common denominator; ``curve_gram`` is the
+    Gram table's Fraction view, built only when read.  Every pairing runs
     over integers: a class is scaled to integer numerators over the lcm of
-    its denominators, each pairing is one integer sum of products against an
-    integer table (the form, the duals or the curve Gram table, each over
-    one common denominator), and the sum is divided once.  Classes are
+    its denominators, each pairing is one integer sum of products against
+    an integer table, and the sum is divided once.  Classes are
     rational; any other scalar is refused with a TypeError.
     ``gram_product`` is the independent reference.  Next to the curve table
     the model keeps a support table (``support_forms``), filled lazily: each
@@ -320,21 +315,16 @@ class SurfaceModel:
     def _kahler_row(self) -> tuple[int, ...]:
         """gram * omega as one integer row over a positive denominator, so
         that the sign of u . omega is that of one integer dot product."""
-        return _int_rows([_dots(self.kahler, *self._gram_ints)])[1][0]
+        lk, nums = _over_lcm(self.kahler)
+        return _products(*self._gram_ints, lk, [nums])[1][0]
 
     @cached_property
     def duals(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """gram * c_i for every curve, as integer rows over one common
+        """gram * c_i for every curve, as integer rows over their least common
         denominator, so that u . C_i is one integer dot product."""
         if any(len(c.cls) != self.rank for c in self.curves):
             raise ValueError(f"vector length must be {self.rank}")
-        return _int_rows([_dots(c.cls, *self._gram_ints) for c in self.curves])
-
-    @cached_property
-    def curve_gram(self) -> Mat:
-        """The curve Gram table: entry (i, j) is C_i . C_j."""
-        by_column = [_dots(c.cls, *self.duals) for c in self.curves]
-        return _shared(zip(*by_column))
+        return _products(*self._gram_ints, *self._curve_ints)
 
     @cached_property
     def _curve_ints(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
@@ -343,8 +333,18 @@ class SurfaceModel:
 
     @cached_property
     def _curve_gram_ints(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """The curve Gram table as integer rows over one common denominator."""
-        return _int_rows(self.curve_gram)
+        """The curve Gram table, C_i . C_j, as integer rows over their least
+        common denominator: each curve's numerators against the duals."""
+        return _products(*self.duals, *self._curve_ints)
+
+    @cached_property
+    def curve_gram(self) -> Mat:
+        """The curve Gram table as Fractions, entry (i, j) C_i . C_j: a view
+        of _curve_gram_ints built on first read, which no zok computation
+        makes; equal entries are one Fraction."""
+        den, rows = self._curve_gram_ints
+        values = {x: Fraction(x, den) for x in {x for row in rows for x in row}}
+        return tuple(tuple(values[x] for x in row) for row in rows)
 
     @cached_property
     def _support_table(self) -> dict:
@@ -393,8 +393,8 @@ class SurfaceModel:
     @cached_property
     def families(self) -> tuple[tuple[int, ...], ...]:
         """Every negative-definite curve family, the empty one included, in
-        lexicographic order (negative_definite_subsets on the curve table)."""
-        return tuple(negative_definite_subsets(self.curve_gram))
+        lexicographic order (negative_definite_subsets on the integer table)."""
+        return tuple(negative_definite_subsets(self._curve_gram_ints[1]))
 
     @cached_property
     def family_atlas(self) -> tuple[tuple, ...]:
@@ -511,23 +511,23 @@ def validate_model(model: SurfaceModel) -> list[str]:
             bad_shape = True
     if bad_shape or not symmetric:
         return problems
-    if model.intersect(model.kahler, model.kahler) <= 0:
+    _, k, _, on_curves = model.pairing_ints(model.kahler)
+    if sum(map(mul, k, model._kahler_row)) <= 0:
         problems.append("kahler class fails omega.omega > 0")
     names = [c.name for c in model.curves]
     for name in sorted(set(n for n in names if names.count(n) > 1)):
         problems.append(f"duplicate curve name {name!r}")
-    for c, w in zip(model.curves, model.pairings(model.kahler)):
+    for c, w in zip(model.curves, on_curves):
         if vec_is_zero(c.cls):
             problems.append(f"curve {c.name!r} has zero class")
         elif w <= 0:
             problems.append(f"kahler class fails omega.{c.name} > 0")
-    table = model.curve_gram
+    den, table = model._curve_gram_ints
     for i in range(len(model.curves)):
         for j in range(i + 1, len(model.curves)):
-            prod = table[i][j]
-            if prod < 0:
+            if table[i][j] < 0:
                 problems.append(
                     f"distinct curves {model.curves[i].name!r} and "
-                    f"{model.curves[j].name!r} meet negatively ({prod})"
+                    f"{model.curves[j].name!r} meet negatively ({Fraction(table[i][j], den)})"
                 )
     return problems

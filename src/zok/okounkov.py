@@ -94,11 +94,12 @@ def validate_flag(model: SurfaceModel, flag: FlagSpec) -> None:
             raise ValueError(f"curve {model.curve_name(i)!r} has more than one multiplicity")
         if m < 0:
             raise ValueError("flag multiplicities must be non-negative")
-        cap = model.curve_gram[i][flag.curve]
-        if m > cap:
+        den, table = model._curve_gram_ints
+        cap = table[i][flag.curve]
+        if m.numerator * den > cap * m.denominator:
             raise ValueError(
                 f"multiplicity {m} for curve {model.curve_name(i)!r} exceeds its "
-                f"total intersection {cap} with the flag curve"
+                f"total intersection {Fraction(cap, den)} with the flag curve"
             )
 
 
@@ -107,10 +108,9 @@ class SegmentChamber:
     """One maximal parameter interval with constant negative-part support.
 
     On [t_lo, t_hi]: Z(t) = z0 + t*z1, the coefficient of support curve
-    support[k] is coeff0[k] + t*coeff1[k], Z(t).C_j = h0[j] + t*h1[j] for
-    every listed curve j, and Z(t)^2 = c0 + c1*t + c2*t**2 for square =
-    (c0, c1, c2); all decomposition invariants hold on the open interval and
-    extend continuously to the endpoints.
+    support[k] is coeff0[k] + t*coeff1[k], and Z(t)^2 = c0 + c1*t + c2*t**2
+    for square = (c0, c1, c2); all decomposition invariants hold on the open
+    interval and extend continuously to the endpoints.
     """
 
     t_lo: ExtRat
@@ -120,8 +120,6 @@ class SegmentChamber:
     z1: Vec
     coeff0: tuple[Fraction, ...]
     coeff1: tuple[Fraction, ...]
-    h0: tuple[Fraction, ...]
-    h1: tuple[Fraction, ...]
     square: tuple[Fraction, Fraction, Fraction]
     ints: Optional[tuple] = field(default=None, compare=False, repr=False)
 
@@ -312,9 +310,8 @@ def _chamber_at(model, walk, t0, fallback_end=None):
         raise InvariantError("chamber walk found no event ahead")
     ints = (den0, z0, den1, z1, den, coeff0, d1, a1, h0, r1)
     z0, z1 = (tuple(Fraction(x, d) for x in z) for z, d in ((z0, den0), (z1, den1)))
-    coeff0, h0 = (tuple(Fraction(x, den) for x in v) for v in (coeff0, h0))
-    coeff1, h1 = (tuple(Fraction(x, d1) for x in v) for v in (a1, r1))
-    return SegmentChamber(t0, t1, support, z0, z1, coeff0, coeff1, h0, h1, square, ints), last
+    coeff0, coeff1 = (tuple(Fraction(x, d) for x in v) for v, d in ((coeff0, den), (a1, d1)))
+    return SegmentChamber(t0, t1, support, z0, z1, coeff0, coeff1, square, ints), last
 
 
 def _values_at(chamber: SegmentChamber, p: int, q: int) -> tuple:

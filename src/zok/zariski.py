@@ -481,21 +481,19 @@ def perturbed_decomposition(
     min(a_i / b_i); at or above it raises EpsilonTooLarge carrying the
     exact threshold.  With empty support the
     formula degenerates to decomposing alpha + eps*omega directly.  omega
-    and alpha are scaled once (pairing_ints), alpha + eps*omega is formed
-    from their numerators, and the lift (_lift) and P + eps * lift stay
-    integers.
+    is scaled once (pairing_ints, its length checked as alpha's), alpha +
+    eps*omega is formed from its numerators and alpha's, and the lift
+    (_lift) and P + eps * lift stay integers.
     """
     eps = parse_rat(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if len(omega) != model.rank:
-        raise ValueError(f"omega must have length {model.rank}")
     lw, w, _, on_curves = model.pairing_ints(omega)
     if sum(map(mul, w, _met(model, w))) <= 0 or any(v <= 0 for v in on_curves):
         raise ValueError("omega must be Kahler-like: positive square and "
                          "positive against every listed curve")
     dec = zariski_decompose(model, alpha)
-    la, a, _, _ = model.pairing_ints(alpha)
+    la, a = _over_lcm(dec.alpha)
     e, ed = eps.numerator, eps.denominator
     shifted = tuple(Fraction(ed * lw * x + e * la * y, la * ed * lw) for x, y in zip(a, w))
     if not dec.support:

@@ -220,7 +220,7 @@ def reference_chamber(model, alpha, direction, t0, fallback_end=None):
     affine, terminal = chamber_events(support, coeff0, c1, h0, h1, square, t0)
     last = terminal is not None and (affine is None or not affine < terminal)
     t1 = terminal if last else (fallback_end if affine is None else affine)
-    return SegmentChamber(t0, t1, support, z0, z1, coeff0, c1, h0, h1, square), last
+    return SegmentChamber(t0, t1, support, z0, z1, coeff0, c1, square), last
 
 
 # -- the operations on top of a decomposition, over Fractions ------------------
@@ -329,9 +329,7 @@ def reference_perturbed_decomposition(model, alpha, omega, eps):
     eps = parse_rat(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if len(omega) != model.rank:
-        raise ValueError(f"omega must have length {model.rank}")
-    _curve_pairings(model, omega)  # its scalars, before the form meets omega
+    _curve_pairings(model, omega)  # its length and scalars, before the form meets omega
     if _pair(model, omega, omega) <= 0 or any(v <= 0 for v in _curve_pairings(model, omega)):
         raise ValueError("omega must be Kahler-like: positive square and "
                          "positive against every listed curve")
@@ -496,10 +494,17 @@ def reference_polygon_contains(p, q) -> bool:
     return True
 
 
-def reference_slope_a(chambers, index):
+def reference_pairing(model, ch, index) -> tuple:
+    """(h0, h1) with Z(t).C_index = h0 + t*h1 on the chamber: z0 and z1
+    paired with the curve by gram_product."""
+    c = model.curve_class(index)
+    return gram_product(model.gram, ch.z0, c), gram_product(model.gram, ch.z1, c)
+
+
+def reference_slope_a(model, chambers, index):
     """okounkov._slope_a_from_chambers over the chambers' Fraction fields."""
     for ch in chambers:
-        h0, h1 = ch.h0[index], ch.h1[index]
+        h0, h1 = reference_pairing(model, ch, index)
         v_lo = h0 + ch.t_lo * h1
         if v_lo > 0:
             if ch.t_lo != 0:
@@ -514,10 +519,10 @@ def reference_slope_a(chambers, index):
     raise InvariantError("Z(t).C vanishes along the entire segment")
 
 
-def reference_envelopes_of(chambers, flag) -> tuple:
+def reference_envelopes_of(model, chambers, flag) -> tuple:
     """(f, g) read off the chambers' Fraction fields by f_at and g_at."""
     index = flag.curve
-    a = reference_slope_a(chambers, index)
+    a = reference_slope_a(model, chambers, index)
     sub = [ch for ch in chambers if not ch.t_lo < a]
     if not sub or sub[0].t_lo != a:
         raise InvariantError("parameter a is not a chamber boundary")
@@ -537,7 +542,8 @@ def reference_envelopes_of(chambers, flag) -> tuple:
         return total
 
     def g_at(ch, t):
-        return f_at(ch, t) + ch.h0[index] + t * ch.h1[index]
+        h0, h1 = reference_pairing(model, ch, index)
+        return f_at(ch, t) + h0 + t * h1
 
     breakpoints = [a]
     f_vals = [f_at(sub[0], a)]
@@ -559,7 +565,7 @@ def reference_okounkov_polygon(model, alpha, flag) -> OkounkovPolygon:
     PiecewiseLinear.slopes, the area by the Fraction shoelace."""
     validate_flag(model, flag)
     chambers = segment_chambers(model, alpha, flag.curve)
-    f, g = reference_envelopes_of(chambers, flag)
+    f, g = reference_envelopes_of(model, chambers, flag)
     fs, gs = f.slopes(), g.slopes()
     if any(s1 < s0 for s0, s1 in zip(fs, fs[1:])):
         raise InvariantError("lower envelope is not convex")

@@ -136,6 +136,60 @@ def test_validate_reports(capsys, tmp_path):
     assert any("omega.E" in p for p in payload["problems"])
 
 
+def _model_file(tmp_path, name, kahler, curves):
+    """A rank-2 model over diag(1, -1) with the given Kahler class and
+    (name, class) curves, written as JSON; its path as a string."""
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({
+        "name": name, "rank": 2, "gram": [[1, 0], [0, -1]], "kahler": kahler,
+        "curves": [{"name": n, "class": cls} for n, cls in curves],
+    }), encoding="utf-8")
+    return str(path)
+
+
+def test_validate_output_on_invalid_models_is_exact(capsys, tmp_path):
+    """Each problem read off an integer sign, byte for byte: a zero class,
+    omega.C <= 0, curves meeting negatively with a fractional product
+    (printed as that Fraction), omega.omega <= 0 and a duplicate name."""
+    bad = _model_file(tmp_path, "bad", [1, 0], [
+        ("Z", [0, 0]), ("A", ["1/2", "1/2"]), ("B", ["1/2", 1]), ("E", ["-1/2", "1/4"])])
+    code, out = run_cli(capsys, "validate", "-m", bad)
+    assert code == 2
+    assert out == (
+        '{\n  "problems": [\n'
+        '    "curve \'Z\' has zero class",\n'
+        '    "kahler class fails omega.E > 0",\n'
+        '    "distinct curves \'A\' and \'B\' meet negatively (-1/4)",\n'
+        '    "distinct curves \'A\' and \'E\' meet negatively (-3/8)",\n'
+        '    "distinct curves \'B\' and \'E\' meet negatively (-1/2)"\n'
+        '  ],\n  "valid": false\n}\n'
+    )
+    square = _model_file(tmp_path, "square", [1, 2], [("A", [1, "-1/3"]), ("A", [1, 0])])
+    code, out = run_cli(capsys, "validate", "-m", square)
+    assert code == 2
+    assert out == (
+        '{\n  "problems": [\n'
+        '    "kahler class fails omega.omega > 0",\n'
+        '    "duplicate curve name \'A\'"\n'
+        '  ],\n  "valid": false\n}\n'
+    )
+
+
+def test_mult_at_a_fractional_cap_is_accepted_and_above_it_refused(capsys, tmp_path):
+    """F.G = 3/2: a multiplicity equal to that cap passes, one above it is a
+    usage error naming the cap as a Fraction."""
+    cap = _model_file(tmp_path, "cap", [1, 0], [("F", [1, "1/2"]), ("G", [1, -1])])
+    argv = ("okounkov", "-m", cap, "-c", "2,0", "--flag", "F", "--mult")
+    code, out = run_cli(capsys, *argv, "G=3/2")
+    assert code == 0 and json.loads(out)["area"] == 2
+    code, out = run_cli(capsys, *argv, "G=7/4")
+    assert code == 2
+    assert out == (
+        '{\n  "detail": "multiplicity 7/4 for curve \'G\' exceeds its total '
+        'intersection 3/2 with the flag curve",\n  "error": "UsageError"\n}\n'
+    )
+
+
 def test_morse_exit_codes(capsys):
     code, out = run_cli(capsys, "morse", "-m", "blowup1", "-c", "3,0", "-b", "1,-1")
     assert code == 0

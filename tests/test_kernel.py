@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from zok.errors import InvariantError, NotPseudoEffective
 from zok.exact import QuadExt
 from zok.lattice import (
+    _int_rows,
     _over_lcm,
     gram_product,
     is_negative_definite,
@@ -306,9 +307,16 @@ def _assert_kernel_matches_reference(model, u, v):
         assert model.pairing(u, i) == gram_product(model.gram, u, c)
     assert model.intersect(u, v) == gram_product(model.gram, u, v)
     assert model.intersect(v, u) == gram_product(model.gram, v, u)
-    for i, a in enumerate(classes):
-        for j, b in enumerate(classes):
-            assert model.curve_gram[i][j] == gram_product(model.gram, a, b)
+    # the integer tables are the reference values over their least common
+    # denominators, and the Fraction view shares one object per value
+    units = [tuple(Fraction(int(k == m)) for m in range(model.rank)) for k in range(model.rank)]
+    assert model.duals == _int_rows([[gram_product(model.gram, e, c) for e in units]
+                                     for c in classes])
+    reference = tuple(tuple(gram_product(model.gram, a, b) for b in classes) for a in classes)
+    assert model._curve_gram_ints == _int_rows(reference)
+    assert model.curve_gram == reference
+    first = {}
+    assert all(first.setdefault(x, x) is x for row in model.curve_gram for x in row)
 
 
 @settings(max_examples=150, deadline=None)

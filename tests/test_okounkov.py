@@ -132,6 +132,13 @@ def test_chambers_h_plus_e_along_e(blowup1):
     assert chs[1].z_at(Fraction(3, 2)) == (Fraction(1), Fraction(-1, 2))
 
 
+def _kept_pairings(ch):
+    """(h0, h1) with Z(t).C_j = h0[j] + t*h1[j], read off the chamber's kept
+    numerators: h0 over den and h1 over d1."""
+    _, _, _, _, den, _, d1, _, h0, h1 = ch.ints
+    return tuple(Fraction(x, den) for x in h0), tuple(Fraction(x, d1) for x in h1)
+
+
 def test_chamber_support_grows_past_its_start(blowup1):
     """2H - E along -(H-E): the class at t = 1 is H, with empty support, but
     just past it E enters, since H.E = 0 and -(H-E).E = -1; the lexicographic
@@ -150,7 +157,7 @@ def test_chamber_support_grows_past_its_start(blowup1):
     assert ch.support == (0,)
     assert (ch.z0, ch.z1) == (F(2, 0), F(-1, 0))
     assert (ch.coeff0, ch.coeff1) == (F(-1), F(1))
-    assert (ch.h0, ch.h1) == (F(0, 2, 2), F(0, -1, -1))
+    assert _kept_pairings(ch) == (F(0, 2, 2), F(0, -1, -1))
     assert ch.square == F(4, -4, 1)
 
 
@@ -559,7 +566,7 @@ def test_chamber_formulas_match_direct_decompositions():
                         2 * model.intersect(z0, z1),
                         model.intersect(z1, z1),
                     )
-                    assert (ch.h0, ch.h1) == h
+                    assert _kept_pairings(ch) == h
                     assert ch.square == c
                     events = chamber_events(ch.support, ch.coeff0, ch.coeff1, *h, c, t0)
                     assert ch.t_hi == min(e for e in events if e is not None)
@@ -574,6 +581,7 @@ def test_integer_chambers_match_the_fraction_reference(all_fixture_models, golde
     Z(t)^2 with e2 = z1^2 > 0 (a flag curve with C^2 > 0) and with e2 = 0,
     and a first chamber with no event ahead (fallback_end)."""
     from reference import reference_chamber
+    from zok.lattice import gram_product
     from zok.oracle import ModelGenSpec, random_model
 
     models = [random_model(ModelGenSpec(seed=seed, rank=3 + seed % 4, num_curves=6 + seed % 3))
@@ -588,6 +596,9 @@ def test_integer_chambers_match_the_fraction_reference(all_fixture_models, golde
                 for k, ch in enumerate(walk):
                     ref, last = reference_chamber(model, alpha, direction, ch.t_lo)
                     assert repr(ch) == repr(ref) and last == (k == len(walk) - 1)
+                    assert _kept_pairings(ch) == tuple(
+                        tuple(gram_product(model.gram, z, c.cls) for c in model.curves)
+                        for z in (ref.z0, ref.z1))
                 end = walk[-1]
                 seen.add("irrational" if isinstance(end.t_hi, QuadExt) else "rational")
                 seen.add(("e2 < 0", "e2 = 0", "e2 > 0")[(end.square[2] >= 0) + (end.square[2] > 0)])
@@ -609,15 +620,13 @@ _COEFF_TEXT = "adjacent chamber coefficients disagree at the breakpoint"
 
 def _with_ints(ch, ints):
     """ch with its kept numerators replaced by ints and its formulas z0, z1,
-    coeff0, coeff1, h0 and h1 rebuilt from them, so both representations
-    agree."""
+    coeff0 and coeff1 rebuilt from them, so both representations agree."""
     import dataclasses
 
-    den0, z0, den1, z1, den, c0, d1, c1, h0, h1 = ints
+    den0, z0, den1, z1, den, c0, d1, c1 = ints[:8]
     return dataclasses.replace(
         ch, z0=tuple(Fraction(x, den0) for x in z0), z1=tuple(Fraction(x, den1) for x in z1),
         coeff0=tuple(Fraction(x, den) for x in c0), coeff1=tuple(Fraction(x, d1) for x in c1),
-        h0=tuple(Fraction(x, den) for x in h0), h1=tuple(Fraction(x, d1) for x in h1),
         ints=ints)
 
 
@@ -855,7 +864,7 @@ def test_integer_envelopes_and_polygons_match_the_fraction_reference(
                     if got.startswith("OkounkovPolygon"):
                         chambers = segment_chambers(model, alpha, c)
                         f, g = _envelopes_of(chambers, flag)[:2]
-                        assert repr((f, g)) == repr(reference_envelopes_of(chambers, flag))
+                        assert repr((f, g)) == repr(reference_envelopes_of(model, chambers, flag))
                         end = f.breakpoints[-1]
                         seen.add("irrational s" if isinstance(end, QuadExt) else "rational s")
                         fractional = any(m.denominator > 1 for _, m in flag.mults)

@@ -205,7 +205,10 @@ def test_enumeration_and_the_subset_search_share_one_family_search(monkeypatch):
     model = random_model(ModelGenSpec(seed=2, rank=5, num_curves=8))
     families = enumerate_exceptional_families(model)
     brute_force_zariski(model, model.kahler)
-    assert calls == [model.curve_gram]
+    # one search, on the integer curve table itself; no Fraction table is built
+    assert len(calls) == 1 and calls[0] is model._curve_gram_ints[1]
+    assert all(type(x) is int for row in calls[0] for x in row)
+    assert "curve_gram" not in vars(model)
     assert [entry[0] for entry in model.family_atlas] == families == list(model.families)
 
 
@@ -348,6 +351,22 @@ def test_run_model_verification_reports(blowup1):
         "polygon-area-vs-integration",
     ]
     assert all(r.agrees and r.witness is None for r in reports)
+
+
+def test_loading_walking_and_verifying_leave_the_fraction_curve_table_unbuilt():
+    """zok reads the integer curve table only: loading and validating a
+    model, a flag with a multiplicity, a polygon and the oracle suite leave
+    its Fraction view (curve_gram) unbuilt."""
+    from zok.fixtures import load_fixture
+    from zok.okounkov import FlagSpec, okounkov_polygon
+
+    model = load_fixture("blowup2")
+    assert validate_model(model) == [] and "curve_gram" not in vars(model)
+    flag = FlagSpec.make(model.curve_index("L12"), {model.curve_index("E1"): 1})
+    assert okounkov_polygon(model, F(3, -1, -1), flag).area > 0
+    assert "curve_gram" not in vars(model)
+    assert all(r.agrees for r in run_model_verification(model, grid_bound=1))
+    assert "curve_gram" not in vars(model)
 
 
 def test_verification_grid_bound_is_capped_before_it_shrinks(p2):

@@ -381,6 +381,16 @@ def test_perturbed_decomposition_refuses_an_inexact_eps(blowup1):
     assert perturbed_decomposition(blowup1, F(0, 1), omega, "1/2").coeffs == (Fraction(1, 2),)
 
 
+def test_perturbed_decomposition_refuses_a_class_of_the_wrong_length(blowup2):
+    """A short or long omega raises the text a short or long alpha raises,
+    that of the one entry of a class into the kernel (pairing_ints)."""
+    for bad in (F(1, 0), F(3, -1, -1, 0)):
+        for alpha, omega in ((bad, blowup2.kahler), (blowup2.kahler, bad)):
+            with pytest.raises(ValueError) as err:
+                perturbed_decomposition(blowup2, alpha, omega, Fraction(1, 8))
+            assert str(err.value) == "vector length must be 3"
+
+
 def test_perturbed_decomposition_empty_support(blowup1):
     omega = F(2, -1)
     eps = Fraction(1, 3)
