@@ -1,4 +1,6 @@
-"""Exact rational linear algebra over a finite intersection lattice.
+"""Exact linear algebra over a finite intersection lattice, on integers: rational
+matrices are scaled to integer rows (_int_rows) and eliminated by one Bareiss
+identity, in its bordering (_border) and pivoted (_pivot_out) forms.
 
 A :class:`SurfaceModel` is a finite stand-in for the (1,1)-lattice of a
 compact surface: a symmetric rational form of signature (1, rank-1), a list
@@ -32,11 +34,6 @@ def mat(rows: Iterable[Iterable]) -> Mat:
     return tuple(vec(row) for row in rows)
 
 
-def _exact(x):
-    """x itself when already a Fraction, else x as a Fraction."""
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
 def vec_is_zero(u: Vec) -> bool:
     return all(a == 0 for a in u)
 
@@ -64,48 +61,46 @@ def gram_product(gram: Mat, u: Sequence, v: Sequence) -> Fraction:
 
 def _check_symmetric(gram: Mat) -> None:
     n = len(gram)
-    for row in gram:
-        if len(row) != n:
-            raise ValueError("matrix must be square")
+    if any(len(row) != n for row in gram):
+        raise ValueError("matrix must be square")
     for i in range(n):
         for j in range(i + 1, n):
             if gram[i][j] != gram[j][i]:
                 raise ValueError(f"matrix not symmetric at entry ({i},{j})")
 
 
-def _pivot_out(rows, pivot: Sequence, k: int) -> None:
-    """One pivoted elimination step, in place: each row loses row[k] / pivot[k]
-    times the pivot row, which clears its entry k."""
+def _pivot_out(rows, pivot: Sequence[int], k: int, prev: int) -> None:
+    """One pivoted integer step (Bareiss), in place: each row becomes (pivot[k]
+    * row - row[k] * pivot) // prev, which clears its entry k, with prev the
+    previous step's pivot (1 at the first); every division is exact."""
+    p = pivot[k]
     for row in rows:
-        if row[k]:
-            f = row[k] / pivot[k]
-            row[:] = [a - f * b if b else a for a, b in zip(row, pivot)]
+        f = row[k]
+        row[:] = [(p * a - f * b) // prev for a, b in zip(row, pivot)]
 
 
 def signature(gram: Mat) -> tuple[int, int, int]:
     """Inertia (n_plus, n_minus, n_zero) of a symmetric rational matrix.
 
-    Congruence diagonalization with greedy symmetric pivoting on the
-    largest-magnitude diagonal entry, each step (_pivot_out) leaving the
-    Schur complement.  When every remaining diagonal entry is zero but some
-    off-diagonal entry m[i][j] is not, the symmetric update row/col i +=
-    row/col j creates the pivot 2*m[i][j] (the standard rank-2 split, no
-    perturbation needed).  An indefinite form needs this pivot search; a
-    definiteness test does not (see is_negative_definite).  Exact, hence
-    Sylvester-invariant.
+    Congruence diagonalization of gram scaled to integers, with greedy
+    symmetric pivoting on the largest-magnitude diagonal entry.  Each step
+    (_pivot_out) leaves its pivot times the Schur complement, so the true
+    pivot of a step is its pivot over prev, the previous step's pivot.  When
+    every remaining diagonal entry is zero but some off-diagonal entry
+    m[i][j] is not, the symmetric update row/col i += row/col j creates the
+    pivot 2*m[i][j] (the rank-2 split, no perturbation needed).  An
+    indefinite form needs this pivot search; a definiteness test does not
+    (see is_negative_definite).  Exact, hence Sylvester-invariant.
     """
-    _check_symmetric(gram)
-    n = len(gram)
-    block = [[_exact(x) for x in row] for row in gram]
-    plus = minus = 0
+    block = [list(row) for row in _int_rows(gram)[1]]
+    _check_symmetric(block)
+    plus, minus, prev = 0, 0, 1
     while block:
         size = len(block)
         k = max(range(size), key=lambda i: abs(block[i][i]))
         if block[k][k] == 0:
-            pair = next(
-                ((i, j) for i in range(size) for j in range(i + 1, size) if block[i][j] != 0),
-                None,
-            )
+            pair = next(((i, j) for i in range(size) for j in range(i + 1, size)
+                         if block[i][j]), None)
             if pair is None:
                 break  # remaining block is zero
             i, j = pair
@@ -114,12 +109,13 @@ def signature(gram: Mat) -> tuple[int, int, int]:
             block[i] = [a + b for a, b in zip(block[i], block[j])]
             continue
         pivot = block.pop(k)
-        plus += pivot[k] > 0
-        minus += pivot[k] < 0
-        _pivot_out(block, pivot, k)
+        plus += pivot[k] * prev > 0
+        minus += pivot[k] * prev < 0
+        _pivot_out(block, pivot, k, prev)
+        prev = pivot[k]
         for row in block:
             del row[k]
-    return plus, minus, n - plus - minus
+    return plus, minus, len(gram) - plus - minus
 
 
 def _border(d: int, cross: Sequence[int], r_m: Sequence[int], s: int, y_m: int,
@@ -179,8 +175,8 @@ def is_negative_definite(gram: Mat) -> bool:
     Borders the indices in order (_solved): the pivot of index k is D_{k+1}
     / D_k for the leading principal minors D of -gram, so by Sylvester's
     criterion no pivot search is needed."""
-    _check_symmetric(gram)
     g, table = _int_rows(gram)
+    _check_symmetric(table)
     return _solved(g, table, tuple(range(len(table))), {}) is not None
 
 
@@ -214,19 +210,21 @@ def negative_definite_subsets(gram: Mat) -> Iterator[tuple[int, ...]]:
 
 
 def solve_linear(matrix: Mat, rhs: Sequence) -> Vec:
-    """Exact solution of matrix * x = rhs by Gauss-Jordan elimination with a
-    pivot search; raises ValueError when singular."""
+    """Exact solution of matrix * x = rhs: integer Gauss-Jordan elimination
+    (_pivot_out) with a pivot search; raises ValueError when singular."""
     n = len(matrix)
     if any(len(row) != n for row in matrix) or len(rhs) != n:
         raise ValueError("need a square system")
-    a = [[_exact(x) for x in row] + [_exact(r)] for row, r in zip(matrix, rhs)]
+    a = [list(row) for row in _int_rows([(*row, r) for row, r in zip(matrix, rhs)])[1]]
+    prev = 1
     for col in range(n):
         pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
         if pivot is None:
             raise ValueError("singular system")
         a[col], a[pivot] = a[pivot], a[col]
-        _pivot_out(a[:col] + a[col + 1:], a[col], col)
-    return tuple(a[i][n] / a[i][i] for i in range(n))
+        _pivot_out(a[:col] + a[col + 1:], a[col], col, prev)
+        prev = a[col][col]
+    return tuple(Fraction(row[n], prev) for row in a)
 
 
 @dataclass(frozen=True)
@@ -250,7 +248,12 @@ def _over_lcm(u: Sequence) -> tuple[int, list[int]]:
 
 def _int_rows(rows) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """(den, ints) with rows[i][k] == ints[i][k] / den: rational rows over one
-    common denominator.  Ints, Fractions and floats are read exactly."""
+    common denominator.  Ints, Fractions and floats are read exactly; any
+    other entry (a str, None, a bool, a QuadExt) raises TypeError naming
+    the types, before anything else."""
+    kinds = {type(x) for row in rows for x in row} - {int, Fraction, float}
+    if kinds:
+        raise TypeError(f"unsupported scalars in a matrix: {sorted(k.__name__ for k in kinds)}")
     ratios = [[x.as_integer_ratio() for x in row] for row in rows]
     den = lcm(*[q for row in ratios for _, q in row])
     return den, tuple(tuple(p * (den // q) for p, q in row) for row in ratios)
@@ -496,11 +499,9 @@ def validate_model(model: SurfaceModel) -> list[str]:
                 problems.append(f"gram not symmetric at entry ({i},{j})")
                 symmetric = False
     if symmetric:
-        sig = signature(model.gram)
+        sig = signature(model._gram_ints[1])
         if sig != (1, rank - 1, 0):
-            problems.append(
-                f"gram signature is {sig}, need (1, {rank - 1}, 0)"
-            )
+            problems.append(f"gram signature is {sig}, need (1, {rank - 1}, 0)")
     if len(model.kahler) != rank:
         problems.append(f"kahler class must have length {rank}")
         return problems
@@ -526,8 +527,7 @@ def validate_model(model: SurfaceModel) -> list[str]:
     for i in range(len(model.curves)):
         for j in range(i + 1, len(model.curves)):
             if table[i][j] < 0:
-                problems.append(
-                    f"distinct curves {model.curves[i].name!r} and "
-                    f"{model.curves[j].name!r} meet negatively ({Fraction(table[i][j], den)})"
-                )
+                problems.append(f"distinct curves {model.curves[i].name!r} and "
+                                f"{model.curves[j].name!r} meet negatively "
+                                f"({Fraction(table[i][j], den)})")
     return problems

@@ -15,7 +15,9 @@ exceptions and texts of each in the same order.
 
 And the Fraction bordered solve (negative_solve, over the Fraction step
 _border) that the integer bordering step, lattice._border, replaced, as
-the reference for the support table and the definiteness test.
+the reference for the support table and the definiteness test; and the
+Fraction pivoted step (_pivot_out), with the signature and solve_linear
+that ran on it, which the integer pivoted step of lattice replaced.
 
 And the polygon kernel over Fraction and QuadExt arithmetic that the
 integer rows of zok.polygon replaced (hull, normalization, shoelace area,
@@ -42,7 +44,7 @@ from zok.errors import (
     UnsupportedDirection,
 )
 from zok.exact import ext_sign, parse_rat, sqrt_rat
-from zok.lattice import Mat, Vec, _dot, _exact, gram_product
+from zok.lattice import Mat, Vec, _check_symmetric, _dot, gram_product
 from zok.okounkov import (
     OkounkovPolygon,
     PiecewiseLinear,
@@ -52,6 +54,11 @@ from zok.okounkov import (
 )
 from zok.polygon import ConvexPolygon
 from zok.zariski import MorseCertificate, _check_decomposition, zariski_decompose
+
+
+def _exact(x):
+    """x itself when already a Fraction, else x as a Fraction."""
+    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 def vec_add(u: Vec, v: Vec) -> Vec:
@@ -104,6 +111,71 @@ def negative_solve(matrix: Mat, columns: Sequence[Sequence] = ()) -> Optional[tu
             return None
         steps.append((row[:k], r, s))
     return tuple(through(col)[0] for col in columns)
+
+
+def _pivot_out(rows, pivot: Sequence, k: int) -> None:
+    """One pivoted elimination step, in place: each row loses row[k] / pivot[k]
+    times the pivot row, which clears its entry k."""
+    for row in rows:
+        if row[k]:
+            f = row[k] / pivot[k]
+            row[:] = [a - f * b if b else a for a, b in zip(row, pivot)]
+
+
+def reference_signature(gram: Mat) -> tuple[int, int, int]:
+    """Inertia (n_plus, n_minus, n_zero) of a symmetric rational matrix.
+
+    Congruence diagonalization with greedy symmetric pivoting on the
+    largest-magnitude diagonal entry, each step (_pivot_out) leaving the
+    Schur complement.  When every remaining diagonal entry is zero but some
+    off-diagonal entry m[i][j] is not, the symmetric update row/col i +=
+    row/col j creates the pivot 2*m[i][j] (the standard rank-2 split, no
+    perturbation needed).  An indefinite form needs this pivot search; a
+    definiteness test does not (see is_negative_definite).  Exact, hence
+    Sylvester-invariant.
+    """
+    _check_symmetric(gram)
+    n = len(gram)
+    block = [[_exact(x) for x in row] for row in gram]
+    plus = minus = 0
+    while block:
+        size = len(block)
+        k = max(range(size), key=lambda i: abs(block[i][i]))
+        if block[k][k] == 0:
+            pair = next(
+                ((i, j) for i in range(size) for j in range(i + 1, size) if block[i][j] != 0),
+                None,
+            )
+            if pair is None:
+                break  # remaining block is zero
+            i, j = pair
+            for row in block:
+                row[i] += row[j]
+            block[i] = [a + b for a, b in zip(block[i], block[j])]
+            continue
+        pivot = block.pop(k)
+        plus += pivot[k] > 0
+        minus += pivot[k] < 0
+        _pivot_out(block, pivot, k)
+        for row in block:
+            del row[k]
+    return plus, minus, n - plus - minus
+
+
+def reference_solve_linear(matrix: Mat, rhs: Sequence) -> Vec:
+    """Exact solution of matrix * x = rhs by Gauss-Jordan elimination with a
+    pivot search; raises ValueError when singular."""
+    n = len(matrix)
+    if any(len(row) != n for row in matrix) or len(rhs) != n:
+        raise ValueError("need a square system")
+    a = [[_exact(x) for x in row] + [_exact(r)] for row, r in zip(matrix, rhs)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if pivot is None:
+            raise ValueError("singular system")
+        a[col], a[pivot] = a[pivot], a[col]
+        _pivot_out(a[:col] + a[col + 1:], a[col], col)
+    return tuple(a[i][n] / a[i][i] for i in range(n))
 
 
 def smallest_quadratic_root_above(c0: Fraction, c1: Fraction, c2: Fraction, t0: Fraction):

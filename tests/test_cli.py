@@ -136,12 +136,13 @@ def test_validate_reports(capsys, tmp_path):
     assert any("omega.E" in p for p in payload["problems"])
 
 
-def _model_file(tmp_path, name, kahler, curves):
-    """A rank-2 model over diag(1, -1) with the given Kahler class and
-    (name, class) curves, written as JSON; its path as a string."""
+def _model_file(tmp_path, name, kahler, curves, gram=((1, 0), (0, -1))):
+    """A rank-2 model over gram, diag(1, -1) by default, with the given
+    Kahler class and (name, class) curves, written as JSON; its path as a
+    string."""
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps({
-        "name": name, "rank": 2, "gram": [[1, 0], [0, -1]], "kahler": kahler,
+        "name": name, "rank": 2, "gram": gram, "kahler": kahler,
         "curves": [{"name": n, "class": cls} for n, cls in curves],
     }), encoding="utf-8")
     return str(path)
@@ -150,7 +151,8 @@ def _model_file(tmp_path, name, kahler, curves):
 def test_validate_output_on_invalid_models_is_exact(capsys, tmp_path):
     """Each problem read off an integer sign, byte for byte: a zero class,
     omega.C <= 0, curves meeting negatively with a fractional product
-    (printed as that Fraction), omega.omega <= 0 and a duplicate name."""
+    (printed as that Fraction), omega.omega <= 0, a duplicate name and a
+    form of the wrong signature."""
     bad = _model_file(tmp_path, "bad", [1, 0], [
         ("Z", [0, 0]), ("A", ["1/2", "1/2"]), ("B", ["1/2", 1]), ("E", ["-1/2", "1/4"])])
     code, out = run_cli(capsys, "validate", "-m", bad)
@@ -171,6 +173,14 @@ def test_validate_output_on_invalid_models_is_exact(capsys, tmp_path):
         '{\n  "problems": [\n'
         '    "kahler class fails omega.omega > 0",\n'
         '    "duplicate curve name \'A\'"\n'
+        '  ],\n  "valid": false\n}\n'
+    )
+    definite = _model_file(tmp_path, "definite", [1, 0], [("A", [1, 0])], gram=[[1, 0], [0, 1]])
+    code, out = run_cli(capsys, "validate", "-m", definite)
+    assert code == 2
+    assert out == (
+        '{\n  "problems": [\n'
+        '    "gram signature is (2, 0, 0), need (1, 1, 0)"\n'
         '  ],\n  "valid": false\n}\n'
     )
 

@@ -1,10 +1,12 @@
 """The exact kernels: the integer pairing kernel over the curve table, the
 integer bordering step behind the definiteness test and the support table,
-and the hereditary search over negative-definite curve sets."""
+the integer pivoted step behind signature and solve_linear, and the
+hereditary search over negative-definite curve sets."""
 
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -27,7 +29,13 @@ from zok.oracle import ModelGenSpec, random_model
 from zok.zariski import _grow_support, enumerate_exceptional_families, zariski_decompose
 
 from conftest import F, int_grid
-from reference import negative_solve, reference_growth, vec_scale
+from reference import (
+    negative_solve,
+    reference_growth,
+    reference_signature,
+    reference_solve_linear,
+    vec_scale,
+)
 
 small = st.sampled_from([Fraction(0)] * 4 + [Fraction(k) for k in (-3, -2, -1, 1, 2)]
                         + [Fraction(-1, 2), Fraction(1, 3), Fraction(-5, 3)])
@@ -178,6 +186,93 @@ def test_integer_kernel_reads_float_and_large_entries_exactly():
         assert is_negative_definite(g) is nd
         assert list(negative_definite_subsets(g)) == list(negative_definite_subsets(exact))
         assert (_table_model(exact).support_forms((0, 1)) is None) is not nd
+
+
+# --- the pivoted step: signature and solve_linear -------------------------------
+
+
+def _pivoted_case(rng, k: int) -> tuple:
+    """A random symmetric matrix of size 1-8 with small entries and a
+    right-hand side, by case k % 5: general; singular (one index repeats
+    another); zero diagonal, so the first step is the rank-2 split; a
+    definite-ish block next to a zero-diagonal block, which meets the split
+    after pivots, on a scaled block; a rational diagonal."""
+    n = rng.randint(1, 8)
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            g[i][j] = g[j][i] = rng.randint(-3, 3)
+    kind = k % 5
+    if kind == 1 and n > 1:
+        i, j = rng.sample(range(n), 2)
+        g[j] = list(g[i])
+        for row in g:
+            row[j] = row[i]
+    elif kind == 2:
+        for i in range(n):
+            g[i][i] = 0
+    elif kind == 3:
+        cut = rng.randint(0, n)
+        for i in range(n):
+            for j in range(n):
+                if (i < cut) != (j < cut) or (i == j and i >= cut):
+                    g[i][j] = 0
+        order = rng.sample(range(n), n)
+        g = [[g[i][j] for j in order] for i in order]
+    elif kind == 4:
+        for i in range(n):
+            g[i][i] = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+    rhs = [rng.choice((rng.randint(-5, 5), Fraction(rng.randint(-5, 5), 3))) for _ in range(n)]
+    return tuple(map(tuple, g)), tuple(rhs)
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except ValueError as err:
+        return f"ValueError: {err}"
+
+
+def test_pivoted_step_matches_the_fraction_reference():
+    """5,000 seeded symmetric matrices: the integer signature has the
+    Fraction reference's inertia, and the integer solve_linear gives its
+    solution or the same ValueError text."""
+    rng = random.Random(26)
+    splits = singular = 0
+    for k in range(5000):
+        g, rhs = _pivoted_case(rng, k)
+        sig = signature(g)
+        assert sig == reference_signature(g), g
+        x = _outcome(solve_linear, g, rhs)
+        assert x == _outcome(reference_solve_linear, g, rhs), (g, rhs)
+        assert isinstance(x, str) or all(type(v) is Fraction for v in x)
+        singular += sig[2] > 0
+        n = len(g)
+        splits += any(g[i][j] for i in range(n) for j in range(n)) and not any(
+            g[i][i] for i in range(n))
+    assert singular > 1000 and splits > 500
+
+
+@pytest.mark.parametrize("bad", ["-1", None, True, QuadExt._of(Fraction(0), Fraction(1), 2)],
+                         ids=["str", "None", "bool", "QuadExt"])
+@pytest.mark.parametrize("call", [signature, is_negative_definite,
+                                  lambda g: solve_linear(g, (1, 1))],
+                         ids=["signature", "is_negative_definite", "solve_linear"])
+def test_matrix_functions_refuse_entries_that_are_not_rational(call, bad):
+    """One entry rule (_int_rows): ints, Fractions and floats are read, any
+    other entry is a TypeError naming its type, before the symmetry check."""
+    with pytest.raises(TypeError) as err:
+        call(((-1, bad), (0, -1)))
+    assert str(err.value) == f"unsupported scalars in a matrix: [{type(bad).__name__!r}]"
+
+
+def test_matrix_functions_read_ints_fractions_and_floats_exactly():
+    g = ((-1.0, 0.5), (0.5, Fraction(-1, 2)))
+    assert signature(g) == (0, 2, 0) and is_negative_definite(g) is True
+    assert solve_linear(g, (0.25, 1)) == (Fraction(-5, 2), Fraction(-9, 2))
+    assert signature(((0.1, 0), (0, -1))) == (1, 1, 0)
+    with pytest.raises(TypeError, match=r"^unsupported scalars in a matrix: \['str'\]$"):
+        solve_linear(((1, 0), (0, 1)), (1, "1"))
 
 
 def test_curve_table_matches_gram_product(blowup2, hirzebruch2):

@@ -221,3 +221,27 @@ def test_validate_model_asymmetric_names_entry():
     m = make_model("asym", 2, [[1, 2], [3, -1]], [("D", [1, 0])], [1, 0])
     problems = validate_model(m)
     assert any("(0,1)" in p for p in problems)
+
+
+def test_validate_model_builds_no_fraction_on_a_valid_model():
+    """validate_model reads integer signs only, the signature test
+    included: on a freshly built rank-10 model, whose integer tables are not
+    built yet, it constructs no Fraction."""
+    from zok.oracle import ModelGenSpec, random_model
+
+    m = random_model(ModelGenSpec(seed=1, rank=10, num_curves=16))
+    fresh = make_model(m.name, m.rank, m.gram, [(c.name, c.cls) for c in m.curves], m.kahler)
+    original = vars(Fraction)["__new__"]
+    built = []
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return original.__func__(cls, *args, **kwargs)
+
+    Fraction.__new__ = staticmethod(counting)
+    try:
+        problems = validate_model(fresh)
+    finally:
+        Fraction.__new__ = original
+    assert problems == [] and "_gram_ints" in vars(fresh)
+    assert built == []
