@@ -179,18 +179,12 @@ def _cmd_chambers(model, args):
     chambers = segment_chambers(model, args.cls, curve)
     a, s = chamber_slopes(chambers, curve)
     if args.format == "csv":
-        rows = [["t_lo", "t_hi", "support", "Z0", "Z1"]]
-        for ch in chambers:
-            rows.append(
-                [
-                    str(zio.ext_to_json(ch.t_lo)),
-                    str(zio.ext_to_json(ch.t_hi)),
-                    ";".join(model.curve_name(i) for i in ch.support),
-                    ";".join(map(str, zio.vec_to_json(ch.z0))),
-                    ";".join(map(str, zio.vec_to_json(ch.z1))),
-                ]
-            )
-        return _csv(rows), 0
+        # each cell is str() of the exact value: "1/2", "-1+8/7*sqrt(14)"
+        return _csv([["t_lo", "t_hi", "support", "Z0", "Z1"]] + [
+            [str(ch.t_lo), str(ch.t_hi), ";".join(model.curve_name(i) for i in ch.support),
+             ";".join(map(str, ch.z0)), ";".join(map(str, ch.z1))]
+            for ch in chambers
+        ]), 0
     payload = zio.chambers_to_dict(model, chambers)
     payload["a"] = zio.ext_to_json(a)
     payload["s"] = zio.ext_to_json(s)
@@ -303,9 +297,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _dump_repro(argv, exc: Exception) -> Optional[str]:
+def _dump_repro(argv, model: str, exc: Exception) -> Optional[str]:
     """Write REPRO_FILE for an exit-3 run and return its name, or None when
-    it cannot be written: the run still ends in one JSON document."""
+    it cannot be written: the run still ends in one JSON document.  model is
+    the parsed -m/--model value; the file's JSON goes in as "model", null
+    when it can no longer be read."""
     import traceback  # only a failing run pays for the import
 
     payload = {
@@ -313,15 +309,10 @@ def _dump_repro(argv, exc: Exception) -> Optional[str]:
         "error": f"{type(exc).__name__}: {exc}",
         "traceback": traceback.format_exception(exc),
     }
-    model_arg = None
-    for i, a in enumerate(argv):
-        if a in ("-m", "--model") and i + 1 < len(argv):
-            model_arg = argv[i + 1]
-    if model_arg:
-        try:
-            payload["model"] = zio.read_model_json(_resolve_model_path(model_arg))
-        except ZokError:
-            payload["model"] = None
+    try:
+        payload["model"] = zio.read_model_json(_resolve_model_path(model))
+    except ZokError:
+        payload["model"] = None
     try:
         with open(REPRO_FILE, "w", encoding="utf-8") as fh:
             fh.write(zio.dumps_canonical(payload))
@@ -390,7 +381,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         output, code = _error(exc), 2
     except Exception as exc:  # an invariant breach, or any other bug
-        output, code = dict(_error(exc), repro=_dump_repro(argv, exc)), 3
+        output, code = dict(_error(exc), repro=_dump_repro(argv, args.model, exc)), 3
     sys.stdout.write(output if isinstance(output, str) else zio.dumps_canonical(output))
     return code
 

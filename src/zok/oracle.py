@@ -153,12 +153,54 @@ def random_model(spec: ModelGenSpec) -> SurfaceModel:
     raise GenerationError(f"no valid model after bounded retries (seed {spec.seed})")
 
 
-def _class_grid(rank: int, bound: int):
-    return itertools.product(*[range(-bound, bound + 1)] * rank)
-
-
 def _fmt_class(coords) -> str:
     return "(" + ",".join(str(c) for c in coords) + ")"
+
+
+def _subset_route(model: SurfaceModel, bound: int, max_curves: int, big: list):
+    """Each grid class's decomposition against subset search; an agreeing
+    big class goes to big with its decomposition, for the routes after."""
+    for coords in itertools.product(range(-bound, bound + 1), repeat=model.rank):
+        alpha = tuple(Fraction(c) for c in coords)
+        oracle = brute_force_zariski(model, alpha, max_curves=max_curves)
+        try:
+            fast = zariski_decompose(model, alpha)
+        except NotPseudoEffective:
+            fast = None
+        if fast == oracle and fast is not None and fast.volume(model) > 0:
+            big.append((alpha, fast))
+        yield None if fast == oracle else (
+            f"class {_fmt_class(coords)}: iterative {fast} vs subset {oracle}"
+        )
+
+
+def _derivative_route(model: SurfaceModel, big: list):
+    """The closed form 2 P.beta of the volume derivative against the chamber
+    walk, on the first 64 big classes along omega and every curve."""
+    directions = [model.kahler] + [c.cls for c in model.curves]
+    for alpha, dec in big[:64]:
+        for beta in directions:
+            lhs = 2 * model.intersect(dec.positive, beta)  # derivative_vol's closed form
+            rhs = derivative_by_chambers(model, alpha, beta)
+            yield None if lhs == rhs else (
+                f"alpha {_fmt_class(alpha)}, beta {_fmt_class(beta)}: "
+                f"closed form {lhs} vs chamber walk {rhs}"
+            )
+
+
+def _polygon_route(model: SurfaceModel, big: list):
+    """The shoelace area of the polygon against trapezoid integration of its
+    envelopes and against vol = 2 area, on the first 32 big classes with
+    every curve as the flag."""
+    for alpha, dec in big[:32]:
+        vol = dec.volume(model)
+        for index in range(len(model.curves)):
+            poly = okounkov_polygon(model, alpha, FlagSpec.make(index))
+            integral = area_by_integration(poly.f, poly.g)
+            yield None if integral == poly.area and 2 * poly.area == vol else (
+                f"alpha {_fmt_class(alpha)}, flag {model.curve_name(index)}: "
+                f"shoelace {poly.area}, integral {integral}, volume {vol}"
+            )
 
 
 def run_model_verification(
@@ -166,94 +208,33 @@ def run_model_verification(
     grid_bound: int = 2,
     max_subset_curves: int = DEFAULT_SUBSET_CAP,
 ) -> list[OracleReport]:
-    """The oracle suite on one model, as deterministic reports.
+    """The oracle suite on one model: one deterministic report per route.
 
-    Checks, over an integer class grid: decomposition against subset search
-    (including not-psef verdicts), the derivative formula against the chamber
-    route, and the polygon area against trapezoid integration and the volume
-    identity.  The grid bound shrinks automatically on high-rank models to
-    keep the sweep desk-scale.  A negative grid bound is a usage error.
+    The routes run in order: decomposition against subset search (including
+    not-psef verdicts) over an integer class grid, then the derivative
+    formula and the polygon area on the big classes that sweep kept.  A
+    route yields None per item that agrees and a witness text at a mismatch,
+    where its report stops.  The grid bound shrinks automatically on high-rank
+    models to keep the sweep desk-scale; a negative one is a usage error.
     """
     if grid_bound < 0:
         raise UsageError(f"grid bound must be >= 0, got {grid_bound}")
     bound = min(grid_bound, 2048)  # (2*2048 + 1)**rank > 4096 for every rank
     while bound > 1 and (2 * bound + 1) ** model.rank > 4096:
         bound -= 1
-    reports: list[OracleReport] = []
-
-    mismatch = None
-    checked = 0
-    big_classes: list[tuple[Vec, ZariskiDecomp]] = []  # with their decompositions
-    for coords in _class_grid(model.rank, bound):
-        alpha = tuple(Fraction(c) for c in coords)
-        checked += 1
-        oracle = brute_force_zariski(model, alpha, max_curves=max_subset_curves)
-        try:
-            fast = zariski_decompose(model, alpha)
-        except NotPseudoEffective:
-            fast = None
-        if fast != oracle:
-            mismatch = (
-                f"class {_fmt_class(coords)}: iterative {fast} vs subset {oracle}"
-            )
-            break
-        if fast is not None and fast.volume(model) > 0:
-            big_classes.append((alpha, fast))
-    reports.append(
-        OracleReport(
-            subject=f"zariski-vs-subset-search[grid {bound}, {checked} classes]",
-            agrees=mismatch is None,
-            witness=mismatch,
-        )
-    )
-
-    directions = [model.kahler] + [c.cls for c in model.curves]
-    mismatch = None
-    pairs = 0
-    for alpha, dec in big_classes[:64]:
-        for beta in directions:
-            pairs += 1
-            lhs = 2 * model.intersect(dec.positive, beta)  # derivative_vol's closed form
-            rhs = derivative_by_chambers(model, alpha, beta)
-            if lhs != rhs:
-                mismatch = (
-                    f"alpha {_fmt_class(alpha)}, beta {_fmt_class(beta)}: "
-                    f"closed form {lhs} vs chamber walk {rhs}"
-                )
+    big: list[tuple[Vec, ZariskiDecomp]] = []  # the sweep's big classes, decomposed
+    routes = [
+        (f"zariski-vs-subset-search[grid {bound}, {{}} classes]",
+         _subset_route(model, bound, max_subset_curves, big)),
+        ("derivative-vs-chamber-walk[{} pairs]", _derivative_route(model, big)),
+        ("polygon-area-vs-integration[{} polygons]", _polygon_route(model, big)),
+    ]
+    reports = []
+    for subject, route in routes:
+        count, witness = 0, None
+        for witness in route:
+            count += 1
+            if witness is not None:
                 break
-        if mismatch:
-            break
-    reports.append(
-        OracleReport(
-            subject=f"derivative-vs-chamber-walk[{pairs} pairs]",
-            agrees=mismatch is None,
-            witness=mismatch,
-        )
-    )
-
-    mismatch = None
-    built = 0
-    for alpha, dec in big_classes[:32]:
-        vol = dec.volume(model)
-        for index in range(len(model.curves)):
-            flag = FlagSpec.make(index)
-            built += 1
-            poly = okounkov_polygon(model, alpha, flag)
-            f, g = poly.f, poly.g
-            integral = area_by_integration(f, g)
-            if integral != poly.area or 2 * poly.area != vol:
-                mismatch = (
-                    f"alpha {_fmt_class(alpha)}, flag {model.curve_name(index)}: "
-                    f"shoelace {poly.area}, integral {integral}, volume {vol}"
-                )
-                break
-        if mismatch:
-            break
-    reports.append(
-        OracleReport(
-            subject=f"polygon-area-vs-integration[{built} polygons]",
-            agrees=mismatch is None,
-            witness=mismatch,
-        )
-    )
+        reports.append(OracleReport(subject.format(count), witness is None, witness))
     return reports

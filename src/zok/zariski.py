@@ -431,16 +431,10 @@ def orthogonal_nef_lift(
     family = tuple(sorted(family))
     if omega is None:
         omega = model.kahler
-    try:
-        lw, w, _, on_curves = model.pairing_ints(omega)
-    except (TypeError, ValueError):
-        on_curves = None  # raised again below, after the definiteness test
-    on_family = None if on_curves is None else [on_curves[i] for i in family]
-    forms = model.support_forms(family)
-    if forms is None:
+    if model.support_forms(family) is None:
         raise ValueError("family Gram matrix is not negative definite")
-    if on_family is None:
-        model.pairing_ints(omega)  # raises what it raised above
+    lw, w, _, on_curves = model.pairing_ints(omega)
+    on_family = [on_curves[i] for i in family]
     if any(p <= 0 for p in on_family):
         raise ValueError("omega must meet every family curve positively")
     z, lz, b = _lift(model, family, lw, w, on_family)

@@ -269,7 +269,7 @@ def test_chambers_json_and_csv(capsys):
     assert len(out.splitlines()) == 3
 
 
-def test_chambers_csv_quotes_an_irrational_endpoint(capsys, tmp_path):
+def test_chambers_csv_writes_an_irrational_endpoint_as_its_exact_text(capsys, tmp_path):
     # the walk ends at the root (sqrt(5) - 1)/2 of Z(t)^2 = 2 - 2t - 2t^2
     golden = tmp_path / "golden.json"
     golden.write_text(
@@ -289,7 +289,27 @@ def test_chambers_csv_quotes_an_irrational_endpoint(capsys, tmp_path):
     assert code == 0
     assert out == (
         "t_lo,t_hi,support,Z0,Z1\n"
-        "0,\"{'p': '-1/2', 'q': '1/2', 'd': 5}\",,1;0,0;-1\n"
+        "0,-1/2+1/2*sqrt(5),,1;0,0;-1\n"
+    )
+
+
+def test_chambers_csv_cells_are_the_exact_values_as_text(capsys, tmp_path):
+    """Each cell is str() of its exact value, the text of the SVG tick
+    labels: a walk on the rank-4 reference model that ends at an irrational
+    t, and one whose cells are all rational, byte for byte as recorded in
+    perfbench/cli_reference.json."""
+    path = tmp_path / "rank4.json"
+    model = random_model(ModelGenSpec(seed=2015, rank=4, num_curves=6))
+    path.write_text(dumps_canonical(model_to_dict(model)), encoding="utf-8")
+    code, out = run_cli(capsys, "chambers", "-m", str(path), "-c", "5,-2,-2,-1",
+                        "--curve", "E3", "--format", "csv")
+    assert code == 0
+    assert out == "t_lo,t_hi,support,Z0,Z1\n0,-1+8/7*sqrt(14),C3,32/7;-8/7;-8/7;-1,0;0;0;-1\n"
+    code, out = run_cli(capsys, "chambers", "-m", str(path), "-c", "7,-1,-1,-1",
+                        "--curve", "C3", "--format", "csv")
+    assert code == 0
+    assert out == (
+        "t_lo,t_hi,support,Z0,Z1\n0,1/2,,7;-1;-1;-1,-1;2;2;0\n1/2,6,E1;E2,7;0;0;-1,-1;0;0;0\n"
     )
 
 
@@ -427,6 +447,87 @@ def test_unwritable_repro_file_still_exits_3_with_one_document(capsys, monkeypat
     assert json.loads(out) == {
         "error": "RuntimeError", "detail": "internal runtime error", "repro": None,
     }
+
+
+def _raise_runtime_error(*args, **kwargs):
+    raise RuntimeError("internal runtime error")
+
+
+@pytest.mark.parametrize(
+    "spelling",
+    [["-m", "p2"], ["--model", "p2"], ["--model=p2"], ["-mp2"], ["-m=p2"], ["--mod", "p2"]],
+)
+def test_repro_file_keeps_the_model_for_every_spelling_of_the_option(
+        capsys, monkeypatch, tmp_path, spelling):
+    """argparse reads each of these as the model option, and so does the
+    repro file."""
+    monkeypatch.chdir(tmp_path)
+    import zok.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "zariski_decompose", _raise_runtime_error)
+    code, out = run_cli(capsys, "zariski", *spelling, "-c", "1")
+    assert code == 3 and json.loads(out)["repro"] == "zok-repro.json"
+    repro = json.loads((tmp_path / "zok-repro.json").read_text(encoding="utf-8"))
+    assert repro["argv"] == ["zariski", *spelling, "-c", "1"]
+    with open(fixture_path("p2"), encoding="utf-8") as fh:
+        assert repro["model"] == json.load(fh)
+
+
+def test_repro_model_is_null_when_the_model_file_is_gone(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "gone.json"
+    path.write_text(dumps_canonical(model_to_dict(load_fixture("p2"))), encoding="utf-8")
+    import zok.cli as cli_mod
+
+    def broken(*args, **kwargs):
+        path.unlink()
+        _raise_runtime_error()
+
+    monkeypatch.setattr(cli_mod, "zariski_decompose", broken)
+    code, out = run_cli(capsys, "zariski", "-m", str(path), "-c", "1")
+    assert code == 3
+    repro = json.loads((tmp_path / "zok-repro.json").read_text(encoding="utf-8"))
+    assert repro["error"] == "RuntimeError: internal runtime error"
+    assert "model" in repro and repro["model"] is None
+
+
+_RANK2 = {"name": "m", "rank": 2, "gram": [[1, 0], [0, -1]], "kahler": [1, 0],
+          "curves": [{"name": "E", "class": [0, 1]}]}
+
+
+@pytest.mark.parametrize(
+    "changes, problems",
+    [
+        ({"rank": 0}, ["rank must be >= 1, got 0"]),
+        ({"rank": -3}, ["rank must be >= 1, got -3"]),
+        ({"gram": [[1, 0], [0]]}, ["gram must be 2x2"]),
+        ({"kahler": [1, 0, 0]}, ["kahler class must have length 2"]),
+        ({"curves": [{"name": "E", "class": [0, 1, 0]}, {"name": "F", "class": [1]}]},
+         ["curve 'E' class must have length 2", "curve 'F' class must have length 2"]),
+        ({"gram": [[1, 2], [3, -1]], "kahler": [1]},
+         ["gram not symmetric at entry (0,1)", "kahler class must have length 2"]),
+    ],
+)
+def test_malformed_models_exit_2_with_every_problem_in_order(capsys, tmp_path, changes, problems):
+    """validate lists the problems; any other subcommand refuses the model
+    with the same list."""
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(dict(_RANK2, **changes)), encoding="utf-8")
+    code, out = run_cli(capsys, "validate", "-m", str(path))
+    assert (code, out) == (2, dumps_canonical({"problems": problems, "valid": False}))
+    code, out = run_cli(capsys, "volume", "-m", str(path), "-c", "1,0")
+    assert (code, out) == (2, dumps_canonical({
+        "detail": "; ".join(problems), "error": "ModelValidationError", "problems": problems,
+    }))
+
+
+def test_verify_refuses_a_subset_cap_that_is_not_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("ZOK_MAX_SUBSET_CURVES", "abc")
+    code, out = run_cli(capsys, "verify", "-m", "p2")
+    assert code == 2
+    assert out == dumps_canonical({
+        "detail": "ZOK_MAX_SUBSET_CURVES must be an integer, got 'abc'", "error": "UsageError",
+    })
 
 
 def test_help_paths(capsys):

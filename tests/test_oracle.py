@@ -17,6 +17,7 @@ from zok.lattice import (
 from zok.okounkov import PiecewiseLinear
 from zok.oracle import (
     ModelGenSpec,
+    OracleReport,
     area_by_integration,
     brute_force_zariski,
     derivative_by_chambers,
@@ -351,6 +352,72 @@ def test_run_model_verification_reports(blowup1):
         "polygon-area-vs-integration",
     ]
     assert all(r.agrees and r.witness is None for r in reports)
+
+
+_ZARISKI, _DERIVATIVE, _POLYGON = (
+    OracleReport("zariski-vs-subset-search[grid 2, 25 classes]", True),
+    OracleReport("derivative-vs-chamber-walk[28 pairs]", True),
+    OracleReport("polygon-area-vs-integration[21 polygons]", True),
+)
+
+
+def _off_at(route, n):
+    """route with its n-th answer (counting from 1) off by one."""
+    calls = itertools.count(1)
+
+    def off(*args, **kwargs):
+        value = route(*args, **kwargs)
+        return value + 1 if next(calls) == n else value
+
+    return off
+
+
+def _no_subset_at(cls):
+    """brute_force_zariski, finding no decomposition of the class cls."""
+
+    def search(model, alpha, max_curves):
+        return None if alpha == cls else brute_force_zariski(model, alpha, max_curves)
+
+    return search
+
+
+@pytest.mark.parametrize(
+    "target, route, expected",
+    [
+        # the sweep stops at its 24th class, so the later routes see only
+        # the big classes before it
+        ("brute_force_zariski", _no_subset_at(F(2, 1)), [
+            OracleReport(
+                "zariski-vs-subset-search[grid 2, 24 classes]", False,
+                "class (2,1): iterative ZariskiDecomp(alpha=(Fraction(2, 1), Fraction(1, 1)), "
+                "positive=(Fraction(2, 1), Fraction(0, 1)), support=(0,), "
+                "coeffs=(Fraction(1, 1),)) vs subset None"),
+            OracleReport("derivative-vs-chamber-walk[20 pairs]", True),
+            OracleReport("polygon-area-vs-integration[15 polygons]", True),
+        ]),
+        ("derivative_by_chambers", _off_at(derivative_by_chambers, 3), [
+            _ZARISKI,
+            OracleReport(
+                "derivative-vs-chamber-walk[3 pairs]", False,
+                "alpha (1,0), beta (1,-1): closed form 2 vs chamber walk 3"),
+            _POLYGON,
+        ]),
+        ("area_by_integration", _off_at(area_by_integration, 5), [
+            _ZARISKI,
+            _DERIVATIVE,
+            OracleReport(
+                "polygon-area-vs-integration[5 polygons]", False,
+                "alpha (1,1), flag H-E: shoelace 1/2, integral 3/2, volume 1"),
+        ]),
+    ],
+)
+def test_a_route_that_disagrees_reports_its_first_witness(monkeypatch, blowup1, target, route, expected):
+    """The route that disagrees stops at its first witness and counts the
+    items it reached up to that one; the other routes still run."""
+    import zok.oracle
+
+    monkeypatch.setattr(zok.oracle, target, route)
+    assert run_model_verification(blowup1) == expected
 
 
 def test_loading_walking_and_verifying_leave_the_fraction_curve_table_unbuilt():
