@@ -10,6 +10,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional
 
 from .errors import GenerationError, MultipleCandidates, NotPseudoEffective, UsageError
@@ -104,15 +105,20 @@ def area_by_integration(f: PiecewiseLinear, g: PiecewiseLinear) -> ExtRat:
 
 
 def random_model(spec: ModelGenSpec) -> SurfaceModel:
-    """Deterministic blow-up-type model from a seed.
+    """Deterministic blow-up-type model from a seed: the same spec gives the
+    same model (name, gram, curves, Kahler class) or GenerationError.
 
-    diag(1, -1, ..., -1) form; the exceptional classes are always present and
-    extra curves are drawn as d*H - sum(m_i E_i) with small coordinates,
-    filtered against the curve-record invariants, until validate_model
-    passes or the retry budget runs out.
+    diag(1, -1, ..., -1) form, omega = (2 rank - 1) H - sum(E_i); the E_i are
+    always present.  An attempt draws curves C = d*H - sum(m_i E_i), 1 <= d
+    and 0 <= m_i <= coord_bound, keeping C when omega.C > 0 and C meets no
+    kept C negatively (one integer product with its form row (d, m_1, ...));
+    C.E_i = m_i >= 0 and C != 0 hold by construction.  It stops at num_curves
+    curves or 200 draws; the first full one validate_model passes is returned.
     """
     if spec.rank < 1:
         raise GenerationError("rank must be >= 1")
+    if spec.coord_bound < 1:
+        raise GenerationError("coord_bound must be >= 1")
     if spec.rank == 1:
         return make_model("p2-random", 1, [[1]], [("L", [1])], [1])
     rng = random.Random(spec.seed)
@@ -122,33 +128,27 @@ def random_model(spec: ModelGenSpec) -> SurfaceModel:
     for i in range(1, rank):
         gram[i][i] = -1
     omega = [2 * rank - 1] + [-1] * (rank - 1)
-
-    def dot(u, v):
-        return u[0] * v[0] - sum(a * b for a, b in zip(u[1:], v[1:]))
-
     for attempt in range(200):
         curves: list[tuple[str, list[int]]] = [
             (f"E{i}", [0] * i + [1] + [0] * (rank - 1 - i)) for i in range(1, rank)
         ]
-
-        def pair_ok(cls: list[int]) -> bool:
-            if all(v == 0 for v in cls):
-                return False
-            if dot(omega, cls) <= 0:
-                return False
-            return all(dot(existing, cls) >= 0 for _, existing in curves)
-
+        rows: list[list[int]] = []  # the form row (d, m_1, ...) of each kept C
         tries = 0
         while len(curves) < spec.num_curves and tries < 200:
             tries += 1
             d = rng.randint(1, spec.coord_bound)
             cand = [d] + [-rng.randint(0, spec.coord_bound) for _ in range(rank - 1)]
-            if pair_ok(cand):
+            if (2 * rank - 1) * d + sum(cand[1:]) > 0 and all(
+                sum(map(mul, row, cand)) >= 0 for row in rows
+            ):
                 curves.append((f"C{len(curves)}", cand))
+                rows.append([abs(c) for c in cand])
+        if len(curves) < spec.num_curves:
+            continue
         candidate = make_model(
             f"random-{spec.seed}-r{rank}-{attempt}", rank, gram, curves, omega
         )
-        if len(candidate.curves) >= spec.num_curves and not validate_model(candidate):
+        if not validate_model(candidate):
             return candidate
     raise GenerationError(f"no valid model after bounded retries (seed {spec.seed})")
 

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zok.errors import MultipleCandidates, NotPseudoEffective, UsageError
+from zok.errors import GenerationError, MultipleCandidates, NotPseudoEffective, UsageError
 from zok.exact import QuadExt
 from zok.lattice import (
     make_model,
@@ -328,6 +329,42 @@ def test_random_model_generation_failure_reports_seed():
 
     with pytest.raises(GenerationError, match="seed 77"):
         random_model(ModelGenSpec(seed=77, rank=2, num_curves=300, coord_bound=1))
+
+
+@pytest.mark.parametrize("bound", [0, -1])
+def test_random_model_refuses_a_coord_bound_below_one(bound):
+    with pytest.raises(GenerationError, match="^coord_bound must be >= 1$"):
+        random_model(ModelGenSpec(seed=1, rank=3, num_curves=4, coord_bound=bound))
+
+
+def _generated_text(spec: ModelGenSpec) -> str:
+    """The spec's model as text (name, gram, curves, Kahler class), or the
+    message of the GenerationError it raises."""
+    try:
+        m = random_model(spec)
+    except GenerationError as exc:
+        return f"{spec}: GenerationError: {exc}"
+    gram = [[str(x) for x in row] for row in m.gram]
+    curves = [(c.name, [str(x) for x in c.cls]) for c in m.curves]
+    return f"{spec}: {m.name} {gram} {curves} {[str(x) for x in m.kahler]}"
+
+
+def test_random_model_draws_the_recorded_models():
+    """Ranks 1-10 at coord_bound 1-3, from no drawn curve (num_curves =
+    rank - 1) to retried attempts (random-2-r10-19), and one spec that runs
+    out of attempts: the digest of their text was recorded from the generator
+    that tested every draw against every curve and omega with a generic
+    pairing, so a change to the filter keeps every draw, model and error."""
+    specs = [ModelGenSpec(seed=seed, rank=rank, num_curves=rank + extra, coord_bound=bound)
+             for rank in range(1, 11) for bound in (1, 2, 3)
+             for seed, extra in ((0, -1), (1, 2), (2, 5))]
+    failing = ModelGenSpec(seed=0, rank=7, num_curves=22, coord_bound=3)
+    texts = [_generated_text(spec) for spec in specs + [failing]]
+    assert texts[-1] == f"{failing}: GenerationError: no valid model after bounded retries (seed 0)"
+    assert sum("GenerationError" in t for t in texts) == 1
+    assert any(": random-2-r10-19 " in t for t in texts)
+    digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
+    assert digest == "115b2aaf0db1d9637e9bdaea1b37fd2453faca4d3aac1b38e46862d6223815cd"
 
 
 def test_random_models_agree_with_oracle_on_grid():
