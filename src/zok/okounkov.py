@@ -5,15 +5,16 @@ bodies on the volume-zero boundary.
 The walk is exact: within a chamber the negative-part support is constant,
 so the orthogonality system makes the coefficients and the positive part
 affine in t.  A walk scales alpha and the direction to integer numerators
-once.  Each chamber starts with one rational decomposition at its start
-t0; support growth over the two integer columns of t0 + eps, eps a formal
-positive infinitesimal signed lexicographically (symbolic perturbation),
-then reaches the chamber's support, and its two solves are the affine
-formulas.  The formulas, their checks, the chamber's events and the
+once and makes one decomposition, of alpha.  Each chamber starts from the
+end of the one before; support growth over the two integer columns of
+t0 + eps, eps a formal positive infinitesimal signed lexicographically
+(symbolic perturbation), reaches its support, and its two solves are the
+affine formulas.  The formulas, their checks, the events and the
 continuity of adjacent chambers run over integer numerators, and
-Fractions are built only for the chamber's fields.  Breakpoints are roots of affine functions (hence
-rational); only the terminal endpoint, where the positive part's square
-vanishes, can be a quadratic irrational, represented exactly in Q(sqrt(d)).
+Fractions are built only for the chamber's fields.  Breakpoints are roots
+of affine functions (hence rational); only the terminal endpoint, where
+the positive part's square vanishes, can be a quadratic irrational,
+represented exactly in Q(sqrt(d)).
 """
 
 from __future__ import annotations
@@ -21,32 +22,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Optional, Sequence
 
-from .errors import (
-    FlagInNonKahlerLocus,
-    HypothesisViolated,
-    InvariantError,
-    NotBig,
-    NotOnBoundary,
-    NotPseudoEffective,
-    UnknownCurve,
-)
+from .errors import (FlagInNonKahlerLocus, HypothesisViolated, InvariantError, NotBig,
+                     NotOnBoundary, NotPseudoEffective, UnknownCurve)
 from .exact import ExtRat, QuadExt, parse_rat, quad_of_ints, quad_sign, sqrt_rat
 from .lattice import SurfaceModel, Vec
-from .polygon import ConvexPolygon, Point, shoelace_area
-from .zariski import (
-    Kind,
-    ZariskiDecomp,
-    _classification_of,
-    _curve_sum,
-    _decompose_or_none,
-    _grow_support,
-    _non_kahler_of,
-    zariski_decompose,
-)
+from .polygon import ConvexPolygon, Point
+from .zariski import (Kind, ZariskiDecomp, _classification_of, _curve_sum, _decompose_or_none,
+                      _grow_support, _met, _non_kahler_of, zariski_decompose)
 
 
 def _as_index(i) -> int:
@@ -207,48 +193,51 @@ def _walk_class(model: SurfaceModel, alpha: Vec, direction: Vec) -> tuple:
     return alpha, ld, d, along, la, a, pairs
 
 
-def _chamber_at(model, walk, t0, fallback_end=None):
-    """The chamber starting at t0 along alpha + t*direction, and whether it
-    ends at the terminal root of Z(t)^2; the one start of every walk.
+def _chamber_at(model, walk, prev=None, fallback_end=None):
+    """The chamber along alpha + t*direction that starts where prev ends
+    (at t0 = 0 without prev), and whether the walk ends with it.
 
-    ``walk`` is _walk_class's data.  The chamber starts with one checked
-    decomposition of alpha + t0*direction, one Fraction per coordinate from
-    the walk's numerators, whose P^2 must be positive: at t0 = 0 that is
-    _require_big(alpha), the bigness test of every walk, and past 0 a
-    failure is an invariant breach.  Its support is a subset of the
-    chamber's, which is the support of
-    alpha + (t0 + eps)*direction for a formal positive infinitesimal eps:
-    _grow_support over the two integer columns (alpha + t0*direction) . C_j
-    and direction . C_j, read off the walk's two pairing rows and started
-    there, reaches it, and its eps-parts are the slopes of the affine
-    formulas.
+    ``walk`` is _walk_class's data.  At t0 = 0 the start is
+    _require_big(alpha), the walk's one decomposition.  Past 0 it is read
+    off prev's numerators at t0 (_values_at): P = Z(t0), P.C_j, the seed
+    support (the curves of non-zero coefficient) and P^2 > 0, one integer
+    form product, else an invariant breach.  The chamber's support is that
+    of alpha + (t0 + eps)*direction for a formal positive infinitesimal eps:
+    _grow_support from the seed over the two integer columns
+    (alpha + t0*direction) . C_j and direction . C_j, read off the walk's
+    pairing rows, reaches it, and its eps-parts are the affine slopes.
 
-    From the walk's numerators to the returned chamber everything is
-    integer numerators: with t0 = p/q and the growth's parts c0 = a0/D0,
-    c1 = a1/D1 (coefficients) and h = r0/D0, h1 = r1/D1 (pairings),
-    z1 = d - sum c1*C and z0 = P - t0*z1, P from the numerators the
-    decomposition keeps; the checks (reconstruction, pairings against the
-    decomposition's P.C_j and against z1, nef) are integer equalities and
-    sign tests, the events are found in u = t - t0, and Fractions are built
-    only for the chamber's fields; it keeps the numerators as ints =
-    (den0, z0, den1, z1, den, c0, d1, c1, h0, h1), h0 over den and h1 over
-    d1 (den, d1 > 0).  It ends at the first event after t0, or at
-    fallback_end when none lies ahead.
+    With t0 = p/q and the growth's parts c0 = a0/D0, c1 = a1/D1
+    (coefficients) and h = r0/D0, h1 = r1/D1 (pairings), z1 = d - sum c1*C
+    and z0 = P - t0*z1; the checks (reconstruction, pairings against P.C_j
+    and z1, nef) and the events, in u = t - t0, run over integers, and it
+    keeps ints = (den0, z0, den1, z1, den, c0, d1, c1, h0, h1), h0 over den
+    and h1 over d1 (den, d1 > 0).  It ends at the first event after t0, or
+    at fallback_end when none lies ahead; the terminal root is taken only
+    where integer signs put it at or before the first affine event.
     """
     alpha, ld, d_nums, along, la, a_nums, a_pairs = walk
+    t0 = Fraction(0) if prev is None else prev.t_hi
     p, q = t0.numerator, t0.denominator
-    if t0 == 0:
+    gd, gram = model._gram_ints
+    if prev is None:
         dec = _require_big(model, alpha)
-    else:
-        dec = _decompose_or_none(model, tuple(
-            Fraction(q * ld * x + p * la * y, q * la * ld) for x, y in zip(a_nums, d_nums)))
-        if dec is None or not dec.volume(model) > 0:
+        seed, e0, (lp, p_nums, pd, p_pairs) = dec.support, dec.positive_square, dec.positive_ints
+    else:  # P = p_nums / lp and P.C_j = p_pairs / pd at t0, off prev's numerators
+        lp, p_nums, _, c = _values_at(prev, p, q)
+        g = gcd(lp, *p_nums)  # reduced, so that numerators do not grow along the walk
+        lp, p_nums = lp // g, [x // g for x in p_nums]
+        _, _, _, _, hd, _, hd1, _, h0, h1 = prev.ints
+        seed, pd = [i for i, x in c.items() if x], q * hd * hd1
+        p_pairs = [q * hd1 * x + p * hd * y for x, y in zip(h0, h1)]
+        e0 = Fraction(sum(map(mul, p_nums, _met(model, p_nums))), lp * lp * gd)
+        if e0 <= 0:
             raise InvariantError(f"class at t = {t0} is not big")
     dd, duals = model.duals
     start = [q * ld * x + p * la * y for x, y in zip(a_pairs, along)]
     try:
         support, (d0, d1), (a0, a1), (r0, r1) = _grow_support(
-            model, (start, along), (q * la * ld * dd, ld * dd), dec.support)
+            model, (start, along), (q * la * ld * dd, ld * dd), seed)
     except NotPseudoEffective as exc:
         raise InvariantError(f"class just after t = {t0} is not big") from exc
     den = q * d0 * d1  # x0/D0 - t0*x1/D1 = (q*D1*x0 - p*D0*x1) / den
@@ -257,7 +246,6 @@ def _chamber_at(model, walk, t0, fallback_end=None):
     cd = model._curve_ints[0]
     z1 = [x * d1 * cd - y * ld for x, y in zip(d_nums, _curve_sum(model, support, a1))]
     den1 = ld * d1 * cd
-    lp, p_nums, pd, p_pairs = dec.positive_ints
     z0 = [x * q * den1 - p * lp * y for x, y in zip(p_nums, z1)]
     den0 = lp * q * den1
     back = _curve_sum(model, support, coeff0)  # sum coeff0*C, over den * cd
@@ -269,42 +257,40 @@ def _chamber_at(model, walk, t0, fallback_end=None):
         raise InvariantError("chamber pairings disagree with the positive part")
     if any(r1[i] for i in support) or any(v < (0, 0) for v in zip(r0, r1)):
         raise InvariantError("chamber positive part not nef in model")
-    gd, gram = model._gram_ints
     g0, g1 = ([sum(map(mul, row, z)) for row in gram] for z in (z0, z1))
     w11 = sum(map(mul, z1, g1))
     square = (Fraction(sum(map(mul, z0, g0)), den0 * den0 * gd),
               Fraction(2 * sum(map(mul, z0, g1)), den0 * den1 * gd),
               Fraction(w11, den1 * den1 * gd))
     # affine events: u = x/y * D1/D0 for each decreasing coefficient and
-    # off-support pairing, the smallest by cross-multiplication
+    # off-support pairing, the smallest, u*, by cross-multiplication
     in_support = set(support)
     ratios = [(x, -y) for x, y in zip(a0, a1) if y < 0]
     ratios += [(x, -y) for j, (x, y) in enumerate(zip(r0, r1)) if y < 0 and j not in in_support]
-    affine_next = None
+    # Z(t0 + u)^2 = e0 + e1*u + e2*u^2 (e0 = P^2 > 0, e1 = 2*P.z1, e2 = z1^2)
+    # ends the walk if it has a root in (0, u*]; f is e times den1^2*gd*lp*k0
+    m1 = sum(map(mul, p_nums, g1))  # P.z1 over lp * den1 * gd
+    affine_next, last = None, True
     if ratios:
         x, y = min(ratios, key=cmp_to_key(lambda r, s: r[0] * s[1] - s[0] * r[1]))
-        affine_next = t0 + Fraction(x * d1, y * d0)
-    # Z(t0 + u)^2 = e0 + e1*u + e2*u^2 with e0 = P^2 > 0, e1 = 2*P.z1 and
-    # e2 = z1^2: its smallest positive root is -e0/e1 when e2 = 0 and e1 < 0,
-    # else (-e1 - sqrt(e1^2 - 4*e2*e0)) / (2*e2) when real and e2 < 0 or e1 < 0
-    m1 = sum(map(mul, p_nums, g1))  # P.z1 over lp * den1 * gd
+        u, v, k0 = x * d1, y * d0, e0.denominator  # u* = u / v > 0
+        affine_next = t0 + Fraction(u, v)
+        f = (e0.numerator * den1 * den1 * gd * lp, 2 * m1 * den1 * k0, w11 * lp * k0)
+        last = _root_by(*f, u, v)
+    # the root, the walk's one square root: -e0/e1 if e2 = 0, else (-e1 - sqrt(disc))/(2*e2)
     terminal = None
-    if w11 == 0 and m1 < 0:
-        terminal = t0 - dec.positive_square / Fraction(2 * m1, lp * den1 * gd)
-    elif w11 and (w11 < 0 or m1 < 0):
+    if last and (w11 < 0 or m1 < 0):
         e1, e2 = Fraction(2 * m1, lp * den1 * gd), square[2]
-        disc = e1 * e1 - 4 * e2 * dec.positive_square
-        if disc >= 0:
+        disc = e1 * e1 - 4 * e2 * e0
+        if not e2:
+            terminal = t0 - e0 / e1
+        elif disc >= 0:
             root = sqrt_rat(disc)
             if isinstance(root, QuadExt):
                 terminal = QuadExt._of(t0 - e1 / (2 * e2), -root.q / (2 * e2), root.d)
             else:
                 terminal = t0 - (e1 + root) / (2 * e2)
-    if isinstance(terminal, QuadExt) and affine_next is not None:
-        w, v = terminal.p - affine_next, terminal.q  # sign of w + v*sqrt(d), no QuadExt built
-        last = quad_sign(w.numerator * v.denominator, v.numerator * w.denominator, terminal.d) < 0
-    else:
-        last = terminal is not None and (affine_next is None or terminal <= affine_next)
+    last = terminal is not None
     t1 = terminal if last else (fallback_end if affine_next is None else affine_next)
     if t1 is None:
         raise InvariantError("chamber walk found no event ahead")
@@ -312,6 +298,14 @@ def _chamber_at(model, walk, t0, fallback_end=None):
     z0, z1 = (tuple(Fraction(x, d) for x in z) for z, d in ((z0, den0), (z1, den1)))
     coeff0, coeff1 = (tuple(Fraction(x, d) for x in v) for v, d in ((coeff0, den), (a1, d1)))
     return SegmentChamber(t0, t1, support, z0, z1, coeff0, coeff1, square, ints), last
+
+
+def _root_by(f0: int, f1: int, f2: int, u: int, v: int) -> bool:
+    """Whether f0 + f1*x + f2*x^2 with f0 > 0 has a root in (0, u/v], u, v > 0,
+    by integer signs: f(u/v) <= 0, or f's vertex -f1/(2*f2) lies in (0, u/v)
+    and f1^2 >= 4*f2*f0 (two roots there, or a double one)."""
+    return (f0 * v * v + f1 * u * v + f2 * u * u <= 0
+            or 0 < -f1 * v < 2 * f2 * u and f1 * f1 >= 4 * f2 * f0)
 
 
 def _values_at(chamber: SegmentChamber, p: int, q: int) -> tuple:
@@ -345,30 +339,27 @@ def _require_big(model: SurfaceModel, alpha: Vec) -> ZariskiDecomp:
 def segment_chambers(model: SurfaceModel, alpha: Vec, curve) -> list[SegmentChamber]:
     """Exact chamber list covering [0, s] along alpha - t*C for big alpha.
 
-    Each chamber costs one decomposition, of the class at its start, and one
-    support growth just past it (see _chamber_at); the first decomposition
-    also tests that alpha is big.  -C and alpha are scaled to integer
-    numerators and paired with the curves once per walk (_walk_class).  A
-    chamber's end is the smallest of the coefficient zeros, the off-support
-    orthogonality crossings, and the terminal root of Z(t)^2, which ends the
-    walk and may be a quadratic irrational.  Adjacent chambers must agree at
-    their breakpoint (over integers), and no curve but C may leave the
-    support, since N(D + E) <= N(D) + E for effective E.
+    One decomposition per walk, of alpha, which tests that it is big, and
+    one support growth per chamber, just past its start (see _chamber_at).
+    -C and alpha are scaled to integer numerators and paired with the
+    curves once per walk (_walk_class).  A chamber's end is the smallest of
+    the coefficient zeros, the off-support orthogonality crossings, and the
+    terminal root of Z(t)^2, which ends the walk and may be a quadratic
+    irrational.  Adjacent chambers must agree at their breakpoint (over
+    integers), and no curve but C may leave the support, since
+    N(D + E) <= N(D) + E for effective E.
     """
     index = model.resolve_curve(curve)
     walk = _walk_class(model, alpha, tuple(-x for x in model.curve_class(index)))
-    chambers: list[SegmentChamber] = []
-    t0 = Fraction(0)
-    while True:
-        chamber, last = _chamber_at(model, walk, t0)
-        if chambers:
-            _assert_continuity(chambers[-1], chamber)
-            if not set(chambers[-1].support) - {index} <= set(chamber.support):
-                raise InvariantError("a curve other than C left the negative part")
+    chamber, last = _chamber_at(model, walk)
+    chambers = [chamber]
+    while not last:
+        chamber, last = _chamber_at(model, walk, chambers[-1])
+        _assert_continuity(chambers[-1], chamber)
+        if not set(chambers[-1].support) - {index} <= set(chamber.support):
+            raise InvariantError("a curve other than C left the negative part")
         chambers.append(chamber)
-        if last:
-            return chambers
-        t0 = chamber.t_hi
+    return chambers
 
 
 def first_chamber_along(model: SurfaceModel, alpha: Vec, direction: Vec) -> SegmentChamber:
@@ -377,7 +368,7 @@ def first_chamber_along(model: SurfaceModel, alpha: Vec, direction: Vec) -> Segm
     also tests that alpha is big.  t_hi is the first event (terminal or
     not), or 1 when no event lies ahead."""
     walk = _walk_class(model, alpha, direction)
-    return _chamber_at(model, walk, Fraction(0), Fraction(1))[0]
+    return _chamber_at(model, walk, None, Fraction(1))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -443,9 +434,10 @@ def _at(x0: int, x1: int, e0: int, e1: int, t) -> tuple[int, int, int]:
 
 
 def _envelopes_of(chambers: Sequence[SegmentChamber], flag: FlagSpec) -> tuple:
-    """(f, g, bends): envelopes read off the chamber list of the walk along
-    the flag curve, and at each inner breakpoint a pair of integers whose
-    signs are those of f's and of g's change of slope there.
+    """(f, g, bends, area): envelopes read off the chamber list of the walk
+    along the flag curve, at each inner breakpoint a pair of integers whose
+    signs are those of f's and of g's change of slope there, and the area
+    between f and g, summed as trapezoids of g - f over their integers.
 
     With the flag multiplicities n_i / md over their least common
     denominator md, f is sum n_i*c_i(t) / md and the width g - f is Z(t).C,
@@ -474,19 +466,27 @@ def _envelopes_of(chambers: Sequence[SegmentChamber], flag: FlagSpec) -> tuple:
         lines.append((f0, f1, f0 + md * h0[index], f1 + md * h1[index], md * den, md * d1))
     breakpoints = (a, *(ch.t_hi for ch in sub))
     d = breakpoints[-1].d if isinstance(breakpoints[-1], QuadExt) else 1
-    f_vals, g_vals, below = [], [], False
+    f_vals, g_vals, rows, below = [], [], [], False
     for (f0, f1, g0, g1, e0, e1), t in zip([lines[0], *lines], breakpoints):
         fa, fb, den = _at(f0, f1, e0, e1, t)
         ga, gb, _ = _at(g0, g1, e0, e1, t)
         below = below or quad_sign(ga - fa, gb - fb, d) < 0
         f_vals.append(quad_of_ints(fa, fb, d, den))
         g_vals.append(quad_of_ints(ga, gb, d, den))
+        rows.append((den, *_at(0, e1, e0, e1, t)[:2], ga - fa, gb - fb))
     f = PiecewiseLinear(breakpoints, tuple(f_vals))
     g = PiecewiseLinear(breakpoints, tuple(g_vals))
     if below:
         raise InvariantError("lower envelope exceeds upper envelope")
+    big = lcm(*(r[0] for r in rows))  # (t, g - f) at each breakpoint over big
+    rows = [[x * (big // r[0]) for x in r[1:]] for r in rows]
+    a2 = b2 = 0  # sum of the trapezoids (t' - t)(w + w') in Q(sqrt(d))
+    for (t, tb, w, wb), (s, sb, x, xb) in zip(rows, rows[1:]):
+        a2 += (s - t) * (w + x) + (sb - tb) * (wb + xb) * d
+        b2 += (s - t) * (wb + xb) + (sb - tb) * (w + x)
     sl = [(f1, g1, e1) for _, f1, _, g1, _, e1 in lines]
-    return f, g, [(y * e - x * c, v * e - w * c) for (x, w, e), (y, v, c) in zip(sl, sl[1:])]
+    bends = [(y * e - x * c, v * e - w * c) for (x, w, e), (y, v, c) in zip(sl, sl[1:])]
+    return f, g, bends, quad_of_ints(a2, b2, d, 2 * big * big)
 
 
 def _envelope_vertices(f: PiecewiseLinear, g: PiecewiseLinear, bends) -> ConvexPolygon:
@@ -513,15 +513,15 @@ def okounkov_polygon(model: SurfaceModel, alpha: Vec, flag: FlagSpec) -> Okounko
     The vertices are those of the two envelope chains, checked convex and
     concave first (by the bends of _envelopes_of), counter-clockwise
     from the leftmost-lowest vertex (a, f(a)); they equal the convex hull of
-    the envelope breakpoints.  Twice the shoelace area must reproduce the
-    volume of the class, and the vertex count is bounded by 2*rank + 2.
+    the envelope breakpoints.  Twice its area (_envelopes_of) must reproduce
+    the volume of the class, and the vertex count is bounded by 2*rank + 2.
     Both facts are verified on every call; the volume is Z(0)^2, the
     constant term the first chamber of the walk keeps, so alpha is
     decomposed only by the walk.
     """
     validate_flag(model, flag)
     chambers = segment_chambers(model, alpha, flag.curve)
-    f, g, bends = _envelopes_of(chambers, flag)
+    f, g, bends, area = _envelopes_of(chambers, flag)
     if any(x < 0 for x, _ in bends):
         raise InvariantError("lower envelope is not convex")
     if any(y > 0 for _, y in bends):
@@ -529,7 +529,7 @@ def okounkov_polygon(model: SurfaceModel, alpha: Vec, flag: FlagSpec) -> Okounko
     vertices = _envelope_vertices(f, g, bends)
     if len(vertices) < 3:
         raise InvariantError("degenerate polygon for a big class")
-    vol, area = chambers[0].square[0], shoelace_area(vertices)
+    vol = chambers[0].square[0]
     if 2 * area != vol:
         raise InvariantError(f"polygon area identity failed: 2*{area} != volume {vol}")
     if len(vertices) > 2 * model.rank + 2:
@@ -541,15 +541,10 @@ def okounkov_polygon(model: SurfaceModel, alpha: Vec, flag: FlagSpec) -> Okounko
 def _flag_base(dec: ZariskiDecomp, flag: FlagSpec) -> Fraction:
     """Multiplicity-weighted negative part of a decomposition at the flag point."""
     mults = flag.mult_map()
-    return sum(
-        (mults.get(i, Fraction(0)) * a for i, a in zip(dec.support, dec.coeffs)),
-        Fraction(0),
-    )
+    return sum((mults.get(i, 0) * a for i, a in zip(dec.support, dec.coeffs)), Fraction(0))
 
 
-def restricted_body(
-    model: SurfaceModel, alpha: Vec, flag: FlagSpec
-) -> tuple[Fraction, Fraction]:
+def restricted_body(model: SurfaceModel, alpha: Vec, flag: FlagSpec) -> tuple[Fraction, Fraction]:
     """Restriction of the body of a big class to the flag curve: the interval
     [f(0), f(0) + Z.C], defined when the flag curve avoids the non-Kahler
     locus of the class."""
@@ -557,8 +552,7 @@ def restricted_body(
     dec = _require_big(model, alpha)
     if flag.curve in _non_kahler_of(model, dec):
         raise FlagInNonKahlerLocus(
-            f"curve {model.curve_name(flag.curve)!r} lies in the non-Kahler locus"
-        )
+            f"curve {model.curve_name(flag.curve)!r} lies in the non-Kahler locus")
     base = _flag_base(dec, flag)
     width = dec.positive_pairings[flag.curve]
     return base, base + width
@@ -576,13 +570,9 @@ def boundary_body(model: SurfaceModel, alpha: Vec, flag: FlagSpec) -> BoundaryBo
     base = _flag_base(dec, flag)
     if cls.numdim == 0:
         if flag.curve in dec.support:
-            raise HypothesisViolated(
-                "flag curve lies in the support of the negative part"
-            )
+            raise HypothesisViolated("flag curve lies in the support of the negative part")
         return BoundaryBody(kind="Point", base_y=base, top=None)
     width = dec.positive_pairings[flag.curve]
     if width == 0:
-        raise HypothesisViolated(
-            "numerical dimension 1 requires Z.C > 0 for the flag curve"
-        )
+        raise HypothesisViolated("numerical dimension 1 requires Z.C > 0 for the flag curve")
     return BoundaryBody(kind="Segment", base_y=base, top=base + width)

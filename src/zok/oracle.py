@@ -17,12 +17,8 @@ from .errors import GenerationError, MultipleCandidates, NotPseudoEffective, Usa
 from .exact import ExtRat
 from .lattice import SurfaceModel, Vec, make_model, validate_model
 from .okounkov import FlagSpec, PiecewiseLinear, first_chamber_along, okounkov_polygon
-from .zariski import (
-    ZariskiDecomp,
-    _check_decomposition,
-    _direction_kind,
-    zariski_decompose,
-)
+from .polygon import shoelace_area
+from .zariski import ZariskiDecomp, _check_decomposition, _direction_kind, zariski_decompose
 
 DEFAULT_SUBSET_CAP = 16
 
@@ -36,6 +32,10 @@ class OracleReport:
 
 @dataclass(frozen=True)
 class ModelGenSpec:
+    """random_model's input.  num_curves is the exact curve count from
+    rank - 1 up: rank 1 gives p2-random's one curve for any count, and a
+    count below rank - 1 gives the rank - 1 curves E_i alone."""
+
     seed: int
     rank: int
     num_curves: int
@@ -113,7 +113,9 @@ def random_model(spec: ModelGenSpec) -> SurfaceModel:
     and 0 <= m_i <= coord_bound, keeping C when omega.C > 0 and C meets no
     kept C negatively (one integer product with its form row (d, m_1, ...));
     C.E_i = m_i >= 0 and C != 0 hold by construction.  It stops at num_curves
-    curves or 200 draws; the first full one validate_model passes is returned.
+    curves or 200 draws; the first full one validate_model passes is returned,
+    the E_i alone when num_curves < rank - 1.  Rank 1 returns p2-random, one
+    curve L, for any num_curves.
     """
     if spec.rank < 1:
         raise GenerationError("rank must be >= 1")
@@ -197,9 +199,10 @@ def _polygon_route(model: SurfaceModel, big: list):
         for index in range(len(model.curves)):
             poly = okounkov_polygon(model, alpha, FlagSpec.make(index))
             integral = area_by_integration(poly.f, poly.g)
-            yield None if integral == poly.area and 2 * poly.area == vol else (
+            area = shoelace_area(poly.vertices)
+            yield None if integral == area == poly.area and 2 * area == vol else (
                 f"alpha {_fmt_class(alpha)}, flag {model.curve_name(index)}: "
-                f"shoelace {poly.area}, integral {integral}, volume {vol}"
+                f"shoelace {area}, integral {integral}, volume {vol}"
             )
 
 

@@ -2,7 +2,8 @@
 chamber walk: the growth that solves each round afresh and pairs its
 residual through the curve table, the root search and event list that
 okounkov._chamber_at once ran over Fraction formulas, that chamber's
-formulas, and the continuity test of adjacent chambers.  The kernel scales
+formulas, the walk that decomposed the class at every chamber start, and
+the continuity test of adjacent chambers.  The kernel scales
 each class to integer numerators once, keeps them from the growth to the
 returned chamber and finds its events in u = t - t0; these are the
 independent routes its tests compare against.
@@ -296,6 +297,20 @@ def reference_chamber(model, alpha, direction, t0, fallback_end=None):
 
 
 # -- the operations on top of a decomposition, over Fractions ------------------
+
+
+def reference_walk(model, alpha, curve) -> list:
+    """The chamber list along alpha - t*C as segment_chambers once built it:
+    every chamber starts from a decomposition of its start class, through
+    reference_chamber, and the walk ends with the chamber that reaches the
+    terminal root."""
+    direction = tuple(-x for x in model.curve_class(model.resolve_curve(curve)))
+    chambers, last, t0 = [], False, Fraction(0)
+    while not last:
+        chamber, last = reference_chamber(model, alpha, direction, t0)
+        chambers.append(chamber)
+        t0 = chamber.t_hi
+    return chambers
 
 
 def _pair(model, u, v) -> Fraction:

@@ -501,7 +501,7 @@ def test_chamber_flag_coefficient_vanishes_beyond_a(blowup1, blowup2):
                         assert (p, q) == (0, 0)
 
 
-# -- one decomposition per chamber ------------------------------------------------
+# -- one decomposition per walk ----------------------------------------------------
 
 
 def _big_classes_near_kahler(model, count):
@@ -519,15 +519,19 @@ def _big_classes_near_kahler(model, count):
     return out
 
 
-def test_walk_decomposes_once_per_chamber(decompositions, blowup2, hirzebruch2, golden_model):
+def test_walk_decomposes_once_per_walk(decompositions, blowup2, hirzebruch2, golden_model):
     calls = decompositions
     cases = [(blowup2, F(3, -1, -1)), (hirzebruch2, F(3, 2)), (golden_model, F(1, 0))]
+    lengths = set()
     for model, alpha in cases:
         for curve in range(len(model.curves)):
             calls.clear()
             chambers = segment_chambers(model, alpha, curve)
-            # one per chamber; the first one also tests that alpha is big
-            assert len(calls) == len(chambers)
+            # alpha only, which tests that it is big; every later chamber
+            # starts from the end of the one before
+            assert calls == [alpha]
+            lengths.add(len(chambers))
+    assert max(lengths) > 1
 
 
 def test_chamber_formulas_match_direct_decompositions():
@@ -610,6 +614,120 @@ def test_integer_chambers_match_the_fraction_reference(all_fixture_models, golde
                 if reached is None:
                     seen.add("fallback_end")
     assert seen == {"irrational", "rational", "e2 < 0", "e2 = 0", "e2 > 0", "fallback_end"}
+
+
+def test_walk_matches_the_reference_walk_that_decomposes_every_start(
+        all_fixture_models, golden_model):
+    """segment_chambers, which starts every chamber past 0 from the end of
+    the one before, is repr-equal to the reference walk that decomposes the
+    class at every chamber start: over the fixtures, the golden model and
+    30 seeded random models of rank 3-6, from omega and from a big class
+    near it, with every curve as the flag."""
+    from reference import reference_walk
+    from zok.oracle import ModelGenSpec, random_model
+
+    models = [*all_fixture_models, golden_model]
+    models += [random_model(ModelGenSpec(seed=seed, rank=3 + seed % 4, num_curves=5 + seed % 3))
+               for seed in range(100, 130)]
+    longest = irrational = 0
+    for model in models:
+        for alpha in [model.kahler, *_big_classes_near_kahler(model, 1)]:
+            for curve in range(len(model.curves)):
+                walk = segment_chambers(model, alpha, curve)
+                assert repr(walk) == repr(reference_walk(model, alpha, curve))
+                longest = max(longest, len(walk))
+                irrational += isinstance(walk[-1].t_hi, QuadExt)
+    assert longest >= 4 and irrational > 0
+
+
+def test_terminal_root_decision_by_integer_signs():
+    """_root_by(f0, f1, f2, u, v) says whether f0 + f1*x + f2*x^2 (f0 > 0)
+    has a root in (0, u/v]: a root beyond u*, two roots before it with
+    f2 > 0 (f(u*) > 0), a double root, and ties with the affine event u*;
+    then every small case against the Fraction root search."""
+    from reference import smallest_quadratic_root_above
+    from zok.okounkov import _root_by
+
+    assert not _root_by(6, -5, 1, 1, 1)  # roots 2 and 3, beyond u* = 1
+    assert not _root_by(1, 0, -1, 1, 2)  # root 1, beyond u* = 1/2
+    assert _root_by(2, -3, 1, 5, 2)  # roots 1 and 2 before u* = 5/2
+    assert _root_by(1, -2, 1, 2, 1) and not _root_by(1, -2, 1, 1, 2)  # double root 1
+    assert _root_by(1, -2, 1, 1, 1)  # the double root at u*
+    assert _root_by(2, -3, 1, 1, 1) and _root_by(1, -1, 0, 1, 1)  # a root at u* = 1
+    assert _root_by(4, -4, -3, 2, 3) and not _root_by(4, -4, -3, 3, 5)  # root 2/3
+    for f0 in range(1, 5):
+        for f1 in range(-5, 6):
+            for f2 in range(-4, 5):
+                root = smallest_quadratic_root_above(
+                    Fraction(f0), Fraction(f1), Fraction(f2), Fraction(0))
+                for u in range(1, 6):
+                    for v in range(1, 4):
+                        expected = root is not None and root <= Fraction(u, v)
+                        assert _root_by(f0, f1, f2, u, v) == expected
+
+
+def test_a_walk_takes_at_most_one_square_root(monkeypatch, all_fixture_models, golden_model):
+    """The terminal root is taken only where the walk ends, so
+    squarefree_split runs at most once per segment_chambers and per
+    first_chamber_along."""
+    import zok.exact
+    from zok.oracle import ModelGenSpec, random_model
+
+    calls = []
+    split = zok.exact.squarefree_split
+    monkeypatch.setattr(zok.exact, "squarefree_split", lambda n: calls.append(n) or split(n))
+    models = [*all_fixture_models, golden_model]
+    models += [random_model(ModelGenSpec(seed=seed, rank=4 + seed % 3, num_curves=7))
+               for seed in range(6)]
+    roots = 0
+    for model in models:
+        for alpha in _big_classes_near_kahler(model, 2):
+            for curve in range(len(model.curves)):
+                calls.clear()
+                segment_chambers(model, alpha, curve)
+                assert len(calls) <= 1
+                roots += len(calls)
+            for direction in (model.kahler, *[c.cls for c in model.curves]):
+                calls.clear()
+                first_chamber_along(model, alpha, direction)
+                assert len(calls) <= 1
+    assert roots > 0
+
+
+def test_a_changed_numerator_of_the_previous_chamber_fails_the_next_start(
+        monkeypatch, all_fixture_models):
+    """Every chamber past the first starts from the kept numerators of the
+    one before.  One of them changed in the first chamber (Z, its slope, a
+    coefficient, its slope, a pairing or its slope) raises InvariantError
+    at the second chamber's start or at the continuity check after it."""
+    import zok.okounkov
+
+    real = zok.okounkov._chamber_at
+    bump = []
+
+    def bumping(model, walk, prev=None, fallback_end=None):
+        chamber, last = real(model, walk, prev, fallback_end)
+        return (_bumped(chamber, *bump) if bump and prev is None else chamber), last
+
+    monkeypatch.setattr(zok.okounkov, "_chamber_at", bumping)
+    seen, parts = set(), set()
+    for model in all_fixture_models:
+        for alpha in _big_classes_near_kahler(model, 2):
+            for curve in range(len(model.curves)):
+                walk = segment_chambers(model, alpha, curve)
+                if len(walk) < 2:
+                    continue
+                first = walk[0]
+                for part in (1, 3, 5, 7, 8, 9):
+                    for k in range(len(first.ints[part])):
+                        bump[:] = [part, k]
+                        with pytest.raises(InvariantError) as err:
+                            segment_chambers(model, alpha, curve)
+                        bump.clear()
+                        seen.add(str(err.value))
+                        parts.add(part)
+    assert parts == {1, 3, 5, 7, 8, 9}
+    assert "chamber pairings disagree with the positive part" in seen
 
 
 # -- continuity of adjacent chambers, over integers --------------------------------
@@ -713,8 +831,8 @@ def test_polygon_decomposes_alpha_once(decompositions, blowup2):
     calls = decompositions
     calls.clear()
     poly = okounkov_polygon(blowup2, alpha, FlagSpec.make(blowup2.curve_index("L12")))
-    # one per chamber; the area identity uses the volume the first one keeps
-    assert len(calls) == 2
+    # one per walk; the area identity uses the volume the first chamber keeps
+    assert len(calls) == 1
     assert 2 * poly.area == volume(blowup2, alpha)
 
 

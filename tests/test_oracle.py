@@ -337,6 +337,19 @@ def test_random_model_refuses_a_coord_bound_below_one(bound):
         random_model(ModelGenSpec(seed=1, rank=3, num_curves=4, coord_bound=bound))
 
 
+def test_random_model_curve_count_below_the_exceptional_curves():
+    """num_curves is the exact count from rank - 1 up: rank 1 gives
+    p2-random with its one curve L for any num_curves, and a count below
+    rank - 1 gives the rank - 1 curves E_i alone, as the docstrings say."""
+    for n in (0, 1, 3, 6):
+        m = random_model(ModelGenSpec(seed=5, rank=1, num_curves=n))
+        assert m.name == "p2-random" and [c.name for c in m.curves] == ["L"]
+    for rank, n in ((2, 0), (4, 0), (4, 2), (7, 5)):
+        m = random_model(ModelGenSpec(seed=5, rank=rank, num_curves=n))
+        assert [c.name for c in m.curves] == [f"E{i}" for i in range(1, rank)]
+        assert validate_model(m) == []
+
+
 def _generated_text(spec: ModelGenSpec) -> str:
     """The spec's model as text (name, gram, curves, Kahler class), or the
     message of the GenerationError it raises."""
@@ -491,6 +504,6 @@ def test_verification_reuses_the_sweep_volumes(decompositions, blowup1):
     assert all(r.agrees for r in reports)
     # 25 in the sweep, 1 per derivative pair (the one chamber of the walk,
     # which also tests bigness; the closed form reads P off the sweep's
-    # decomposition), and 26 for the 21 polygons (one per chamber, the first
-    # of which also tests bigness and keeps the volume the area identity uses)
-    assert len(decompositions) == 79
+    # decomposition), and 21 for the 21 polygons (one per walk, which also
+    # tests bigness and keeps the volume the area identity uses)
+    assert len(decompositions) == 74
