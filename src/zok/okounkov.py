@@ -10,18 +10,19 @@ end of the one before; support growth over the two integer columns of
 t0 + eps, eps a formal positive infinitesimal signed lexicographically
 (symbolic perturbation), reaches its support, and its two solves are the
 affine formulas.  The formulas, their checks, the events and the
-continuity of adjacent chambers run over integer numerators, and
-Fractions are built only for the chamber's fields.  Breakpoints are roots
-of affine functions (hence rational); only the terminal endpoint, where
-the positive part's square vanishes, can be a quadratic irrational,
-represented exactly in Q(sqrt(d)).
+continuity of adjacent chambers run over integer numerators, and a
+chamber keeps only those: a chamber that does not end the walk builds
+one Fraction, its end, and its Fraction fields are built when read.
+Breakpoints are roots of affine functions (hence rational); only the
+terminal endpoint, where the positive part's square vanishes, can be a
+quadratic irrational, represented exactly in Q(sqrt(d)).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cached_property, cmp_to_key
 from math import gcd, lcm
 from operator import mul
 from typing import Optional, Sequence
@@ -89,7 +90,7 @@ def validate_flag(model: SurfaceModel, flag: FlagSpec) -> None:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class SegmentChamber:
     """One maximal parameter interval with constant negative-part support.
 
@@ -97,17 +98,44 @@ class SegmentChamber:
     support[k] is coeff0[k] + t*coeff1[k], and Z(t)^2 = c0 + c1*t + c2*t**2
     for square = (c0, c1, c2); all decomposition invariants hold on the open
     interval and extend continuously to the endpoints.
+
+    A chamber is its integer numerators: ints = (den0, z0, den1, z1, den,
+    c0, d1, c1, h0, h1) with z0 over den0, z1 over den1, coeff0 = c0 over
+    den, coeff1 = c1 over d1 and the curve pairings Z(t).C_j = h0[j]/den +
+    t*h1[j]/d1, and square_ints = ((n0, e0), (n1, e1), (n2, e2)) with c_k =
+    n_k/e_k.  z0, z1, coeff0, coeff1 and square are Fraction views of them,
+    built on first read; equality, hash and repr are those of (t_lo, t_hi,
+    support, z0, z1, coeff0, coeff1, square), so numerators that differ by
+    a common factor give equal chambers.
     """
 
     t_lo: ExtRat
     t_hi: ExtRat
     support: tuple[int, ...]
-    z0: Vec
-    z1: Vec
-    coeff0: tuple[Fraction, ...]
-    coeff1: tuple[Fraction, ...]
-    square: tuple[Fraction, Fraction, Fraction]
-    ints: Optional[tuple] = field(default=None, compare=False, repr=False)
+    ints: tuple
+    square_ints: tuple
+
+    z0 = cached_property(lambda self: _over(self.ints[1], self.ints[0]))
+    z1 = cached_property(lambda self: _over(self.ints[3], self.ints[2]))
+    coeff0 = cached_property(lambda self: _over(self.ints[5], self.ints[4]))
+    coeff1 = cached_property(lambda self: _over(self.ints[7], self.ints[6]))
+    square = cached_property(lambda self: tuple(Fraction(n, e) for n, e in self.square_ints))
+
+    def _fields(self) -> tuple:
+        return (self.t_lo, self.t_hi, self.support, self.z0, self.z1, self.coeff0,
+                self.coeff1, self.square)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        names = ("t_lo", "t_hi", "support", "z0", "z1", "coeff0", "coeff1", "square")
+        return f"SegmentChamber({', '.join(f'{n}={v!r}' for n, v in zip(names, self._fields()))})"
 
     def z_at(self, t) -> tuple:
         return tuple(a + t * b for a, b in zip(self.z0, self.z1))
@@ -118,6 +146,10 @@ class SegmentChamber:
     def coeff_pair(self, index: int) -> tuple[Fraction, Fraction]:
         k = self.support.index(index)
         return self.coeff0[k], self.coeff1[k]
+
+
+def _over(nums, den: int) -> tuple[Fraction, ...]:
+    return tuple(Fraction(x, den) for x in nums)
 
 
 @dataclass(frozen=True)
@@ -183,6 +215,9 @@ class BoundaryBody:
 # ---------------------------------------------------------------------------
 
 
+_ZERO = Fraction(0)
+
+
 def _walk_class(model: SurfaceModel, alpha: Vec, direction: Vec) -> tuple:
     """(alpha, ld, d, along, la, a, pairs): direction = d / ld and alpha =
     a / la, scaled once per walk by model.pairing_ints, in that order, and
@@ -199,38 +234,44 @@ def _chamber_at(model, walk, prev=None, fallback_end=None):
 
     ``walk`` is _walk_class's data.  At t0 = 0 the start is
     _require_big(alpha), the walk's one decomposition.  Past 0 it is read
-    off prev's numerators at t0 (_values_at): P = Z(t0), P.C_j, the seed
-    support (the curves of non-zero coefficient) and P^2 > 0, one integer
-    form product, else an invariant breach.  The chamber's support is that
-    of alpha + (t0 + eps)*direction for a formal positive infinitesimal eps:
-    _grow_support from the seed over the two integer columns
-    (alpha + t0*direction) . C_j and direction . C_j, read off the walk's
-    pairing rows, reaches it, and its eps-parts are the affine slopes.
+    off prev's numerators at t0, evaluated once (_values_at): P = Z(t0),
+    P.C_j, the seed support (the curves of non-zero coefficient) and P^2 >
+    0, one integer form product over lp^2 * gd, else an invariant breach.
+    The chamber's support is that of alpha + (t0 + eps)*direction for a
+    formal positive infinitesimal eps: _grow_support from the seed over the
+    two integer columns (alpha + t0*direction) . C_j and direction . C_j,
+    read off the walk's pairing rows, reaches it, and its eps-parts are the
+    affine slopes.
 
     With t0 = p/q and the growth's parts c0 = a0/D0, c1 = a1/D1
     (coefficients) and h = r0/D0, h1 = r1/D1 (pairings), z1 = d - sum c1*C
     and z0 = P - t0*z1; the checks (reconstruction, pairings against P.C_j
-    and z1, nef) and the events, in u = t - t0, run over integers, and it
-    keeps ints = (den0, z0, den1, z1, den, c0, d1, c1, h0, h1), h0 over den
-    and h1 over d1 (den, d1 > 0).  It ends at the first event after t0, or
-    at fallback_end when none lies ahead; the terminal root is taken only
-    where integer signs put it at or before the first affine event.
+    and z1, nef, and continuity with prev at t0, where Z comes from z0 and
+    z1 and the coefficients are a0/D0) and the events, in u = t - t0, run
+    over integers.  The chamber keeps ints = (den0, z0, den1, z1, den, c0,
+    d1, c1, h0, h1), h0 over den and h1 over d1 (den, d1 > 0), and Z(t)^2
+    as three integer fractions, read off Z(t0 + u)^2 = P^2 + 2u*P.z1 +
+    u^2*z1^2.  It ends at the first event after t0, or at fallback_end when
+    none lies ahead; the terminal root is taken only where integer signs
+    put it at or before the first affine event.  A chamber that does not
+    end the walk builds one Fraction, its t_hi.
     """
     alpha, ld, d_nums, along, la, a_nums, a_pairs = walk
-    t0 = Fraction(0) if prev is None else prev.t_hi
+    t0 = _ZERO if prev is None else prev.t_hi
     p, q = t0.numerator, t0.denominator
     gd, gram = model._gram_ints
-    if prev is None:
+    if prev is None:  # P^2 = e0 / k0
         dec = _require_big(model, alpha)
         seed, e0, (lp, p_nums, pd, p_pairs) = dec.support, dec.positive_square, dec.positive_ints
+        e0, k0 = e0.numerator, e0.denominator
     else:  # P = p_nums / lp and P.C_j = p_pairs / pd at t0, off prev's numerators
-        lp, p_nums, _, c = _values_at(prev, p, q)
+        lp, p_nums, dc, c = _values_at(prev, p, q)
         g = gcd(lp, *p_nums)  # reduced, so that numerators do not grow along the walk
         lp, p_nums = lp // g, [x // g for x in p_nums]
         _, _, _, _, hd, _, hd1, _, h0, h1 = prev.ints
         seed, pd = [i for i, x in c.items() if x], q * hd * hd1
         p_pairs = [q * hd1 * x + p * hd * y for x, y in zip(h0, h1)]
-        e0 = Fraction(sum(map(mul, p_nums, _met(model, p_nums))), lp * lp * gd)
+        e0, k0 = sum(map(mul, p_nums, _met(model, p_nums))), lp * lp * gd
         if e0 <= 0:
             raise InvariantError(f"class at t = {t0} is not big")
     dd, duals = model.duals
@@ -257,47 +298,61 @@ def _chamber_at(model, walk, prev=None, fallback_end=None):
         raise InvariantError("chamber pairings disagree with the positive part")
     if any(r1[i] for i in support) or any(v < (0, 0) for v in zip(r0, r1)):
         raise InvariantError("chamber positive part not nef in model")
-    g0, g1 = ([sum(map(mul, row, z)) for row in gram] for z in (z0, z1))
-    w11 = sum(map(mul, z1, g1))
-    square = (Fraction(sum(map(mul, z0, g0)), den0 * den0 * gd),
-              Fraction(2 * sum(map(mul, z0, g1)), den0 * den1 * gd),
-              Fraction(w11, den1 * den1 * gd))
+    g1 = [sum(map(mul, row, z1)) for row in gram]
+    m1, w11 = sum(map(mul, p_nums, g1)), sum(map(mul, z1, g1))  # P.z1, z1^2
+    # Z(t0 + u)^2 = (f0 + f1*u + f2*u^2) / sd: f0/sd = P^2 > 0, f1/sd =
+    # 2*P.z1 (m1 over lp*den1*gd), f2/sd = z1^2 (w11 over den1^2*gd)
+    sd = k0 * lp * den1 * den1 * gd
+    f0, f1, f2 = e0 * lp * den1 * den1 * gd, 2 * m1 * den1 * k0, w11 * lp * k0
+    square = ((f0 * q * q - f1 * p * q + f2 * p * p, sd * q * q), (f1 * q - 2 * f2 * p, sd * q),
+              (f2, sd))
     # affine events: u = x/y * D1/D0 for each decreasing coefficient and
-    # off-support pairing, the smallest, u*, by cross-multiplication
+    # off-support pairing, the smallest, u* = u/v > 0, by cross-multiplication;
+    # Z^2 ends the walk if it has a root in (0, u*]
     in_support = set(support)
     ratios = [(x, -y) for x, y in zip(a0, a1) if y < 0]
     ratios += [(x, -y) for j, (x, y) in enumerate(zip(r0, r1)) if y < 0 and j not in in_support]
-    # Z(t0 + u)^2 = e0 + e1*u + e2*u^2 (e0 = P^2 > 0, e1 = 2*P.z1, e2 = z1^2)
-    # ends the walk if it has a root in (0, u*]; f is e times den1^2*gd*lp*k0
-    m1 = sum(map(mul, p_nums, g1))  # P.z1 over lp * den1 * gd
-    affine_next, last = None, True
+    event, last = None, True
     if ratios:
         x, y = min(ratios, key=cmp_to_key(lambda r, s: r[0] * s[1] - s[0] * r[1]))
-        u, v, k0 = x * d1, y * d0, e0.denominator  # u* = u / v > 0
-        affine_next = t0 + Fraction(u, v)
-        f = (e0.numerator * den1 * den1 * gd * lp, 2 * m1 * den1 * k0, w11 * lp * k0)
-        last = _root_by(*f, u, v)
-    # the root, the walk's one square root: -e0/e1 if e2 = 0, else (-e1 - sqrt(disc))/(2*e2)
-    terminal = None
-    if last and (w11 < 0 or m1 < 0):
-        e1, e2 = Fraction(2 * m1, lp * den1 * gd), square[2]
-        disc = e1 * e1 - 4 * e2 * e0
-        if not e2:
-            terminal = t0 - e0 / e1
-        elif disc >= 0:
-            root = sqrt_rat(disc)
-            if isinstance(root, QuadExt):
-                terminal = QuadExt._of(t0 - e1 / (2 * e2), -root.q / (2 * e2), root.d)
-            else:
-                terminal = t0 - (e1 + root) / (2 * e2)
+        event = x * d1, y * d0
+        last = _root_by(f0, f1, f2, *event)
+    terminal = _terminal_root(p, q, f0, f1, f2, sd) if last and (w11 < 0 or m1 < 0) else None
     last = terminal is not None
-    t1 = terminal if last else (fallback_end if affine_next is None else affine_next)
-    if t1 is None:
+    if last:
+        t1 = terminal
+    elif event is not None:
+        u, v = event
+        t1 = Fraction(p * v + q * u, q * v)
+    elif fallback_end is None:
         raise InvariantError("chamber walk found no event ahead")
+    else:
+        t1 = fallback_end
+    if prev is not None:  # Z(t0) from z0 and z1, the coefficients at t0 from the growth
+        z = [q * den1 * x + p * den0 * y for x, y in zip(z0, z1)]
+        _assert_continuity((lp, p_nums, dc, c), (q * den0 * den1, z, d0, dict(zip(support, a0))))
     ints = (den0, z0, den1, z1, den, coeff0, d1, a1, h0, r1)
-    z0, z1 = (tuple(Fraction(x, d) for x in z) for z, d in ((z0, den0), (z1, den1)))
-    coeff0, coeff1 = (tuple(Fraction(x, d) for x in v) for v, d in ((coeff0, den), (a1, d1)))
-    return SegmentChamber(t0, t1, support, z0, z1, coeff0, coeff1, square, ints), last
+    return SegmentChamber(t0, t1, support, ints, square), last
+
+
+def _terminal_root(p: int, q: int, f0: int, f1: int, f2: int, sd: int):
+    """The root t of Z(t)^2 = (f0 + f1*u + f2*u^2) / sd, u = t - p/q, that
+    ends the walk: -f0/f1 if f2 = 0, else (-f1 - sqrt(disc)) / (2*f2) with
+    disc = f1^2 - 4*f2*f0 >= 0 (None when disc < 0).  The walk's one square
+    root is that of disc / sd^2, the discriminant in the Fractions
+    e_k = f_k / sd, so its radicand is split as that rational's."""
+    if not f2:
+        return Fraction(p * f1 - q * f0, q * f1)
+    disc = f1 * f1 - 4 * f2 * f0
+    if disc < 0:
+        return None
+    root = sqrt_rat(Fraction(disc, sd * sd))  # sqrt(disc) / sd
+    if isinstance(root, QuadExt):
+        r = root.q
+        return QuadExt._of(Fraction(2 * f2 * p - q * f1, 2 * f2 * q),
+                           Fraction(-r.numerator * sd, 2 * f2 * r.denominator), root.d)
+    rn, rd = root.numerator, root.denominator
+    return Fraction(2 * f2 * rd * p - q * (f1 * rd + rn * sd), 2 * f2 * rd * q)
 
 
 def _root_by(f0: int, f1: int, f2: int, u: int, v: int) -> bool:
@@ -317,12 +372,12 @@ def _values_at(chamber: SegmentChamber, p: int, q: int) -> tuple:
     return q * den0 * den1, z, q * den * d1, c
 
 
-def _assert_continuity(prev: SegmentChamber, nxt: SegmentChamber):
+def _assert_continuity(before: tuple, after: tuple):
     """Adjacent chambers agree at their rational breakpoint on Z(t) and on
-    every coefficient (absent = 0), by cross-multiplied numerators."""
-    t = prev.t_hi
-    dz, z, dc, c = _values_at(prev, t.numerator, t.denominator)
-    ez, w, ec, e = _values_at(nxt, t.numerator, t.denominator)
+    every coefficient (absent = 0), by cross-multiplied numerators; before
+    and after are each chamber's values there as _values_at gives them."""
+    dz, z, dc, c = before
+    ez, w, ec, e = after
     if any(x * ez != y * dz for x, y in zip(z, w)):
         raise InvariantError("adjacent chamber formulas disagree at the breakpoint")
     if any(c.get(i, 0) * ec != e.get(i, 0) * dc for i in c.keys() | e.keys()):
@@ -355,7 +410,6 @@ def segment_chambers(model: SurfaceModel, alpha: Vec, curve) -> list[SegmentCham
     chambers = [chamber]
     while not last:
         chamber, last = _chamber_at(model, walk, chambers[-1])
-        _assert_continuity(chambers[-1], chamber)
         if not set(chambers[-1].support) - {index} <= set(chamber.support):
             raise InvariantError("a curve other than C left the negative part")
         chambers.append(chamber)

@@ -6,7 +6,10 @@ formulas, the walk that decomposed the class at every chamber start, and
 the continuity test of adjacent chambers.  The kernel scales
 each class to integer numerators once, keeps them from the growth to the
 returned chamber and finds its events in u = t - t0; these are the
-independent routes its tests compare against.
+independent routes its tests compare against.  The reference chambers
+are SegmentChambers built from their Fraction formulas (fraction_chamber,
+each over its least common denominator), so they compare with zok's by
+value, by == and by repr.
 
 Also Fraction references, built on gram_product, for the operations on
 top of a decomposition that zariski runs over integer numerators: the nef
@@ -33,6 +36,7 @@ longer does, for building the tests' classes."""
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 from zok.errors import (
@@ -293,7 +297,23 @@ def reference_chamber(model, alpha, direction, t0, fallback_end=None):
     affine, terminal = chamber_events(support, coeff0, c1, h0, h1, square, t0)
     last = terminal is not None and (affine is None or not affine < terminal)
     t1 = terminal if last else (fallback_end if affine is None else affine)
-    return SegmentChamber(t0, t1, support, z0, z1, coeff0, c1, square), last
+    return fraction_chamber(t0, t1, support, z0, z1, coeff0, c1, square, h0, h1), last
+
+
+def fraction_chamber(t_lo, t_hi, support, z0, z1, coeff0, coeff1, square, h0, h1):
+    """The SegmentChamber with these Fraction formulas and curve pairings
+    h0 + t*h1: z0 and z1 each as numerators over their least common
+    denominator, coeff0 with h0 and coeff1 with h1 over theirs, and each
+    term of square as its numerator and denominator."""
+    def over_lcm(*vectors):
+        den = lcm(*(x.denominator for v in vectors for x in v))
+        return den, *([x.numerator * (den // x.denominator) for x in v] for v in vectors)
+
+    (den0, n0), (den1, n1) = over_lcm(z0), over_lcm(z1)
+    (den, c0, k0), (d1, c1, k1) = over_lcm(coeff0, h0), over_lcm(coeff1, h1)
+    ints = (den0, n0, den1, n1, den, c0, d1, c1, k0, k1)
+    square_ints = tuple((c.numerator, c.denominator) for c in square)
+    return SegmentChamber(t_lo, t_hi, support, ints, square_ints)
 
 
 # -- the operations on top of a decomposition, over Fractions ------------------

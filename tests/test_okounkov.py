@@ -17,6 +17,7 @@ from zok.exact import QuadExt
 from zok.okounkov import (
     BoundaryBody,
     FlagSpec,
+    SegmentChamber,
     boundary_body,
     envelopes,
     first_chamber_along,
@@ -694,6 +695,39 @@ def test_a_walk_takes_at_most_one_square_root(monkeypatch, all_fixture_models, g
     assert roots > 0
 
 
+def test_a_walk_builds_one_fraction_per_chamber_end(monkeypatch, all_fixture_models, golden_model):
+    """A chamber is its integer numerators, and its Fraction fields are built
+    only when read: segment_chambers builds one Fraction in zok.okounkov for
+    each chamber that does not end the walk (its t_hi) and at most three for
+    the terminal root (the discriminant over its denominator, and the two
+    parts of an irrational root), and okounkov_polygon adds the three terms
+    of the first chamber's square, whose constant term is the volume."""
+    import zok.okounkov
+    from zok.oracle import ModelGenSpec, random_model
+
+    built = []
+    fraction = zok.okounkov.Fraction
+    monkeypatch.setattr(zok.okounkov, "Fraction",
+                        lambda *args: built.append(args) or fraction(*args))
+    models = [*all_fixture_models, golden_model]
+    models += [random_model(ModelGenSpec(seed=seed, rank=3 + seed % 4, num_curves=6 + seed % 3))
+               for seed in range(8)]
+    longest = irrational = 0
+    for model in models:
+        for alpha in [model.kahler, *_big_classes_near_kahler(model, 2)]:
+            for curve in range(len(model.curves)):
+                flag = FlagSpec.make(curve)
+                built.clear()
+                walk = segment_chambers(model, alpha, curve)
+                assert len(built) <= len(walk) - 1 + 3
+                built.clear()
+                okounkov_polygon(model, alpha, flag)
+                assert len(built) <= len(walk) - 1 + 3 + 3
+                longest = max(longest, len(walk))
+                irrational += isinstance(walk[-1].t_hi, QuadExt)
+    assert longest >= 3 and irrational > 0
+
+
 def test_a_changed_numerator_of_the_previous_chamber_fails_the_next_start(
         monkeypatch, all_fixture_models):
     """Every chamber past the first starts from the kept numerators of the
@@ -736,93 +770,136 @@ _Z_TEXT = "adjacent chamber formulas disagree at the breakpoint"
 _COEFF_TEXT = "adjacent chamber coefficients disagree at the breakpoint"
 
 
-def _with_ints(ch, ints):
-    """ch with its kept numerators replaced by ints and its formulas z0, z1,
-    coeff0 and coeff1 rebuilt from them, so both representations agree."""
-    import dataclasses
-
-    den0, z0, den1, z1, den, c0, d1, c1 = ints[:8]
-    return dataclasses.replace(
-        ch, z0=tuple(Fraction(x, den0) for x in z0), z1=tuple(Fraction(x, den1) for x in z1),
-        coeff0=tuple(Fraction(x, den) for x in c0), coeff1=tuple(Fraction(x, d1) for x in c1),
-        ints=ints)
-
-
 def _bumped(ch, part, k):
-    """ch with numerator k of one part of its kept numerators raised by 1:
-    part 1 is z0, 3 is z1, 5 is coeff0 and 7 is coeff1."""
+    """The chamber built from ch's kept numerators with numerator k of one
+    part raised by 1: part 1 is z0, 3 is z1, 5 is coeff0, 7 is coeff1, 8
+    and 9 are the pairings and their slopes."""
     ints = list(ch.ints)
     nums = list(ints[part])
     nums[k] += 1
     ints[part] = nums
-    return _with_ints(ch, tuple(ints))
+    return SegmentChamber(ch.t_lo, ch.t_hi, ch.support, tuple(ints), ch.square_ints)
 
 
-def _continuity_outcome(check, prev, nxt):
+def _invariant_text(check, *args):
     try:
-        check(prev, nxt)
+        check(*args)
     except InvariantError as exc:
         return str(exc)
     return None
 
 
-def test_continuity_refuses_one_changed_numerator(blowup2):
-    """Two adjacent chambers agree at their breakpoint; one numerator of Z(t)
-    or of a coefficient changed, in either chamber, raises that part's text."""
-    from zok.okounkov import _assert_continuity
+def _continuity_at_the_breakpoint(prev, nxt):
+    """okounkov._assert_continuity on both chambers' values at prev.t_hi."""
+    from zok.okounkov import _assert_continuity, _values_at
 
-    prev, nxt = segment_chambers(blowup2, F(3, -1, -1), "L12")
-    assert _assert_continuity(prev, nxt) is None
-    assert _assert_continuity(_with_ints(prev, prev.ints), nxt) is None
-    for part, text in ((1, _Z_TEXT), (3, _Z_TEXT), (5, _COEFF_TEXT), (7, _COEFF_TEXT)):
+    t = prev.t_hi
+    p, q = t.numerator, t.denominator
+    _assert_continuity(_values_at(prev, p, q), _values_at(nxt, p, q))
+
+
+def _walk_data(model, alpha, curve):
+    from zok.okounkov import _walk_class
+
+    return _walk_class(model, alpha, vec_scale(-1, model.curve_class(curve)))
+
+
+_RECONSTRUCT_TEXT = "chamber formulas do not reconstruct the class"
+
+
+def test_continuity_refuses_one_changed_numerator(blowup2):
+    """Two adjacent chambers agree at their breakpoint.  Through the start,
+    where the next chamber is built from the previous one's values at the
+    breakpoint: a changed coefficient numerator of the previous chamber
+    raises the coefficient text, and a changed numerator of its Z fails the
+    reconstruction, since the next Z is built to agree with it there.  The
+    check itself on the two chambers' values: one numerator of Z(t) or of a
+    coefficient changed, in either chamber, raises that part's text.  Both
+    chambers of 2H - E1 along L12 carry a coefficient."""
+    from zok.okounkov import _chamber_at
+
+    alpha = F(2, -1, 0)
+    prev, nxt = segment_chambers(blowup2, alpha, "L12")
+    walk = _walk_data(blowup2, alpha, blowup2.resolve_curve("L12"))
+    assert _chamber_at(blowup2, walk, prev) == (nxt, True)
+    assert _continuity_at_the_breakpoint(prev, nxt) is None
+    for part, text, start in ((1, _Z_TEXT, _RECONSTRUCT_TEXT), (3, _Z_TEXT, _RECONSTRUCT_TEXT),
+                              (5, _COEFF_TEXT, _COEFF_TEXT), (7, _COEFF_TEXT, _COEFF_TEXT)):
+        assert _invariant_text(_chamber_at, blowup2, walk, _bumped(prev, part, 0)) == start
         for which in (0, 1):
             pair = [prev, nxt]
-            if not pair[which].ints[part]:
-                continue
             pair[which] = _bumped(pair[which], part, 0)
-            with pytest.raises(InvariantError) as err:
-                _assert_continuity(*pair)
-            assert str(err.value) == text
+            assert _invariant_text(_continuity_at_the_breakpoint, *pair) == text
 
 
 def test_integer_continuity_matches_the_fraction_reference(all_fixture_models, golden_model):
     """On every adjacent pair of a seeded sweep of walks, and on the pair
     with one numerator of either chamber changed, the integer continuity
     check gives the outcome of the Fraction reference: both pass, or both
-    raise the same text."""
+    raise the same text.  Through the start, the unchanged previous chamber
+    gives the next one, and a changed one raises: the coefficient text
+    where the reference raises it, unless the changed coefficients move the
+    seed support and the growth from it fails first, and for a changed Z
+    the reconstruction's text, or that P^2 is not positive."""
     from reference import reference_continuity
-    from zok.okounkov import _assert_continuity
+    from zok.okounkov import _chamber_at
     from zok.oracle import ModelGenSpec, random_model
 
     models = [random_model(ModelGenSpec(seed=seed, rank=3 + seed % 4, num_curves=6 + seed % 3))
               for seed in range(1, 7)]
     models += [*all_fixture_models, golden_model]
-    seen = set()
+    seen, starts = set(), set()
     for model in models:
         for alpha in _big_classes_near_kahler(model, 2):
             for curve in range(len(model.curves)):
                 walk = segment_chambers(model, alpha, curve)
+                data = _walk_data(model, alpha, curve)
                 for prev, nxt in zip(walk, walk[1:]):
+                    assert _chamber_at(model, data, prev)[0] == nxt
                     pairs = [(prev, nxt)]
                     for part in (1, 3, 5, 7):
                         for k in range(len(prev.ints[part]))[:2]:
                             pairs.append((_bumped(prev, part, k), nxt))
+                            start = _invariant_text(_chamber_at, model, data, pairs[-1][0])
+                            if part < 5:
+                                assert start == _RECONSTRUCT_TEXT or start.startswith(
+                                    f"class at t = {prev.t_hi} is not big")
+                            elif start != _COEFF_TEXT:
+                                assert start.startswith(f"class just after t = {prev.t_hi}")
+                            starts.add(start)
                         for k in range(len(nxt.ints[part]))[:2]:
                             pairs.append((prev, _bumped(nxt, part, k)))
                     for pair in pairs:
-                        outcome = _continuity_outcome(_assert_continuity, *pair)
-                        assert outcome == _continuity_outcome(reference_continuity, *pair)
+                        outcome = _invariant_text(_continuity_at_the_breakpoint, *pair)
+                        assert outcome == _invariant_text(reference_continuity, *pair)
                         seen.add(outcome)
     assert seen == {None, _Z_TEXT, _COEFF_TEXT}
+    assert {_RECONSTRUCT_TEXT, _COEFF_TEXT} <= starts
 
 
-def test_kept_chamber_numerators_take_no_part_in_equality_or_repr(blowup2):
-    import dataclasses
+def test_chambers_are_equal_by_their_values_not_their_numerators(blowup2):
+    """A chamber is its numerators, read as the values they stand for: the
+    same chamber with every numerator and denominator scaled by a common
+    factor compares equal, with the same repr and hash, and so does the
+    Fraction reference built from its fields over least common
+    denominators; one changed numerator does not compare equal."""
+    from reference import fraction_chamber
 
     for ch in segment_chambers(blowup2, F(3, -1, -1), "L12"):
-        bare = dataclasses.replace(ch, ints=None)
-        assert ch.ints is not None and bare == ch and repr(bare) == repr(ch)
-        assert hash(bare) == hash(ch)
+        den0, z0, den1, z1, den, c0, d1, c1, h0, h1 = ch.ints
+        scaled = SegmentChamber(
+            ch.t_lo, ch.t_hi, ch.support,
+            (3 * den0, [3 * x for x in z0], 5 * den1, [5 * x for x in z1], 7 * den,
+             [7 * x for x in c0], 2 * d1, [2 * x for x in c1], [7 * x for x in h0],
+             [2 * x for x in h1]),
+            tuple((4 * n, 4 * e) for n, e in ch.square_ints))
+        rebuilt = fraction_chamber(ch.t_lo, ch.t_hi, ch.support, ch.z0, ch.z1, ch.coeff0,
+                                   ch.coeff1, ch.square, *_kept_pairings(ch))
+        assert scaled.ints != ch.ints
+        for other in (scaled, rebuilt):
+            assert other == ch and repr(other) == repr(ch) and hash(other) == hash(ch)
+        assert _bumped(ch, 1, 0) != ch
+        assert ch != (ch.t_lo, ch.t_hi)
 
 
 def test_polygon_decomposes_alpha_once(decompositions, blowup2):
