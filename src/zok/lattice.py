@@ -289,7 +289,9 @@ class SurfaceModel:
     division exact, no Fraction), and kept as integer rows; it is the only
     place a family's forms are solved.  The families (``families``) are found once
     per model, on first use, by one subset search; the family atlas
-    (``family_atlas``) is their view of the support table.
+    (``family_atlas``) is the table's own entries for them, in their order.
+    The model holds tables and elimination only: what a candidate support
+    is, the subset search decides (oracle.brute_force_zariski).
     """
 
     name: str
@@ -361,6 +363,7 @@ class SurfaceModel:
         so G_S * a = v has a[k] = coeff_rows[k] . v / den, and for every
         curve j, residual_rows[j] is den * G_S^-1 * G[S][j], so the residual
         pairing (u - sum a[k] C_S[k]) . C_j is u.C_j - residual_rows[j] . v / den.
+        For j = S[k] that row is den * e_k and the residual pairing is 0.
         den is det(-G_S) over the integer curve table (_curve_gram_ints), and
         rows are in the order of S.  Each S is solved once per model, on first
         use, from the longest prefix of S already in the table, one integer
@@ -401,39 +404,9 @@ class SurfaceModel:
 
     @cached_property
     def family_atlas(self) -> tuple[tuple, ...]:
-        """(S, den, coeff_rows, outside, residual_rows) for every family S, in
-        the order of ``families``: the support table's forms of S (see
-        support_forms), with the residual rows of the curves outside S only:
-        the linear forms of the orthogonal decomposition over S."""
-        atlas = []
-        for support in self.families:
-            den, coeff_rows, residual_rows = self.support_forms(support)
-            outside = tuple(j for j in range(len(self.curves)) if j not in support)
-            atlas.append((support, den, coeff_rows, outside,
-                          tuple(residual_rows[j] for j in outside)))
-        return tuple(atlas)
-
-    def orthogonal_candidates(self, d: int, nums: Sequence[int]) -> Iterator[tuple]:
-        """(S, a) for every family S of the atlas over which a rational class
-        with curve pairings nums[i] / d (integers over d > 0, as from
-        pairing_ints) has strictly positive orthogonality coefficients a and
-        a residual that meets no curve negatively.
-
-        Both tests are integer sign tests; only a family that passes them
-        divides.
-        """
-        for support, den, coeff_rows, outside, residual_rows in self.family_atlas:
-            v = [nums[i] for i in support]
-            scaled = []
-            for row in coeff_rows:
-                a = sum(map(mul, row, v))
-                if a <= 0:
-                    break
-                scaled.append(a)
-            else:
-                if all(den * nums[j] >= sum(map(mul, row, v))
-                       for j, row in zip(outside, residual_rows)):
-                    yield support, tuple(Fraction(a, den * d) for a in scaled)
+        """The support table's entry (den, coeff_rows, residual_rows) of every
+        family, in the order of ``families`` (see support_forms)."""
+        return tuple(self.support_forms(support) for support in self.families)
 
     def curve_class(self, index: int) -> Vec:
         return self.curves[index].cls

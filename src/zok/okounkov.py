@@ -570,8 +570,9 @@ def okounkov_polygon(model: SurfaceModel, alpha: Vec, flag: FlagSpec) -> Okounko
     the envelope breakpoints.  Twice its area (_envelopes_of) must reproduce
     the volume of the class, and the vertex count is bounded by 2*rank + 2.
     Both facts are verified on every call; the volume is Z(0)^2, the
-    constant term the first chamber of the walk keeps, so alpha is
-    decomposed only by the walk.
+    constant term the first chamber of the walk keeps as numerators, so
+    alpha is decomposed only by the walk and the identity is one
+    cross-multiplication (an irrational area fails it).
     """
     validate_flag(model, flag)
     chambers = segment_chambers(model, alpha, flag.curve)
@@ -583,9 +584,10 @@ def okounkov_polygon(model: SurfaceModel, alpha: Vec, flag: FlagSpec) -> Okounko
     vertices = _envelope_vertices(f, g, bends)
     if len(vertices) < 3:
         raise InvariantError("degenerate polygon for a big class")
-    vol = chambers[0].square[0]
-    if 2 * area != vol:
-        raise InvariantError(f"polygon area identity failed: 2*{area} != volume {vol}")
+    n0, e0 = chambers[0].square_ints[0]  # vol = n0 / e0
+    if isinstance(area, QuadExt) or 2 * area.numerator * e0 != n0 * area.denominator:
+        raise InvariantError(
+            f"polygon area identity failed: 2*{area} != volume {Fraction(n0, e0)}")
     if len(vertices) > 2 * model.rank + 2:
         raise InvariantError("vertex count exceeds 2*rank + 2")
     a, s = f.breakpoints[0], f.breakpoints[-1]
@@ -608,7 +610,7 @@ def restricted_body(model: SurfaceModel, alpha: Vec, flag: FlagSpec) -> tuple[Fr
         raise FlagInNonKahlerLocus(
             f"curve {model.curve_name(flag.curve)!r} lies in the non-Kahler locus")
     base = _flag_base(dec, flag)
-    width = dec.positive_pairings[flag.curve]
+    width = Fraction(dec.positive_ints[3][flag.curve], dec.positive_ints[2])
     return base, base + width
 
 
@@ -626,7 +628,7 @@ def boundary_body(model: SurfaceModel, alpha: Vec, flag: FlagSpec) -> BoundaryBo
         if flag.curve in dec.support:
             raise HypothesisViolated("flag curve lies in the support of the negative part")
         return BoundaryBody(kind="Point", base_y=base, top=None)
-    width = dec.positive_pairings[flag.curve]
+    width = Fraction(dec.positive_ints[3][flag.curve], dec.positive_ints[2])
     if width == 0:
         raise HypothesisViolated("numerical dimension 1 requires Z.C > 0 for the flag curve")
     return BoundaryBody(kind="Segment", base_y=base, top=base + width)

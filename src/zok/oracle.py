@@ -18,7 +18,7 @@ from .exact import ExtRat
 from .lattice import SurfaceModel, Vec, make_model, validate_model
 from .okounkov import FlagSpec, PiecewiseLinear, first_chamber_along, okounkov_polygon
 from .polygon import shoelace_area
-from .zariski import ZariskiDecomp, _check_decomposition, _direction_kind, zariski_decompose
+from .zariski import ZariskiDecomp, _checked, _derivative_of, _direction_kind, zariski_decompose
 
 DEFAULT_SUBSET_CAP = 16
 
@@ -48,15 +48,15 @@ def brute_force_zariski(
     """Decomposition by exhaustive subset search; None when no subset works.
 
     Every negative-definite curve subset (the empty one included) is a
-    candidate support.  The model's family atlas, built on the first search
-    from its families and its support table (SurfaceModel.families,
-    support_forms), tests its coefficients (strictly positive) and its
-    residual's curve pairings (non-negative) as integer sign tests on
-    alpha's pairings, formed once as integers (SurfaceModel.pairing_ints,
-    orthogonal_candidates); each subset that passes both goes to the
-    decomposition checker (zariski._check_decomposition), which drops it on
-    NotPseudoEffective (P^2 < 0 or P.omega < 0).  Uniqueness of the
-    orthogonal decomposition makes more than one candidate a model bug.
+    candidate support S.  alpha is scaled once (SurfaceModel.pairing_ints),
+    and S's rows over den, its entry in the family atlas (the support
+    table's), test alpha's pairings v over S by integer signs: every
+    coefficient row . v > 0, then every curve's residual pairing >= 0 (a
+    support curve's row is den * e_k, so its test is an equality).  A
+    family that passes goes to the checker (zariski._checked) with the
+    numerators the search holds, and is dropped on NotPseudoEffective
+    (P.omega < 0 or P^2 < 0).  Uniqueness of the orthogonal decomposition
+    makes more than one candidate a model bug.
     """
     n = len(model.curves)
     if n > max_curves:
@@ -65,12 +65,25 @@ def brute_force_zariski(
             "(override via ZOK_MAX_SUBSET_CURVES)"
         )
     alpha = tuple(alpha)
+    la, nums, pd, pairs = model.pairing_ints(alpha)
     candidates = []
-    for subset, coeffs in model.orthogonal_candidates(*model.pairing_ints(alpha)[2:]):
-        try:
-            candidates.append(_check_decomposition(model, alpha, subset, coeffs))
-        except NotPseudoEffective:
-            continue
+    for support, (den, coeff_rows, residual_rows) in zip(model.families, model.family_atlas):
+        v = [pairs[i] for i in support]
+        scaled = []
+        for row in coeff_rows:
+            a = sum(map(mul, row, v))
+            if a <= 0:
+                break
+            scaled.append(a)
+        else:
+            if any(den * x < sum(map(mul, row, v)) for x, row in zip(pairs, residual_rows)):
+                continue
+            lc = den * pd
+            try:
+                candidates.append(_checked(model, alpha, la, nums, support,
+                                           tuple(Fraction(a, lc) for a in scaled), lc, scaled))
+            except NotPseudoEffective:
+                continue
     if len(candidates) > 1:
         raise MultipleCandidates(
             f"{len(candidates)} orthogonal decompositions found for {alpha}"
@@ -82,7 +95,7 @@ def derivative_by_chambers(model: SurfaceModel, alpha: Vec, beta: Vec) -> Fracti
     """Volume derivative read off the first chamber of the walk along
     alpha + t*beta: the t-derivative of Z(t)^2 at t = 0."""
     _direction_kind(model, beta)  # raises UnsupportedDirection otherwise
-    return first_chamber_along(model, alpha, tuple(beta)).square[1]
+    return Fraction(*first_chamber_along(model, alpha, tuple(beta)).square_ints[1])
 
 
 def area_by_integration(f: PiecewiseLinear, g: PiecewiseLinear) -> ExtRat:
@@ -177,12 +190,14 @@ def _subset_route(model: SurfaceModel, bound: int, max_curves: int, big: list):
 
 
 def _derivative_route(model: SurfaceModel, big: list):
-    """The closed form 2 P.beta of the volume derivative against the chamber
-    walk, on the first 64 big classes along omega and every curve."""
+    """The closed form 2 P.beta of the volume derivative, as derivative_vol
+    computes it (zariski._derivative_of) on the sweep's decomposition,
+    against the chamber walk, on the first 64 big classes along omega and
+    every curve."""
     directions = [model.kahler] + [c.cls for c in model.curves]
     for alpha, dec in big[:64]:
         for beta in directions:
-            lhs = 2 * model.intersect(dec.positive, beta)  # derivative_vol's closed form
+            lhs = _derivative_of(model, dec, beta)
             rhs = derivative_by_chambers(model, alpha, beta)
             yield None if lhs == rhs else (
                 f"alpha {_fmt_class(alpha)}, beta {_fmt_class(beta)}: "

@@ -206,7 +206,7 @@ def zariski_decompose(model: SurfaceModel, alpha: Vec) -> ZariskiDecomp:
     la, nums, pd, column = model.pairing_ints(alpha)
     support, (den,), (a,), _ = _grow_support(model, (column,), (pd,))
     return _checked(model, tuple(alpha), la, nums, support, tuple(Fraction(x, den) for x in a),
-                    den, a, _curve_sum(model, support, a))
+                    den, a)
 
 
 def _check_decomposition(
@@ -218,18 +218,16 @@ def _check_decomposition(
     alpha = tuple(alpha)
     rank = model.rank
     lc, nums = _over_lcm(coeffs)
-    negative = _curve_sum(model, support, nums)
     if len(alpha) < rank or not support and len(alpha) > rank:
         raise ValueError(f"vector length must be {rank}")
-    return _checked(model, alpha, *_over_lcm(alpha[:rank]), support, coeffs, lc, nums, negative)
+    return _checked(model, alpha, *_over_lcm(alpha[:rank]), support, coeffs, lc, nums)
 
 
 def _checked(model: SurfaceModel, alpha: Vec, lp: int, p: list, support: Sequence[int],
-             coeffs: Sequence[Fraction], lc: int, nums: Sequence[int], negative: list
-             ) -> ZariskiDecomp:
+             coeffs: Sequence[Fraction], lc: int, nums: Sequence[int]) -> ZariskiDecomp:
     """The decomposition alpha = P + N with N = sum(coeffs[k] * C_support[k]),
     built and verified; every ZariskiDecomp comes from here.  alpha[:rank]
-    is p / lp, coeffs are nums / lc, and N is _curve_sum of nums, negative.
+    is p / lp, coeffs are nums / lc, and N is their _curve_sum.
 
     Raises NotPseudoEffective when P meets the Kahler class negatively, then
     when P^2 < 0.  Any other failure is an InvariantError: reconstruction,
@@ -242,7 +240,7 @@ def _checked(model: SurfaceModel, alpha: Vec, lp: int, p: list, support: Sequenc
     """
     if support:  # P = alpha - N, over lp * ln
         ln = model._curve_ints[0] * lc
-        p = [a * ln - x * lp for a, x in zip(p, negative)]
+        p = [a * ln - x * lp for a, x in zip(p, _curve_sum(model, support, nums))]
         lp *= ln
     if sum(map(mul, p, model._kahler_row)) < 0:
         raise NotPseudoEffective("positive part meets the Kahler class negatively")
@@ -320,6 +318,11 @@ def derivative_vol(model: SurfaceModel, alpha: Vec, beta: Vec) -> Fraction:
     dec = zariski_decompose(model, alpha)
     if dec.volume(model) <= 0:
         raise NotBig("derivative requires a big class")
+    return _derivative_of(model, dec, beta)
+
+
+def _derivative_of(model: SurfaceModel, dec: ZariskiDecomp, beta: Vec) -> Fraction:
+    """derivative_vol read off a checked decomposition of a big class."""
     kind, found = _direction_kind(model, beta)
     lp, p, pd, pairs = dec.positive_ints
     if kind == "curve":
@@ -385,7 +388,7 @@ def _non_kahler_of(model: SurfaceModel, dec: ZariskiDecomp) -> tuple[int, ...]:
     of P are the zeros of its kept pairings; orthogonality puts the support
     among them.
     """
-    combined = tuple(i for i, v in enumerate(dec.positive_pairings) if v == 0)
+    combined = tuple(i for i, v in enumerate(dec.positive_ints[3]) if v == 0)
     if model.support_forms(combined) is None:
         raise InvariantError("non-Kahler curves do not form an exceptional family")
     return combined

@@ -341,30 +341,31 @@ def test_del_pezzo_family_counts():
 
 
 def test_family_atlas_holds_the_inverse_forms():
-    """Each family's rows are G_S^-1 and G_S^-1 (C_S . C_j) for the curves j
-    outside S, over one positive denominator; the coefficient rows are the
-    support table's own, and the families those of the model's one search."""
+    """The atlas is the support table's own entries, one per family of the
+    model's one search and in its order: rows den * G_S^-1 and den * G_S^-1
+    (C_S . C_j) for every curve j over one positive den, where a support
+    curve's residual row is den * e_k."""
     scaled = random_model(ModelGenSpec(seed=7, rank=5, num_curves=9))
     scaled = make_model("scaled", 5, [vec_scale(Fraction(2, 3), row) for row in scaled.gram],
                         [(c.name, vec_scale(Fraction(k + 1, 4), c.cls))
                          for k, c in enumerate(scaled.curves)], scaled.kahler)
     for model in (del_pezzo(4), del_pezzo(6), scaled):
         table = model.curve_gram
-        atlas = model.family_atlas
-        assert [forms[0] for forms in atlas] == list(model.families)
         assert model.families == tuple(negative_definite_subsets(table))
-        for support, den, coeff_rows, outside, residual_rows in atlas:
-            assert den > 0
-            assert coeff_rows is model.support_forms(support)[1]
+        for support, entry in zip(model.families, model.family_atlas, strict=True):
+            assert entry is model.support_forms(support)
+            den, coeff_rows, residual_rows = entry
+            assert den > 0 and len(residual_rows) == len(table)
             g = model.gram_submatrix(support)
             inverse = [[Fraction(x, den) for x in row] for row in coeff_rows]
             assert [[sum(a * b for a, b in zip(row, col)) for col in zip(*inverse)]
                     for row in g] == [[int(i == j) for j in support] for i in support]
-            assert list(outside) == [j for j in range(len(table)) if j not in support]
-            for j, row in zip(outside, residual_rows, strict=True):
+            for j, row in enumerate(residual_rows):
                 assert tuple(Fraction(x, den) for x in row) == solve_linear(
                     g, [table[i][j] for i in support]
                 )
+            for k, i in enumerate(support):
+                assert residual_rows[i] == tuple(den * (m == k) for m in range(len(support)))
 
 
 def test_brute_force_still_detects_multiple_candidates():

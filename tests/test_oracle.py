@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zok.errors import GenerationError, MultipleCandidates, NotPseudoEffective, UsageError
+from zok.errors import (GenerationError, MultipleCandidates, NotPseudoEffective, UsageError,
+                        ZokError)
 from zok.exact import QuadExt
 from zok.lattice import (
     make_model,
@@ -28,6 +30,7 @@ from zok.oracle import (
 from zok.zariski import (
     ZariskiDecomp,
     _check_decomposition,
+    _derivative_of,
     derivative_vol,
     enumerate_exceptional_families,
     zariski_decompose,
@@ -211,7 +214,34 @@ def test_enumeration_and_the_subset_search_share_one_family_search(monkeypatch):
     assert len(calls) == 1 and calls[0] is model._curve_gram_ints[1]
     assert all(type(x) is int for row in calls[0] for x in row)
     assert "curve_gram" not in vars(model)
-    assert [entry[0] for entry in model.family_atlas] == families == list(model.families)
+    assert families == list(model.families)
+    assert all(entry is model.support_forms(family)
+               for family, entry in zip(families, model.family_atlas, strict=True))
+
+
+def test_a_search_scales_its_class_once(monkeypatch):
+    """alpha is scaled to integers once per search, by pairing_ints, and a
+    family that passes the sign tests goes to the checker with the
+    numerators the search holds: nothing is scaled again."""
+    import zok.lattice
+    import zok.zariski
+
+    model = random_model(ModelGenSpec(seed=5, rank=5, num_curves=8))
+    alpha = vec_add(vec_scale(Fraction(1, 2), model.kahler),
+                    vec_scale(Fraction(7, 3), model.curve_class(0)))
+    found = brute_force_zariski(model, alpha)  # builds the tables
+    assert found.support
+    calls = []
+    real = zok.lattice._over_lcm
+
+    def counting(u):
+        calls.append(u)
+        return real(u)
+
+    monkeypatch.setattr(zok.lattice, "_over_lcm", counting)
+    monkeypatch.setattr(zok.zariski, "_over_lcm", counting)
+    assert brute_force_zariski(model, alpha) == found
+    assert calls == [alpha]
 
 
 def test_the_enumerated_list_is_the_callers_own():
@@ -380,6 +410,42 @@ def test_random_model_draws_the_recorded_models():
     assert digest == "115b2aaf0db1d9637e9bdaea1b37fd2453faca4d3aac1b38e46862d6223815cd"
 
 
+def _brute_force_text(model, alpha) -> str:
+    """The subset search's outcome on alpha as text: the decomposition's
+    repr, positive_square and positive_pairings, None, or the exception's
+    type and message."""
+    try:
+        dec = brute_force_zariski(model, alpha)
+    except ZokError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    if dec is None:
+        return "None"
+    return f"{dec!r} {dec.positive_square} {dec.positive_pairings}"
+
+
+def test_brute_force_gives_the_recorded_outcomes(all_fixture_models):
+    """25 seeded classes (numerators -4..6 over 1..3) on each fixture and
+    on 200 seeded random models of rank 3-6 with 4-9 curves: the digest of
+    their outcomes was recorded from the search that tested each family
+    over a copy of its rows and checked each candidate from Fractions, so
+    the integer scan gives the same decompositions, verdicts and errors."""
+    models = [*all_fixture_models]
+    models += [random_model(ModelGenSpec(seed=seed, rank=3 + seed % 4,
+                                         num_curves=4 + seed % 4 + seed % 3))
+               for seed in range(200)]
+    texts = []
+    for k, model in enumerate(models):
+        rng = random.Random(k)
+        for _ in range(25):
+            alpha = tuple(Fraction(rng.randint(-1, 6) if i == 0 else rng.randint(-4, 2),
+                                   rng.randint(1, 3)) for i in range(model.rank))
+            texts.append(f"{model.name} {alpha}: {_brute_force_text(model, alpha)}")
+    assert sum(": None" in t for t in texts) == 2958
+    assert sum("support=()" in t for t in texts) == 403
+    digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
+    assert digest == "a8e148fdcb2ad9eee916a04b5cee7dbf5c38bd1c640c93bb9bf4d59ae20c2c11"
+
+
 def test_random_models_agree_with_oracle_on_grid():
     for seed in (3, 14, 159):
         m = random_model(ModelGenSpec(seed=seed, rank=3, num_curves=5))
@@ -450,6 +516,13 @@ def _no_subset_at(cls):
             OracleReport(
                 "derivative-vs-chamber-walk[3 pairs]", False,
                 "alpha (1,0), beta (1,-1): closed form 2 vs chamber walk 3"),
+            _POLYGON,
+        ]),
+        ("_derivative_of", _off_at(_derivative_of, 3), [
+            _ZARISKI,
+            OracleReport(
+                "derivative-vs-chamber-walk[3 pairs]", False,
+                "alpha (1,0), beta (1,-1): closed form 3 vs chamber walk 2"),
             _POLYGON,
         ]),
         ("area_by_integration", _off_at(area_by_integration, 5), [
