@@ -39,6 +39,7 @@ from .zariski import (
     derivative_vol,
     enumerate_exceptional_families,
     morse_gap,
+    volume,
     zariski_decompose,
 )
 
@@ -125,8 +126,7 @@ def _cmd_classify(model, args):
 
 
 def _cmd_volume(model, args):
-    dec = zariski_decompose(model, args.cls)
-    return {"class": zio.vec_to_json(args.cls), "volume": format_rat(dec.volume(model))}, 0
+    return {"class": zio.vec_to_json(args.cls), "volume": format_rat(volume(model, args.cls))}, 0
 
 
 def _cmd_derivative(model, args):

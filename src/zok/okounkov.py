@@ -27,13 +27,13 @@ from math import gcd, lcm
 from operator import mul
 from typing import Optional, Sequence
 
-from .errors import (FlagInNonKahlerLocus, HypothesisViolated, InvariantError, NotBig,
-                     NotOnBoundary, NotPseudoEffective, UnknownCurve)
+from .errors import (FlagInNonKahlerLocus, HypothesisViolated, InvariantError, NotOnBoundary,
+                     NotPseudoEffective, UnknownCurve)
 from .exact import ExtRat, QuadExt, parse_rat, quad_of_ints, quad_sign, sqrt_rat
 from .lattice import SurfaceModel, Vec
 from .polygon import ConvexPolygon, Point
 from .zariski import (Kind, ZariskiDecomp, _classification_of, _curve_sum, _decompose_or_none,
-                      _grow_support, _met, _non_kahler_of, zariski_decompose)
+                      _grow_support, _met, _non_kahler_of, _require_big)
 
 
 def _as_index(i) -> int:
@@ -232,11 +232,12 @@ def _chamber_at(model, walk, prev=None, fallback_end=None):
     """The chamber along alpha + t*direction that starts where prev ends
     (at t0 = 0 without prev), and whether the walk ends with it.
 
-    ``walk`` is _walk_class's data.  At t0 = 0 the start is
-    _require_big(alpha), the walk's one decomposition.  Past 0 it is read
-    off prev's numerators at t0, evaluated once (_values_at): P = Z(t0),
-    P.C_j, the seed support (the curves of non-zero coefficient) and P^2 >
-    0, one integer form product over lp^2 * gd, else an invariant breach.
+    ``walk`` is _walk_class's data.  At t0 = 0 the start is the walk's one
+    decomposition, of alpha, which tests that it is big (_require_big).
+    Past 0 it is read off prev's numerators at t0, evaluated once
+    (_values_at): P = Z(t0), P.C_j, the seed support (the curves of non-zero
+    coefficient) and P^2 > 0, one integer form product over lp^2 * gd, else
+    an invariant breach.
     The chamber's support is that of alpha + (t0 + eps)*direction for a
     formal positive infinitesimal eps: _grow_support from the seed over the
     two integer columns (alpha + t0*direction) . C_j and direction . C_j,
@@ -261,7 +262,7 @@ def _chamber_at(model, walk, prev=None, fallback_end=None):
     p, q = t0.numerator, t0.denominator
     gd, gram = model._gram_ints
     if prev is None:  # P^2 = e0 / k0
-        dec = _require_big(model, alpha)
+        dec = _require_big(model, alpha, "operation requires a big class")
         seed, e0, (lp, p_nums, pd, p_pairs) = dec.support, dec.positive_square, dec.positive_ints
         e0, k0 = e0.numerator, e0.denominator
     else:  # P = p_nums / lp and P.C_j = p_pairs / pd at t0, off prev's numerators
@@ -384,13 +385,6 @@ def _assert_continuity(before: tuple, after: tuple):
         raise InvariantError("adjacent chamber coefficients disagree at the breakpoint")
 
 
-def _require_big(model: SurfaceModel, alpha: Vec) -> ZariskiDecomp:
-    dec = zariski_decompose(model, alpha)  # NotPseudoEffective propagates
-    if dec.volume(model) <= 0:
-        raise NotBig("operation requires a big class")
-    return dec
-
-
 def segment_chambers(model: SurfaceModel, alpha: Vec, curve) -> list[SegmentChamber]:
     """Exact chamber list covering [0, s] along alpha - t*C for big alpha.
 
@@ -430,27 +424,6 @@ def first_chamber_along(model: SurfaceModel, alpha: Vec, direction: Vec) -> Segm
 # ---------------------------------------------------------------------------
 
 
-def _slope_a_from_chambers(chambers: Sequence[SegmentChamber], index: int):
-    """First parameter from which Z(t).C stays positive; rational.  Z(t).C
-    is h0/den + t*h1/d1 on a chamber, signed at its rational start over the
-    kept numerators."""
-    for ch in chambers:
-        _, _, _, _, den, _, d1, _, h0, h1 = ch.ints
-        h0, h1, t = h0[index], h1[index], ch.t_lo
-        v_lo = t.denominator * d1 * h0 + t.numerator * den * h1
-        if v_lo > 0:
-            if t != 0:
-                raise InvariantError("Z(t).C jumped to positive mid-walk")
-            return t
-        if v_lo < 0:
-            raise InvariantError("Z(t).C negative inside the walk")
-        if h1 > 0:
-            return t
-        if h1 < 0:
-            raise InvariantError("Z(t).C decreasing from zero inside the walk")
-    raise InvariantError("Z(t).C vanishes along the entire segment")
-
-
 def slopes(model: SurfaceModel, alpha: Vec, curve) -> tuple[ExtRat, ExtRat]:
     """(a, s): where the flag curve leaves the non-Kahler locus of alpha - t*C,
     and where the volume of alpha - t*C hits zero."""
@@ -459,8 +432,26 @@ def slopes(model: SurfaceModel, alpha: Vec, curve) -> tuple[ExtRat, ExtRat]:
 
 
 def chamber_slopes(chambers: Sequence[SegmentChamber], index: int) -> tuple[ExtRat, ExtRat]:
-    """slopes read off the chamber list of the walk along curve ``index``."""
-    return _slope_a_from_chambers(chambers, index), chambers[-1].t_hi
+    """slopes read off the chamber list of the walk along curve ``index``: s
+    is the walk's end, and a the first parameter from which Z(t).C stays
+    positive, rational.  Z(t).C is h0/den + t*h1/d1 on a chamber, signed at
+    its rational start over the kept numerators."""
+    s = chambers[-1].t_hi
+    for ch in chambers:
+        _, _, _, _, den, _, d1, _, h0, h1 = ch.ints
+        h0, h1, t = h0[index], h1[index], ch.t_lo
+        v_lo = t.denominator * d1 * h0 + t.numerator * den * h1
+        if v_lo > 0:
+            if t != 0:
+                raise InvariantError("Z(t).C jumped to positive mid-walk")
+            return t, s
+        if v_lo < 0:
+            raise InvariantError("Z(t).C negative inside the walk")
+        if h1 > 0:
+            return t, s
+        if h1 < 0:
+            raise InvariantError("Z(t).C decreasing from zero inside the walk")
+    raise InvariantError("Z(t).C vanishes along the entire segment")
 
 
 def envelopes(
@@ -501,7 +492,7 @@ def _envelopes_of(chambers: Sequence[SegmentChamber], flag: FlagSpec) -> tuple:
     values.
     """
     index = flag.curve
-    a = _slope_a_from_chambers(chambers, index)
+    a = chamber_slopes(chambers, index)[0]
     sub = [ch for ch in chambers if not ch.t_lo < a]
     if not sub or sub[0].t_lo != a:
         raise InvariantError("parameter a is not a chamber boundary")
@@ -594,10 +585,13 @@ def okounkov_polygon(model: SurfaceModel, alpha: Vec, flag: FlagSpec) -> Okounko
     return OkounkovPolygon(a=a, s=s, f=f, g=g, vertices=vertices, area=area)
 
 
-def _flag_base(dec: ZariskiDecomp, flag: FlagSpec) -> Fraction:
-    """Multiplicity-weighted negative part of a decomposition at the flag point."""
+def _slice(dec: ZariskiDecomp, flag: FlagSpec) -> tuple[Fraction, Fraction]:
+    """(f, f + P.C): the multiplicity-weighted negative part of a
+    decomposition at the flag point, and that plus the positive part's
+    pairing with the flag curve, read off its kept numbers."""
     mults = flag.mult_map()
-    return sum((mults.get(i, 0) * a for i, a in zip(dec.support, dec.coeffs)), Fraction(0))
+    f = sum((mults.get(i, 0) * a for i, a in zip(dec.support, dec.coeffs)), Fraction(0))
+    return f, f + Fraction(dec.positive_ints[3][flag.curve], dec.positive_ints[2])
 
 
 def restricted_body(model: SurfaceModel, alpha: Vec, flag: FlagSpec) -> tuple[Fraction, Fraction]:
@@ -605,13 +599,11 @@ def restricted_body(model: SurfaceModel, alpha: Vec, flag: FlagSpec) -> tuple[Fr
     [f(0), f(0) + Z.C], defined when the flag curve avoids the non-Kahler
     locus of the class."""
     validate_flag(model, flag)
-    dec = _require_big(model, alpha)
+    dec = _require_big(model, alpha, "operation requires a big class")
     if flag.curve in _non_kahler_of(model, dec):
         raise FlagInNonKahlerLocus(
             f"curve {model.curve_name(flag.curve)!r} lies in the non-Kahler locus")
-    base = _flag_base(dec, flag)
-    width = Fraction(dec.positive_ints[3][flag.curve], dec.positive_ints[2])
-    return base, base + width
+    return _slice(dec, flag)
 
 
 def boundary_body(model: SurfaceModel, alpha: Vec, flag: FlagSpec) -> BoundaryBody:
@@ -623,12 +615,11 @@ def boundary_body(model: SurfaceModel, alpha: Vec, flag: FlagSpec) -> BoundaryBo
     cls = _classification_of(model, dec)
     if cls.kind is not Kind.BOUNDARY:
         raise NotOnBoundary(f"class is {cls.kind.value}, not on the boundary")
-    base = _flag_base(dec, flag)
+    base, top = _slice(dec, flag)
     if cls.numdim == 0:
         if flag.curve in dec.support:
             raise HypothesisViolated("flag curve lies in the support of the negative part")
         return BoundaryBody(kind="Point", base_y=base, top=None)
-    width = Fraction(dec.positive_ints[3][flag.curve], dec.positive_ints[2])
-    if width == 0:
+    if top == base:
         raise HypothesisViolated("numerical dimension 1 requires Z.C > 0 for the flag curve")
-    return BoundaryBody(kind="Segment", base_y=base, top=base + width)
+    return BoundaryBody(kind="Segment", base_y=base, top=top)

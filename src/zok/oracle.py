@@ -18,7 +18,7 @@ from .exact import ExtRat
 from .lattice import SurfaceModel, Vec, make_model, validate_model
 from .okounkov import FlagSpec, PiecewiseLinear, first_chamber_along, okounkov_polygon
 from .polygon import shoelace_area
-from .zariski import ZariskiDecomp, _checked, _derivative_of, _direction_kind, zariski_decompose
+from .zariski import ZariskiDecomp, _checked, _decompose_or_none, _derivative_of, _direction_kind
 
 DEFAULT_SUBSET_CAP = 16
 
@@ -78,10 +78,8 @@ def brute_force_zariski(
         else:
             if any(den * x < sum(map(mul, row, v)) for x, row in zip(pairs, residual_rows)):
                 continue
-            lc = den * pd
             try:
-                candidates.append(_checked(model, alpha, la, nums, support,
-                                           tuple(Fraction(a, lc) for a in scaled), lc, scaled))
+                candidates.append(_checked(model, alpha, la, nums, support, den * pd, scaled))
             except NotPseudoEffective:
                 continue
     if len(candidates) > 1:
@@ -178,10 +176,7 @@ def _subset_route(model: SurfaceModel, bound: int, max_curves: int, big: list):
     for coords in itertools.product(range(-bound, bound + 1), repeat=model.rank):
         alpha = tuple(Fraction(c) for c in coords)
         oracle = brute_force_zariski(model, alpha, max_curves=max_curves)
-        try:
-            fast = zariski_decompose(model, alpha)
-        except NotPseudoEffective:
-            fast = None
+        fast = _decompose_or_none(model, alpha)
         if fast == oracle and fast is not None and fast.volume(model) > 0:
             big.append((alpha, fast))
         yield None if fast == oracle else (
@@ -193,11 +188,12 @@ def _derivative_route(model: SurfaceModel, big: list):
     """The closed form 2 P.beta of the volume derivative, as derivative_vol
     computes it (zariski._derivative_of) on the sweep's decomposition,
     against the chamber walk, on the first 64 big classes along omega and
-    every curve."""
+    every curve, each direction classified once (_direction_kind)."""
     directions = [model.kahler] + [c.cls for c in model.curves]
+    kinds = [_direction_kind(model, beta) for beta in directions]
     for alpha, dec in big[:64]:
-        for beta in directions:
-            lhs = _derivative_of(model, dec, beta)
+        for beta, kind in zip(directions, kinds):
+            lhs = _derivative_of(model, dec, kind)
             rhs = derivative_by_chambers(model, alpha, beta)
             yield None if lhs == rhs else (
                 f"alpha {_fmt_class(alpha)}, beta {_fmt_class(beta)}: "

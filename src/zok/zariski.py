@@ -39,11 +39,11 @@ class ZariskiDecomp:
     """alpha = positive + sum(coeffs[i] * curve[i]) with positive nef-in-model,
     orthogonal to every support curve, and negative-definite support Gram.
 
-    Every decomposition zok returns is built by _checked from (alpha,
-    support, coeffs), the data it is saved as, and keeps the positive part's
-    numbers that the check computed: P^2 and positive_ints = (lp,
-    p, pd, pairs), P = p / lp and P.C_i = pairs / pd; P.C_i built on first
-    read (positive_pairings).  None takes part in equality, repr or hash;
+    Every decomposition zok returns is built by _checked from alpha, the
+    support and the integer numerators of alpha and of the coefficients, and
+    keeps the positive part's numbers that the check computed: P^2 and
+    positive_ints = (lp, p, pd, pairs), P = p / lp and P.C_i = pairs / pd;
+    P.C_i built on first read (positive_pairings).  None takes part in equality, repr or hash;
     one built by hand has none, and volume then computes P^2.
     """
 
@@ -205,29 +205,14 @@ def zariski_decompose(model: SurfaceModel, alpha: Vec) -> ZariskiDecomp:
     """
     la, nums, pd, column = model.pairing_ints(alpha)
     support, (den,), (a,), _ = _grow_support(model, (column,), (pd,))
-    return _checked(model, tuple(alpha), la, nums, support, tuple(Fraction(x, den) for x in a),
-                    den, a)
-
-
-def _check_decomposition(
-    model: SurfaceModel, alpha: Vec, support: Sequence[int], coeffs: Sequence[Fraction]
-) -> ZariskiDecomp:
-    """_checked on rational alpha and coeffs, scaled to integers here.  P =
-    alpha - N keeps the first rank coordinates of a longer alpha (which then
-    fails to reconstruct); N = 0 leaves alpha as given."""
-    alpha = tuple(alpha)
-    rank = model.rank
-    lc, nums = _over_lcm(coeffs)
-    if len(alpha) < rank or not support and len(alpha) > rank:
-        raise ValueError(f"vector length must be {rank}")
-    return _checked(model, alpha, *_over_lcm(alpha[:rank]), support, coeffs, lc, nums)
+    return _checked(model, tuple(alpha), la, nums, support, den, a)
 
 
 def _checked(model: SurfaceModel, alpha: Vec, lp: int, p: list, support: Sequence[int],
-             coeffs: Sequence[Fraction], lc: int, nums: Sequence[int]) -> ZariskiDecomp:
+             lc: int, nums: Sequence[int]) -> ZariskiDecomp:
     """The decomposition alpha = P + N with N = sum(coeffs[k] * C_support[k]),
     built and verified; every ZariskiDecomp comes from here.  alpha[:rank]
-    is p / lp, coeffs are nums / lc, and N is their _curve_sum.
+    is p / lp, the coefficients are nums / lc, and N is their _curve_sum.
 
     Raises NotPseudoEffective when P meets the Kahler class negatively, then
     when P^2 < 0.  Any other failure is an InvariantError: reconstruction,
@@ -236,7 +221,7 @@ def _checked(model: SurfaceModel, alpha: Vec, lp: int, p: list, support: Sequenc
     numerators over one denominator; P.omega (the model's Kahler row), P^2
     (its integer form) and P.C_i (its duals, for both the orthogonality and
     the nef test) are integer dot products, and Fractions are built only for
-    the fields the result keeps: P and P^2.
+    the fields the result keeps: P, P^2 and the coefficients.
     """
     if support:  # P = alpha - N, over lp * ln
         ln = model._curve_ints[0] * lc
@@ -260,13 +245,21 @@ def _checked(model: SurfaceModel, alpha: Vec, lp: int, p: list, support: Sequenc
     if any(v < 0 for v in pairs):
         raise InvariantError("positive part not nef in model")
     positive = tuple(Fraction(x, lp) for x in p) if support else alpha
-    return ZariskiDecomp(alpha, positive, support, coeffs,
+    return ZariskiDecomp(alpha, positive, support, tuple(Fraction(x, lc) for x in nums),
                          Fraction(square, lp * lp * model._gram_ints[0]), (lp, p, lp * dd, pairs))
 
 
 def volume(model: SurfaceModel, alpha: Vec) -> Fraction:
     """Self-intersection of the positive part; 0 exactly on the boundary."""
     return zariski_decompose(model, alpha).volume(model)
+
+
+def _require_big(model: SurfaceModel, alpha: Vec, text: str) -> ZariskiDecomp:
+    """The decomposition of a big alpha, else NotBig(text); NotPseudoEffective propagates."""
+    dec = zariski_decompose(model, alpha)
+    if dec.volume(model) <= 0:
+        raise NotBig(text)
+    return dec
 
 
 def _decompose_or_none(model: SurfaceModel, alpha: Vec) -> Optional[ZariskiDecomp]:
@@ -315,15 +308,14 @@ def derivative_vol(model: SurfaceModel, alpha: Vec, beta: Vec) -> Fraction:
     product of the positive part with beta.  Only nef directions and listed
     curve classes are covered; anything else raises UnsupportedDirection.
     P.beta is an integer product with P's kept numerators (positive_ints)."""
-    dec = zariski_decompose(model, alpha)
-    if dec.volume(model) <= 0:
-        raise NotBig("derivative requires a big class")
-    return _derivative_of(model, dec, beta)
+    dec = _require_big(model, alpha, "derivative requires a big class")
+    return _derivative_of(model, dec, _direction_kind(model, beta))
 
 
-def _derivative_of(model: SurfaceModel, dec: ZariskiDecomp, beta: Vec) -> Fraction:
-    """derivative_vol read off a checked decomposition of a big class."""
-    kind, found = _direction_kind(model, beta)
+def _derivative_of(model: SurfaceModel, dec: ZariskiDecomp, direction: tuple) -> Fraction:
+    """derivative_vol read off a checked decomposition of a big class, in a
+    direction as _direction_kind classifies it."""
+    kind, found = direction
     lp, p, pd, pairs = dec.positive_ints
     if kind == "curve":
         return Fraction(2 * pairs[found], pd)
@@ -375,9 +367,7 @@ def null_curves(model: SurfaceModel, z: Vec) -> tuple[int, ...]:
 def non_kahler_curves(model: SurfaceModel, alpha: Vec) -> tuple[int, ...]:
     """Curve shadow of the non-Kahler locus of a big class: the support of the
     negative part together with the null curves of the positive part."""
-    dec = zariski_decompose(model, alpha)
-    if dec.volume(model) <= 0:
-        raise NotBig("non-Kahler locus computed for big classes only")
+    dec = _require_big(model, alpha, "non-Kahler locus computed for big classes only")
     return _non_kahler_of(model, dec)
 
 
@@ -479,8 +469,9 @@ def perturbed_decomposition(
     exact threshold.  With empty support the
     formula degenerates to decomposing alpha + eps*omega directly.  omega
     is scaled once (pairing_ints, its length checked as alpha's), alpha +
-    eps*omega is formed from its numerators and alpha's, and the lift
-    (_lift) and P + eps * lift stay integers.
+    eps*omega is formed from its numerators and alpha's and checked as
+    those numerators (_checked), and the lift (_lift) and P + eps * lift
+    stay integers.
     """
     eps = parse_rat(eps)
     if eps <= 0:
@@ -492,7 +483,8 @@ def perturbed_decomposition(
     dec = zariski_decompose(model, alpha)
     la, a = _over_lcm(dec.alpha)
     e, ed = eps.numerator, eps.denominator
-    shifted = tuple(Fraction(ed * lw * x + e * la * y, la * ed * lw) for x, y in zip(a, w))
+    ls, s = la * ed * lw, [ed * lw * x + e * la * y for x, y in zip(a, w)]
+    shifted = tuple(Fraction(x, ls) for x in s)
     if not dec.support:
         return zariski_decompose(model, shifted)
     z, lz, b = _lift(model, dec.support, lw, w, [on_curves[i] for i in dec.support])
@@ -501,7 +493,7 @@ def perturbed_decomposition(
         raise EpsilonTooLarge(threshold)
     coeffs = tuple(a - eps * bi for a, bi in zip(dec.coeffs, b))
     try:
-        closed = _check_decomposition(model, shifted, dec.support, coeffs)
+        closed = _checked(model, shifted, ls, s, dec.support, *_over_lcm(coeffs))
     except NotPseudoEffective as exc:  # a broken closed form is a bug, not a verdict
         raise InvariantError("positive part not nef in model") from exc
     (l0, p0, _, _), (lq, q, _, _) = dec.positive_ints, closed.positive_ints

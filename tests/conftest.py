@@ -45,9 +45,8 @@ def golden_model():
 @pytest.fixture
 def decompositions(monkeypatch):
     """The classes passed to zariski_decompose while the test runs, from every
-    module that calls it by name."""
-    import zok.okounkov
-    import zok.oracle
+    module that calls it by name: zariski, whose _require_big and
+    _decompose_or_none okounkov and oracle call."""
     import zok.zariski
 
     decompose = zok.zariski.zariski_decompose
@@ -57,8 +56,7 @@ def decompositions(monkeypatch):
         calls.append(alpha)
         return decompose(model, alpha)
 
-    for module in (zok.okounkov, zok.oracle, zok.zariski):
-        monkeypatch.setattr(module, "zariski_decompose", counting)
+    monkeypatch.setattr(zok.zariski, "zariski_decompose", counting)
     return calls
 
 

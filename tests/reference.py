@@ -49,7 +49,7 @@ from zok.errors import (
     UnsupportedDirection,
 )
 from zok.exact import ext_sign, parse_rat, sqrt_rat
-from zok.lattice import Mat, Vec, _check_symmetric, _dot, gram_product
+from zok.lattice import Mat, Vec, _check_symmetric, _dot, _over_lcm, gram_product
 from zok.okounkov import (
     OkounkovPolygon,
     PiecewiseLinear,
@@ -58,12 +58,20 @@ from zok.okounkov import (
     validate_flag,
 )
 from zok.polygon import ConvexPolygon
-from zok.zariski import MorseCertificate, _check_decomposition, zariski_decompose
+from zok.zariski import MorseCertificate, ZariskiDecomp, _checked, zariski_decompose
 
 
 def _exact(x):
     """x itself when already a Fraction, else x as a Fraction."""
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def checked(model, alpha: Vec, support: Sequence[int], coeffs: Sequence) -> ZariskiDecomp:
+    """zariski._checked on a rational alpha and coefficients, each scaled to
+    integers over its least common denominator.  P = alpha - N keeps the
+    first rank coordinates of a longer alpha, which fails to reconstruct."""
+    alpha = tuple(alpha)
+    return _checked(model, alpha, *_over_lcm(alpha[:model.rank]), support, *_over_lcm(coeffs))
 
 
 def vec_add(u: Vec, v: Vec) -> Vec:
@@ -450,7 +458,7 @@ def reference_perturbed_decomposition(model, alpha, omega, eps):
         raise EpsilonTooLarge(threshold)
     coeffs = tuple(a - eps * bi for a, bi in zip(dec.coeffs, b))
     try:
-        closed = _check_decomposition(model, shifted, dec.support, coeffs)
+        closed = checked(model, shifted, dec.support, coeffs)
     except NotPseudoEffective as exc:
         raise InvariantError("positive part not nef in model") from exc
     if closed.positive != tuple(p + eps * x for p, x in zip(dec.positive, lifted)):
@@ -609,7 +617,7 @@ def reference_pairing(model, ch, index) -> tuple:
 
 
 def reference_slope_a(model, chambers, index):
-    """okounkov._slope_a_from_chambers over the chambers' Fraction fields."""
+    """okounkov.chamber_slopes's a over the chambers' Fraction fields."""
     for ch in chambers:
         h0, h1 = reference_pairing(model, ch, index)
         v_lo = h0 + ch.t_lo * h1

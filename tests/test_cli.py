@@ -351,6 +351,32 @@ def test_chambers_output_is_the_recorded_output(capsys, tmp_path):
     assert digest == "9c61ebacc09b0b3c8c1360e320b1d65448a56508a457bc8bf08f640b977556ac"
 
 
+def test_body_and_volume_outputs_are_the_recorded_outputs(capsys):
+    """`zok volume`, `zok restricted` and `zok boundary`, with their exit
+    codes, over each fixture's integer grid [-1, 2]^rank, the bodies with
+    every curve as the flag (error payloads included).  The digest was
+    recorded before these commands shared one volume, flag-slice and
+    bigness read-off."""
+    import hashlib
+    import itertools
+
+    texts = []
+    for name in FIXTURE_NAMES:
+        model = load_fixture(name)
+        for coords in itertools.product(range(-1, 3), repeat=model.rank):
+            text = ",".join(map(str, coords))
+            code, out = run_cli(capsys, "volume", "-m", name, "-c", text)
+            texts.append(f"volume {name} {text} {code}\n{out}")
+            for curve, command in itertools.product(model.curves, ("restricted", "boundary")):
+                code, out = run_cli(capsys, command, "-m", name, "-c", text,
+                                    "--flag", curve.name)
+                texts.append(f"{command} {name} {text} {curve.name} {code}\n{out}")
+    joined = "".join(texts)
+    assert len(texts) == 652 and '"error"' in joined and '"interval"' in joined
+    digest = hashlib.sha256(joined.encode()).hexdigest()
+    assert digest == "3bad00213da84fe1aa2d2cb5a7e764f344e8d542360c10be298899ce09c9b8e7"
+
+
 def test_families_command(capsys):
     code, out = run_cli(capsys, "families", "-m", "blowup2")
     assert code == 0

@@ -204,7 +204,7 @@ def test_first_chamber_along_raises_the_bigness_verdict(all_fixture_models):
     """Off the big cone the walk's first decomposition is the bigness check
     of alpha, so every walk raises the exception that check raises: first_chamber_along in every direction, and the chambers, slopes,
     envelopes and polygon along every curve."""
-    from zok.okounkov import _require_big
+    from zok.zariski import _require_big
 
     verdicts = set()
     for model in all_fixture_models:
@@ -212,7 +212,7 @@ def test_first_chamber_along_raises_the_bigness_verdict(all_fixture_models):
         directions += [c.cls for c in model.curves]
         for alpha in int_grid(model.rank, 2):
             try:
-                _require_big(model, alpha)
+                _require_big(model, alpha, "operation requires a big class")
             except (NotBig, NotPseudoEffective) as exc:
                 expected = exc
             else:

@@ -29,7 +29,6 @@ from zok.oracle import (
 )
 from zok.zariski import (
     ZariskiDecomp,
-    _check_decomposition,
     _derivative_of,
     derivative_vol,
     enumerate_exceptional_families,
@@ -37,7 +36,7 @@ from zok.zariski import (
 )
 
 from conftest import F, int_grid
-from reference import residual_pairings, vec_add, vec_scale
+from reference import checked, residual_pairings, vec_add, vec_scale
 from test_kernel import rational_models, rationals
 
 
@@ -100,7 +99,7 @@ def reference_subset_search(model, alpha):
         if any(v < 0 for v in residual_pairings(model, pairs, subset, coeffs)):
             continue
         try:
-            candidates.append(_check_decomposition(model, alpha, subset, coeffs))
+            candidates.append(checked(model, alpha, subset, coeffs))
         except NotPseudoEffective:
             continue
     if len(candidates) > 1:
@@ -541,6 +540,27 @@ def test_a_route_that_disagrees_reports_its_first_witness(monkeypatch, blowup1, 
 
     monkeypatch.setattr(zok.oracle, target, route)
     assert run_model_verification(blowup1) == expected
+
+
+def test_verification_classifies_each_direction_once(monkeypatch, blowup1):
+    """The derivative route classifies omega and each curve once, before its
+    pairs, and derivative_by_chambers keeps its own gate, once per pair: 4 +
+    28 _direction_kind calls for the same reports, where classifying again
+    in the closed form of every pair made 56."""
+    import zok.oracle
+    import zok.zariski
+
+    calls = []
+    direction_kind = zok.zariski._direction_kind
+
+    def counting(model, beta):
+        calls.append(beta)
+        return direction_kind(model, beta)
+
+    for module in (zok.oracle, zok.zariski):
+        monkeypatch.setattr(module, "_direction_kind", counting)
+    assert run_model_verification(blowup1) == [_ZARISKI, _DERIVATIVE, _POLYGON]
+    assert len(calls) == 32
 
 
 def test_loading_walking_and_verifying_leave_the_fraction_curve_table_unbuilt():

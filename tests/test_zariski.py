@@ -32,6 +32,7 @@ from zok.zariski import (
 
 from conftest import F, int_grid
 from reference import (
+    checked,
     reference_derivative_vol,
     reference_is_nef,
     reference_morse_gap,
@@ -389,6 +390,25 @@ def test_perturbed_decomposition_refuses_a_class_of_the_wrong_length(blowup2):
             with pytest.raises(ValueError) as err:
                 perturbed_decomposition(blowup2, alpha, omega, Fraction(1, 8))
             assert str(err.value) == "vector length must be 3"
+
+
+def test_perturbed_decomposition_scales_its_closed_form_once(monkeypatch, blowup1):
+    """alpha is scaled once (_over_lcm) and the closed form's coefficients
+    once; alpha + eps*omega goes to the check as the numerators it was formed
+    from, not scaled again."""
+    import zok.zariski
+
+    calls = []
+    over_lcm = zok.zariski._over_lcm
+
+    def counting(u):
+        calls.append(tuple(u))
+        return over_lcm(u)
+
+    monkeypatch.setattr(zok.zariski, "_over_lcm", counting)
+    dec = perturbed_decomposition(blowup1, F(2, 1), blowup1.kahler, Fraction(1, 10))
+    assert dec.support == (0,) and dec.coeffs == (Fraction(9, 10),)
+    assert calls == [F(2, 1), (Fraction(9, 10),)]
 
 
 def test_perturbed_decomposition_empty_support(blowup1):
@@ -777,17 +797,14 @@ def test_checker_rejects_hand_made_decompositions(name, alpha, support, coeffs, 
     the two verdicts first, then the invariant breaches no public route
     reaches."""
     from zok.fixtures import load_fixture
-    from zok.zariski import _check_decomposition
 
     with pytest.raises(error) as info:
-        _check_decomposition(load_fixture(name), F(*alpha), support, F(*coeffs))
+        checked(load_fixture(name), F(*alpha), support, F(*coeffs))
     assert type(info.value) is error and str(info.value) == text
 
 
 def test_checker_builds_a_valid_decomposition(blowup1):
-    from zok.zariski import _check_decomposition
-
-    dec = _check_decomposition(blowup1, F(2, 1), (0,), F(1))
+    dec = checked(blowup1, F(2, 1), (0,), F(1))
     assert (dec.alpha, dec.positive, dec.support, dec.coeffs) == (F(2, 1), F(2, 0), (0,), F(1))
     assert dec == zariski_decompose(blowup1, F(2, 1))
     _assert_kept_numbers_match(blowup1, dec)
