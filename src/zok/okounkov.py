@@ -4,15 +4,19 @@ bodies on the volume-zero boundary.
 
 The walk is exact: within a chamber the negative-part support is constant,
 so the orthogonality system makes the coefficients and the positive part
-affine in t.  A walk scales alpha and the direction to integer numerators
-once and makes one decomposition, of alpha.  Each chamber starts from the
-end of the one before; support growth over the two integer columns of
-t0 + eps, eps a formal positive infinitesimal signed lexicographically
-(symbolic perturbation), reaches its support, and its two solves are the
-affine formulas.  The formulas, their checks, the events and the
-continuity of adjacent chambers run over integer numerators, and a
-chamber keeps only those: a chamber that does not end the walk builds
-one Fraction, its end, and its Fraction fields are built when read.
+affine in t.  A walk scales alpha to integer numerators and pairs it with
+the curves once; a walk along -C reads C's numerators and pairings off the
+model's curve tables.  Its start is one integer check of alpha's
+decomposition, which also tests bigness and builds no Fraction (zariski's
+_check_ints, the check behind every decomposition).  Each chamber starts
+from the end of the one before; support growth over the two integer
+columns of t0 + eps, eps a formal positive infinitesimal signed
+lexicographically (symbolic perturbation), reaches its support, and its
+two solves are the affine formulas.  The formulas, their checks, the
+events and the continuity of adjacent chambers run over integer
+numerators, and a chamber keeps only those: a chamber that does not end
+the walk builds one Fraction, its end, and its Fraction fields are built
+when read.
 Breakpoints are roots of affine functions (hence rational); only the
 terminal endpoint, where the positive part's square vanishes, can be a
 quadratic irrational, represented exactly in Q(sqrt(d)).
@@ -22,17 +26,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, cmp_to_key
+from functools import cached_property
 from math import gcd, lcm
 from operator import mul
 from typing import Optional, Sequence
 
-from .errors import (FlagInNonKahlerLocus, HypothesisViolated, InvariantError, NotOnBoundary,
-                     NotPseudoEffective, UnknownCurve)
+from .errors import (FlagInNonKahlerLocus, HypothesisViolated, InvariantError, NotBig,
+                     NotOnBoundary, NotPseudoEffective, UnknownCurve)
 from .exact import ExtRat, QuadExt, parse_rat, quad_of_ints, quad_sign, sqrt_rat
 from .lattice import SurfaceModel, Vec
 from .polygon import ConvexPolygon, Point
-from .zariski import (Kind, ZariskiDecomp, _classification_of, _curve_sum, _decompose_or_none,
+from .zariski import (Kind, ZariskiDecomp, _check_ints, _classification_of, _decompose_or_none,
                       _grow_support, _met, _non_kahler_of, _require_big)
 
 
@@ -218,26 +222,29 @@ class BoundaryBody:
 _ZERO = Fraction(0)
 
 
-def _walk_class(model: SurfaceModel, alpha: Vec, direction: Vec) -> tuple:
-    """(alpha, ld, d, along, la, a, pairs): direction = d / ld and alpha =
-    a / la, scaled once per walk by model.pairing_ints, in that order, and
-    their curve pairings along and pairs over ld * dd and la * dd (the
-    duals' denominator)."""
-    ld, d, _, along = model.pairing_ints(direction)
-    la, a, _, pairs = model.pairing_ints(alpha)
-    return alpha, ld, d, along, la, a, pairs
+def _walk_class(model: SurfaceModel, alpha: Vec, direction: tuple) -> tuple:
+    """(alpha, ld, d, dp, along, la, a, ap, pairs): the walk's class and
+    direction as integers.  direction = d / ld, with curve pairings along /
+    dp, is given so (as SurfaceModel.pairing_ints gives it, or as
+    _minus_curve reads -C off the curve tables); alpha = a / la, with curve
+    pairings pairs / ap, is scaled once per walk by model.pairing_ints."""
+    return (alpha, *direction, *model.pairing_ints(alpha))
 
 
 def _chamber_at(model, walk, prev=None, fallback_end=None):
     """The chamber along alpha + t*direction that starts where prev ends
     (at t0 = 0 without prev), and whether the walk ends with it.
 
-    ``walk`` is _walk_class's data.  At t0 = 0 the start is the walk's one
-    decomposition, of alpha, which tests that it is big (_require_big).
-    Past 0 it is read off prev's numerators at t0, evaluated once
-    (_values_at): P = Z(t0), P.C_j, the seed support (the curves of non-zero
-    coefficient) and P^2 > 0, one integer form product over lp^2 * gd, else
-    an invariant breach.
+    ``walk`` is _walk_class's data.  At t0 = 0 the start is alpha's own
+    check, over the numerators and pairings the walk holds: one 1-column
+    support growth, the integer decomposition check (zariski._check_ints)
+    and the bigness gate NotBig, with no Fraction built; NotPseudoEffective
+    propagates.  Past 0 it is read off prev's numerators at t0, evaluated
+    once (_values_at): P = Z(t0), P.C_j, the seed support (the curves of
+    non-zero coefficient) and P^2 > 0, else an invariant breach.  P^2 there
+    stays one integer form product over lp^2 * gd, not a number derived
+    from prev's square_ints: it is the chamber's own bigness check, so it
+    is kept independent of the chamber it follows.
     The chamber's support is that of alpha + (t0 + eps)*direction for a
     formal positive infinitesimal eps: _grow_support from the seed over the
     two integer columns (alpha + t0*direction) . C_j and direction . C_j,
@@ -249,22 +256,27 @@ def _chamber_at(model, walk, prev=None, fallback_end=None):
     and z0 = P - t0*z1; the checks (reconstruction, pairings against P.C_j
     and z1, nef, and continuity with prev at t0, where Z comes from z0 and
     z1 and the coefficients are a0/D0) and the events, in u = t - t0, run
-    over integers.  The chamber keeps ints = (den0, z0, den1, z1, den, c0,
-    d1, c1, h0, h1), h0 over den and h1 over d1 (den, d1 > 0), and Z(t)^2
+    over integers.  z1 and the reconstruction read the support's curve rows
+    in one pass, and the event is the first smallest, by one cross-
+    multiplying pass.  The chamber keeps ints = (den0, z0, den1, z1, den,
+    c0, d1, c1, h0, h1), h0 over den and h1 over d1 (den, d1 > 0), and Z(t)^2
     as three integer fractions, read off Z(t0 + u)^2 = P^2 + 2u*P.z1 +
     u^2*z1^2.  It ends at the first event after t0, or at fallback_end when
     none lies ahead; the terminal root is taken only where integer signs
     put it at or before the first affine event.  A chamber that does not
     end the walk builds one Fraction, its t_hi.
     """
-    alpha, ld, d_nums, along, la, a_nums, a_pairs = walk
+    alpha, ld, d_nums, dp, along, la, a_nums, ap, a_pairs = walk
     t0 = _ZERO if prev is None else prev.t_hi
     p, q = t0.numerator, t0.denominator
     gd, gram = model._gram_ints
+    dd, duals = model.duals
     if prev is None:  # P^2 = e0 / k0
-        dec = _require_big(model, alpha, "operation requires a big class")
-        seed, e0, (lp, p_nums, pd, p_pairs) = dec.support, dec.positive_square, dec.positive_ints
-        e0, k0 = e0.numerator, e0.denominator
+        seed, (lc,), (c,), _ = _grow_support(model, (a_pairs,), (ap,))
+        lp, p_nums, e0, p_pairs = _check_ints(model, len(alpha), la, a_nums, seed, lc, c)
+        if e0 <= 0:
+            raise NotBig("operation requires a big class")
+        k0, pd = lp * lp * gd, lp * dd
     else:  # P = p_nums / lp and P.C_j = p_pairs / pd at t0, off prev's numerators
         lp, p_nums, dc, c = _values_at(prev, p, q)
         g = gcd(lp, *p_nums)  # reduced, so that numerators do not grow along the walk
@@ -275,24 +287,26 @@ def _chamber_at(model, walk, prev=None, fallback_end=None):
         e0, k0 = sum(map(mul, p_nums, _met(model, p_nums))), lp * lp * gd
         if e0 <= 0:
             raise InvariantError(f"class at t = {t0} is not big")
-    dd, duals = model.duals
-    start = [q * ld * x + p * la * y for x, y in zip(a_pairs, along)]
+    start = [q * dp * x + p * ap * y for x, y in zip(a_pairs, along)]
     try:
         support, (d0, d1), (a0, a1), (r0, r1) = _grow_support(
-            model, (start, along), (q * la * ld * dd, ld * dd), seed)
+            model, (start, along), (q * ap * dp, dp), seed)
     except NotPseudoEffective as exc:
         raise InvariantError(f"class just after t = {t0} is not big") from exc
     den = q * d0 * d1  # x0/D0 - t0*x1/D1 = (q*D1*x0 - p*D0*x1) / den
     coeff0 = [q * d1 * x - p * d0 * y for x, y in zip(a0, a1)]
     h0 = [q * d1 * x - p * d0 * y for x, y in zip(r0, r1)]
-    cd = model._curve_ints[0]
-    z1 = [x * d1 * cd - y * ld for x, y in zip(d_nums, _curve_sum(model, support, a1))]
+    cd, rows = model._curve_ints
+    # sum c1*C over d1 * cd and sum coeff0*C over den * cd, per coordinate
+    picked = [rows[i] for i in support]
+    sums = [(sum(map(mul, a1, col)), sum(map(mul, coeff0, col))) for col in zip(*picked)]
+    sums = sums or [(0, 0)] * model.rank
+    z1 = [x * d1 * cd - y * ld for x, (y, _) in zip(d_nums, sums)]
     den1 = ld * d1 * cd
     z0 = [x * q * den1 - p * lp * y for x, y in zip(p_nums, z1)]
     den0 = lp * q * den1
-    back = _curve_sum(model, support, coeff0)  # sum coeff0*C, over den * cd
     s0, s1, s2 = den * cd * la, den0 * la, den0 * den * cd
-    if any(x * s0 + y * s1 != a * s2 for x, y, a in zip(z0, back, a_nums)):
+    if any(x * s0 + y * s1 != a * s2 for x, (_, y), a in zip(z0, sums, a_nums)):
         raise InvariantError("chamber formulas do not reconstruct the class")
     if (any(x * pd != y * d0 for x, y in zip(r0, p_pairs))
             or any(sum(map(mul, z1, row)) * d1 != y * den1 * dd for row, y in zip(duals, r1))):
@@ -308,14 +322,17 @@ def _chamber_at(model, walk, prev=None, fallback_end=None):
     square = ((f0 * q * q - f1 * p * q + f2 * p * p, sd * q * q), (f1 * q - 2 * f2 * p, sd * q),
               (f2, sd))
     # affine events: u = x/y * D1/D0 for each decreasing coefficient and
-    # off-support pairing, the smallest, u* = u/v > 0, by cross-multiplication;
-    # Z^2 ends the walk if it has a root in (0, u*]
+    # off-support pairing, the first smallest, u* = u/v > 0, by
+    # cross-multiplication; Z^2 ends the walk if it has a root in (0, u*]
     in_support = set(support)
     ratios = [(x, -y) for x, y in zip(a0, a1) if y < 0]
     ratios += [(x, -y) for j, (x, y) in enumerate(zip(r0, r1)) if y < 0 and j not in in_support]
     event, last = None, True
     if ratios:
-        x, y = min(ratios, key=cmp_to_key(lambda r, s: r[0] * s[1] - s[0] * r[1]))
+        x, y = ratios[0]
+        for u, v in ratios:
+            if u * y < x * v:
+                x, y = u, v
         event = x * d1, y * d0
         last = _root_by(f0, f1, f2, *event)
     terminal = _terminal_root(p, q, f0, f1, f2, sd) if last and (w11 < 0 or m1 < 0) else None
@@ -385,21 +402,30 @@ def _assert_continuity(before: tuple, after: tuple):
         raise InvariantError("adjacent chamber coefficients disagree at the breakpoint")
 
 
+def _minus_curve(model: SurfaceModel, index: int) -> tuple:
+    """-C for the curve ``index`` as pairing_ints gives a class: (l, nums,
+    pd, pairs), read off the curve tables (SurfaceModel._curve_ints and
+    _curve_gram_ints) with no product formed."""
+    (cd, rows), (gd, table) = model._curve_ints, model._curve_gram_ints
+    return cd, [-x for x in rows[index]], gd, tuple(-x for x in table[index])
+
+
 def segment_chambers(model: SurfaceModel, alpha: Vec, curve) -> list[SegmentChamber]:
     """Exact chamber list covering [0, s] along alpha - t*C for big alpha.
 
-    One decomposition per walk, of alpha, which tests that it is big, and
+    One start check per walk, of alpha, which tests that it is big, and
     one support growth per chamber, just past its start (see _chamber_at).
-    -C and alpha are scaled to integer numerators and paired with the
-    curves once per walk (_walk_class).  A chamber's end is the smallest of
-    the coefficient zeros, the off-support orthogonality crossings, and the
+    alpha is scaled to integer numerators and paired with the curves once
+    per walk (_walk_class); -C's numerators and pairings are read off the
+    curve tables (_minus_curve).  A chamber's end is the smallest of the
+    coefficient zeros, the off-support orthogonality crossings, and the
     terminal root of Z(t)^2, which ends the walk and may be a quadratic
     irrational.  Adjacent chambers must agree at their breakpoint (over
-    integers), and no curve but C may leave the support, since
-    N(D + E) <= N(D) + E for effective E.
+    integers), and no curve but C may leave the support, since N(D + E) <=
+    N(D) + E for effective E.
     """
     index = model.resolve_curve(curve)
-    walk = _walk_class(model, alpha, tuple(-x for x in model.curve_class(index)))
+    walk = _walk_class(model, alpha, _minus_curve(model, index))
     chamber, last = _chamber_at(model, walk)
     chambers = [chamber]
     while not last:
@@ -414,8 +440,9 @@ def first_chamber_along(model: SurfaceModel, alpha: Vec, direction: Vec) -> Segm
     """Affine decomposition formulas valid on (0, eps) along alpha + t*direction
     for big alpha: the first chamber of that walk (see _chamber_at), which
     also tests that alpha is big.  t_hi is the first event (terminal or
-    not), or 1 when no event lies ahead."""
-    walk = _walk_class(model, alpha, direction)
+    not), or 1 when no event lies ahead.  The direction is scaled and
+    paired before alpha."""
+    walk = _walk_class(model, alpha, model.pairing_ints(direction))
     return _chamber_at(model, walk, None, Fraction(1))[0]
 
 

@@ -149,22 +149,22 @@ def _grow_support(model: SurfaceModel, columns: Sequence[Sequence[int]], dens: S
     the final support, and absorbs every curve the residual meets
     negatively, until stable.  A round reads its support's integer rows
     from the model's support table (SurfaceModel.support_forms, one solve
-    per support and model), so its coefficient signs and residual pairings
-    are integer dot products over the support.  The parts at eps**m are
-    integer numerators over the returned dens[m] > 0: coeff_nums[m] of the
-    support coefficients, residual_nums[m] of the residual's pairings with
-    every curve; callers divide only what they return.  Raises
-    NotPseudoEffective when the support Gram loses negative definiteness or
-    a coefficient turns negative.
+    per support and model) and works by columns: one list of integer dot
+    products per column for the coefficients and one for the residual
+    pairings, zipped once into the per-curve tuples whose signs it reads.
+    The parts at eps**m are integer numerators over the returned dens[m] >
+    0: coeff_nums[m] of the support coefficients, residual_nums[m] of the
+    residual's pairings with every curve; callers divide only what they
+    return.  Raises NotPseudoEffective when the support Gram loses negative
+    definiteness or a coefficient turns negative.
     """
     zero = (0,) * len(columns)
     support: tuple = ()
-    forms = None
-    residuals = list(zip(*columns))  # per curve, the residual's pairings as numerators
+    den, coeffs, residuals = 1, [()] * len(columns), columns  # the parts, by column
     entering = list(start)
     while True:
         in_support = set(support)
-        entering += [j for j, v in enumerate(residuals) if v < zero and j not in in_support]
+        entering += [j for j, v in enumerate(zip(*residuals)) if v < zero and j not in in_support]
         if not entering:
             break
         support = tuple(sorted(in_support.union(entering)))
@@ -174,8 +174,8 @@ def _grow_support(model: SurfaceModel, columns: Sequence[Sequence[int]], dens: S
             raise NotPseudoEffective("support Gram matrix is not negative definite")
         den, coeff_rows, residual_rows = forms
         picked = [[col[i] for i in support] for col in columns]
-        scaled = [tuple(sum(map(mul, row, x)) for x in picked) for row in coeff_rows]
-        for a in scaled:
+        coeffs = [[sum(map(mul, row, x)) for row in coeff_rows] for x in picked]
+        for a in zip(*coeffs):
             if a < zero:
                 raise NotPseudoEffective("negative coefficient in support solve")
             if a == zero:
@@ -183,11 +183,9 @@ def _grow_support(model: SurfaceModel, columns: Sequence[Sequence[int]], dens: S
                     "zero coefficient in support solve; model violates "
                     "the strict-positivity hypotheses"
                 )
-        residuals = [tuple(den * col[j] - sum(map(mul, row, x)) for col, x in zip(columns, picked))
-                     for j, row in enumerate(residual_rows)]
-    if forms is None:
-        return support, tuple(dens), ((),) * len(columns), tuple(map(tuple, columns))
-    return support, tuple(den * d for d in dens), tuple(zip(*scaled)), tuple(zip(*residuals))
+        residuals = [[den * v - sum(map(mul, row, x)) for v, row in zip(col, residual_rows)]
+                     for col, x in zip(columns, picked)]
+    return support, tuple(den * d for d in dens), coeffs, residuals
 
 
 def zariski_decompose(model: SurfaceModel, alpha: Vec) -> ZariskiDecomp:
@@ -211,8 +209,24 @@ def zariski_decompose(model: SurfaceModel, alpha: Vec) -> ZariskiDecomp:
 def _checked(model: SurfaceModel, alpha: Vec, lp: int, p: list, support: Sequence[int],
              lc: int, nums: Sequence[int]) -> ZariskiDecomp:
     """The decomposition alpha = P + N with N = sum(coeffs[k] * C_support[k]),
-    built and verified; every ZariskiDecomp comes from here.  alpha[:rank]
-    is p / lp, the coefficients are nums / lc, and N is their _curve_sum.
+    verified by _check_ints and built; every ZariskiDecomp comes from here.
+    alpha[:rank] is p / lp and the coefficients are nums / lc.  Fractions
+    are built only for the fields the result keeps: P, P^2 and the
+    coefficients.
+    """
+    lp, p, square, pairs = _check_ints(model, len(alpha), lp, p, support, lc, nums)
+    positive = tuple(Fraction(x, lp) for x in p) if support else alpha
+    return ZariskiDecomp(alpha, positive, support, tuple(Fraction(x, lc) for x in nums),
+                         Fraction(square, lp * lp * model._gram_ints[0]),
+                         (lp, p, lp * model.duals[0], pairs))
+
+
+def _check_ints(model: SurfaceModel, n: int, lp: int, p: Sequence[int], support: Sequence[int],
+                lc: int, nums: Sequence[int]) -> tuple:
+    """(lp, p, square, pairs) for the positive part P = alpha - N of the
+    class alpha = p / lp of n coordinates, N = sum(nums[k] / lc *
+    C_support[k]) its _curve_sum, checked: P = p / lp, P^2 = square /
+    (lp^2 * the form's den) and P.C_i = pairs[i] / (lp * the duals' den).
 
     Raises NotPseudoEffective when P meets the Kahler class negatively, then
     when P^2 < 0.  Any other failure is an InvariantError: reconstruction,
@@ -220,8 +234,7 @@ def _checked(model: SurfaceModel, alpha: Vec, lp: int, p: list, support: Sequenc
     support Gram, and P nef in the model.  P is formed once, as integer
     numerators over one denominator; P.omega (the model's Kahler row), P^2
     (its integer form) and P.C_i (its duals, for both the orthogonality and
-    the nef test) are integer dot products, and Fractions are built only for
-    the fields the result keeps: P, P^2 and the coefficients.
+    the nef test) are integer dot products, and no Fraction is built.
     """
     if support:  # P = alpha - N, over lp * ln
         ln = model._curve_ints[0] * lc
@@ -232,10 +245,9 @@ def _checked(model: SurfaceModel, alpha: Vec, lp: int, p: list, support: Sequenc
     square = sum(map(mul, p, _met(model, p)))
     if square < 0:
         raise NotPseudoEffective("positive part has negative self-intersection")
-    if len(alpha) != model.rank:  # P + N is alpha exactly, up to its length
+    if n != model.rank:  # P + N is alpha exactly, up to its length
         raise InvariantError("decomposition does not reconstruct the class")
-    dd, duals = model.duals
-    pairs = [sum(map(mul, p, row)) for row in duals]
+    pairs = [sum(map(mul, p, row)) for row in model.duals[1]]
     if any(pairs[i] for i in support):
         raise InvariantError("positive part not orthogonal to support")
     if any(a <= 0 for a in nums):
@@ -244,9 +256,7 @@ def _checked(model: SurfaceModel, alpha: Vec, lp: int, p: list, support: Sequenc
         raise InvariantError("support Gram matrix not negative definite")
     if any(v < 0 for v in pairs):
         raise InvariantError("positive part not nef in model")
-    positive = tuple(Fraction(x, lp) for x in p) if support else alpha
-    return ZariskiDecomp(alpha, positive, support, tuple(Fraction(x, lc) for x in nums),
-                         Fraction(square, lp * lp * model._gram_ints[0]), (lp, p, lp * dd, pairs))
+    return lp, p, square, pairs
 
 
 def volume(model: SurfaceModel, alpha: Vec) -> Fraction:

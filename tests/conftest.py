@@ -60,6 +60,25 @@ def decompositions(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def start_checks(monkeypatch):
+    """The classes whose decomposition a chamber walk checks at its start
+    while the test runs: the integer check (zariski._check_ints) as the
+    okounkov module calls it, once per walk, each class as the Fractions
+    of the numerators it was given."""
+    import zok.okounkov
+
+    check = zok.okounkov._check_ints
+    calls = []
+
+    def counting(model, n, lp, p, *rest):
+        calls.append(tuple(Fraction(x, lp) for x in p))
+        return check(model, n, lp, p, *rest)
+
+    monkeypatch.setattr(zok.okounkov, "_check_ints", counting)
+    return calls
+
+
 class _StoreLog(dict):
     """A support table that logs the key of every store."""
 

@@ -3,7 +3,9 @@ from __future__ import annotations
 import contextlib
 import importlib
 import io
+import itertools
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -349,6 +351,61 @@ def test_chambers_output_is_the_recorded_output(capsys, tmp_path):
     assert len(texts) == 696 and "sqrt" in joined and '"error"' in joined
     digest = hashlib.sha256(joined.encode()).hexdigest()
     assert digest == "9c61ebacc09b0b3c8c1360e320b1d65448a56508a457bc8bf08f640b977556ac"
+
+
+def _mult_flag(model):
+    """--mult for one flag of the model: the first curve pair (flag, other)
+    that meets positively, at half their intersection; None when no pair
+    does."""
+    den, table = model._curve_gram_ints
+    for flag, other in itertools.permutations(range(len(model.curves)), 2):
+        if table[other][flag] > 0:
+            half = Fraction(table[other][flag], 2 * den)
+            return model.curves[flag].name, f"{model.curves[other].name}={half}"
+    return None
+
+
+def test_okounkov_outputs_are_the_recorded_outputs(capsys, tmp_path):
+    """`zok okounkov` JSON, with its exit codes: over each fixture's integer
+    grid [-1, 2]^rank with every curve as the flag and with one flag that
+    carries a --mult, and over twelve seeded random models from omega and
+    from 2*omega + v for the first three integer v in {-1, 0, 1}^rank, the
+    same flags.  Error payloads and walks that end at an irrational t (a
+    value with a radicand "d") are among them.  The digest was recorded
+    from the walk whose start was a full rational decomposition of the
+    class."""
+    import hashlib
+
+    cases = []
+    for name in FIXTURE_NAMES:
+        model = load_fixture(name)
+        classes = list(itertools.product(range(-1, 3), repeat=model.rank))
+        cases.append((name, name, model, classes))
+    for seed in range(12):
+        model = random_model(ModelGenSpec(seed=seed, rank=3 + seed % 4, num_curves=5 + seed % 3))
+        path = tmp_path / f"model{seed}.json"
+        path.write_text(dumps_canonical(model_to_dict(model)), encoding="utf-8")
+        shifts = itertools.islice(itertools.product((-1, 0, 1), repeat=model.rank), 3)
+        classes = [model.kahler] + [tuple(2 * w + x for w, x in zip(model.kahler, v))
+                                    for v in shifts]
+        cases.append((model.name, str(path), model, classes))
+    texts = []
+    for name, source, model, classes in cases:
+        flags = [[curve.name] for curve in model.curves]
+        mult = _mult_flag(model)
+        if mult is not None:
+            flags.append([mult[0], "--mult", mult[1]])
+        for cls in classes:
+            text = ",".join(map(str, cls))
+            for flag in flags:
+                code, out = run_cli(capsys, "okounkov", "-m", source, "-c", text,
+                                    "--flag", *flag)
+                texts.append(f"{name} {text} {' '.join(flag)} {code}\n{out}")
+    joined = "".join(texts)
+    assert len(texts) == 704 and '"d": ' in joined and '"error"' in joined
+    assert "--mult" in joined
+    digest = hashlib.sha256(joined.encode()).hexdigest()
+    assert digest == "cc2c0c406214db3a34e1132d056e30c10aec8eb99871a98670b1c5bbcb2f0f20"
 
 
 def test_body_and_volume_outputs_are_the_recorded_outputs(capsys):

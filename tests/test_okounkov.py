@@ -520,19 +520,21 @@ def _big_classes_near_kahler(model, count):
     return out
 
 
-def test_walk_decomposes_once_per_walk(decompositions, blowup2, hirzebruch2, golden_model):
-    calls = decompositions
+def test_walk_decomposes_once_per_walk(decompositions, start_checks, blowup2, hirzebruch2,
+                                      golden_model):
+    """One start check per walk, of alpha, which tests that it is big;
+    every later chamber starts from the end of the one before.  The start
+    is an integer check, not a rational decomposition."""
     cases = [(blowup2, F(3, -1, -1)), (hirzebruch2, F(3, 2)), (golden_model, F(1, 0))]
     lengths = set()
     for model, alpha in cases:
         for curve in range(len(model.curves)):
-            calls.clear()
+            start_checks.clear()
             chambers = segment_chambers(model, alpha, curve)
-            # alpha only, which tests that it is big; every later chamber
-            # starts from the end of the one before
-            assert calls == [alpha]
+            assert start_checks == [alpha]
             lengths.add(len(chambers))
     assert max(lengths) > 1
+    assert decompositions == []
 
 
 def test_chamber_formulas_match_direct_decompositions():
@@ -800,9 +802,9 @@ def _continuity_at_the_breakpoint(prev, nxt):
 
 
 def _walk_data(model, alpha, curve):
-    from zok.okounkov import _walk_class
+    from zok.okounkov import _minus_curve, _walk_class
 
-    return _walk_class(model, alpha, vec_scale(-1, model.curve_class(curve)))
+    return _walk_class(model, alpha, _minus_curve(model, curve))
 
 
 _RECONSTRUCT_TEXT = "chamber formulas do not reconstruct the class"
@@ -903,14 +905,14 @@ def test_chambers_are_equal_by_their_values_not_their_numerators(blowup2):
         assert ch != (ch.t_lo, ch.t_hi)
 
 
-def test_polygon_decomposes_alpha_once(decompositions, blowup2):
+def test_polygon_decomposes_alpha_once(decompositions, start_checks, blowup2):
     alpha = F(3, -1, -1)
     assert len(segment_chambers(blowup2, alpha, "L12")) == 2
-    calls = decompositions
-    calls.clear()
+    start_checks.clear()
     poly = okounkov_polygon(blowup2, alpha, FlagSpec.make(blowup2.curve_index("L12")))
-    # one per walk; the area identity uses the volume the first chamber keeps
-    assert len(calls) == 1
+    # one start check per walk; the area identity uses the volume the first
+    # chamber keeps
+    assert start_checks == [alpha] and decompositions == []
     assert 2 * poly.area == volume(blowup2, alpha)
 
 
@@ -944,22 +946,65 @@ def test_bodies_read_the_kept_pairings(monkeypatch, blowup1, blowup2):
 
 
 def test_chamber_start_pairs_the_class_once(monkeypatch, blowup2):
-    """The walk pairs d and alpha once, over integers; each chamber reads
-    (alpha + t0*d) . C off those two rows, and its start decomposition
-    pairs the class over integers too, so no pairings call is made."""
+    """A walk along -C pairs alpha once (pairing_ints), over integers, and
+    reads -C's pairings off the curve Gram table; each chamber reads
+    (alpha + t0*d) . C off those two rows, and the start check reads alpha's
+    pairings the walk holds, so no other pairing is made."""
     from zok.lattice import SurfaceModel
 
     calls = []
-    pairings = SurfaceModel.pairings
+    for name in ("pairings", "pairing_ints"):
+        method = getattr(SurfaceModel, name)
 
-    def counting(self, u):
-        calls.append(u)
-        return pairings(self, u)
+        def counting(self, u, _name=name, _method=method):
+            calls.append((_name, u))
+            return _method(self, u)
 
-    monkeypatch.setattr(SurfaceModel, "pairings", counting)
-    chambers = segment_chambers(blowup2, F(3, -1, -1), "L12")
-    assert len(chambers) == 2
-    assert calls == []
+        monkeypatch.setattr(SurfaceModel, name, counting)
+    alpha = F(3, -1, -1)
+    for curve in ("L12", "E1"):
+        calls.clear()
+        assert len(segment_chambers(blowup2, alpha, curve)) == 2
+        assert calls == [("pairing_ints", alpha)]
+
+
+def test_walk_start_raises_as_require_big(all_fixture_models, golden_model):
+    """Every walk starts with alpha's integer check and bigness gate, not a
+    rational decomposition: on non-pseudo-effective, boundary, big,
+    wrong-length and float classes, over the fixtures and seeded models,
+    segment_chambers, okounkov_polygon, first_chamber_along and
+    derivative_by_chambers raise the exception type and text that
+    zariski._require_big raises on the same class, and nothing where it
+    raises nothing."""
+    from zok.oracle import ModelGenSpec, derivative_by_chambers, random_model
+    from zok.zariski import _require_big
+
+    def outcome(fn, *args):
+        try:
+            fn(*args)
+        except Exception as exc:
+            return type(exc), str(exc)
+        return None
+
+    models = [*all_fixture_models, golden_model]
+    models += [random_model(ModelGenSpec(seed=seed, rank=3 + seed % 3, num_curves=5 + seed % 3))
+               for seed in range(4)]
+    seen = set()
+    for model in models:
+        omega = model.kahler
+        classes = int_grid(model.rank, 1)[:30] + [
+            omega, vec_scale(-1, omega), (*omega, Fraction(0)), omega[:-1],
+            tuple(float(x) for x in omega), (0.5, *omega[1:])]
+        for alpha in classes:
+            expected = outcome(_require_big, model, alpha, "operation requires a big class")
+            seen.add(None if expected is None else expected[0])
+            assert outcome(first_chamber_along, model, alpha, omega) == expected
+            assert outcome(derivative_by_chambers, model, alpha, omega) == expected
+            for curve in range(len(model.curves)):
+                assert outcome(segment_chambers, model, alpha, curve) == expected
+                flag = FlagSpec.make(curve)
+                assert outcome(okounkov_polygon, model, alpha, flag) == expected
+    assert seen == {None, NotPseudoEffective, NotBig, ValueError, TypeError}
 
 
 def test_restricted_body_decomposes_alpha_once(decompositions, blowup1):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -17,7 +18,7 @@ from zok.lattice import (
     solve_linear,
     validate_model,
 )
-from zok.okounkov import PiecewiseLinear
+from zok.okounkov import PiecewiseLinear, first_chamber_along
 from zok.oracle import (
     ModelGenSpec,
     OracleReport,
@@ -275,10 +276,10 @@ def test_derivative_by_chambers_examples(blowup1):
     assert derivative_by_chambers(blowup1, F(2, 0), F(0, 0)) == 0
 
 
-def test_derivative_by_chambers_decomposes_once(decompositions, blowup1):
-    # the walk's one decomposition, of alpha + eps*omega, also tests bigness
+def test_derivative_by_chambers_decomposes_once(decompositions, start_checks, blowup1):
+    # the walk's one start check, of alpha, also tests bigness
     assert derivative_by_chambers(blowup1, F(2, 1), blowup1.kahler) == 8
-    assert len(decompositions) == 1
+    assert start_checks == [F(2, 1)] and decompositions == []
 
 
 def test_derivative_routes_agree(blowup1, blowup2):
@@ -487,6 +488,21 @@ def _off_at(route, n):
     return off
 
 
+def _slope_off_at(n):
+    """first_chamber_along, with the slope of Z(t)^2 at t = 0 that its n-th
+    chamber keeps (counting from 1) off by one."""
+    calls = itertools.count(1)
+
+    def off(model, alpha, direction):
+        chamber = first_chamber_along(model, alpha, direction)
+        if next(calls) != n:
+            return chamber
+        (n0, e0), (n1, e1), c2 = chamber.square_ints
+        return dataclasses.replace(chamber, square_ints=((n0, e0), (n1 + e1, e1), c2))
+
+    return off
+
+
 def _no_subset_at(cls):
     """brute_force_zariski, finding no decomposition of the class cls."""
 
@@ -510,7 +526,7 @@ def _no_subset_at(cls):
             OracleReport("derivative-vs-chamber-walk[20 pairs]", True),
             OracleReport("polygon-area-vs-integration[15 polygons]", True),
         ]),
-        ("derivative_by_chambers", _off_at(derivative_by_chambers, 3), [
+        ("first_chamber_along", _slope_off_at(3), [
             _ZARISKI,
             OracleReport(
                 "derivative-vs-chamber-walk[3 pairs]", False,
@@ -544,9 +560,10 @@ def test_a_route_that_disagrees_reports_its_first_witness(monkeypatch, blowup1, 
 
 def test_verification_classifies_each_direction_once(monkeypatch, blowup1):
     """The derivative route classifies omega and each curve once, before its
-    pairs, and derivative_by_chambers keeps its own gate, once per pair: 4 +
-    28 _direction_kind calls for the same reports, where classifying again
-    in the closed form of every pair made 56."""
+    pairs, and reads each pair's chamber walk as derivative_by_chambers does
+    without its gate: 4 _direction_kind calls for the same reports, where
+    the gate once per pair made 32, and classifying again in the closed form
+    of every pair made 56."""
     import zok.oracle
     import zok.zariski
 
@@ -560,7 +577,7 @@ def test_verification_classifies_each_direction_once(monkeypatch, blowup1):
     for module in (zok.oracle, zok.zariski):
         monkeypatch.setattr(module, "_direction_kind", counting)
     assert run_model_verification(blowup1) == [_ZARISKI, _DERIVATIVE, _POLYGON]
-    assert len(calls) == 32
+    assert len(calls) == 4
 
 
 def test_loading_walking_and_verifying_leave_the_fraction_curve_table_unbuilt():
@@ -587,7 +604,7 @@ def test_verification_grid_bound_is_capped_before_it_shrinks(p2):
     assert reports[0].subject == "zariski-vs-subset-search[grid 2047, 4095 classes]"
 
 
-def test_verification_reuses_the_sweep_volumes(decompositions, blowup1):
+def test_verification_reuses_the_sweep_volumes(decompositions, start_checks, blowup1):
     reports = run_model_verification(blowup1)
     assert [r.subject for r in reports] == [
         "zariski-vs-subset-search[grid 2, 25 classes]",
@@ -595,8 +612,10 @@ def test_verification_reuses_the_sweep_volumes(decompositions, blowup1):
         "polygon-area-vs-integration[21 polygons]",
     ]
     assert all(r.agrees for r in reports)
-    # 25 in the sweep, 1 per derivative pair (the one chamber of the walk,
-    # which also tests bigness; the closed form reads P off the sweep's
-    # decomposition), and 21 for the 21 polygons (one per walk, which also
-    # tests bigness and keeps the volume the area identity uses)
-    assert len(decompositions) == 74
+    # 25 decompositions in the sweep, none after it: the closed form reads P
+    # off the sweep's decomposition.  One start check per walk, each of
+    # which also tests bigness: one per derivative pair (the one chamber of
+    # the walk) and one per polygon (which keeps the volume the area
+    # identity uses), 28 + 21
+    assert len(decompositions) == 25
+    assert len(start_checks) == 49
