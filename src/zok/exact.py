@@ -191,12 +191,6 @@ class QuadExt:
             return NotImplemented
         return ext_sign(diff) < 0
 
-    def __gt__(self, other):
-        diff = self - other
-        if diff is NotImplemented:
-            return NotImplemented
-        return ext_sign(diff) > 0
-
     def __hash__(self):
         return hash((self.p, self.q, self.d))
 

@@ -203,13 +203,14 @@ def report_to_json_line(report: OracleReport) -> str:
 # ---------------------------------------------------------------------------
 
 _SVG_SCALE = 100  # drawing units per lattice unit
+_DECIMAL_DIGITS = 12  # significant digits of a rendered value
 
 
-def ext_to_decimal_str(x: ExtRat, digits: int = 12) -> str:
+def ext_to_decimal_str(x: ExtRat) -> str:
     """Deterministic decimal rendering of an exact value, display only."""
     from decimal import Context, Decimal  # only the SVG rendering needs it
 
-    ctx = Context(prec=digits + 10)
+    ctx = Context(prec=_DECIMAL_DIGITS + 10)
 
     def dec(q: Fraction) -> Decimal:
         return ctx.divide(Decimal(q.numerator), Decimal(q.denominator))
@@ -218,7 +219,7 @@ def ext_to_decimal_str(x: ExtRat, digits: int = 12) -> str:
         value = ctx.add(dec(x.p), ctx.multiply(dec(x.q), ctx.sqrt(Decimal(x.d))))
     else:
         value = dec(x)
-    out = Context(prec=digits).create_decimal(value)
+    out = Context(prec=_DECIMAL_DIGITS).create_decimal(value)
     return format(out.normalize(), "f")
 
 

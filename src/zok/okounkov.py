@@ -24,6 +24,7 @@ quadratic irrational, represented exactly in Q(sqrt(d)).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -173,17 +174,13 @@ class PiecewiseLinear:
 
     def value_at(self, t) -> ExtRat:
         bps, vals = self.breakpoints, self.values
-        for b, v in zip(bps, vals):
-            if t == b:
-                return v  # a breakpoint keeps its value; nothing to interpolate
-        if t < bps[0] or t > bps[-1]:
+        k = bisect_left(bps, t)
+        if k < len(bps) and t == bps[k]:
+            return vals[k]  # a breakpoint keeps its value; nothing to interpolate
+        if k == 0 or k == len(bps):
             raise ValueError("evaluation outside the domain")
-        for k in range(len(bps) - 1):
-            if t <= bps[k + 1]:
-                lo, hi = bps[k], bps[k + 1]
-                width = hi - lo
-                return vals[k] + (vals[k + 1] - vals[k]) * (t - lo) / width
-        raise AssertionError("unreachable")
+        lo, hi = bps[k - 1], bps[k]
+        return vals[k - 1] + (vals[k] - vals[k - 1]) * (t - lo) / (hi - lo)
 
     def slopes(self) -> tuple[ExtRat, ...]:
         return tuple(

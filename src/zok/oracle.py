@@ -56,7 +56,8 @@ def brute_force_zariski(
     family that passes goes to the checker (zariski._checked) with the
     numerators the search holds, and is dropped on NotPseudoEffective
     (P.omega < 0 or P^2 < 0).  Uniqueness of the orthogonal decomposition
-    makes more than one candidate a model bug.
+    makes more than one candidate a model bug.  max_curves caps the curve
+    count, not the atlas: 16 pairwise disjoint curves make 65,536 families.
     """
     n = len(model.curves)
     if n > max_curves:
@@ -230,8 +231,9 @@ def run_model_verification(
     not-psef verdicts) over an integer class grid, then the derivative
     formula and the polygon area on the big classes that sweep kept.  A
     route yields None per item that agrees and a witness text at a mismatch,
-    where its report stops.  The grid bound shrinks automatically on high-rank
-    models to keep the sweep desk-scale; a negative one is a usage error.
+    where its report stops.  The grid bound drops while the grid exceeds
+    4,096 classes, but not below 1: rank r >= 8 still sweeps 3**r classes
+    (6,561 at rank 8, 59,049 at rank 10).  A negative bound is a usage error.
     """
     if grid_bound < 0:
         raise UsageError(f"grid bound must be >= 0, got {grid_bound}")

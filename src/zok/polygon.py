@@ -105,8 +105,7 @@ def _hull(rows, d: int) -> list:
         while len(upper) >= 2 and _turn(upper[-2], upper[-1], p, d) <= 0:
             upper.pop()
         upper.append(p)
-    hull = lower[:-1] + upper[:-1]
-    return hull[:1] if len(hull) == 2 and hull[0] == hull[1] else hull
+    return lower[:-1] + upper[:-1]
 
 
 def _given(points: Sequence[Point], rows, chosen) -> ConvexPolygon:

@@ -41,23 +41,23 @@ class ZariskiDecomp:
 
     Every decomposition zok returns is built by _checked from alpha, the
     support and the integer numerators of alpha and of the coefficients, and
-    keeps the positive part's numbers that the check computed: P^2 and
-    positive_ints = (lp, p, pd, pairs), P = p / lp and P.C_i = pairs / pd;
-    P.C_i built on first read (positive_pairings).  None takes part in equality, repr or hash;
-    one built by hand has none, and volume then computes P^2.
+    keeps the positive part's numbers that the check computed, required and
+    outside equality, repr and hash: P^2 and positive_ints = (lp, p, pd,
+    pairs), P = p / lp and P.C_i = pairs / pd, whose Fractions
+    positive_pairings builds on first read.
     """
 
     alpha: Vec
     positive: Vec
     support: tuple[int, ...]
     coeffs: tuple[Fraction, ...]
-    positive_square: Optional[Fraction] = field(default=None, compare=False, repr=False)
-    positive_ints: Optional[tuple] = field(default=None, compare=False, repr=False)
+    positive_square: Fraction = field(compare=False, repr=False)
+    positive_ints: tuple = field(compare=False, repr=False)
 
     @cached_property
-    def positive_pairings(self) -> Optional[tuple]:
-        ints = self.positive_ints
-        return None if ints is None else tuple(Fraction(v, ints[2]) for v in ints[3])
+    def positive_pairings(self) -> tuple:
+        _, _, pd, pairs = self.positive_ints
+        return tuple(Fraction(v, pd) for v in pairs)
 
     def coeff_map(self) -> dict[int, Fraction]:
         return dict(zip(self.support, self.coeffs))
@@ -70,9 +70,7 @@ class ZariskiDecomp:
         return tuple(Fraction(x, den) for x in _curve_sum(model, self.support, nums))
 
     def volume(self, model: SurfaceModel) -> Fraction:
-        if self.positive_square is not None:
-            return self.positive_square
-        return model.intersect(self.positive, self.positive)
+        return self.positive_square
 
     def numdim(self, model: SurfaceModel) -> int:
         if vec_is_zero(self.positive):

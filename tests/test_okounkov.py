@@ -1111,3 +1111,88 @@ def test_integer_envelopes_and_polygons_match_the_fraction_reference(
                         fractional = any(m.denominator > 1 for _, m in flag.mults)
                         seen.add("fractional" if fractional else "integer" if flag.mults else "no")
     assert {"irrational s", "rational s", "no", "integer", "fractional"} <= seen
+
+
+# -- the polygon read-off's invariant checks, on doctored chamber lists ----------
+
+_FLAG = 1  # H-E on blowup1; its walk from 2H - E has the chambers [0, 1] and [1, 2]
+
+
+def _doctored(ch, h=None, c=None, t=None, support=None, volume=None):
+    """ch rebuilt with changed numerators: h = (h0, h1) of Z(t).C for the
+    flag curve, c = (c0, c1) of the support's coefficients, t = (t_lo,
+    t_hi), and volume the numerator of Z(t_lo)^2 over 1."""
+    ints = list(ch.ints)
+    if h is not None:
+        for part, x in zip((8, 9), h):
+            ints[part] = list(ints[part])
+            ints[part][_FLAG] = x
+    if c is not None:
+        ints[5], ints[7] = c
+    t_lo, t_hi = (Fraction(x) for x in t) if t else (ch.t_lo, ch.t_hi)
+    square = ch.square_ints if volume is None else ((volume, 1), *ch.square_ints[1:])
+    return SegmentChamber(t_lo, t_hi, ch.support if support is None else support, tuple(ints),
+                          square)
+
+
+def _vertex_count_walk(_, b):
+    """Four chambers on [0, 4], E's coefficient f convex with slopes 0..3 and
+    g = f + Z.C concave with slopes 3..0: ten vertices, area 14."""
+    return [_doctored(b, t=(0, 1), c=([0], [0]), h=(1, 3), volume=28),
+            _doctored(b, t=(1, 2), c=([-1], [1]), h=(3, 1)),
+            _doctored(b, t=(2, 3), c=([-3], [2]), h=(7, -1)),
+            _doctored(b, t=(3, 4), c=([-6], [3]), h=(13, -3))]
+
+
+_READ_OFF_CHECKS = [
+    ("chamber_slopes", "Z(t).C jumped to positive mid-walk",
+     lambda a, b: [_doctored(a, h=(0, 0)), b]),
+    ("chamber_slopes", "Z(t).C negative inside the walk",
+     lambda a, b: [_doctored(a, h=(-1, 0)), b]),
+    ("chamber_slopes", "Z(t).C decreasing from zero inside the walk",
+     lambda a, b: [_doctored(a, h=(0, -1)), b]),
+    ("chamber_slopes", "Z(t).C vanishes along the entire segment",
+     lambda a, b: [_doctored(a, h=(0, 0)), _doctored(b, h=(0, 0))]),
+    ("_envelopes_of", "parameter a is not a chamber boundary",
+     lambda a, b: [_doctored(b, h=(0, 0)), a]),
+    ("_envelopes_of", "flag curve carries a coefficient beyond a",
+     lambda a, b: [a, _doctored(b, support=(_FLAG,))]),
+    ("_envelopes_of", "lower envelope exceeds upper envelope",
+     lambda a, b: [a, _doctored(b, h=(2, -2))]),
+    ("okounkov_polygon", "lower envelope is not convex",
+     lambda a, b: [a, _doctored(b, c=([1], [-1]))]),
+    ("okounkov_polygon", "upper envelope is not concave",
+     lambda a, b: [a, _doctored(b, h=(0, 1))]),
+    ("okounkov_polygon", "degenerate polygon for a big class",
+     lambda a, b: [_doctored(a, h=(0, 1)), _doctored(b, h=(-2, 1), c=([0], [0]))]),
+    ("okounkov_polygon", "polygon area identity failed: 2*3/2 != volume 4",
+     lambda a, b: [_doctored(a, volume=4), b]),
+    ("okounkov_polygon", "vertex count exceeds 2*rank + 2", _vertex_count_walk),
+]
+
+
+@pytest.mark.parametrize("stage, text, doctor", _READ_OFF_CHECKS,
+                         ids=[text for _, text, _ in _READ_OFF_CHECKS])
+def test_each_read_off_check_fires_on_a_doctored_chamber_list(
+        monkeypatch, blowup1, stage, text, doctor):
+    """Each invariant check of chamber_slopes, _envelopes_of and
+    okounkov_polygon raises its own text on a chamber list doctored to
+    break it, from the walk of 2H - E along H-E with the flag point on E."""
+    import zok.okounkov
+    from zok.okounkov import _envelopes_of, chamber_slopes
+
+    alpha = F(2, -1)
+    chambers = segment_chambers(blowup1, alpha, _FLAG)
+    assert [(ch.t_lo, ch.t_hi, ch.support) for ch in chambers] == [(0, 1, ()), (1, 2, (0,))]
+    assert all(ch.ints[4] == ch.ints[6] == 1 for ch in chambers)  # numerators over 1
+    flag = FlagSpec.make(_FLAG, {0: 1})
+    doctored = doctor(*chambers)
+    monkeypatch.setattr(zok.okounkov, "segment_chambers", lambda *_: list(chambers))
+    assert okounkov_polygon(blowup1, alpha, flag).area == Fraction(3, 2)
+    monkeypatch.setattr(zok.okounkov, "segment_chambers", lambda *_: doctored)
+    run = {"chamber_slopes": lambda: chamber_slopes(doctored, _FLAG),
+           "_envelopes_of": lambda: _envelopes_of(doctored, flag),
+           "okounkov_polygon": lambda: okounkov_polygon(blowup1, alpha, flag)}[stage]
+    with pytest.raises(InvariantError) as err:
+        run()
+    assert str(err.value) == text

@@ -318,14 +318,18 @@ def test_area_by_integration_refines_breakpoints():
 
 def test_value_at_reads_breakpoints_and_interpolates_between():
     """area_by_integration evaluates only at breakpoints: there value_at
-    returns the stored value itself, with no interpolation."""
+    returns the stored value itself, with no interpolation.  Between them
+    it interpolates, at an irrational t too; outside it raises."""
     end = QuadExt.new(Fraction(-1, 2), Fraction(1, 2), 5)  # about 0.618
     pl = PiecewiseLinear((Fraction(0), Fraction(1, 4), end), (Fraction(1), Fraction(3), end))
     for b, v in zip(pl.breakpoints, pl.values):
         assert pl.value_at(b) is v
     assert pl.value_at(Fraction(1, 8)) == 2
-    with pytest.raises(ValueError, match="^evaluation outside the domain$"):
-        pl.value_at(Fraction(1))
+    # sqrt(5)/10, about 0.224, on the first piece 1 + 8t
+    assert pl.value_at(QuadExt.new(0, Fraction(1, 10), 5)) == QuadExt.new(1, Fraction(4, 5), 5)
+    for t in (Fraction(1), Fraction(-1)):
+        with pytest.raises(ValueError, match="^evaluation outside the domain$"):
+            pl.value_at(t)
 
 
 def test_area_by_integration_rejects_crossing():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -461,11 +462,11 @@ def _assert_kept_numbers_match(model, dec):
     lp, nums, pd, pairs = dec.positive_ints
     assert tuple(Fraction(x, lp) for x in nums) == p
     assert tuple(Fraction(v, pd) for v in pairs) == dec.positive_pairings
-    # a decomposition built by hand keeps nothing, and reads the same
-    bare = ZariskiDecomp(dec.alpha, p, dec.support, dec.coeffs)
-    assert bare.positive_square is None and bare.positive_ints is None
-    assert bare == dec and repr(bare) == repr(dec) and hash(bare) == hash(dec)
-    assert bare.volume(model) == dec.volume(model)
+    # the proof fields take no part in ==, hash or repr, and are required
+    other = dataclasses.replace(dec, positive_square=dec.positive_square + 1, positive_ints=())
+    assert other == dec and repr(other) == repr(dec) and hash(other) == hash(dec)
+    with pytest.raises(TypeError, match="positive_square.*positive_ints"):
+        ZariskiDecomp(dec.alpha, p, dec.support, dec.coeffs)
 
 
 def test_kept_numbers_on_every_route(blowup1, blowup2, hirzebruch2):
@@ -581,11 +582,15 @@ def test_decompose_ops_make_no_pairing_call(monkeypatch, blowup1, blowup2):
 def test_positive_pairings_are_built_on_first_read(blowup2):
     """positive_pairings is read off positive_ints on first read and kept:
     it equals the gram_product reference, is built once, and takes no part
-    in equality, repr or hash; a decomposition built by hand reads None."""
+    in equality, repr or hash, nor do the two proof fields, which a
+    decomposition cannot be built without."""
     from zok.lattice import gram_product
 
     dec = zariski_decompose(blowup2, F(3, 1, -1))
-    bare = ZariskiDecomp(dec.alpha, dec.positive, dec.support, dec.coeffs)
+    other = dataclasses.replace(dec, positive_square=dec.positive_square + 1,
+                                positive_ints=(1, [0] * 3, 1, [0] * 3))
+    with pytest.raises(TypeError, match="positive_square.*positive_ints"):
+        ZariskiDecomp(dec.alpha, dec.positive, dec.support, dec.coeffs)
     before = (repr(dec), hash(dec))
     assert "positive_pairings" not in vars(dec)
     pairs = dec.positive_pairings
@@ -594,9 +599,9 @@ def test_positive_pairings_are_built_on_first_read(blowup2):
     assert pairs == tuple(Fraction(v, pd) for v in ints)
     assert all(type(v) is Fraction for v in pairs)
     assert vars(dec)["positive_pairings"] is pairs and dec.positive_pairings is pairs
-    assert (repr(dec), hash(dec)) == before == (repr(bare), hash(bare)) and dec == bare
+    assert (repr(dec), hash(dec)) == before == (repr(other), hash(other)) and dec == other
     assert "positive_pairings" not in repr(dec)
-    assert bare.positive_pairings is None
+    assert other.positive_pairings != pairs
 
 
 # -- the integer edges against their Fraction references --------------------------
