@@ -127,8 +127,8 @@ def decomposition_to_dict(model: SurfaceModel, dec: ZariskiDecomp) -> dict:
             {"curve": model.curve_name(i), "coeff": format_rat(a)}
             for i, a in zip(dec.support, dec.coeffs)
         ],
-        "volume": format_rat(dec.volume(model)),
-        "numdim": dec.numdim(model),
+        "volume": format_rat(dec.volume()),
+        "numdim": dec.numdim(),
     }
 
 

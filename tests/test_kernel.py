@@ -375,8 +375,50 @@ def test_brute_force_still_detects_multiple_candidates():
     # a curve listed twice: the supports {E} and {E'} both decompose E
     model = make_model("twice", 2, [[1, 0], [0, -1]],
                        [("E", [0, 1]), ("E'", [0, 1]), ("H-E", [1, -1])], [2, -1])
+    assert model._family_index is None  # E and E' meet negatively: the full scan
     with pytest.raises(MultipleCandidates):
         brute_force_zariski(model, F(0, 1))
+
+
+def test_brute_force_reads_only_the_families_that_can_pass():
+    """On a model whose distinct curves meet pairwise non-negatively, the
+    subset search reads only the atlas entries of the families that contain
+    every curve alpha meets negatively, and only the empty family's when
+    alpha meets none: with every other entry None, it gives the answer of
+    the full atlas."""
+    from zok.fixtures import load_fixture
+    from zok.oracle import brute_force_zariski
+
+    blowup2, dp4 = load_fixture("blowup2"), del_pezzo(4)
+    cases = [
+        (blowup2, F(3, -1, -1), 0), (blowup2, F(3, 1, -1), 1), (blowup2, F(3, 1, 1), 2),
+        (blowup2, F(2, -2, -2), 1), (blowup2, F(-3, 1, 1), 3),
+        (dp4, F(3, -1, -1, -1, -1), 0), (dp4, F(3, 1, -1, -1, -1), 1),
+        (dp4, F(3, 1, 1, -1, -1), 2), (dp4, F(5, -3, -3, 0, 0), 1),
+        (dp4, F(-3, 1, 1, 1, 1), 10),
+    ]
+    cases += [(blowup2, alpha, None) for alpha in int_grid(3, 2)]
+    read = set()
+    for model, alpha, negative in cases:
+        assert model._family_index is not None
+        want = brute_force_zariski(model, alpha)
+        need = {i for i, x in enumerate(model.pairings(alpha)) if x < 0}
+        assert negative is None or len(need) == negative
+        full = model.family_atlas
+        kept = [entry if need <= set(support) and (need or not support) else None
+                for support, entry in zip(model.families, full)]
+        model.__dict__["family_atlas"] = tuple(kept)
+        try:
+            got = brute_force_zariski(model, alpha)
+        finally:
+            model.__dict__["family_atlas"] = full
+        assert got == want
+        if got is not None:
+            assert got.positive_pairings == want.positive_pairings
+            assert got.positive_square == want.positive_square
+        read.add((model.name, len(need), len(kept) - kept.count(None)))
+    # the class that meets no curve negatively reads the empty family alone
+    assert ("dP4", 0, 1) in read and ("blowup2", 0, 1) in read
 
 
 # --- the integer pairing kernel against gram_product -------------------------

@@ -38,7 +38,7 @@ from zok.zariski import (
 
 from conftest import F, int_grid
 from reference import checked, residual_pairings, vec_add, vec_scale
-from test_kernel import rational_models, rationals
+from test_kernel import del_pezzo, rational_models, rationals
 
 
 def test_brute_force_examples(blowup1):
@@ -177,6 +177,35 @@ def test_brute_force_matches_the_reference_on_the_fixtures(all_fixture_models):
     assert outcomes == {None, str, ZariskiDecomp}
 
 
+def test_brute_force_matches_the_reference_on_del_pezzo_4():
+    """The pruned scan over dP4's 76 families against all 2**10 curve
+    subsets: seeded big classes (-K plus effective curves), boundary ones (a
+    positive multiple of one curve or of two disjoint ones) and non-psef
+    ones (K plus effective curves)."""
+    model = del_pezzo(4)
+    assert len(model.families) == 76 and model._family_index is not None
+    rng = random.Random(2004)
+    classes = [c.cls for c in model.curves]
+    cases = []
+    for sign in (1, -1):
+        for _ in range(12):
+            alpha = vec_scale(sign, model.kahler)
+            for cls in rng.sample(classes, rng.randint(1, 4)):
+                alpha = vec_add(alpha, vec_scale(rng.choice([Fraction(1, 2), 1, 2, 3]), cls))
+            cases.append(alpha)
+    for _ in range(8):
+        i, j = rng.sample(range(4), 2)  # E_i and E_j are disjoint
+        cases.append(vec_add(vec_scale(rng.randint(1, 3), classes[i]),
+                             vec_scale(rng.randint(0, 2), classes[j])))
+    kinds = set()
+    for alpha in cases:
+        answer = _outcome(brute_force_zariski, model, alpha)
+        assert answer == _outcome(reference_subset_search, model, alpha)
+        kinds.add("not-psef" if answer is None else
+                  "big" if answer[2] > 0 else "boundary")
+    assert kinds == {"big", "boundary", "not-psef"}
+
+
 def test_a_second_subset_search_factors_no_family(support_steps):
     """The first search builds the family atlas from the support table,
     which stores each family once, in the order of model.families, each one
@@ -290,7 +319,7 @@ def test_derivative_routes_agree(blowup1, blowup2):
                 dec = zariski_decompose(model, alpha)
             except NotPseudoEffective:
                 continue
-            if dec.volume(model) <= 0:
+            if dec.volume() <= 0:
                 continue
             for beta in directions:
                 assert derivative_vol(model, alpha, beta) == derivative_by_chambers(

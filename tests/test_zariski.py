@@ -427,7 +427,7 @@ def test_perturbed_matches_direct_on_grid(blowup1, blowup2):
                 dec = zariski_decompose(model, alpha)
             except NotPseudoEffective:
                 continue
-            if dec.volume(model) != 0 or not dec.support:
+            if dec.volume() != 0 or not dec.support:
                 continue
             _, b = orthogonal_nef_lift(model, dec.support, omega)
             threshold = min(a / bi for a, bi in zip(dec.coeffs, b))
