@@ -268,6 +268,33 @@ def _products(den: int, rows, scale: int, vecs) -> tuple[int, tuple[tuple[int, .
     return den * scale // g, tuple(tuple(x // g for x in row) for row in table)
 
 
+class IntClass:
+    """A class u as integers: u = nums / den and u.C_i = pairs[i] / pd, with
+    den, pd > 0, over the model's integer form (``form``, the rows of
+    _gram_ints).  met = form * nums and square = nums . met, so that u^2 =
+    square / (den^2 * the form's den), are computed on first read and kept.
+    Its fields are read by name; it is not a sequence."""
+
+    __slots__ = ("den", "nums", "pd", "pairs", "_form", "_met", "_square")
+
+    def __init__(self, den: int, nums: Sequence[int], pd: int, pairs: Sequence[int],
+                 form: Sequence[Sequence[int]]):
+        self.den, self.nums, self.pd, self.pairs = den, nums, pd, pairs
+        self._form, self._met, self._square = form, None, None
+
+    @property
+    def met(self) -> list[int]:
+        if self._met is None:
+            self._met = [sum(map(mul, row, self.nums)) for row in self._form]
+        return self._met
+
+    @property
+    def square(self) -> int:
+        if self._square is None:
+            self._square = sum(map(mul, self.nums, self.met))
+        return self._square
+
+
 @dataclass(frozen=True)
 class SurfaceModel:
     """Finite rational intersection lattice with named curves and a Kahler class.
@@ -384,19 +411,21 @@ class SurfaceModel:
 
     def pairings(self, u: Sequence) -> tuple:
         """u . C_i for every listed curve, in curve order."""
-        _, _, pd, pairs = self.pairing_ints(u)
-        return tuple(Fraction(v, pd) for v in pairs)
+        scaled = self.pairing_ints(u)
+        return tuple(Fraction(v, scaled.pd) for v in scaled.pairs)
 
-    def pairing_ints(self, u: Sequence) -> tuple[int, list[int], int, tuple[int, ...]]:
-        """(l, nums, pd, pairs): u = nums / l scaled once and u . C_i = pairs[i]
-        / pd, one integer dot product with the duals per curve.  The one door
-        of a class into the integer kernel: its length is checked first
+    def pairing_ints(self, u: Sequence) -> IntClass:
+        """The IntClass of u: its numerators nums over den, the lcm of its
+        denominators, scaled once, and its pairings, one integer dot product
+        with the duals per curve, over pd = den * the duals' den.  The one
+        door of a class into the integer kernel: its length is checked first
         (ValueError), then its scalars (TypeError, _over_lcm)."""
         if len(u) != self.rank:
             raise ValueError(f"vector length must be {self.rank}")
         dd, duals = self.duals
-        l, nums = _over_lcm(u)
-        return l, nums, l * dd, tuple([sum(map(mul, nums, row)) for row in duals])
+        den, nums = _over_lcm(u)
+        return IntClass(den, nums, den * dd, tuple([sum(map(mul, nums, row)) for row in duals]),
+                        self._gram_ints[1])
 
     @cached_property
     def families(self) -> tuple[tuple[int, ...], ...]:
@@ -505,13 +534,13 @@ def validate_model(model: SurfaceModel) -> list[str]:
             bad_shape = True
     if bad_shape or not symmetric:
         return problems
-    _, k, _, on_curves = model.pairing_ints(model.kahler)
-    if sum(map(mul, k, model._kahler_row)) <= 0:
+    omega = model.pairing_ints(model.kahler)
+    if sum(map(mul, omega.nums, model._kahler_row)) <= 0:
         problems.append("kahler class fails omega.omega > 0")
     names = [c.name for c in model.curves]
     for name in sorted(set(n for n in names if names.count(n) > 1)):
         problems.append(f"duplicate curve name {name!r}")
-    for c, w in zip(model.curves, on_curves):
+    for c, w in zip(model.curves, omega.pairs):
         if vec_is_zero(c.cls):
             problems.append(f"curve {c.name!r} has zero class")
         elif w <= 0:

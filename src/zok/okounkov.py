@@ -35,10 +35,10 @@ from typing import Optional, Sequence
 from .errors import (FlagInNonKahlerLocus, HypothesisViolated, InvariantError, NotBig,
                      NotOnBoundary, NotPseudoEffective, UnknownCurve)
 from .exact import ExtRat, QuadExt, parse_rat, quad_of_ints, quad_sign, sqrt_rat
-from .lattice import SurfaceModel, Vec
+from .lattice import IntClass, SurfaceModel, Vec
 from .polygon import ConvexPolygon, Point
 from .zariski import (Kind, ZariskiDecomp, _check_ints, _classification_of, _decompose_or_none,
-                      _grow_support, _met, _non_kahler_of, _require_big)
+                      _grow_support, _non_kahler_of, _require_big)
 
 
 def _as_index(i) -> int:
@@ -100,30 +100,39 @@ class SegmentChamber:
     """One maximal parameter interval with constant negative-part support.
 
     On [t_lo, t_hi]: Z(t) = z0 + t*z1, the coefficient of support curve
-    support[k] is coeff0[k] + t*coeff1[k], and Z(t)^2 = c0 + c1*t + c2*t**2
-    for square = (c0, c1, c2); all decomposition invariants hold on the open
+    support[k] is coeff0[k] + t*coeff1[k], and Z(t)^2 = s0 + s1*t + s2*t**2
+    for square = (s0, s1, s2); all decomposition invariants hold on the open
     interval and extend continuously to the endpoints.
 
-    A chamber is its integer numerators: ints = (den0, z0, den1, z1, den,
-    c0, d1, c1, h0, h1) with z0 over den0, z1 over den1, coeff0 = c0 over
-    den, coeff1 = c1 over d1 and the curve pairings Z(t).C_j = h0[j]/den +
-    t*h1[j]/d1, and square_ints = ((n0, e0), (n1, e1), (n2, e2)) with c_k =
-    n_k/e_k.  z0, z1, coeff0, coeff1 and square are Fraction views of them,
-    built on first read; equality, hash and repr are those of (t_lo, t_hi,
-    support, z0, z1, coeff0, coeff1, square), so numerators that differ by
-    a common factor give equal chambers.
+    A chamber is its integer numerators: z0 = z0n / den0, z1 = z1n / den1,
+    coeff0 = c0 / den, coeff1 = c1 / d1, the curve pairings Z(t).C_j =
+    h0[j] / den + t * h1[j] / d1 (den, d1 > 0), and square_ints = ((n0,
+    e0), (n1, e1), (n2, e2)) with s_k = n_k / e_k.  z0, z1, coeff0, coeff1
+    and square are Fraction views of them, built on first read; equality,
+    hash and repr are those of (t_lo, t_hi, support, z0, z1, coeff0,
+    coeff1, square), so numerators that differ by a common factor give
+    equal chambers.
     """
 
     t_lo: ExtRat
     t_hi: ExtRat
     support: tuple[int, ...]
-    ints: tuple
+    den0: int
+    z0n: Sequence[int]
+    den1: int
+    z1n: Sequence[int]
+    den: int
+    c0: Sequence[int]
+    d1: int
+    c1: Sequence[int]
+    h0: Sequence[int]
+    h1: Sequence[int]
     square_ints: tuple
 
-    z0 = cached_property(lambda self: _over(self.ints[1], self.ints[0]))
-    z1 = cached_property(lambda self: _over(self.ints[3], self.ints[2]))
-    coeff0 = cached_property(lambda self: _over(self.ints[5], self.ints[4]))
-    coeff1 = cached_property(lambda self: _over(self.ints[7], self.ints[6]))
+    z0 = cached_property(lambda self: _over(self.z0n, self.den0))
+    z1 = cached_property(lambda self: _over(self.z1n, self.den1))
+    coeff0 = cached_property(lambda self: _over(self.c0, self.den))
+    coeff1 = cached_property(lambda self: _over(self.c1, self.d1))
     square = cached_property(lambda self: tuple(Fraction(n, e) for n, e in self.square_ints))
 
     def _fields(self) -> tuple:
@@ -219,103 +228,94 @@ class BoundaryBody:
 _ZERO = Fraction(0)
 
 
-def _walk_class(model: SurfaceModel, alpha: Vec, direction: tuple) -> tuple:
-    """(alpha, ld, d, dp, along, la, a, ap, pairs): the walk's class and
-    direction as integers.  direction = d / ld, with curve pairings along /
-    dp, is given so (as SurfaceModel.pairing_ints gives it, or as
-    _minus_curve reads -C off the curve tables); alpha = a / la, with curve
-    pairings pairs / ap, is scaled once per walk by model.pairing_ints."""
-    return (alpha, *direction, *model.pairing_ints(alpha))
-
-
-def _chamber_at(model, walk, prev=None, fallback_end=None):
+def _chamber_at(model, alpha: IntClass, direction: IntClass, prev=None, fallback_end=None):
     """The chamber along alpha + t*direction that starts where prev ends
     (at t0 = 0 without prev), and whether the walk ends with it.
 
-    ``walk`` is _walk_class's data.  At t0 = 0 the start is alpha's own
-    check, over the numerators and pairings the walk holds: one 1-column
+    alpha and direction come as IntClasses: model.pairing_ints gives them,
+    or _minus_curve reads -C off the curve tables.  At t0 = 0 the start is
+    alpha's own check, over its numerators and pairings: one 1-column
     support growth, the integer decomposition check (zariski._check_ints)
     and the bigness gate NotBig, with no Fraction built; NotPseudoEffective
     propagates.  Past 0 it is read off prev's numerators at t0, evaluated
     once (_values_at): P = Z(t0), P.C_j, the seed support (the curves of
     non-zero coefficient) and P^2 > 0, else an invariant breach.  P^2 there
-    stays one integer form product over lp^2 * gd, not a number derived
+    is P's own square, one integer form product, not a number derived
     from prev's square_ints: it is the chamber's own bigness check, so it
     is kept independent of the chamber it follows.
     The chamber's support is that of alpha + (t0 + eps)*direction for a
     formal positive infinitesimal eps: _grow_support from the seed over the
     two integer columns (alpha + t0*direction) . C_j and direction . C_j,
-    read off the walk's pairing rows, reaches it, and its eps-parts are the
-    affine slopes.
+    read off the two classes' pairings, reaches it, and its eps-parts are
+    the affine slopes.
 
-    With t0 = p/q and the growth's parts c0 = a0/D0, c1 = a1/D1
-    (coefficients) and h = r0/D0, h1 = r1/D1 (pairings), z1 = d - sum c1*C
-    and z0 = P - t0*z1; the checks (reconstruction, pairings against P.C_j
-    and z1, nef, and continuity with prev at t0, where Z comes from z0 and
-    z1 and the coefficients are a0/D0) and the events, in u = t - t0, run
-    over integers.  z1 and the reconstruction read the support's curve rows
-    in one pass, and the event is the first smallest, by one cross-
-    multiplying pass.  The chamber keeps ints = (den0, z0, den1, z1, den,
-    c0, d1, c1, h0, h1), h0 over den and h1 over d1 (den, d1 > 0), and Z(t)^2
-    as three integer fractions, read off Z(t0 + u)^2 = P^2 + 2u*P.z1 +
-    u^2*z1^2.  It ends at the first event after t0, or at fallback_end when
-    none lies ahead; the terminal root is taken only where integer signs
-    put it at or before the first affine event.  A chamber that does not
-    end the walk builds one Fraction, its t_hi.
+    With t0 = p/q and the growth's parts a0/D0, a1/D1 (coefficients) and
+    r0/D0, r1/D1 (pairings), z1 = direction - sum a1/D1 * C and z0 = P -
+    t0*z1; the checks (reconstruction, pairings against P.C_j and z1, nef,
+    and continuity with prev at t0, where Z comes from z0 and z1 and the
+    coefficients are a0/D0) and the events, in u = t - t0, run over
+    integers.  z1 and the reconstruction read the support's curve rows in
+    one pass, and the event is the first smallest, by one cross-
+    multiplying pass.  The chamber keeps its numerators by name (see
+    SegmentChamber) and Z(t)^2 as three integer fractions, read off
+    Z(t0 + u)^2 = P^2 + 2u*P.z1 + u^2*z1^2.  It ends at the first event
+    after t0, or at fallback_end when none lies ahead; the terminal root is
+    taken only where integer signs put it at or before the first affine
+    event.  A chamber that does not end the walk builds one Fraction, its
+    t_hi.
     """
-    alpha, ld, d_nums, dp, along, la, a_nums, ap, a_pairs = walk
     t0 = _ZERO if prev is None else prev.t_hi
     p, q = t0.numerator, t0.denominator
     gd, gram = model._gram_ints
     dd, duals = model.duals
-    if prev is None:  # P^2 = e0 / k0
-        seed, (lc,), (c,), _ = _grow_support(model, (a_pairs,), (ap,))
-        lp, p_nums, e0, p_pairs = _check_ints(model, len(alpha), la, a_nums, seed, lc, c)
-        if e0 <= 0:
+    if prev is None:
+        seed, (lc,), (c,), _ = _grow_support(model, (alpha.pairs,), (alpha.pd,))
+        pos = _check_ints(model, len(alpha.nums), alpha.den, alpha.nums, seed, lc, c)
+        if pos.square <= 0:
             raise NotBig("operation requires a big class")
-        k0, pd = lp * lp * gd, lp * dd
-    else:  # P = p_nums / lp and P.C_j = p_pairs / pd at t0, off prev's numerators
-        lp, p_nums, dc, c = _values_at(prev, p, q)
-        g = gcd(lp, *p_nums)  # reduced, so that numerators do not grow along the walk
-        lp, p_nums = lp // g, [x // g for x in p_nums]
-        _, _, _, _, hd, _, hd1, _, h0, h1 = prev.ints
-        seed, pd = [i for i, x in c.items() if x], q * hd * hd1
-        p_pairs = [q * hd1 * x + p * hd * y for x, y in zip(h0, h1)]
-        e0, k0 = sum(map(mul, p_nums, _met(model, p_nums))), lp * lp * gd
-        if e0 <= 0:
+    else:  # P = Z(t0) and P.C_j, off prev's numerators
+        dz, z, dc, c = _values_at(prev, p, q)
+        g = gcd(dz, *z)  # reduced, so that numerators do not grow along the walk
+        pos = IntClass(dz // g, [x // g for x in z], q * prev.den * prev.d1,
+                       [q * prev.d1 * x + p * prev.den * y for x, y in zip(prev.h0, prev.h1)],
+                       gram)
+        seed = [i for i, x in c.items() if x]
+        if pos.square <= 0:
             raise InvariantError(f"class at t = {t0} is not big")
-    start = [q * dp * x + p * ap * y for x, y in zip(a_pairs, along)]
+    lp, k0 = pos.den, pos.den * pos.den * gd  # P^2 = pos.square / k0
+    ap, dp = alpha.pd, direction.pd
+    start = [q * dp * x + p * ap * y for x, y in zip(alpha.pairs, direction.pairs)]
     try:
         support, (d0, d1), (a0, a1), (r0, r1) = _grow_support(
-            model, (start, along), (q * ap * dp, dp), seed)
+            model, (start, direction.pairs), (q * ap * dp, dp), seed)
     except NotPseudoEffective as exc:
         raise InvariantError(f"class just after t = {t0} is not big") from exc
     den = q * d0 * d1  # x0/D0 - t0*x1/D1 = (q*D1*x0 - p*D0*x1) / den
-    coeff0 = [q * d1 * x - p * d0 * y for x, y in zip(a0, a1)]
+    c0 = [q * d1 * x - p * d0 * y for x, y in zip(a0, a1)]
     h0 = [q * d1 * x - p * d0 * y for x, y in zip(r0, r1)]
     cd, rows = model._curve_ints
-    # sum c1*C over d1 * cd and sum coeff0*C over den * cd, per coordinate
+    # sum a1*C over d1 * cd and sum c0*C over den * cd, per coordinate
     picked = [rows[i] for i in support]
-    sums = [(sum(map(mul, a1, col)), sum(map(mul, coeff0, col))) for col in zip(*picked)]
+    sums = [(sum(map(mul, a1, col)), sum(map(mul, c0, col))) for col in zip(*picked)]
     sums = sums or [(0, 0)] * model.rank
-    z1 = [x * d1 * cd - y * ld for x, (y, _) in zip(d_nums, sums)]
-    den1 = ld * d1 * cd
-    z0 = [x * q * den1 - p * lp * y for x, y in zip(p_nums, z1)]
+    z1n = [x * d1 * cd - y * direction.den for x, (y, _) in zip(direction.nums, sums)]
+    den1 = direction.den * d1 * cd
+    z0n = [x * q * den1 - p * lp * y for x, y in zip(pos.nums, z1n)]
     den0 = lp * q * den1
-    s0, s1, s2 = den * cd * la, den0 * la, den0 * den * cd
-    if any(x * s0 + y * s1 != a * s2 for x, (_, y), a in zip(z0, sums, a_nums)):
+    s0, s1, s2 = den * cd * alpha.den, den0 * alpha.den, den0 * den * cd
+    if any(x * s0 + y * s1 != a * s2 for x, (_, y), a in zip(z0n, sums, alpha.nums)):
         raise InvariantError("chamber formulas do not reconstruct the class")
-    if (any(x * pd != y * d0 for x, y in zip(r0, p_pairs))
-            or any(sum(map(mul, z1, row)) * d1 != y * den1 * dd for row, y in zip(duals, r1))):
+    z1 = IntClass(den1, z1n, den1 * dd, [sum(map(mul, z1n, row)) for row in duals], gram)
+    if (any(x * pos.pd != y * d0 for x, y in zip(r0, pos.pairs))
+            or any(x * d1 != y * z1.pd for x, y in zip(z1.pairs, r1))):
         raise InvariantError("chamber pairings disagree with the positive part")
     if any(r1[i] for i in support) or any(v < (0, 0) for v in zip(r0, r1)):
         raise InvariantError("chamber positive part not nef in model")
-    g1 = [sum(map(mul, row, z1)) for row in gram]
-    m1, w11 = sum(map(mul, p_nums, g1)), sum(map(mul, z1, g1))  # P.z1, z1^2
+    m1, w11 = sum(map(mul, pos.nums, z1.met)), z1.square  # P.z1, z1^2
     # Z(t0 + u)^2 = (f0 + f1*u + f2*u^2) / sd: f0/sd = P^2 > 0, f1/sd =
     # 2*P.z1 (m1 over lp*den1*gd), f2/sd = z1^2 (w11 over den1^2*gd)
     sd = k0 * lp * den1 * den1 * gd
-    f0, f1, f2 = e0 * lp * den1 * den1 * gd, 2 * m1 * den1 * k0, w11 * lp * k0
+    f0, f1, f2 = pos.square * lp * den1 * den1 * gd, 2 * m1 * den1 * k0, w11 * lp * k0
     square = ((f0 * q * q - f1 * p * q + f2 * p * p, sd * q * q), (f1 * q - 2 * f2 * p, sd * q),
               (f2, sd))
     # affine events: u = x/y * D1/D0 for each decreasing coefficient and
@@ -344,10 +344,10 @@ def _chamber_at(model, walk, prev=None, fallback_end=None):
     else:
         t1 = fallback_end
     if prev is not None:  # Z(t0) from z0 and z1, the coefficients at t0 from the growth
-        z = [q * den1 * x + p * den0 * y for x, y in zip(z0, z1)]
-        _assert_continuity((lp, p_nums, dc, c), (q * den0 * den1, z, d0, dict(zip(support, a0))))
-    ints = (den0, z0, den1, z1, den, coeff0, d1, a1, h0, r1)
-    return SegmentChamber(t0, t1, support, ints, square), last
+        z = [q * den1 * x + p * den0 * y for x, y in zip(z0n, z1n)]
+        _assert_continuity((lp, pos.nums, dc, c), (q * den0 * den1, z, d0, dict(zip(support, a0))))
+    return SegmentChamber(t0, t1, support, den0=den0, z0n=z0n, den1=den1, z1n=z1n, den=den,
+                          c0=c0, d1=d1, c1=a1, h0=h0, h1=r1, square_ints=square), last
 
 
 def _terminal_root(p: int, q: int, f0: int, f1: int, f2: int, sd: int):
@@ -378,13 +378,12 @@ def _root_by(f0: int, f1: int, f2: int, u: int, v: int) -> bool:
             or 0 < -f1 * v < 2 * f2 * u and f1 * f1 >= 4 * f2 * f0)
 
 
-def _values_at(chamber: SegmentChamber, p: int, q: int) -> tuple:
+def _values_at(ch: SegmentChamber, p: int, q: int) -> tuple:
     """(dz, z, dc, c): Z(p/q) = z / dz and the support coefficients at p/q,
     c[i] / dc for curve i, from the chamber's kept numerators."""
-    den0, z0, den1, z1, den, c0, d1, c1 = chamber.ints[:8]
-    z = [q * den1 * x + p * den0 * y for x, y in zip(z0, z1)]
-    c = {i: q * d1 * x + p * den * y for i, x, y in zip(chamber.support, c0, c1)}
-    return q * den0 * den1, z, q * den * d1, c
+    z = [q * ch.den1 * x + p * ch.den0 * y for x, y in zip(ch.z0n, ch.z1n)]
+    c = {i: q * ch.d1 * x + p * ch.den * y for i, x, y in zip(ch.support, ch.c0, ch.c1)}
+    return q * ch.den0 * ch.den1, z, q * ch.den * ch.d1, c
 
 
 def _assert_continuity(before: tuple, after: tuple):
@@ -399,12 +398,13 @@ def _assert_continuity(before: tuple, after: tuple):
         raise InvariantError("adjacent chamber coefficients disagree at the breakpoint")
 
 
-def _minus_curve(model: SurfaceModel, index: int) -> tuple:
-    """-C for the curve ``index`` as pairing_ints gives a class: (l, nums,
-    pd, pairs), read off the curve tables (SurfaceModel._curve_ints and
-    _curve_gram_ints) with no product formed."""
+def _minus_curve(model: SurfaceModel, index: int) -> IntClass:
+    """The IntClass of -C for the curve ``index``, read off the curve tables
+    (SurfaceModel._curve_ints and _curve_gram_ints) with no product formed:
+    nums over the curve classes' den, pairs over the curve Gram table's."""
     (cd, rows), (gd, table) = model._curve_ints, model._curve_gram_ints
-    return cd, [-x for x in rows[index]], gd, tuple(-x for x in table[index])
+    return IntClass(cd, [-x for x in rows[index]], gd, tuple(-x for x in table[index]),
+                    model._gram_ints[1])
 
 
 def segment_chambers(model: SurfaceModel, alpha: Vec, curve) -> list[SegmentChamber]:
@@ -413,8 +413,8 @@ def segment_chambers(model: SurfaceModel, alpha: Vec, curve) -> list[SegmentCham
     One start check per walk, of alpha, which tests that it is big, and
     one support growth per chamber, just past its start (see _chamber_at).
     alpha is scaled to integer numerators and paired with the curves once
-    per walk (_walk_class); -C's numerators and pairings are read off the
-    curve tables (_minus_curve).  A chamber's end is the smallest of the
+    per walk (model.pairing_ints); -C's numerators and pairings are read
+    off the curve tables (_minus_curve).  A chamber's end is the smallest of the
     coefficient zeros, the off-support orthogonality crossings, and the
     terminal root of Z(t)^2, which ends the walk and may be a quadratic
     irrational.  Adjacent chambers must agree at their breakpoint (over
@@ -422,11 +422,12 @@ def segment_chambers(model: SurfaceModel, alpha: Vec, curve) -> list[SegmentCham
     N(D) + E for effective E.
     """
     index = model.resolve_curve(curve)
-    walk = _walk_class(model, alpha, _minus_curve(model, index))
-    chamber, last = _chamber_at(model, walk)
+    d = _minus_curve(model, index)
+    a = model.pairing_ints(alpha)
+    chamber, last = _chamber_at(model, a, d)
     chambers = [chamber]
     while not last:
-        chamber, last = _chamber_at(model, walk, chambers[-1])
+        chamber, last = _chamber_at(model, a, d, chambers[-1])
         if not set(chambers[-1].support) - {index} <= set(chamber.support):
             raise InvariantError("a curve other than C left the negative part")
         chambers.append(chamber)
@@ -439,8 +440,8 @@ def first_chamber_along(model: SurfaceModel, alpha: Vec, direction: Vec) -> Segm
     also tests that alpha is big.  t_hi is the first event (terminal or
     not), or 1 when no event lies ahead.  The direction is scaled and
     paired before alpha."""
-    walk = _walk_class(model, alpha, model.pairing_ints(direction))
-    return _chamber_at(model, walk, None, Fraction(1))[0]
+    d = model.pairing_ints(direction)
+    return _chamber_at(model, model.pairing_ints(alpha), d, None, Fraction(1))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -462,9 +463,8 @@ def chamber_slopes(chambers: Sequence[SegmentChamber], index: int) -> tuple[ExtR
     its rational start over the kept numerators."""
     s = chambers[-1].t_hi
     for ch in chambers:
-        _, _, _, _, den, _, d1, _, h0, h1 = ch.ints
-        h0, h1, t = h0[index], h1[index], ch.t_lo
-        v_lo = t.denominator * d1 * h0 + t.numerator * den * h1
+        h0, h1, t = ch.h0[index], ch.h1[index], ch.t_lo
+        v_lo = t.denominator * ch.d1 * h0 + t.numerator * ch.den * h1
         if v_lo > 0:
             if t != 0:
                 raise InvariantError("Z(t).C jumped to positive mid-walk")
@@ -525,14 +525,14 @@ def _envelopes_of(chambers: Sequence[SegmentChamber], flag: FlagSpec) -> tuple:
     mults = {i: m.numerator * (md // m.denominator) for i, m in mults.items()}
     lines = []
     for ch in sub:
-        _, _, _, _, den, c0, d1, c1, h0, h1 = ch.ints
         f0 = f1 = 0
-        for i, x, y in zip(ch.support, c0, c1):
+        for i, x, y in zip(ch.support, ch.c0, ch.c1):
             if i == index and (x or y):
                 raise InvariantError("flag curve carries a coefficient beyond a")
             n = mults.get(i, 0)
             f0, f1 = f0 + n * x, f1 + n * y
-        lines.append((f0, f1, f0 + md * h0[index], f1 + md * h1[index], md * den, md * d1))
+        lines.append((f0, f1, f0 + md * ch.h0[index], f1 + md * ch.h1[index], md * ch.den,
+                      md * ch.d1))
     breakpoints = (a, *(ch.t_hi for ch in sub))
     d = breakpoints[-1].d if isinstance(breakpoints[-1], QuadExt) else 1
     f_vals, g_vals, rows, below = [], [], [], False
@@ -615,7 +615,8 @@ def _slice(dec: ZariskiDecomp, flag: FlagSpec) -> tuple[Fraction, Fraction]:
     pairing with the flag curve, read off its kept numbers."""
     mults = flag.mult_map()
     f = sum((mults.get(i, 0) * a for i, a in zip(dec.support, dec.coeffs)), Fraction(0))
-    return f, f + Fraction(dec.positive_ints[3][flag.curve], dec.positive_ints[2])
+    p = dec.positive_ints
+    return f, f + Fraction(p.pairs[flag.curve], p.pd)
 
 
 def restricted_body(model: SurfaceModel, alpha: Vec, flag: FlagSpec) -> tuple[Fraction, Fraction]:

@@ -78,7 +78,8 @@ def brute_force_zariski(
             "(override via ZOK_MAX_SUBSET_CURVES)"
         )
     alpha = tuple(alpha)
-    la, nums, pd, pairs = model.pairing_ints(alpha)
+    u = model.pairing_ints(alpha)
+    pairs = u.pairs
     supports, atlas = model.families, model.family_atlas
     picks = range(len(supports))
     index = model._family_index
@@ -104,7 +105,7 @@ def brute_force_zariski(
             if any(den * x < sum(map(mul, row, v)) for x, row in zip(pairs, residual_rows)):
                 continue
             try:
-                candidates.append(_checked(model, alpha, la, nums, support, den * pd, scaled))
+                candidates.append(_checked(model, alpha, u.den, u.nums, support, den * u.pd, scaled))
             except NotPseudoEffective:
                 continue
     if len(candidates) > 1:

@@ -29,7 +29,7 @@ from .errors import (
     UsageError,
 )
 from .exact import parse_rat
-from .lattice import SurfaceModel, Vec, _over_lcm, vec_is_zero
+from .lattice import IntClass, SurfaceModel, Vec, _over_lcm, vec_is_zero
 
 FAMILY_ENUMERATION_CAP = 20
 
@@ -42,9 +42,9 @@ class ZariskiDecomp:
     Every decomposition zok returns is built by _checked from alpha, the
     support and the integer numerators of alpha and of the coefficients, and
     keeps the positive part's numbers that the check computed, required and
-    outside equality, repr and hash: P^2 and positive_ints = (lp, p, pd,
-    pairs), P = p / lp and P.C_i = pairs / pd, whose Fractions
-    positive_pairings builds on first read.
+    outside equality, repr and hash: P^2 and positive_ints, P's IntClass
+    (P = nums / den, P.C_i = pairs[i] / pd, its square set), whose pairings
+    positive_pairings builds as Fractions on first read.
     """
 
     alpha: Vec
@@ -52,12 +52,12 @@ class ZariskiDecomp:
     support: tuple[int, ...]
     coeffs: tuple[Fraction, ...]
     positive_square: Fraction = field(compare=False, repr=False)
-    positive_ints: tuple = field(compare=False, repr=False)
+    positive_ints: IntClass = field(compare=False, repr=False)
 
     @cached_property
     def positive_pairings(self) -> tuple:
-        _, _, pd, pairs = self.positive_ints
-        return tuple(Fraction(v, pd) for v in pairs)
+        p = self.positive_ints
+        return tuple(Fraction(v, p.pd) for v in p.pairs)
 
     def coeff_map(self) -> dict[int, Fraction]:
         return dict(zip(self.support, self.coeffs))
@@ -108,11 +108,6 @@ class MorseCertificate:
     holds: bool
 
 
-def _met(model: SurfaceModel, nums: Sequence[int]) -> list[int]:
-    """The model's integer form (_gram_ints) times integer numerators."""
-    return [sum(map(mul, row, nums)) for row in model._gram_ints[1]]
-
-
 def is_nef_in_model(model: SurfaceModel, alpha: Vec) -> bool:
     """Non-negative against every listed curve, with alpha^2 >= 0 and
     alpha.omega >= 0 to pin the positive-cone component.  alpha is scaled
@@ -120,18 +115,15 @@ def is_nef_in_model(model: SurfaceModel, alpha: Vec) -> bool:
     return _nef_ints(model, model.pairing_ints(alpha)) is not None
 
 
-def _nef_ints(model: SurfaceModel, scaled: tuple) -> Optional[tuple]:
-    """(l, nums, pairs, met) when the class u of scaled = model.pairing_ints(u)
-    is nef in the model, else None: u = nums / l, pairs its curve pairings
-    and met = _met(nums).  Every denominator is positive, so each test is
-    the sign of an integer."""
-    l, nums, _, pairs = scaled
-    if any(v < 0 for v in pairs):
+def _nef_ints(model: SurfaceModel, u: IntClass) -> Optional[IntClass]:
+    """u when it is nef in the model, else None: its pairs, its square and
+    nums against the Kahler row are non-negative.  Every denominator is
+    positive, so each test is the sign of an integer."""
+    if any(v < 0 for v in u.pairs):
         return None
-    met = _met(model, nums)
-    if sum(map(mul, nums, met)) < 0 or sum(map(mul, nums, model._kahler_row)) < 0:
+    if u.square < 0 or sum(map(mul, u.nums, model._kahler_row)) < 0:
         return None
-    return l, nums, pairs, met
+    return u
 
 
 def _grow_support(model: SurfaceModel, columns: Sequence[Sequence[int]], dens: Sequence[int],
@@ -199,9 +191,9 @@ def zariski_decompose(model: SurfaceModel, alpha: Vec) -> ZariskiDecomp:
     definiteness, a solved coefficient turns negative, or the stabilized
     residual fails the remaining nef-in-model conditions.
     """
-    la, nums, pd, column = model.pairing_ints(alpha)
-    support, (den,), (a,), _ = _grow_support(model, (column,), (pd,))
-    return _checked(model, tuple(alpha), la, nums, support, den, a)
+    u = model.pairing_ints(alpha)
+    support, (den,), (a,), _ = _grow_support(model, (u.pairs,), (u.pd,))
+    return _checked(model, tuple(alpha), u.den, u.nums, support, den, a)
 
 
 def _checked(model: SurfaceModel, alpha: Vec, lp: int, p: list, support: Sequence[int],
@@ -212,19 +204,17 @@ def _checked(model: SurfaceModel, alpha: Vec, lp: int, p: list, support: Sequenc
     are built only for the fields the result keeps: P, P^2 and the
     coefficients.
     """
-    lp, p, square, pairs = _check_ints(model, len(alpha), lp, p, support, lc, nums)
-    positive = tuple(Fraction(x, lp) for x in p) if support else alpha
+    pos = _check_ints(model, len(alpha), lp, p, support, lc, nums)
+    positive = tuple(Fraction(x, pos.den) for x in pos.nums) if support else alpha
     return ZariskiDecomp(alpha, positive, support, tuple(Fraction(x, lc) for x in nums),
-                         Fraction(square, lp * lp * model._gram_ints[0]),
-                         (lp, p, lp * model.duals[0], pairs))
+                         Fraction(pos.square, pos.den * pos.den * model._gram_ints[0]), pos)
 
 
 def _check_ints(model: SurfaceModel, n: int, lp: int, p: Sequence[int], support: Sequence[int],
-                lc: int, nums: Sequence[int]) -> tuple:
-    """(lp, p, square, pairs) for the positive part P = alpha - N of the
-    class alpha = p / lp of n coordinates, N = sum(nums[k] / lc *
-    C_support[k]) its _curve_sum, checked: P = p / lp, P^2 = square /
-    (lp^2 * the form's den) and P.C_i = pairs[i] / (lp * the duals' den).
+                lc: int, nums: Sequence[int]) -> IntClass:
+    """The IntClass of the positive part P = alpha - N of the class alpha =
+    p / lp of n coordinates, N = sum(nums[k] / lc * C_support[k]) its
+    _curve_sum, checked, with its square set.
 
     Raises NotPseudoEffective when P meets the Kahler class negatively, then
     when P^2 < 0.  Any other failure is an InvariantError: reconstruction,
@@ -240,21 +230,21 @@ def _check_ints(model: SurfaceModel, n: int, lp: int, p: Sequence[int], support:
         lp *= ln
     if sum(map(mul, p, model._kahler_row)) < 0:
         raise NotPseudoEffective("positive part meets the Kahler class negatively")
-    square = sum(map(mul, p, _met(model, p)))
-    if square < 0:
+    dd, duals = model.duals
+    pos = IntClass(lp, p, lp * dd, [sum(map(mul, p, row)) for row in duals], model._gram_ints[1])
+    if pos.square < 0:
         raise NotPseudoEffective("positive part has negative self-intersection")
     if n != model.rank:  # P + N is alpha exactly, up to its length
         raise InvariantError("decomposition does not reconstruct the class")
-    pairs = [sum(map(mul, p, row)) for row in model.duals[1]]
-    if any(pairs[i] for i in support):
+    if any(pos.pairs[i] for i in support):
         raise InvariantError("positive part not orthogonal to support")
     if any(a <= 0 for a in nums):
         raise InvariantError("non-positive negative-part coefficient")
     if model.support_forms(tuple(support)) is None:
         raise InvariantError("support Gram matrix not negative definite")
-    if any(v < 0 for v in pairs):
+    if any(v < 0 for v in pos.pairs):
         raise InvariantError("positive part not nef in model")
-    return lp, p, square, pairs
+    return pos
 
 
 def volume(model: SurfaceModel, alpha: Vec) -> Fraction:
@@ -293,18 +283,16 @@ def classify(model: SurfaceModel, alpha: Vec) -> Classification:
 
 
 def _direction_kind(model: SurfaceModel, beta: Vec) -> tuple:
-    """("nef", _nef_ints(beta)) or ("curve", the first curve of class beta).
-    beta = nums / l is matched by cross-multiplication against the curve
+    """("nef", beta's IntClass) or ("curve", the first curve of class beta).
+    beta = nums / den is matched by cross-multiplication against the curve
     classes' integer rows (model._curve_ints)."""
-    scaled = model.pairing_ints(beta)
-    nef = _nef_ints(model, scaled)
-    if nef is not None:
-        return "nef", nef
-    l, nums = scaled[:2]
+    b = model.pairing_ints(beta)
+    if _nef_ints(model, b) is not None:
+        return "nef", b
     cd, rows = model._curve_ints
-    target = [x * cd for x in nums]
+    target = [x * cd for x in b.nums]
     for j, row in enumerate(rows):
-        if [x * l for x in row] == target:
+        if [x * b.den for x in row] == target:
             return "curve", j
     raise UnsupportedDirection(
         "direction is neither nef-in-model nor a listed curve class"
@@ -324,11 +312,10 @@ def _derivative_of(model: SurfaceModel, dec: ZariskiDecomp, direction: tuple) ->
     """derivative_vol read off a checked decomposition of a big class, in a
     direction as _direction_kind classifies it."""
     kind, found = direction
-    lp, p, pd, pairs = dec.positive_ints
+    p = dec.positive_ints
     if kind == "curve":
-        return Fraction(2 * pairs[found], pd)
-    lb, _, _, met = found
-    return Fraction(2 * sum(map(mul, p, met)), lp * lb * model._gram_ints[0])
+        return Fraction(2 * p.pairs[found], p.pd)
+    return Fraction(2 * sum(map(mul, p.nums, found.met)), p.den * found.den * model._gram_ints[0])
 
 
 def morse_gap(model: SurfaceModel, alpha: Vec, beta: Vec) -> MorseCertificate:
@@ -340,16 +327,15 @@ def morse_gap(model: SurfaceModel, alpha: Vec, beta: Vec) -> MorseCertificate:
     scaled once, by its nef test, and lhs and the difference are formed
     from those integers.
     """
-    nef_a = _nef_ints(model, model.pairing_ints(alpha))
-    if nef_a is None:
+    a = _nef_ints(model, model.pairing_ints(alpha))
+    if a is None:
         raise NotNef("first class is not nef in model")
-    nef_b = _nef_ints(model, model.pairing_ints(beta))
-    if nef_b is None:
+    b = _nef_ints(model, model.pairing_ints(beta))
+    if b is None:
         raise NotNef("second class is not nef in model")
-    (la, na, _, met), (lb, nb, _, _) = nef_a, nef_b
-    lhs = Fraction(lb * sum(map(mul, na, met)) - 2 * la * sum(map(mul, nb, met)),
-                   la * la * lb * model._gram_ints[0])
-    diff = tuple(Fraction(lb * x - la * y, la * lb) for x, y in zip(na, nb))
+    lhs = Fraction(b.den * a.square - 2 * a.den * sum(map(mul, b.nums, a.met)),
+                   a.den * a.den * b.den * model._gram_ints[0])
+    diff = tuple(Fraction(b.den * x - a.den * y, a.den * b.den) for x, y in zip(a.nums, b.nums))
     dec = _decompose_or_none(model, diff)
     vol = None if dec is None else dec.volume()
     big = vol is not None and vol > 0  # a zero positive part has volume 0
@@ -366,10 +352,9 @@ def null_curves(model: SurfaceModel, z: Vec) -> tuple[int, ...]:
     nef = _nef_ints(model, model.pairing_ints(z))
     if nef is None:
         raise NotNef("null locus needs a nef-in-model class")
-    _, nums, pairs, met = nef
-    if sum(map(mul, nums, met)) <= 0:
+    if nef.square <= 0:
         raise NotBig("null locus needs positive self-intersection")
-    return tuple(i for i, v in enumerate(pairs) if v == 0)
+    return tuple(i for i, v in enumerate(nef.pairs) if v == 0)
 
 
 def non_kahler_curves(model: SurfaceModel, alpha: Vec) -> tuple[int, ...]:
@@ -386,7 +371,7 @@ def _non_kahler_of(model: SurfaceModel, dec: ZariskiDecomp) -> tuple[int, ...]:
     of P are the zeros of its kept pairings; orthogonality puts the support
     among them.
     """
-    combined = tuple(i for i, v in enumerate(dec.positive_ints[3]) if v == 0)
+    combined = tuple(i for i, v in enumerate(dec.positive_ints.pairs) if v == 0)
     if model.support_forms(combined) is None:
         raise InvariantError("non-Kahler curves do not form an exceptional family")
     return combined
@@ -434,34 +419,34 @@ def orthogonal_nef_lift(
         omega = model.kahler
     if model.support_forms(family) is None:
         raise ValueError("family Gram matrix is not negative definite")
-    lw, w, _, on_curves = model.pairing_ints(omega)
-    on_family = [on_curves[i] for i in family]
-    if any(p <= 0 for p in on_family):
+    w = model.pairing_ints(omega)
+    if any(w.pairs[i] <= 0 for i in family):
         raise ValueError("omega must meet every family curve positively")
-    z, lz, b = _lift(model, family, lw, w, on_family)
-    return tuple(Fraction(x, lz) for x in z), b
+    z, b = _lift(model, family, w)
+    return tuple(Fraction(x, z.den) for x in z.nums), b
 
 
-def _lift(model: SurfaceModel, family: tuple, lw: int, w: Sequence[int],
-          on_family: Sequence[int]) -> tuple[list[int], int, tuple[Fraction, ...]]:
-    """(z, lz, b) with z / lz = omega + sum(b[k] * C_family[k]), the lift of
-    omega = w / lw over a negative-definite family, from omega's integer
-    pairings with the family (over lw * the duals' den).  It is formed and
-    checked over integers: orthogonal to the family, nef, positive square."""
+def _lift(model: SurfaceModel, family: tuple, w: IntClass) -> tuple[IntClass, tuple[Fraction, ...]]:
+    """(z, b): the IntClass z of omega + sum(b[k] * C_family[k]), the lift
+    of omega's IntClass w over a negative-definite family, from w's
+    pairings with the family.  It is formed and checked over integers:
+    orthogonal to the family, nef, positive square."""
     den, coeff_rows, _ = model.support_forms(family)
     dd, duals = model.duals
+    on_family = [w.pairs[i] for i in family]
     bn = [-sum(map(mul, row, on_family)) for row in coeff_rows]  # b = bn / bd
     if any(x <= 0 for x in bn):
         raise InvariantError("lift coefficients must be positive")
-    bd, cd = den * lw * dd, model._curve_ints[0]
-    z = [x * den * dd * cd + y for x, y in zip(w, _curve_sum(model, family, bn))]
-    pairs = [sum(map(mul, z, row)) for row in duals]
-    if any(pairs[i] for i in family):
+    bd, cd = den * w.den * dd, model._curve_ints[0]
+    nums = [x * den * dd * cd + y for x, y in zip(w.nums, _curve_sum(model, family, bn))]
+    z = IntClass(bd * cd, nums, bd * cd * dd, [sum(map(mul, nums, row)) for row in duals],
+                 model._gram_ints[1])
+    if any(z.pairs[i] for i in family):
         raise InvariantError("lift not orthogonal to family")
-    if (any(v < 0 for v in pairs) or sum(map(mul, z, _met(model, z))) <= 0
-            or sum(map(mul, z, model._kahler_row)) < 0):
+    if (any(v < 0 for v in z.pairs) or z.square <= 0
+            or sum(map(mul, nums, model._kahler_row)) < 0):
         raise InvariantError("lifted class not big and nef in model")
-    return z, bd * cd, tuple(Fraction(x, bd) for x in bn)
+    return z, tuple(Fraction(x, bd) for x in bn)
 
 
 def perturbed_decomposition(
@@ -484,18 +469,18 @@ def perturbed_decomposition(
     eps = parse_rat(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    lw, w, _, on_curves = model.pairing_ints(omega)
-    if sum(map(mul, w, _met(model, w))) <= 0 or any(v <= 0 for v in on_curves):
+    w = model.pairing_ints(omega)
+    if w.square <= 0 or any(v <= 0 for v in w.pairs):
         raise ValueError("omega must be Kahler-like: positive square and "
                          "positive against every listed curve")
     dec = zariski_decompose(model, alpha)
     la, a = _over_lcm(dec.alpha)
     e, ed = eps.numerator, eps.denominator
-    ls, s = la * ed * lw, [ed * lw * x + e * la * y for x, y in zip(a, w)]
+    ls, s = la * ed * w.den, [ed * w.den * x + e * la * y for x, y in zip(a, w.nums)]
     shifted = tuple(Fraction(x, ls) for x in s)
     if not dec.support:
         return zariski_decompose(model, shifted)
-    z, lz, b = _lift(model, dec.support, lw, w, [on_curves[i] for i in dec.support])
+    z, b = _lift(model, dec.support, w)
     threshold = min(a / bi for a, bi in zip(dec.coeffs, b))
     if eps >= threshold:
         raise EpsilonTooLarge(threshold)
@@ -504,9 +489,10 @@ def perturbed_decomposition(
         closed = _checked(model, shifted, ls, s, dec.support, *_over_lcm(coeffs))
     except NotPseudoEffective as exc:  # a broken closed form is a bug, not a verdict
         raise InvariantError("positive part not nef in model") from exc
-    (l0, p0, _, _), (lq, q, _, _) = dec.positive_ints, closed.positive_ints
-    # q / lq == p0 / l0 + e * z / (ed * lz)?
-    if any(x * l0 * ed * lz != (y * ed * lz + e * l0 * t) * lq for x, y, t in zip(q, p0, z)):
+    p, q = dec.positive_ints, closed.positive_ints
+    # Q == P + eps * z, by cross-multiplied numerators?
+    if any(x * p.den * ed * z.den != (y * ed * z.den + e * p.den * t) * q.den
+           for x, y, t in zip(q.nums, p.nums, z.nums)):
         raise InvariantError("perturbed positive part is not P + eps * lift")
     direct = zariski_decompose(model, shifted)
     if closed != direct:

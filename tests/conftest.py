@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import inspect
 import itertools
 from fractions import Fraction
 
@@ -69,11 +70,13 @@ def start_checks(monkeypatch):
     import zok.okounkov
 
     check = zok.okounkov._check_ints
+    signature = inspect.signature(check)
     calls = []
 
-    def counting(model, n, lp, p, *rest):
-        calls.append(tuple(Fraction(x, lp) for x in p))
-        return check(model, n, lp, p, *rest)
+    def counting(*args, **kwargs):
+        given = signature.bind(*args, **kwargs).arguments
+        calls.append(tuple(Fraction(x, given["lp"]) for x in given["p"]))
+        return check(*args, **kwargs)
 
     monkeypatch.setattr(zok.okounkov, "_check_ints", counting)
     return calls

@@ -319,9 +319,9 @@ def fraction_chamber(t_lo, t_hi, support, z0, z1, coeff0, coeff1, square, h0, h1
 
     (den0, n0), (den1, n1) = over_lcm(z0), over_lcm(z1)
     (den, c0, k0), (d1, c1, k1) = over_lcm(coeff0, h0), over_lcm(coeff1, h1)
-    ints = (den0, n0, den1, n1, den, c0, d1, c1, k0, k1)
     square_ints = tuple((c.numerator, c.denominator) for c in square)
-    return SegmentChamber(t_lo, t_hi, support, ints, square_ints)
+    return SegmentChamber(t_lo, t_hi, support, den0=den0, z0n=n0, den1=den1, z1n=n1, den=den,
+                          c0=c0, d1=d1, c1=c1, h0=k0, h1=k1, square_ints=square_ints)
 
 
 # -- the operations on top of a decomposition, over Fractions ------------------

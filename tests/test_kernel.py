@@ -492,6 +492,85 @@ def test_kernel_errors(blowup2):
         assert str(err.value) == "vector length must be 3"
 
 
+# --- the integer class record ------------------------------------------------------
+
+
+def _record_models(fixtures):
+    """The fixtures, seeded random models and a model with fractional
+    curve classes, whose curve tables have denominators other than 1."""
+    thirds = make_model("thirds", 2, [["1/2", 0], [0, "-1/2"]],
+                        [("A", ["1/3", "1/3"]), ("B", [1, "-3/2"])], [2, 0])
+    return [*fixtures, thirds, *(random_model(ModelGenSpec(seed=s, rank=3 + s % 4,
+                                                           num_curves=5 + s % 4))
+                                 for s in range(1, 6))]
+
+
+def _rational(u) -> tuple:
+    """(nums / den, pairs / pd) of an IntClass, as Fractions."""
+    return (tuple(Fraction(x, u.den) for x in u.nums), tuple(Fraction(v, u.pd) for v in u.pairs))
+
+
+def test_minus_curve_is_the_class_pairing_ints_gives_minus_c(all_fixture_models):
+    """-C read off the curve tables (okounkov._minus_curve, whose pd is the
+    curve Gram table's den, not den times the duals') is the record
+    pairing_ints gives -C: the same class and the same pairings as
+    rationals, and the same square, for every curve of every model."""
+    from zok.okounkov import _minus_curve
+
+    other_pd = 0
+    for model in _record_models(all_fixture_models):
+        gd = model._gram_ints[0]
+        for i, curve in enumerate(model.curves):
+            read = _minus_curve(model, i)
+            paired = model.pairing_ints(tuple(-x for x in curve.cls))
+            assert _rational(read) == _rational(paired)
+            assert _rational(read)[0] == tuple(-x for x in curve.cls)
+            assert (Fraction(read.square, read.den ** 2 * gd)
+                    == Fraction(paired.square, paired.den ** 2 * gd)
+                    == gram_product(model.gram, curve.cls, curve.cls))
+            other_pd += read.pd != read.den * model.duals[0]
+    assert other_pd  # the thirds model's: its curve Gram table is over 24, not 6 * 12
+
+
+def test_record_met_and_square_are_the_reference_and_kept(all_fixture_models):
+    """A record's met (the form's integer rows times nums) and square (nums
+    . met) equal the gram_product reference, over den times the form's den
+    and den^2 times it; each is computed on first read and kept, so a
+    second read returns the kept object.  The decomposition check builds
+    its record with the square set, and square / (den^2 * the form's den)
+    is the decomposition's positive_square."""
+    from zok.zariski import _check_ints, _decompose_or_none
+
+    rng = random.Random(36)
+    checked = 0
+    for model in _record_models(all_fixture_models):
+        gd = model._gram_ints[0]
+        units = [tuple(Fraction(int(k == m)) for m in range(model.rank))
+                 for k in range(model.rank)]
+        classes = [model.kahler] + [tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                                          for _ in range(model.rank)) for _ in range(30)]
+        for u in classes:
+            rec = model.pairing_ints(u)
+            assert rec._met is None and rec._square is None
+            met = rec.met
+            assert [Fraction(x, rec.den * gd) for x in met] == [
+                gram_product(model.gram, e, u) for e in units]
+            assert rec.met is met
+            square = rec.square
+            assert Fraction(square, rec.den ** 2 * gd) == gram_product(model.gram, u, u)
+            assert rec.square is square and rec.met is met
+            dec = _decompose_or_none(model, u)
+            if dec is None:
+                continue
+            support, (den,), (a,), _ = _grow_support(model, (rec.pairs,), (rec.pd,))
+            kept = _check_ints(model, model.rank, rec.den, rec.nums, support, den, a)
+            assert kept._square is not None
+            assert (Fraction(kept.square, kept.den ** 2 * gd) == dec.positive_square
+                    == gram_product(model.gram, dec.positive, dec.positive))
+            checked += 1
+    assert checked > 20
+
+
 # --- the support table and the integer support growth --------------------------
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -136,8 +137,7 @@ def test_chambers_h_plus_e_along_e(blowup1):
 def _kept_pairings(ch):
     """(h0, h1) with Z(t).C_j = h0[j] + t*h1[j], read off the chamber's kept
     numerators: h0 over den and h1 over d1."""
-    _, _, _, _, den, _, d1, _, h0, h1 = ch.ints
-    return tuple(Fraction(x, den) for x in h0), tuple(Fraction(x, d1) for x in h1)
+    return tuple(Fraction(x, ch.den) for x in ch.h0), tuple(Fraction(x, ch.d1) for x in ch.h1)
 
 
 def test_chamber_support_grows_past_its_start(blowup1):
@@ -742,8 +742,8 @@ def test_a_changed_numerator_of_the_previous_chamber_fails_the_next_start(
     real = zok.okounkov._chamber_at
     bump = []
 
-    def bumping(model, walk, prev=None, fallback_end=None):
-        chamber, last = real(model, walk, prev, fallback_end)
+    def bumping(model, alpha, direction, prev=None, fallback_end=None):
+        chamber, last = real(model, alpha, direction, prev, fallback_end)
         return (_bumped(chamber, *bump) if bump and prev is None else chamber), last
 
     monkeypatch.setattr(zok.okounkov, "_chamber_at", bumping)
@@ -755,15 +755,15 @@ def test_a_changed_numerator_of_the_previous_chamber_fails_the_next_start(
                 if len(walk) < 2:
                     continue
                 first = walk[0]
-                for part in (1, 3, 5, 7, 8, 9):
-                    for k in range(len(first.ints[part])):
+                for part in _PARTS:
+                    for k in range(len(getattr(first, part))):
                         bump[:] = [part, k]
                         with pytest.raises(InvariantError) as err:
                             segment_chambers(model, alpha, curve)
                         bump.clear()
                         seen.add(str(err.value))
                         parts.add(part)
-    assert parts == {1, 3, 5, 7, 8, 9}
+    assert parts == set(_PARTS)
     assert "chamber pairings disagree with the positive part" in seen
 
 
@@ -773,15 +773,17 @@ _Z_TEXT = "adjacent chamber formulas disagree at the breakpoint"
 _COEFF_TEXT = "adjacent chamber coefficients disagree at the breakpoint"
 
 
+_PARTS = ("z0n", "z1n", "c0", "c1", "h0", "h1")  # a chamber's numerator lists
+_NUMERATORS = ("den0", "z0n", "den1", "z1n", "den", "c0", "d1", "c1", "h0", "h1")
+
+
 def _bumped(ch, part, k):
     """The chamber built from ch's kept numerators with numerator k of one
-    part raised by 1: part 1 is z0, 3 is z1, 5 is coeff0, 7 is coeff1, 8
-    and 9 are the pairings and their slopes."""
-    ints = list(ch.ints)
-    nums = list(ints[part])
+    part raised by 1: z0n and z1n are Z's, c0 and c1 the coefficients', h0
+    and h1 the pairings' and their slopes'."""
+    nums = list(getattr(ch, part))
     nums[k] += 1
-    ints[part] = nums
-    return SegmentChamber(ch.t_lo, ch.t_hi, ch.support, tuple(ints), ch.square_ints)
+    return dataclasses.replace(ch, **{part: nums})
 
 
 def _invariant_text(check, *args):
@@ -802,9 +804,11 @@ def _continuity_at_the_breakpoint(prev, nxt):
 
 
 def _walk_data(model, alpha, curve):
-    from zok.okounkov import _minus_curve, _walk_class
+    """The IntClasses of alpha and of -C that a walk along C passes to
+    each chamber."""
+    from zok.okounkov import _minus_curve
 
-    return _walk_class(model, alpha, _minus_curve(model, curve))
+    return model.pairing_ints(alpha), _minus_curve(model, curve)
 
 
 _RECONSTRUCT_TEXT = "chamber formulas do not reconstruct the class"
@@ -824,11 +828,12 @@ def test_continuity_refuses_one_changed_numerator(blowup2):
     alpha = F(2, -1, 0)
     prev, nxt = segment_chambers(blowup2, alpha, "L12")
     walk = _walk_data(blowup2, alpha, blowup2.resolve_curve("L12"))
-    assert _chamber_at(blowup2, walk, prev) == (nxt, True)
+    assert _chamber_at(blowup2, *walk, prev) == (nxt, True)
     assert _continuity_at_the_breakpoint(prev, nxt) is None
-    for part, text, start in ((1, _Z_TEXT, _RECONSTRUCT_TEXT), (3, _Z_TEXT, _RECONSTRUCT_TEXT),
-                              (5, _COEFF_TEXT, _COEFF_TEXT), (7, _COEFF_TEXT, _COEFF_TEXT)):
-        assert _invariant_text(_chamber_at, blowup2, walk, _bumped(prev, part, 0)) == start
+    for part, text, start in (("z0n", _Z_TEXT, _RECONSTRUCT_TEXT),
+                              ("z1n", _Z_TEXT, _RECONSTRUCT_TEXT),
+                              ("c0", _COEFF_TEXT, _COEFF_TEXT), ("c1", _COEFF_TEXT, _COEFF_TEXT)):
+        assert _invariant_text(_chamber_at, blowup2, *walk, _bumped(prev, part, 0)) == start
         for which in (0, 1):
             pair = [prev, nxt]
             pair[which] = _bumped(pair[which], part, 0)
@@ -858,19 +863,19 @@ def test_integer_continuity_matches_the_fraction_reference(all_fixture_models, g
                 walk = segment_chambers(model, alpha, curve)
                 data = _walk_data(model, alpha, curve)
                 for prev, nxt in zip(walk, walk[1:]):
-                    assert _chamber_at(model, data, prev)[0] == nxt
+                    assert _chamber_at(model, *data, prev)[0] == nxt
                     pairs = [(prev, nxt)]
-                    for part in (1, 3, 5, 7):
-                        for k in range(len(prev.ints[part]))[:2]:
+                    for part in ("z0n", "z1n", "c0", "c1"):
+                        for k in range(len(getattr(prev, part)))[:2]:
                             pairs.append((_bumped(prev, part, k), nxt))
-                            start = _invariant_text(_chamber_at, model, data, pairs[-1][0])
-                            if part < 5:
+                            start = _invariant_text(_chamber_at, model, *data, pairs[-1][0])
+                            if part in ("z0n", "z1n"):
                                 assert start == _RECONSTRUCT_TEXT or start.startswith(
                                     f"class at t = {prev.t_hi} is not big")
                             elif start != _COEFF_TEXT:
                                 assert start.startswith(f"class just after t = {prev.t_hi}")
                             starts.add(start)
-                        for k in range(len(nxt.ints[part]))[:2]:
+                        for k in range(len(getattr(nxt, part)))[:2]:
                             pairs.append((prev, _bumped(nxt, part, k)))
                     for pair in pairs:
                         outcome = _invariant_text(_continuity_at_the_breakpoint, *pair)
@@ -889,19 +894,20 @@ def test_chambers_are_equal_by_their_values_not_their_numerators(blowup2):
     from reference import fraction_chamber
 
     for ch in segment_chambers(blowup2, F(3, -1, -1), "L12"):
-        den0, z0, den1, z1, den, c0, d1, c1, h0, h1 = ch.ints
         scaled = SegmentChamber(
             ch.t_lo, ch.t_hi, ch.support,
-            (3 * den0, [3 * x for x in z0], 5 * den1, [5 * x for x in z1], 7 * den,
-             [7 * x for x in c0], 2 * d1, [2 * x for x in c1], [7 * x for x in h0],
-             [2 * x for x in h1]),
-            tuple((4 * n, 4 * e) for n, e in ch.square_ints))
+            den0=3 * ch.den0, z0n=[3 * x for x in ch.z0n], den1=5 * ch.den1,
+            z1n=[5 * x for x in ch.z1n], den=7 * ch.den, c0=[7 * x for x in ch.c0],
+            d1=2 * ch.d1, c1=[2 * x for x in ch.c1], h0=[7 * x for x in ch.h0],
+            h1=[2 * x for x in ch.h1],
+            square_ints=tuple((4 * n, 4 * e) for n, e in ch.square_ints))
         rebuilt = fraction_chamber(ch.t_lo, ch.t_hi, ch.support, ch.z0, ch.z1, ch.coeff0,
                                    ch.coeff1, ch.square, *_kept_pairings(ch))
-        assert scaled.ints != ch.ints
+        assert ([getattr(scaled, part) for part in _NUMERATORS]
+                != [getattr(ch, part) for part in _NUMERATORS])
         for other in (scaled, rebuilt):
             assert other == ch and repr(other) == repr(ch) and hash(other) == hash(ch)
-        assert _bumped(ch, 1, 0) != ch
+        assert _bumped(ch, "z0n", 0) != ch
         assert ch != (ch.t_lo, ch.t_hi)
 
 
@@ -1122,17 +1128,17 @@ def _doctored(ch, h=None, c=None, t=None, support=None, volume=None):
     """ch rebuilt with changed numerators: h = (h0, h1) of Z(t).C for the
     flag curve, c = (c0, c1) of the support's coefficients, t = (t_lo,
     t_hi), and volume the numerator of Z(t_lo)^2 over 1."""
-    ints = list(ch.ints)
+    parts = {}
     if h is not None:
-        for part, x in zip((8, 9), h):
-            ints[part] = list(ints[part])
-            ints[part][_FLAG] = x
+        for part, x in zip(("h0", "h1"), h):
+            parts[part] = list(getattr(ch, part))
+            parts[part][_FLAG] = x
     if c is not None:
-        ints[5], ints[7] = c
+        parts["c0"], parts["c1"] = c
     t_lo, t_hi = (Fraction(x) for x in t) if t else (ch.t_lo, ch.t_hi)
     square = ch.square_ints if volume is None else ((volume, 1), *ch.square_ints[1:])
-    return SegmentChamber(t_lo, t_hi, ch.support if support is None else support, tuple(ints),
-                          square)
+    return dataclasses.replace(ch, t_lo=t_lo, t_hi=t_hi, square_ints=square,
+                               support=ch.support if support is None else support, **parts)
 
 
 def _vertex_count_walk(_, b):
@@ -1184,7 +1190,7 @@ def test_each_read_off_check_fires_on_a_doctored_chamber_list(
     alpha = F(2, -1)
     chambers = segment_chambers(blowup1, alpha, _FLAG)
     assert [(ch.t_lo, ch.t_hi, ch.support) for ch in chambers] == [(0, 1, ()), (1, 2, (0,))]
-    assert all(ch.ints[4] == ch.ints[6] == 1 for ch in chambers)  # numerators over 1
+    assert all(ch.den == ch.d1 == 1 for ch in chambers)  # numerators over 1
     flag = FlagSpec.make(_FLAG, {0: 1})
     doctored = doctor(*chambers)
     monkeypatch.setattr(zok.okounkov, "segment_chambers", lambda *_: list(chambers))

@@ -14,7 +14,7 @@ from zok.errors import (
     UnsupportedDirection,
     UsageError,
 )
-from zok.lattice import make_model
+from zok.lattice import IntClass, make_model
 from zok.zariski import (
     Kind,
     ZariskiDecomp,
@@ -459,9 +459,9 @@ def _assert_kept_numbers_match(model, dec):
         gram_product(model.gram, p, model.curve_class(i)) for i in range(len(model.curves))
     )
     assert dec.positive_square == gram_product(model.gram, p, p)
-    lp, nums, pd, pairs = dec.positive_ints
-    assert tuple(Fraction(x, lp) for x in nums) == p
-    assert tuple(Fraction(v, pd) for v in pairs) == dec.positive_pairings
+    kept = dec.positive_ints
+    assert tuple(Fraction(x, kept.den) for x in kept.nums) == p
+    assert tuple(Fraction(v, kept.pd) for v in kept.pairs) == dec.positive_pairings
     # the proof fields take no part in ==, hash or repr, and are required
     other = dataclasses.replace(dec, positive_square=dec.positive_square + 1, positive_ints=())
     assert other == dec and repr(other) == repr(dec) and hash(other) == hash(dec)
@@ -588,15 +588,15 @@ def test_positive_pairings_are_built_on_first_read(blowup2):
 
     dec = zariski_decompose(blowup2, F(3, 1, -1))
     other = dataclasses.replace(dec, positive_square=dec.positive_square + 1,
-                                positive_ints=(1, [0] * 3, 1, [0] * 3))
+                                positive_ints=IntClass(1, [0] * 3, 1, [0] * 3, ()))
     with pytest.raises(TypeError, match="positive_square.*positive_ints"):
         ZariskiDecomp(dec.alpha, dec.positive, dec.support, dec.coeffs)
     before = (repr(dec), hash(dec))
     assert "positive_pairings" not in vars(dec)
     pairs = dec.positive_pairings
     assert pairs == tuple(gram_product(blowup2.gram, dec.positive, c.cls) for c in blowup2.curves)
-    _, _, pd, ints = dec.positive_ints
-    assert pairs == tuple(Fraction(v, pd) for v in ints)
+    kept = dec.positive_ints
+    assert pairs == tuple(Fraction(v, kept.pd) for v in kept.pairs)
     assert all(type(v) is Fraction for v in pairs)
     assert vars(dec)["positive_pairings"] is pairs and dec.positive_pairings is pairs
     assert (repr(dec), hash(dec)) == before == (repr(other), hash(other)) and dec == other
