@@ -325,18 +325,14 @@ _VALUE_OPTIONS = {"-c", "--cls", "-d", "--direction", "-b", "--beta"}
 
 
 def _merge_negative_values(argv: list[str]) -> list[str]:
-    """Join '-c -1,0' into '-c=-1,0' so argparse accepts negative vectors."""
+    """Join '-c -1,0' into '-c=-1,0' so argparse accepts negative vectors: a
+    token of '-' then a digit or '.' after a value option is its value."""
     out = []
     i = 0
     while i < len(argv):
         tok = argv[i]
-        if (
-            tok in _VALUE_OPTIONS
-            and i + 1 < len(argv)
-            and argv[i + 1].startswith("-")
-            and len(argv[i + 1]) > 1
-            and argv[i + 1][1].isdigit()
-        ):
+        head = argv[i + 1][:2] if i + 1 < len(argv) else ""
+        if tok in _VALUE_OPTIONS and head[:1] == "-" and (head[1:].isdigit() or head[1:] == "."):
             out.append(f"{tok}={argv[i + 1]}")
             i += 2
         else:

@@ -295,6 +295,17 @@ class IntClass:
         return self._square
 
 
+def record_sum(a: IntClass, b: IntClass, p: int, q: int) -> IntClass:
+    """The IntClass of a + (p/q) * b, q > 0, over a's form, by cross-
+    multiplication with no product against the duals: nums over q * a.den *
+    b.den, divided by their one gcd with it, and pairs over q * a.pd * b.pd."""
+    den = q * a.den * b.den
+    nums = [q * b.den * x + p * a.den * y for x, y in zip(a.nums, b.nums)]
+    g = gcd(den, *nums)
+    return IntClass(den // g, [x // g for x in nums], q * a.pd * b.pd,
+                    [q * b.pd * x + p * a.pd * y for x, y in zip(a.pairs, b.pairs)], a._form)
+
+
 @dataclass(frozen=True)
 class SurfaceModel:
     """Finite rational intersection lattice with named curves and a Kahler class.

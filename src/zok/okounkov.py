@@ -8,15 +8,14 @@ affine in t.  A walk scales alpha to integer numerators and pairs it with
 the curves once; a walk along -C reads C's numerators and pairings off the
 model's curve tables.  Its start is one integer check of alpha's
 decomposition, which also tests bigness and builds no Fraction (zariski's
-_check_ints, the check behind every decomposition).  Each chamber starts
-from the end of the one before; support growth over the two integer
-columns of t0 + eps, eps a formal positive infinitesimal signed
-lexicographically (symbolic perturbation), reaches its support, and its
-two solves are the affine formulas.  The formulas, their checks, the
-events and the continuity of adjacent chambers run over integer
-numerators, and a chamber keeps only those: a chamber that does not end
-the walk builds one Fraction, its end, and its Fraction fields are built
-when read.
+_grow_and_check).  Each chamber starts from the end of the one before;
+support growth over the two integer columns of t0 + eps, eps a formal
+positive infinitesimal signed lexicographically (symbolic perturbation),
+reaches its support, and its two solves are the affine formulas.  The
+formulas, their checks, the events and the continuity of adjacent
+chambers run over integer numerators, and a chamber keeps only those, Z(t)
+as two class records: one that does not end the walk builds one Fraction,
+its end, and its Fraction fields are built when read.
 Breakpoints are roots of affine functions (hence rational); only the
 terminal endpoint, where the positive part's square vanishes, can be a
 quadratic irrational, represented exactly in Q(sqrt(d)).
@@ -28,16 +27,16 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import lcm
 from operator import mul
 from typing import Optional, Sequence
 
 from .errors import (FlagInNonKahlerLocus, HypothesisViolated, InvariantError, NotBig,
                      NotOnBoundary, NotPseudoEffective, UnknownCurve)
 from .exact import ExtRat, QuadExt, parse_rat, quad_of_ints, quad_sign, sqrt_rat
-from .lattice import IntClass, SurfaceModel, Vec
+from .lattice import IntClass, SurfaceModel, Vec, record_sum
 from .polygon import ConvexPolygon, Point
-from .zariski import (Kind, ZariskiDecomp, _check_ints, _classification_of, _decompose_or_none,
+from .zariski import (Kind, ZariskiDecomp, _classification_of, _decompose_or_none, _grow_and_check,
                       _grow_support, _non_kahler_of, _require_big)
 
 
@@ -104,35 +103,29 @@ class SegmentChamber:
     for square = (s0, s1, s2); all decomposition invariants hold on the open
     interval and extend continuously to the endpoints.
 
-    A chamber is its integer numerators: z0 = z0n / den0, z1 = z1n / den1,
-    coeff0 = c0 / den, coeff1 = c1 / d1, the curve pairings Z(t).C_j =
-    h0[j] / den + t * h1[j] / d1 (den, d1 > 0), and square_ints = ((n0,
-    e0), (n1, e1), (n2, e2)) with s_k = n_k / e_k.  z0, z1, coeff0, coeff1
-    and square are Fraction views of them, built on first read; equality,
-    hash and repr are those of (t_lo, t_hi, support, z0, z1, coeff0,
-    coeff1, square), so numerators that differ by a common factor give
-    equal chambers.
+    A chamber is integers: Z(t) = base + t*slope as two lattice.IntClasses
+    (z0 = base.nums / base.den, Z(t).C_j = base.pairs[j] / base.pd + t *
+    slope.pairs[j] / slope.pd), coeff0 = c0 / base.pd, coeff1 = c1 /
+    slope.pd, and square_ints = ((n0, e0), (n1, e1), (n2, e2)) with s_k =
+    n_k / e_k.  z0, z1, coeff0, coeff1 and square are Fraction views of
+    them, built on first read; equality, hash and repr are those of (t_lo,
+    t_hi, support, z0, z1, coeff0, coeff1, square), so numerators that
+    differ by a common factor give equal chambers.
     """
 
     t_lo: ExtRat
     t_hi: ExtRat
     support: tuple[int, ...]
-    den0: int
-    z0n: Sequence[int]
-    den1: int
-    z1n: Sequence[int]
-    den: int
+    base: IntClass
+    slope: IntClass
     c0: Sequence[int]
-    d1: int
     c1: Sequence[int]
-    h0: Sequence[int]
-    h1: Sequence[int]
     square_ints: tuple
 
-    z0 = cached_property(lambda self: _over(self.z0n, self.den0))
-    z1 = cached_property(lambda self: _over(self.z1n, self.den1))
-    coeff0 = cached_property(lambda self: _over(self.c0, self.den))
-    coeff1 = cached_property(lambda self: _over(self.c1, self.d1))
+    z0 = cached_property(lambda self: _over(self.base.nums, self.base.den))
+    z1 = cached_property(lambda self: _over(self.slope.nums, self.slope.den))
+    coeff0 = cached_property(lambda self: _over(self.c0, self.base.pd))
+    coeff1 = cached_property(lambda self: _over(self.c1, self.slope.pd))
     square = cached_property(lambda self: tuple(Fraction(n, e) for n, e in self.square_ints))
 
     def _fields(self) -> tuple:
@@ -234,52 +227,48 @@ def _chamber_at(model, alpha: IntClass, direction: IntClass, prev=None, fallback
 
     alpha and direction come as IntClasses: model.pairing_ints gives them,
     or _minus_curve reads -C off the curve tables.  At t0 = 0 the start is
-    alpha's own check, over its numerators and pairings: one 1-column
-    support growth, the integer decomposition check (zariski._check_ints)
-    and the bigness gate NotBig, with no Fraction built; NotPseudoEffective
-    propagates.  Past 0 it is read off prev's numerators at t0, evaluated
-    once (_values_at): P = Z(t0), P.C_j, the seed support (the curves of
-    non-zero coefficient) and P^2 > 0, else an invariant breach.  P^2 there
-    is P's own square, one integer form product, not a number derived
-    from prev's square_ints: it is the chamber's own bigness check, so it
-    is kept independent of the chamber it follows.
+    alpha's own growth and integer check (zariski._grow_and_check) and the
+    bigness gate NotBig, with no Fraction built; NotPseudoEffective
+    propagates.  Past 0, P = Z(t0) and P.C_j are the record sum prev.base +
+    t0*prev.slope (lattice.record_sum), the coefficients there c0 and c1
+    over P's pd, the seed support the curves of non-zero coefficient, and
+    P^2 > 0, else an invariant breach; P^2 is P's own square (one integer
+    form product), not read off prev's square_ints, so that this bigness
+    check stays independent of prev.
     The chamber's support is that of alpha + (t0 + eps)*direction for a
     formal positive infinitesimal eps: _grow_support from the seed over the
     two integer columns (alpha + t0*direction) . C_j and direction . C_j,
     read off the two classes' pairings, reaches it, and its eps-parts are
     the affine slopes.
 
-    With t0 = p/q and the growth's parts a0/D0, a1/D1 (coefficients) and
-    r0/D0, r1/D1 (pairings), z1 = direction - sum a1/D1 * C and z0 = P -
-    t0*z1; the checks (reconstruction, pairings against P.C_j and z1, nef,
-    and continuity with prev at t0, where Z comes from z0 and z1 and the
+    With the growth's parts a0/D0, a1/D1 (coefficients) and r0/D0, r1/D1
+    (pairings), z1 = direction - sum a1/D1 * C and z0 = P - t0*z1; the
+    checks (reconstruction, pairings against P.C_j and z1, nef, and
+    continuity with prev at t0, where Z is base + t0*slope and the
     coefficients are a0/D0) and the events, in u = t - t0, run over
     integers.  z1 and the reconstruction read the support's curve rows in
     one pass, and the event is the first smallest, by one cross-
-    multiplying pass.  The chamber keeps its numerators by name (see
-    SegmentChamber) and Z(t)^2 as three integer fractions, read off
-    Z(t0 + u)^2 = P^2 + 2u*P.z1 + u^2*z1^2.  It ends at the first event
-    after t0, or at fallback_end when none lies ahead; the terminal root is
-    taken only where integer signs put it at or before the first affine
-    event.  A chamber that does not end the walk builds one Fraction, its
-    t_hi.
+    multiplying pass.  The chamber keeps base = (z0, r0/D0 - t0*r1/D1) and
+    slope = (z1, r1/D1) as IntClasses, the coefficients over their pds, and
+    Z(t)^2 as three integer fractions, read off Z(t0 + u)^2 = P^2 +
+    2u*P.z1 + u^2*z1^2.  It ends at the first event after t0, or at
+    fallback_end when none lies ahead; the terminal root is taken only
+    where integer signs put it at or before the first affine event.  A
+    chamber that does not end the walk builds one Fraction, its t_hi.
     """
     t0 = _ZERO if prev is None else prev.t_hi
     p, q = t0.numerator, t0.denominator
     gd, gram = model._gram_ints
     dd, duals = model.duals
     if prev is None:
-        seed, (lc,), (c,), _ = _grow_support(model, (alpha.pairs,), (alpha.pd,))
-        pos = _check_ints(model, len(alpha.nums), alpha.den, alpha.nums, seed, lc, c)
+        seed, pos = _grow_and_check(model, alpha)
         if pos.square <= 0:
             raise NotBig("operation requires a big class")
-    else:  # P = Z(t0) and P.C_j, off prev's numerators
-        dz, z, dc, c = _values_at(prev, p, q)
-        g = gcd(dz, *z)  # reduced, so that numerators do not grow along the walk
-        pos = IntClass(dz // g, [x // g for x in z], q * prev.den * prev.d1,
-                       [q * prev.d1 * x + p * prev.den * y for x, y in zip(prev.h0, prev.h1)],
-                       gram)
-        seed = [i for i, x in c.items() if x]
+    else:  # P = Z(t0) and the coefficients there, over P's pd, off prev's records
+        pos = record_sum(prev.base, prev.slope, p, q)
+        before = {i: q * prev.slope.pd * x + p * prev.base.pd * y
+                  for i, x, y in zip(prev.support, prev.c0, prev.c1)}
+        seed = [i for i, x in before.items() if x]
         if pos.square <= 0:
             raise InvariantError(f"class at t = {t0} is not big")
     lp, k0 = pos.den, pos.den * pos.den * gd  # P^2 = pos.square / k0
@@ -305,13 +294,13 @@ def _chamber_at(model, alpha: IntClass, direction: IntClass, prev=None, fallback
     s0, s1, s2 = den * cd * alpha.den, den0 * alpha.den, den0 * den * cd
     if any(x * s0 + y * s1 != a * s2 for x, (_, y), a in zip(z0n, sums, alpha.nums)):
         raise InvariantError("chamber formulas do not reconstruct the class")
-    z1 = IntClass(den1, z1n, den1 * dd, [sum(map(mul, z1n, row)) for row in duals], gram)
     if (any(x * pos.pd != y * d0 for x, y in zip(r0, pos.pairs))
-            or any(x * d1 != y * z1.pd for x, y in zip(z1.pairs, r1))):
+            or any(sum(map(mul, z1n, row)) * d1 != y * den1 * dd for row, y in zip(duals, r1))):
         raise InvariantError("chamber pairings disagree with the positive part")
     if any(r1[i] for i in support) or any(v < (0, 0) for v in zip(r0, r1)):
         raise InvariantError("chamber positive part not nef in model")
-    m1, w11 = sum(map(mul, pos.nums, z1.met)), z1.square  # P.z1, z1^2
+    base, slope = IntClass(den0, z0n, den, h0, gram), IntClass(den1, z1n, d1, r1, gram)
+    m1, w11 = sum(map(mul, pos.nums, slope.met)), slope.square  # P.z1, z1^2
     # Z(t0 + u)^2 = (f0 + f1*u + f2*u^2) / sd: f0/sd = P^2 > 0, f1/sd =
     # 2*P.z1 (m1 over lp*den1*gd), f2/sd = z1^2 (w11 over den1^2*gd)
     sd = k0 * lp * den1 * den1 * gd
@@ -343,11 +332,11 @@ def _chamber_at(model, alpha: IntClass, direction: IntClass, prev=None, fallback
         raise InvariantError("chamber walk found no event ahead")
     else:
         t1 = fallback_end
-    if prev is not None:  # Z(t0) from z0 and z1, the coefficients at t0 from the growth
-        z = [q * den1 * x + p * den0 * y for x, y in zip(z0n, z1n)]
-        _assert_continuity((lp, pos.nums, dc, c), (q * den0 * den1, z, d0, dict(zip(support, a0))))
-    return SegmentChamber(t0, t1, support, den0=den0, z0n=z0n, den1=den1, z1n=z1n, den=den,
-                          c0=c0, d1=d1, c1=a1, h0=h0, h1=r1, square_ints=square), last
+    if prev is not None:  # Z(t0) off this chamber's records, the coefficients off the growth
+        _assert_continuity(pos, record_sum(base, slope, p, q), pos.pd, before, d0,
+                           dict(zip(support, a0)))
+    return SegmentChamber(t0, t1, support, base=base, slope=slope, c0=c0, c1=a1,
+                          square_ints=square), last
 
 
 def _terminal_root(p: int, q: int, f0: int, f1: int, f2: int, sd: int):
@@ -378,21 +367,11 @@ def _root_by(f0: int, f1: int, f2: int, u: int, v: int) -> bool:
             or 0 < -f1 * v < 2 * f2 * u and f1 * f1 >= 4 * f2 * f0)
 
 
-def _values_at(ch: SegmentChamber, p: int, q: int) -> tuple:
-    """(dz, z, dc, c): Z(p/q) = z / dz and the support coefficients at p/q,
-    c[i] / dc for curve i, from the chamber's kept numerators."""
-    z = [q * ch.den1 * x + p * ch.den0 * y for x, y in zip(ch.z0n, ch.z1n)]
-    c = {i: q * ch.d1 * x + p * ch.den * y for i, x, y in zip(ch.support, ch.c0, ch.c1)}
-    return q * ch.den0 * ch.den1, z, q * ch.den * ch.d1, c
-
-
-def _assert_continuity(before: tuple, after: tuple):
-    """Adjacent chambers agree at their rational breakpoint on Z(t) and on
-    every coefficient (absent = 0), by cross-multiplied numerators; before
-    and after are each chamber's values there as _values_at gives them."""
-    dz, z, dc, c = before
-    ez, w, ec, e = after
-    if any(x * ez != y * dz for x, y in zip(z, w)):
+def _assert_continuity(z: IntClass, w: IntClass, dc: int, c: dict, ec: int, e: dict):
+    """Adjacent chambers agree at their rational breakpoint on Z(t), z and w,
+    and on every coefficient (absent = 0), {curve: numerator} over dc and
+    over ec, as the chamber before and the one after give them there."""
+    if any(x * w.den != y * z.den for x, y in zip(z.nums, w.nums)):
         raise InvariantError("adjacent chamber formulas disagree at the breakpoint")
     if any(c.get(i, 0) * ec != e.get(i, 0) * dc for i in c.keys() | e.keys()):
         raise InvariantError("adjacent chamber coefficients disagree at the breakpoint")
@@ -459,12 +438,12 @@ def slopes(model: SurfaceModel, alpha: Vec, curve) -> tuple[ExtRat, ExtRat]:
 def chamber_slopes(chambers: Sequence[SegmentChamber], index: int) -> tuple[ExtRat, ExtRat]:
     """slopes read off the chamber list of the walk along curve ``index``: s
     is the walk's end, and a the first parameter from which Z(t).C stays
-    positive, rational.  Z(t).C is h0/den + t*h1/d1 on a chamber, signed at
-    its rational start over the kept numerators."""
+    positive, rational.  Z(t).C is the pairing of the chamber's record base
+    + t*slope, signed at its rational start over the kept numerators."""
     s = chambers[-1].t_hi
     for ch in chambers:
-        h0, h1, t = ch.h0[index], ch.h1[index], ch.t_lo
-        v_lo = t.denominator * ch.d1 * h0 + t.numerator * ch.den * h1
+        h0, h1, t = ch.base.pairs[index], ch.slope.pairs[index], ch.t_lo
+        v_lo = t.denominator * ch.slope.pd * h0 + t.numerator * ch.base.pd * h1
         if v_lo > 0:
             if t != 0:
                 raise InvariantError("Z(t).C jumped to positive mid-walk")
@@ -510,8 +489,8 @@ def _envelopes_of(chambers: Sequence[SegmentChamber], flag: FlagSpec) -> tuple:
 
     With the flag multiplicities n_i / md over their least common
     denominator md, f is sum n_i*c_i(t) / md and the width g - f is Z(t).C,
-    both x0/(md*den) + t*x1/(md*d1) on a chamber from its kept numerators,
-    so the slopes f1/e1 and g1/e1 (e1 = md*d1 > 0) are compared by
+    both x0/(md*base.pd) + t*x1/(md*slope.pd) on a chamber from its kept
+    numerators, so the slopes f1/e1 and g1/e1 (e1 = md*slope.pd > 0) are compared by
     cross-multiplication; Fractions and QuadExts are built only for the
     values.
     """
@@ -531,8 +510,8 @@ def _envelopes_of(chambers: Sequence[SegmentChamber], flag: FlagSpec) -> tuple:
                 raise InvariantError("flag curve carries a coefficient beyond a")
             n = mults.get(i, 0)
             f0, f1 = f0 + n * x, f1 + n * y
-        lines.append((f0, f1, f0 + md * ch.h0[index], f1 + md * ch.h1[index], md * ch.den,
-                      md * ch.d1))
+        lines.append((f0, f1, f0 + md * ch.base.pairs[index], f1 + md * ch.slope.pairs[index],
+                      md * ch.base.pd, md * ch.slope.pd))
     breakpoints = (a, *(ch.t_hi for ch in sub))
     d = breakpoints[-1].d if isinstance(breakpoints[-1], QuadExt) else 1
     f_vals, g_vals, rows, below = [], [], [], False

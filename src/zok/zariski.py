@@ -29,7 +29,7 @@ from .errors import (
     UsageError,
 )
 from .exact import parse_rat
-from .lattice import IntClass, SurfaceModel, Vec, _over_lcm, vec_is_zero
+from .lattice import IntClass, SurfaceModel, Vec, _over_lcm, record_sum, vec_is_zero
 
 FAMILY_ENUMERATION_CAP = 20
 
@@ -247,6 +247,14 @@ def _check_ints(model: SurfaceModel, n: int, lp: int, p: Sequence[int], support:
     return pos
 
 
+def _grow_and_check(model: SurfaceModel, u: IntClass) -> tuple[tuple[int, ...], IntClass]:
+    """(support, P's IntClass) of the decomposition of the class u, off its
+    numerators and pairings: one 1-column support growth and the integer
+    check (_check_ints), with no Fraction built."""
+    support, (lc,), (c,), _ = _grow_support(model, (u.pairs,), (u.pd,))
+    return support, _check_ints(model, len(u.nums), u.den, u.nums, support, lc, c)
+
+
 def volume(model: SurfaceModel, alpha: Vec) -> Fraction:
     """Self-intersection of the positive part; 0 exactly on the boundary."""
     return zariski_decompose(model, alpha).volume()
@@ -324,8 +332,9 @@ def morse_gap(model: SurfaceModel, alpha: Vec, beta: Vec) -> MorseCertificate:
     lhs = alpha^2 - 2 alpha.beta.  When lhs > 0 the difference must be big
     with volume >= lhs; both facts are verified and any failure is an
     internal invariant breach, not a negative verdict.  Each class is
-    scaled once, by its nef test, and lhs and the difference are formed
-    from those integers.
+    scaled once, by its nef test; lhs and the difference, their record sum
+    alpha + (-1)*beta, are formed from those integers, and the difference
+    is decomposed by _grow_and_check, as a walk's start is.
     """
     a = _nef_ints(model, model.pairing_ints(alpha))
     if a is None:
@@ -335,9 +344,11 @@ def morse_gap(model: SurfaceModel, alpha: Vec, beta: Vec) -> MorseCertificate:
         raise NotNef("second class is not nef in model")
     lhs = Fraction(b.den * a.square - 2 * a.den * sum(map(mul, b.nums, a.met)),
                    a.den * a.den * b.den * model._gram_ints[0])
-    diff = tuple(Fraction(b.den * x - a.den * y, a.den * b.den) for x, y in zip(a.nums, b.nums))
-    dec = _decompose_or_none(model, diff)
-    vol = None if dec is None else dec.volume()
+    try:
+        pos = _grow_and_check(model, record_sum(a, b, -1, 1))[1]
+        vol = Fraction(pos.square, pos.den * pos.den * model._gram_ints[0])
+    except NotPseudoEffective:
+        vol = None
     big = vol is not None and vol > 0  # a zero positive part has volume 0
     if lhs > 0:
         if not big:

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import inspect
 import itertools
 from fractions import Fraction
 
@@ -64,21 +63,19 @@ def decompositions(monkeypatch):
 @pytest.fixture
 def start_checks(monkeypatch):
     """The classes whose decomposition a chamber walk checks at its start
-    while the test runs: the integer check (zariski._check_ints) as the
-    okounkov module calls it, once per walk, each class as the Fractions
-    of the numerators it was given."""
+    while the test runs: the growth and integer check
+    (zariski._grow_and_check) as the okounkov module calls it, once per
+    walk, each class as the Fractions of the record it was given."""
     import zok.okounkov
 
-    check = zok.okounkov._check_ints
-    signature = inspect.signature(check)
+    check = zok.okounkov._grow_and_check
     calls = []
 
-    def counting(*args, **kwargs):
-        given = signature.bind(*args, **kwargs).arguments
-        calls.append(tuple(Fraction(x, given["lp"]) for x in given["p"]))
-        return check(*args, **kwargs)
+    def counting(model, u):
+        calls.append(tuple(Fraction(x, u.den) for x in u.nums))
+        return check(model, u)
 
-    monkeypatch.setattr(zok.okounkov, "_check_ints", counting)
+    monkeypatch.setattr(zok.okounkov, "_grow_and_check", counting)
     return calls
 
 

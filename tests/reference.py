@@ -49,7 +49,7 @@ from zok.errors import (
     UnsupportedDirection,
 )
 from zok.exact import ext_sign, parse_rat, sqrt_rat
-from zok.lattice import Mat, Vec, _check_symmetric, _dot, _over_lcm, gram_product
+from zok.lattice import IntClass, Mat, Vec, _check_symmetric, _dot, _over_lcm, gram_product
 from zok.okounkov import (
     OkounkovPolygon,
     PiecewiseLinear,
@@ -305,23 +305,27 @@ def reference_chamber(model, alpha, direction, t0, fallback_end=None):
     affine, terminal = chamber_events(support, coeff0, c1, h0, h1, square, t0)
     last = terminal is not None and (affine is None or not affine < terminal)
     t1 = terminal if last else (fallback_end if affine is None else affine)
-    return fraction_chamber(t0, t1, support, z0, z1, coeff0, c1, square, h0, h1), last
+    return fraction_chamber(model, t0, t1, support, z0, z1, coeff0, c1, square, h0, h1), last
 
 
-def fraction_chamber(t_lo, t_hi, support, z0, z1, coeff0, coeff1, square, h0, h1):
+def fraction_chamber(model, t_lo, t_hi, support, z0, z1, coeff0, coeff1, square, h0, h1):
     """The SegmentChamber with these Fraction formulas and curve pairings
-    h0 + t*h1: z0 and z1 each as numerators over their least common
-    denominator, coeff0 with h0 and coeff1 with h1 over theirs, and each
-    term of square as its numerator and denominator."""
+    h0 + t*h1, on the model's form: base the record of z0 over its least
+    common denominator with h0 over theirs, slope that of z1 with h1,
+    coeff0 over base's pd and coeff1 over slope's (their denominators
+    joined into h0's and h1's), and each term of square as its numerator
+    and denominator."""
     def over_lcm(*vectors):
         den = lcm(*(x.denominator for v in vectors for x in v))
         return den, *([x.numerator * (den // x.denominator) for x in v] for v in vectors)
 
+    form = model._gram_ints[1]
     (den0, n0), (den1, n1) = over_lcm(z0), over_lcm(z1)
     (den, c0, k0), (d1, c1, k1) = over_lcm(coeff0, h0), over_lcm(coeff1, h1)
     square_ints = tuple((c.numerator, c.denominator) for c in square)
-    return SegmentChamber(t_lo, t_hi, support, den0=den0, z0n=n0, den1=den1, z1n=n1, den=den,
-                          c0=c0, d1=d1, c1=c1, h0=k0, h1=k1, square_ints=square_ints)
+    return SegmentChamber(t_lo, t_hi, support, base=IntClass(den0, n0, den, k0, form),
+                          slope=IntClass(den1, n1, d1, k1, form), c0=c0, c1=c1,
+                          square_ints=square_ints)
 
 
 # -- the operations on top of a decomposition, over Fractions ------------------

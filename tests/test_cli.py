@@ -50,6 +50,24 @@ def test_volume_negative_verdict_exit_1(capsys):
     assert json.loads(out)["error"] == "NotPseudoEffective"
 
 
+@pytest.mark.parametrize("head, option", [
+    (("volume", "-m", "blowup1"), "-c"),
+    (("volume", "-m", "blowup1"), "--cls"),
+    (("derivative", "-m", "blowup1", "-c", "2,1"), "-d"),
+    (("morse", "-m", "blowup1", "-c", "3,0"), "-b"),
+])
+def test_an_option_value_reads_the_same_spaced_and_joined(capsys, head, option):
+    """-x VALUE and -x=VALUE give the same stdout and exit code for the
+    class options, a value of '-' then a digit or '.' among them: '-c
+    -.5,0' is the class (-1/2, 0), a negative verdict, not a usage error."""
+    for value in ("-.5,0", "-1/2,0", "-1,0", ".5,-.5", "1,0", "2,-.5"):
+        spaced = run_cli(capsys, *head, option, value)
+        assert spaced == run_cli(capsys, *head, f"{option}={value}")
+        assert spaced[1]
+    code, out = run_cli(capsys, "volume", "-m", "blowup1", "-c", "-.5,0")
+    assert code == 1 and json.loads(out)["error"] == "NotPseudoEffective"
+
+
 def test_classify_outputs_null_numdim(capsys):
     code, out = run_cli(capsys, "classify", "-m", "blowup1", "-c", "-1,0")
     assert code == 0

@@ -571,6 +571,41 @@ def test_record_met_and_square_are_the_reference_and_kept(all_fixture_models):
     assert checked > 20
 
 
+def test_record_sum_is_the_fraction_reference(all_fixture_models):
+    """record_sum(a, b, p, q) is the IntClass of a + (p/q)*b: its nums over
+    den, pairs over pd and square equal those of pairing_ints of the
+    Fraction sum, compared as rationals, and den is that sum's least common
+    denominator.  On the fixtures and seeded random models, for p < 0,
+    p = 0 and p > 0, with q = 1 and q > 1, over records of the Kahler class,
+    of random classes and of -C read off the curve tables, whose pd is not
+    always den times the duals' den."""
+    from zok.lattice import record_sum
+    from zok.okounkov import _minus_curve
+
+    rng = random.Random(37)
+    ratios = [(-1, 1), (-5, 3), (0, 1), (0, 4), (2, 1), (7, 6)]
+    checked = set()
+    for model in _record_models(all_fixture_models):
+        gd = model._gram_ints[0]
+        records = [model.pairing_ints(model.kahler)]
+        records += [_minus_curve(model, i) for i in range(len(model.curves))]
+        records += [model.pairing_ints(tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                                             for _ in range(model.rank))) for _ in range(4)]
+        for a, b in itertools.product(records[:1] + records[-4:], records):
+            x, y = _rational(a)[0], _rational(b)[0]
+            for p, q in ratios:
+                got = record_sum(a, b, p, q)
+                want = model.pairing_ints(tuple(u + Fraction(p, q) * v for u, v in zip(x, y)))
+                assert _rational(got) == _rational(want)
+                assert got.den == want.den
+                assert got.square * want.den ** 2 == want.square * got.den ** 2
+                assert Fraction(got.square, got.den ** 2 * gd) == gram_product(
+                    model.gram, _rational(got)[0], _rational(got)[0])
+                checked.add((p < 0, p == 0, q > 1))
+    assert checked == {(True, False, False), (True, False, True), (False, True, False),
+                       (False, True, True), (False, False, False), (False, False, True)}
+
+
 # --- the support table and the integer support growth --------------------------
 
 

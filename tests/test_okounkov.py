@@ -15,6 +15,7 @@ from zok.errors import (
     UnknownCurve,
 )
 from zok.exact import QuadExt
+from zok.lattice import IntClass
 from zok.okounkov import (
     BoundaryBody,
     FlagSpec,
@@ -136,8 +137,9 @@ def test_chambers_h_plus_e_along_e(blowup1):
 
 def _kept_pairings(ch):
     """(h0, h1) with Z(t).C_j = h0[j] + t*h1[j], read off the chamber's kept
-    numerators: h0 over den and h1 over d1."""
-    return tuple(Fraction(x, ch.den) for x in ch.h0), tuple(Fraction(x, ch.d1) for x in ch.h1)
+    records: base's pairings over base.pd and slope's over slope.pd."""
+    b, e = ch.base, ch.slope
+    return tuple(Fraction(x, b.pd) for x in b.pairs), tuple(Fraction(x, e.pd) for x in e.pairs)
 
 
 def test_chamber_support_grows_past_its_start(blowup1):
@@ -756,7 +758,7 @@ def test_a_changed_numerator_of_the_previous_chamber_fails_the_next_start(
                     continue
                 first = walk[0]
                 for part in _PARTS:
-                    for k in range(len(getattr(first, part))):
+                    for k in range(len(_numerators(first, part))):
                         bump[:] = [part, k]
                         with pytest.raises(InvariantError) as err:
                             segment_chambers(model, alpha, curve)
@@ -773,16 +775,32 @@ _Z_TEXT = "adjacent chamber formulas disagree at the breakpoint"
 _COEFF_TEXT = "adjacent chamber coefficients disagree at the breakpoint"
 
 
-_PARTS = ("z0n", "z1n", "c0", "c1", "h0", "h1")  # a chamber's numerator lists
-_NUMERATORS = ("den0", "z0n", "den1", "z1n", "den", "c0", "d1", "c1", "h0", "h1")
+# a chamber's numerator lists: Z's (base.nums, slope.nums), the
+# coefficients' (c0, c1), and the pairings' and their slopes' (base.pairs,
+# slope.pairs)
+_PARTS = ("base.nums", "slope.nums", "c0", "c1", "base.pairs", "slope.pairs")
+
+
+def _numerators(ch, part):
+    """ch's numerator list named part, one of _PARTS."""
+    record, _, name = part.rpartition(".")
+    return getattr(getattr(ch, record) if record else ch, name)
+
+
+def _rebuilt(r, **fields):
+    """The IntClass r with the given fields (den, nums, pd, pairs) replaced."""
+    return IntClass(**{"den": r.den, "nums": r.nums, "pd": r.pd, "pairs": r.pairs, **fields},
+                    form=r._form)
 
 
 def _bumped(ch, part, k):
     """The chamber built from ch's kept numerators with numerator k of one
-    part raised by 1: z0n and z1n are Z's, c0 and c1 the coefficients', h0
-    and h1 the pairings' and their slopes'."""
-    nums = list(getattr(ch, part))
+    part (see _PARTS) raised by 1."""
+    nums = list(_numerators(ch, part))
     nums[k] += 1
+    record, _, name = part.rpartition(".")
+    if record:
+        return dataclasses.replace(ch, **{record: _rebuilt(getattr(ch, record), **{name: nums})})
     return dataclasses.replace(ch, **{part: nums})
 
 
@@ -795,12 +813,22 @@ def _invariant_text(check, *args):
 
 
 def _continuity_at_the_breakpoint(prev, nxt):
-    """okounkov._assert_continuity on both chambers' values at prev.t_hi."""
-    from zok.okounkov import _assert_continuity, _values_at
+    """okounkov._assert_continuity on both chambers' values at t = prev.t_hi:
+    Z(t) as the record sum base + t*slope, and the coefficients there over
+    that sum's pd."""
+    from zok.lattice import record_sum
+    from zok.okounkov import _assert_continuity
 
     t = prev.t_hi
     p, q = t.numerator, t.denominator
-    _assert_continuity(_values_at(prev, p, q), _values_at(nxt, p, q))
+
+    def coefficients(ch):
+        b, e = ch.base.pd, ch.slope.pd
+        return q * b * e, {i: q * e * x + p * b * y for i, x, y in zip(ch.support, ch.c0, ch.c1)}
+
+    _assert_continuity(record_sum(prev.base, prev.slope, p, q),
+                       record_sum(nxt.base, nxt.slope, p, q), *coefficients(prev),
+                       *coefficients(nxt))
 
 
 def _walk_data(model, alpha, curve):
@@ -830,8 +858,8 @@ def test_continuity_refuses_one_changed_numerator(blowup2):
     walk = _walk_data(blowup2, alpha, blowup2.resolve_curve("L12"))
     assert _chamber_at(blowup2, *walk, prev) == (nxt, True)
     assert _continuity_at_the_breakpoint(prev, nxt) is None
-    for part, text, start in (("z0n", _Z_TEXT, _RECONSTRUCT_TEXT),
-                              ("z1n", _Z_TEXT, _RECONSTRUCT_TEXT),
+    for part, text, start in (("base.nums", _Z_TEXT, _RECONSTRUCT_TEXT),
+                              ("slope.nums", _Z_TEXT, _RECONSTRUCT_TEXT),
                               ("c0", _COEFF_TEXT, _COEFF_TEXT), ("c1", _COEFF_TEXT, _COEFF_TEXT)):
         assert _invariant_text(_chamber_at, blowup2, *walk, _bumped(prev, part, 0)) == start
         for which in (0, 1):
@@ -865,17 +893,17 @@ def test_integer_continuity_matches_the_fraction_reference(all_fixture_models, g
                 for prev, nxt in zip(walk, walk[1:]):
                     assert _chamber_at(model, *data, prev)[0] == nxt
                     pairs = [(prev, nxt)]
-                    for part in ("z0n", "z1n", "c0", "c1"):
-                        for k in range(len(getattr(prev, part)))[:2]:
+                    for part in ("base.nums", "slope.nums", "c0", "c1"):
+                        for k in range(len(_numerators(prev, part)))[:2]:
                             pairs.append((_bumped(prev, part, k), nxt))
                             start = _invariant_text(_chamber_at, model, *data, pairs[-1][0])
-                            if part in ("z0n", "z1n"):
+                            if part.endswith(".nums"):
                                 assert start == _RECONSTRUCT_TEXT or start.startswith(
                                     f"class at t = {prev.t_hi} is not big")
                             elif start != _COEFF_TEXT:
                                 assert start.startswith(f"class just after t = {prev.t_hi}")
                             starts.add(start)
-                        for k in range(len(getattr(nxt, part)))[:2]:
+                        for k in range(len(_numerators(nxt, part)))[:2]:
                             pairs.append((prev, _bumped(nxt, part, k)))
                     for pair in pairs:
                         outcome = _invariant_text(_continuity_at_the_breakpoint, *pair)
@@ -883,6 +911,12 @@ def test_integer_continuity_matches_the_fraction_reference(all_fixture_models, g
                         seen.add(outcome)
     assert seen == {None, _Z_TEXT, _COEFF_TEXT}
     assert {_RECONSTRUCT_TEXT, _COEFF_TEXT} <= starts
+
+
+def _all_numerators(ch):
+    """Every integer a chamber keeps but its ends and support."""
+    return ([[r.den, r.nums, r.pd, r.pairs] for r in (ch.base, ch.slope)], ch.c0, ch.c1,
+            ch.square_ints)
 
 
 def test_chambers_are_equal_by_their_values_not_their_numerators(blowup2):
@@ -894,20 +928,21 @@ def test_chambers_are_equal_by_their_values_not_their_numerators(blowup2):
     from reference import fraction_chamber
 
     for ch in segment_chambers(blowup2, F(3, -1, -1), "L12"):
+        base, slope = ch.base, ch.slope
         scaled = SegmentChamber(
             ch.t_lo, ch.t_hi, ch.support,
-            den0=3 * ch.den0, z0n=[3 * x for x in ch.z0n], den1=5 * ch.den1,
-            z1n=[5 * x for x in ch.z1n], den=7 * ch.den, c0=[7 * x for x in ch.c0],
-            d1=2 * ch.d1, c1=[2 * x for x in ch.c1], h0=[7 * x for x in ch.h0],
-            h1=[2 * x for x in ch.h1],
+            base=_rebuilt(base, den=3 * base.den, nums=[3 * x for x in base.nums],
+                          pd=7 * base.pd, pairs=[7 * x for x in base.pairs]),
+            slope=_rebuilt(slope, den=5 * slope.den, nums=[5 * x for x in slope.nums],
+                           pd=2 * slope.pd, pairs=[2 * x for x in slope.pairs]),
+            c0=[7 * x for x in ch.c0], c1=[2 * x for x in ch.c1],
             square_ints=tuple((4 * n, 4 * e) for n, e in ch.square_ints))
-        rebuilt = fraction_chamber(ch.t_lo, ch.t_hi, ch.support, ch.z0, ch.z1, ch.coeff0,
-                                   ch.coeff1, ch.square, *_kept_pairings(ch))
-        assert ([getattr(scaled, part) for part in _NUMERATORS]
-                != [getattr(ch, part) for part in _NUMERATORS])
+        rebuilt = fraction_chamber(blowup2, ch.t_lo, ch.t_hi, ch.support, ch.z0, ch.z1,
+                                   ch.coeff0, ch.coeff1, ch.square, *_kept_pairings(ch))
+        assert _all_numerators(scaled) != _all_numerators(ch)
         for other in (scaled, rebuilt):
             assert other == ch and repr(other) == repr(ch) and hash(other) == hash(ch)
-        assert _bumped(ch, "z0n", 0) != ch
+        assert _bumped(ch, "base.nums", 0) != ch
         assert ch != (ch.t_lo, ch.t_hi)
 
 
@@ -1125,14 +1160,16 @@ _FLAG = 1  # H-E on blowup1; its walk from 2H - E has the chambers [0, 1] and [1
 
 
 def _doctored(ch, h=None, c=None, t=None, support=None, volume=None):
-    """ch rebuilt with changed numerators: h = (h0, h1) of Z(t).C for the
-    flag curve, c = (c0, c1) of the support's coefficients, t = (t_lo,
-    t_hi), and volume the numerator of Z(t_lo)^2 over 1."""
+    """ch rebuilt with changed numerators: h = (h0, h1), the pairings of
+    base and slope with the flag curve, c = (c0, c1) of the support's
+    coefficients, t = (t_lo, t_hi), and volume the numerator of Z(t_lo)^2
+    over 1."""
     parts = {}
     if h is not None:
-        for part, x in zip(("h0", "h1"), h):
-            parts[part] = list(getattr(ch, part))
-            parts[part][_FLAG] = x
+        for record, x in zip(("base", "slope"), h):
+            pairs = list(getattr(ch, record).pairs)
+            pairs[_FLAG] = x
+            parts[record] = _rebuilt(getattr(ch, record), pairs=pairs)
     if c is not None:
         parts["c0"], parts["c1"] = c
     t_lo, t_hi = (Fraction(x) for x in t) if t else (ch.t_lo, ch.t_hi)
@@ -1190,7 +1227,7 @@ def test_each_read_off_check_fires_on_a_doctored_chamber_list(
     alpha = F(2, -1)
     chambers = segment_chambers(blowup1, alpha, _FLAG)
     assert [(ch.t_lo, ch.t_hi, ch.support) for ch in chambers] == [(0, 1, ()), (1, 2, (0,))]
-    assert all(ch.den == ch.d1 == 1 for ch in chambers)  # numerators over 1
+    assert all(ch.base.pd == ch.slope.pd == 1 for ch in chambers)  # numerators over 1
     flag = FlagSpec.make(_FLAG, {0: 1})
     doctored = doctor(*chambers)
     monkeypatch.setattr(zok.okounkov, "segment_chambers", lambda *_: list(chambers))

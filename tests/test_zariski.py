@@ -441,10 +441,31 @@ def test_perturbed_matches_direct_on_grid(blowup1, blowup2):
                 perturbed_decomposition(model, alpha, omega, threshold)
 
 
-def test_morse_gap_decomposes_the_difference_once(decompositions, blowup1):
+def test_morse_gap_decomposes_the_difference_once(monkeypatch, decompositions, blowup1):
+    """morse_gap pairs alpha and beta once each (pairing_ints), forms their
+    difference as a record sum and decomposes it by one growth and check
+    (_grow_and_check), with no zariski_decompose call."""
+    import zok.zariski
+    from zok.lattice import SurfaceModel
+
+    grow_and_check, pairing_ints = zok.zariski._grow_and_check, SurfaceModel.pairing_ints
+    checked, paired = [], []
+
+    def counting_check(model, u):
+        checked.append(tuple(Fraction(x, u.den) for x in u.nums))
+        return grow_and_check(model, u)
+
+    def counting_pairing(model, u):
+        paired.append(tuple(u))
+        return pairing_ints(model, u)
+
+    monkeypatch.setattr(zok.zariski, "_grow_and_check", counting_check)
+    monkeypatch.setattr(SurfaceModel, "pairing_ints", counting_pairing)
     cert = morse_gap(blowup1, F(3, -1), F(1, 0))
     assert (cert.lhs, cert.conclusion_big, cert.vol) == (2, True, 3)
-    assert decompositions == [F(2, -1)]
+    assert checked == [F(2, -1)]
+    assert paired == [F(3, -1), F(1, 0)]
+    assert decompositions == []
 
 
 # -- the numbers a checked decomposition keeps -----------------------------------
